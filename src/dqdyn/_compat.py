@@ -1,8 +1,9 @@
 """Optional numba import.
 
-The per-step kernels are written to be nopython-compilable. When numba is
-missing the same code runs as plain Python/numpy, just slower; results are
-identical either way.
+The small quaternion and RK4 helpers are written to be nopython-compilable.
+When numba is missing the same code runs as plain Python/numpy, just slower;
+results are identical either way. The integrator's step kernels are plain
+Python floats and do not use it.
 """
 
 try:

@@ -28,6 +28,7 @@ from .kinematics import (
     rotate_vector,
     transform_point,
 )
+from .linsolve import COND_LIMIT
 from .quat import (
     Array,
     dq_mul,
@@ -35,8 +36,6 @@ from .quat import (
     dq_dual_transpose,
     quat_conjugate,
 )
-
-COND_LIMIT = 1e12
 
 
 def skew(v) -> Array:

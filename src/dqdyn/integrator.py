@@ -25,12 +25,12 @@ Conventions: twists are [omega; v] body frame, wrenches [torque; force],
 M is the 6x6 generalized inertia about the body reference point.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._compat import njit
 from .dynamics import InertiaMatrix6, total_wrench
 from .errors import (
     SingularMatrixError,
@@ -39,11 +39,11 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import FRAME_BODY, Wrench, check_pose
-from .linsolve import COND_LIMIT, solve_full_pivot
-from .quat import Array, dq_mul
+from .linsolve import COND_LIMIT, solve_rows
+from .quat import Array, dq_mul, dq_product
 from .trajectory import Trajectory
 
-# Newton statuses used by the kernels (kept numeric for the compiled paths)
+# Newton statuses returned by the kernel
 _STATUS_OK = 0
 _STATUS_NO_CONVERGENCE = 1
 _STATUS_SINGULAR = 2
@@ -69,210 +69,210 @@ class SolverSettings:
             raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
-@njit(cache=True)
-def _cross(a, b):
-    out = np.empty(3)
-    out[0] = a[1] * b[2] - a[2] * b[1]
-    out[1] = a[2] * b[0] - a[0] * b[2]
-    out[2] = a[0] * b[1] - a[1] * b[0]
-    return out
+class _Inertia(NamedTuple):
+    """An inertia in the kernels' form: rows and columns of Python floats."""
+
+    rows: list  # M, six rows
+    cols: list  # M, six column tuples
+    inverse: list  # M^-1, six rows
+    simple: bool  # the center-of-mass Jacobian applies
+    mass: float  # M22[0][0]: the isotropic mass when simple
 
 
-@njit(cache=True)
-def _skew3(v):
-    S = np.zeros((3, 3))
-    S[0, 1] = -v[2]
-    S[0, 2] = v[1]
-    S[1, 0] = v[2]
-    S[1, 2] = -v[0]
-    S[2, 0] = -v[1]
-    S[2, 1] = v[0]
-    return S
+def _float_inertia(M: InertiaMatrix6) -> _Inertia:
+    """Convert M once per call into the form the step kernels read."""
+    rows = M.matrix.tolist()
+    mass = rows[3][3]
+    m22 = [r[3:] for r in rows[3:]]
+    simple = not M.coupled and mass > 0.0 and m22 == [[mass, 0.0, 0.0], [0.0, mass, 0.0], [0.0, 0.0, mass]]
+    return _Inertia(rows, list(zip(*rows)), M.inverse.tolist(), simple, mass)
 
 
-@njit(cache=True)
-def _residual_ab(f, m11, m12, m21, m22):
-    """Step momentum [A; B] of the step variables f = [Phi; Psi]."""
-    phi = f[:3]
-    psi = f[3:]
-    gamma = np.sqrt(1.0 - phi @ phi)
-    c = psi @ phi
-    u = m21 @ phi + m22 @ psi
-    w = m11 @ phi + m12 @ psi
-    out = np.empty(6)
-    out[:3] = (-(c / gamma)) * u + _cross(psi, u) + gamma * w + _cross(phi, w)
-    out[3:] = gamma * u + _cross(phi, u)
-    return out
+def _phi_norm2(f) -> float:
+    """Phi . Phi, summed in the order the kernels use."""
+    return f[0] * f[0] + f[1] * f[1] + f[2] * f[2]
 
 
-@njit(cache=True)
-def _transported_ab(f, m11, m12, m21, m22):
+def _momentum_terms(f, K: _Inertia) -> tuple:
+    """(gamma, c, u0, u1, u2, w0, w1, w2) of f = [Phi; Psi]: gamma = sqrt(1 - Phi.Phi),
+    c = Psi.Phi, w = M11 Phi + M12 Psi and u = M21 Phi + M22 Psi.
+
+    Everything the step momentum, its transport and the Jacobian share.
+    """
+    p0, p1, p2, s0, s1, s2 = f
+    w0, w1, w2, u0, u1, u2 = [
+        m0 * p0 + m1 * p1 + m2 * p2 + m3 * s0 + m4 * s1 + m5 * s2 for m0, m1, m2, m3, m4, m5 in K.rows
+    ]
+    return math.sqrt(1.0 - _phi_norm2(f)), s0 * p0 + s1 * p1 + s2 * p2, u0, u1, u2, w0, w1, w2
+
+
+def _residual_ab(f, terms) -> tuple:
+    """Step momentum [A; B] of the step variables f = [Phi; Psi]:
+    A = -(c/gamma) u + Psi x u + gamma w + Phi x w and B = gamma u + Phi x u."""
+    p0, p1, p2, s0, s1, s2 = f
+    g, c, u0, u1, u2, w0, w1, w2 = terms
+    cg = c / g
+    return (
+        -cg * u0 + (s1 * u2 - s2 * u1) + g * w0 + (p1 * w2 - p2 * w1),
+        -cg * u1 + (s2 * u0 - s0 * u2) + g * w1 + (p2 * w0 - p0 * w2),
+        -cg * u2 + (s0 * u1 - s1 * u0) + g * w2 + (p0 * w1 - p1 * w0),
+        g * u0 + (p1 * u2 - p2 * u1),
+        g * u1 + (p2 * u0 - p0 * u2),
+        g * u2 + (p0 * u1 - p1 * u0),
+    )
+
+
+def _transported_ab(f, terms) -> tuple:
     """Previous step momentum carried into the next frame.
 
     Same terms as the residual with the cross-product signs flipped: the
     frame change conjugates by the step, which reverses its vector parts.
     """
-    phi = f[:3]
-    psi = f[3:]
-    gamma = np.sqrt(1.0 - phi @ phi)
-    c = psi @ phi
-    u = m21 @ phi + m22 @ psi
-    w = m11 @ phi + m12 @ psi
-    out = np.empty(6)
-    out[:3] = gamma * w - _cross(phi, w) - (c / gamma) * u - _cross(psi, u)
-    out[3:] = gamma * u - _cross(phi, u)
-    return out
+    p0, p1, p2, s0, s1, s2 = f
+    g, c, u0, u1, u2, w0, w1, w2 = terms
+    cg = c / g
+    return (
+        g * w0 - (p1 * w2 - p2 * w1) - cg * u0 - (s1 * u2 - s2 * u1),
+        g * w1 - (p2 * w0 - p0 * w2) - cg * u1 - (s2 * u0 - s0 * u2),
+        g * w2 - (p0 * w1 - p1 * w0) - cg * u2 - (s0 * u1 - s1 * u0),
+        g * u0 - (p1 * u2 - p2 * u1),
+        g * u1 - (p2 * u0 - p0 * u2),
+        g * u2 - (p0 * u1 - p1 * u0),
+    )
 
 
-@njit(cache=True)
-def _jacobian_general(f, m11, m12, m21, m22):
-    """d[A; B]/d[Phi; Psi] for an arbitrary 6x6 inertia."""
-    phi = f[:3]
-    psi = f[3:]
-    g = np.sqrt(1.0 - phi @ phi)
-    c = psi @ phi
-    u = m21 @ phi + m22 @ psi
-    w = m11 @ phi + m12 @ psi
-    rot = g * np.eye(3) + _skew3(phi)
-    t1 = (g * g) * psi + c * phi
-    J = np.empty((6, 6))
-    J[:3, :3] = (
-        -np.outer(u, t1) / g**3
-        - (c / g) * m21
-        + _skew3(psi) @ m21
-        - np.outer(w, phi) / g
-        - _skew3(w)
-        + rot @ m11
-    )
-    J[:3, 3:] = (
-        -np.outer(u, phi) / g
-        - (c / g) * m22
-        - _skew3(u)
-        + _skew3(psi) @ m22
-        + rot @ m12
-    )
-    J[3:, :3] = -np.outer(u, phi) / g - _skew3(u) + rot @ m21
-    J[3:, 3:] = rot @ m22
+def _target(f, terms, tau, h: float) -> list:
+    """Newton target: the transported momentum plus the wrench impulse (h^2/2) tau."""
+    impulse = 0.5 * h * h
+    return [a + impulse * t for a, t in zip(_transported_ab(f, terms), tau)]
+
+
+def _jacobian_general(f, terms, K: _Inertia) -> list:
+    """d[A; B]/d[Phi; Psi] for an arbitrary 6x6 inertia, as six row lists.
+
+    With R = gamma I + S(Phi), y = Phi / gamma and
+    x = (gamma^2 Psi + c Phi) / gamma^3:
+
+        J = [[R, S(Psi) - (c/gamma) I], [0, R]] M
+            - [[u x^T + w y^T + S(w), u y^T + S(u)], [u y^T + S(u), 0]]
+    """
+    p0, p1, p2, s0, s1, s2 = f
+    g, c, u0, u1, u2, w0, w1, w2 = terms
+    cg = c / g
+    cols = K.cols
+    J = [
+        [g * t0 - p2 * t1 + p1 * t2 - cg * b0 - s2 * b1 + s1 * b2 for t0, t1, t2, b0, b1, b2 in cols],
+        [p2 * t0 + g * t1 - p0 * t2 + s2 * b0 - cg * b1 - s0 * b2 for t0, t1, t2, b0, b1, b2 in cols],
+        [-p1 * t0 + p0 * t1 + g * t2 - s1 * b0 + s0 * b1 - cg * b2 for t0, t1, t2, b0, b1, b2 in cols],
+        [g * b0 - p2 * b1 + p1 * b2 for _, _, _, b0, b1, b2 in cols],
+        [p2 * b0 + g * b1 - p0 * b2 for _, _, _, b0, b1, b2 in cols],
+        [-p1 * b0 + p0 * b1 + g * b2 for _, _, _, b0, b1, b2 in cols],
+    ]
+    g3 = g * g * g
+    x = ((g * g * s0 + c * p0) / g3, (g * g * s1 + c * p1) / g3, (g * g * s2 + c * p2) / g3)
+    y = (p0 / g, p1 / g, p2 / g)
+    skew_w = ((0.0, -w2, w1), (w2, 0.0, -w0), (-w1, w0, 0.0))
+    skew_u = ((0.0, -u2, u1), (u2, 0.0, -u0), (-u1, u0, 0.0))
+    for i, ui, wi in ((0, u0, w0), (1, u1, w1), (2, u2, w2)):
+        top, bottom, sw, su = J[i], J[3 + i], skew_w[i], skew_u[i]
+        for j in range(3):
+            top[j] -= ui * x[j] + wi * y[j] + sw[j]
+            k = ui * y[j] + su[j]
+            top[3 + j] -= k
+            bottom[j] -= k
     return J
 
 
-@njit(cache=True)
-def _jacobian_simple(f, m11, mass):
+def _jacobian_simple(f, terms, K: _Inertia) -> list:
     """Jacobian for the center-of-mass case M12 = M21 = 0, M22 = mass * I.
 
-    The isotropy of M22 cancels the -S(u) + S(Psi) M22 pair of the general
-    form, which is what makes this block structure cheaper.
+    Here u = mass * Psi, so S(Psi) M22 - S(u) cancels in the top-right block
+    of the general form, and the zero blocks of M drop out of R M.
     """
-    phi = f[:3]
-    psi = f[3:]
-    g = np.sqrt(1.0 - phi @ phi)
-    c = psi @ phi
-    w = m11 @ phi
-    rot = g * np.eye(3) + _skew3(phi)
-    t1 = (g * g) * psi + c * phi
-    J = np.empty((6, 6))
-    J[:3, :3] = (
-        -mass * np.outer(psi, t1) / g**3
-        - np.outer(w, phi) / g
-        - _skew3(w)
-        + rot @ m11
-    )
-    J[:3, 3:] = -mass * (np.outer(psi, phi) / g + (c / g) * np.eye(3))
-    J[3:, :3] = -mass * (np.outer(psi, phi) / g + _skew3(psi))
-    J[3:, 3:] = mass * rot
-    return J
+    p0, p1, p2, s0, s1, s2 = f
+    g, c, u0, u1, u2, w0, w1, w2 = terms
+    m = K.mass
+    mg = m * g
+    mcg = m * (c / g)
+    g3 = g * g * g
+    x0, x1, x2 = (g * g * s0 + c * p0) / g3, (g * g * s1 + c * p1) / g3, (g * g * s2 + c * p2) / g3
+    y0, y1, y2 = p0 / g, p1 / g, p2 / g
+    r0, r1, r2 = [
+        (g * a0 - p2 * a1 + p1 * a2, p2 * a0 + g * a1 - p0 * a2, -p1 * a0 + p0 * a1 + g * a2)
+        for a0, a1, a2, _, _, _ in K.cols[:3]
+    ]
+    uy00, uy01, uy02 = u0 * y0, u0 * y1, u0 * y2
+    uy10, uy11, uy12 = u1 * y0, u1 * y1, u1 * y2
+    uy20, uy21, uy22 = u2 * y0, u2 * y1, u2 * y2
+    return [
+        [r0[0] - u0 * x0 - w0 * y0, r1[0] - u0 * x1 - w0 * y1 + w2, r2[0] - u0 * x2 - w0 * y2 - w1,
+         -uy00 - mcg, -uy01, -uy02],
+        [r0[1] - u1 * x0 - w1 * y0 - w2, r1[1] - u1 * x1 - w1 * y1, r2[1] - u1 * x2 - w1 * y2 + w0,
+         -uy10, -uy11 - mcg, -uy12],
+        [r0[2] - u2 * x0 - w2 * y0 + w1, r1[2] - u2 * x1 - w2 * y1 - w0, r2[2] - u2 * x2 - w2 * y2,
+         -uy20, -uy21, -uy22 - mcg],
+        [-uy00, -uy01 + u2, -uy02 - u1, mg, -m * p2, m * p1],
+        [-uy10 - u2, -uy11, -uy12 + u0, m * p2, mg, -m * p0],
+        [-uy20 + u1, -uy21 - u0, -uy22, -m * p1, m * p0, mg],
+    ]
 
 
-@njit(cache=True)
-def _newton(f0, m11, m12, m21, m22, simple, mass, target, tol, max_iterations, cond_limit):
-    """Newton iteration on [A; B](f) = target from the warm start f0.
+def _max_abs(v) -> float:
+    """max |v_i|, NaN when an entry is NaN (the builtin max would skip it)."""
+    s = sum(v)
+    return max(map(abs, v)) if s == s else math.nan
 
-    Returns (f, iterations, residual_norm, status). Every iteration solves
-    the 6x6 system with full pivoting and backtracks the update (halving)
-    until the iterate keeps |Phi| < 1. Convergence is checked after the
-    update, so even a solved warm start reports one iteration.
+
+def _newton(f, terms, target, K: _Inertia, tol: float, max_iterations: int):
+    """Newton iteration on [A; B](f) = target from the warm start f, whose
+    momentum terms are ``terms``.
+
+    Returns (f, terms, [A; B](f), iterations, residual_norm, status). Every
+    iteration solves the 6x6 system with full pivoting and backtracks the
+    update (halving) until the iterate keeps |Phi| < 1. Convergence is
+    checked after the update, so even a solved warm start reports one
+    iteration.
     """
-    f = f0.copy()
-    resnorm = np.inf
+    ab = _residual_ab(f, terms)
+    r = [a - t for a, t in zip(ab, target)]
+    pre = _max_abs(r)
+    jacobian_of = _jacobian_simple if K.simple else _jacobian_general
     for it in range(1, max_iterations + 1):
-        r = _residual_ab(f, m11, m12, m21, m22) - target
-        pre = np.max(np.abs(r))
-        if simple:
-            J = _jacobian_simple(f, m11, mass)
-        else:
-            J = _jacobian_general(f, m11, m12, m21, m22)
-        dx, cond, ok = solve_full_pivot(J, -r)
-        if (not ok) or cond > cond_limit:
-            return f, it, pre, _STATUS_SINGULAR
+        dx, cond, ok = solve_rows(jacobian_of(f, terms, K), [-v for v in r])
+        if (not ok) or cond > COND_LIMIT:
+            return f, terms, ab, it, pre, _STATUS_SINGULAR
         scale = 1.0
-        trial = f + dx
-        nphi = trial[:3] @ trial[:3]
+        trial = [a + b for a, b in zip(f, dx)]
+        nphi = _phi_norm2(trial)
         hops = 0
         while nphi >= 1.0 and hops < _MAX_BACKTRACK:
             scale *= 0.5
             hops += 1
-            trial = f + scale * dx
-            nphi = trial[:3] @ trial[:3]
+            trial = [a + scale * b for a, b in zip(f, dx)]
+            nphi = _phi_norm2(trial)
         if nphi >= 1.0:
-            return f, it, pre, _STATUS_INFEASIBLE
+            return f, terms, ab, it, pre, _STATUS_INFEASIBLE
         f = trial
-        r = _residual_ab(f, m11, m12, m21, m22) - target
-        resnorm = np.max(np.abs(r))
-        if resnorm <= tol:
-            return f, it, resnorm, _STATUS_OK
-    return f, max_iterations, resnorm, _STATUS_NO_CONVERGENCE
+        terms = _momentum_terms(f, K)
+        ab = _residual_ab(f, terms)
+        r = [a - t for a, t in zip(ab, target)]
+        pre = _max_abs(r)
+        if pre <= tol:
+            return f, terms, ab, it, pre, _STATUS_OK
+    return f, terms, ab, max_iterations, pre, _STATUS_NO_CONVERGENCE
 
 
-@njit(cache=True)
-def _step_dq(f):
+def _step_dq(f) -> tuple:
     """Unit dual quaternion of the step variables."""
-    phi = f[:3]
-    psi = f[3:]
-    gamma = np.sqrt(1.0 - phi @ phi)
-    out = np.empty(8)
-    out[0] = gamma
-    out[1:4] = phi
-    out[4] = -(psi @ phi) / gamma
-    out[5:8] = psi
-    return out
+    p0, p1, p2, s0, s1, s2 = f
+    gamma = math.sqrt(1.0 - _phi_norm2(f))
+    return gamma, p0, p1, p2, -(s0 * p0 + s1 * p1 + s2 * p2) / gamma, s0, s1, s2
 
 
-@njit(cache=True)
-def _simulate_free(p0, chi0, mat, minv, m11, m12, m21, m22, simple, mass, h, tol, max_iterations, n_steps, cond_limit):
-    """Whole-run kernel for the force-free case.
-
-    Same per-step semantics as the python loop in simulate (momentum-match
-    start, warm starts, closure solve at the final state), minus the wrench
-    evaluation. On solver failure at step k the arrays carry the failing
-    iteration count and residual at index k and status/k are returned.
-    """
-    n = n_steps + 1
-    poses = np.empty((n, 8))
-    steps = np.empty((n, 6))
-    twists = np.empty((n, 6))
-    iters = np.zeros(n, dtype=np.int64)
-    resnorms = np.zeros(n)
-    poses[0] = p0
-    target = 0.5 * h * (mat @ chi0)
-    guess = 0.5 * h * chi0
-    f, it, rn, status = _newton(guess, m11, m12, m21, m22, simple, mass, target, tol, max_iterations, cond_limit)
-    iters[0] = it
-    resnorms[0] = rn
-    if status != _STATUS_OK:
-        return poses, steps, twists, iters, resnorms, status, 0
-    steps[0] = f
-    twists[0] = (2.0 / h) * (minv @ _residual_ab(f, m11, m12, m21, m22))
-    for k in range(1, n):
-        poses[k] = dq_mul(poses[k - 1], _step_dq(steps[k - 1]))
-        target = _transported_ab(steps[k - 1], m11, m12, m21, m22)
-        f, it, rn, status = _newton(steps[k - 1], m11, m12, m21, m22, simple, mass, target, tol, max_iterations, cond_limit)
-        iters[k] = it
-        resnorms[k] = rn
-        if status != _STATUS_OK:
-            return poses, steps, twists, iters, resnorms, status, k
-        steps[k] = f
-        twists[k] = (2.0 / h) * (minv @ _residual_ab(f, m11, m12, m21, m22))
-    return poses, steps, twists, iters, resnorms, _STATUS_OK, -1
+def _scaled_product(s: float, rows, v) -> list:
+    """s * (A v) for the 6x6 matrix A given by its rows."""
+    v0, v1, v2, v3, v4, v5 = v
+    return [s * (m0 * v0 + m1 * v1 + m2 * v2 + m3 * v3 + m4 * v4 + m5 * v5) for m0, m1, m2, m3, m4, m5 in rows]
 
 
 def _as_step(step) -> Array:
@@ -281,23 +281,13 @@ def _as_step(step) -> Array:
         raise ValidationError(f"step variables must have shape (6,), got {f.shape}")
     if not np.all(np.isfinite(f)):
         raise ValidationError("step variables contain non-finite entries")
-    n2 = float(f[:3] @ f[:3])
+    n2 = _phi_norm2(f.tolist())
     if n2 >= 1.0:
         raise StepTooLargeError(
             f"|Phi| = {np.sqrt(n2):.6g} >= 1: the incremental rotation reaches 180 degrees; "
             "reduce the time step"
         )
     return f
-
-
-def _fast_path(M: InertiaMatrix6) -> tuple[bool, float]:
-    """Whether the simplified center-of-mass Jacobian applies, and the mass."""
-    if M.coupled:
-        return False, 0.0
-    mass = float(M.m22[0, 0])
-    if mass > 0.0 and np.array_equal(M.m22, mass * np.eye(3)):
-        return True, mass
-    return False, 0.0
 
 
 def _wrench_body_vector(wrench) -> Array:
@@ -321,22 +311,22 @@ def step_to_dual_quaternion(step) -> Array:
     Unit norm and orthogonality hold as algebraic identities of this
     parametrization, not approximately.
     """
-    return _step_dq(_as_step(step))
+    return np.array(_step_dq(_as_step(step).tolist()))
 
 
 def residual(step, M: InertiaMatrix6) -> tuple[Array, Array]:
     """Step momentum (A, B): rotational and translational components."""
-    f = _as_step(step)
-    out = _residual_ab(f, M.m11, M.m12, M.m21, M.m22)
+    f = _as_step(step).tolist()
+    out = np.array(_residual_ab(f, _momentum_terms(f, _float_inertia(M))))
     return out[:3], out[3:]
 
 
 def rhs(prev_step, M: InertiaMatrix6, wrench, h: float) -> tuple[Array, Array]:
     """Newton target (alpha, beta): transported previous momentum plus the
     wrench impulse (h^2/2) [torque; force], body frame."""
-    f = _as_step(prev_step)
-    tau = _wrench_body_vector(wrench)
-    out = _transported_ab(f, M.m11, M.m12, M.m21, M.m22) + (0.5 * h * h) * tau
+    f = _as_step(prev_step).tolist()
+    tau = _wrench_body_vector(wrench).tolist()
+    out = np.array(_target(f, _momentum_terms(f, _float_inertia(M)), tau, h))
     return out[:3], out[3:]
 
 
@@ -347,19 +337,21 @@ def jacobian(step, M: InertiaMatrix6, method: str = "auto") -> Array:
     simplified form exactly when the inertia qualifies (center-of-mass
     reference, isotropic mass block). Both forms agree there.
     """
-    f = _as_step(step)
-    simple, mass = _fast_path(M)
+    f = _as_step(step).tolist()
+    K = _float_inertia(M)
     if method == "auto":
-        method = "simplified" if simple else "general"
+        method = "simplified" if K.simple else "general"
     if method == "simplified":
-        if not simple:
+        if not K.simple:
             raise ValidationError(
                 "simplified Jacobian needs M12 = M21 = 0 and an isotropic mass block"
             )
-        return _jacobian_simple(f, M.m11, mass)
-    if method != "general":
+        kernel = _jacobian_simple
+    elif method == "general":
+        kernel = _jacobian_general
+    else:
         raise ValidationError(f"unknown Jacobian method {method!r}")
-    return _jacobian_general(f, M.m11, M.m12, M.m21, M.m22)
+    return np.array(kernel(f, _momentum_terms(f, K), K))
 
 
 def initial_guess(chi, h: float) -> Array:
@@ -368,7 +360,7 @@ def initial_guess(chi, h: float) -> Array:
     if chi.shape != (6,):
         raise ValidationError(f"twist must have shape (6,), got {chi.shape}")
     f = 0.5 * float(h) * chi
-    if float(f[:3] @ f[:3]) >= 1.0:
+    if _phi_norm2(f.tolist()) >= 1.0:
         raise StepTooLargeError(
             f"h*|omega|/2 = {0.5 * h * np.linalg.norm(chi[:3]):.6g} >= 1: one step would "
             "rotate 180 degrees or more; reduce the time step"
@@ -382,16 +374,15 @@ def solve_step(prev_step, M: InertiaMatrix6, wrench, settings: SolverSettings):
     Returns (step, iterations, residual_norm). The warm start is the
     previous step itself.
     """
-    f_prev = _as_step(prev_step)
-    alpha, beta = rhs(f_prev, M, wrench, settings.h)
-    target = np.concatenate([alpha, beta])
-    simple, mass = _fast_path(M)
-    f, it, rn, status = _newton(
-        f_prev, M.m11, M.m12, M.m21, M.m22, simple, mass, target,
-        settings.tolerance, settings.max_iterations, COND_LIMIT,
+    f_prev = _as_step(prev_step).tolist()
+    tau = _wrench_body_vector(wrench).tolist()
+    K = _float_inertia(M)
+    terms = _momentum_terms(f_prev, K)
+    f, _, _, it, rn, status = _newton(
+        f_prev, terms, _target(f_prev, terms, tau, settings.h), K, settings.tolerance, settings.max_iterations
     )
     _raise_for_status(status, it, rn)
-    return f, it, rn
+    return np.array(f), it, rn
 
 
 def _raise_for_status(status: int, iterations: int, residual_norm: float, step_index: Optional[int] = None) -> None:
@@ -428,8 +419,9 @@ def advance_pose(pose, step) -> Array:
 
 def retrieve_twist(step, M: InertiaMatrix6, h: float) -> Array:
     """Body twist consistent with the step momentum: (2/h) M^-1 [A; B]."""
-    f = _as_step(step)
-    return (2.0 / float(h)) * (M.inverse @ _residual_ab(f, M.m11, M.m12, M.m21, M.m22))
+    f = _as_step(step).tolist()
+    K = _float_inertia(M)
+    return np.array(_scaled_product(2.0 / float(h), K.inverse, _residual_ab(f, _momentum_terms(f, K))))
 
 
 def simulate(
@@ -445,9 +437,10 @@ def simulate(
     State 0 solves the momentum-match system [A; B](f_0) = (h/2) M chi_0
     (no wrench: f_0 encodes the starting momentum itself) warm-started from
     (h/2) chi_0. Step k >= 1 advances the pose by the previous step, samples
-    the force models once at (p_k, chi_{k-1}, k*h), and solves for f_k warm-
-    started from f_{k-1}. The final state's step variables are solved too,
-    which is what retrieves its twist; they are never applied to the pose.
+    the force models (if any) once at (p_k, chi_{k-1}, k*h), and solves for
+    f_k warm-started from f_{k-1}. The final state's step variables are
+    solved too, which is what retrieves its twist; they are never applied to
+    the pose.
 
     Velocity-dependent forces see the previous retrieved twist because the
     current one does not exist until its step is solved.
@@ -462,54 +455,42 @@ def simulate(
     if n_steps < 0:
         raise ValidationError(f"n_steps must be >= 0, got {n_steps}")
     h = settings.h
-    initial_guess(chi0, h)  # fail fast on a step rotation >= 180 degrees
-    simple, mass = _fast_path(M)
+    tol = settings.tolerance
+    max_iterations = settings.max_iterations
+    f = initial_guess(chi0, h).tolist()  # fails fast on a step rotation >= 180 degrees
+    K = _float_inertia(M)
     force_models = list(forces)
 
-    wrenches = np.zeros((n_steps + 1, 6))
-    if not force_models:
-        poses, steps, twists, iters, resnorms, status, bad_k = _simulate_free(
-            p0, chi0, M.matrix, M.inverse, M.m11, M.m12, M.m21, M.m22,
-            simple, mass, h, settings.tolerance, settings.max_iterations,
-            n_steps, COND_LIMIT,
-        )
-        if status != _STATUS_OK:
-            _raise_for_status(status, int(iters[bad_k]), float(resnorms[bad_k]), bad_k)
-    else:
-        n = n_steps + 1
-        poses = np.empty((n, 8))
-        steps = np.empty((n, 6))
-        twists = np.empty((n, 6))
-        iters = np.zeros(n, dtype=np.int64)
-        resnorms = np.zeros(n)
-        poses[0] = p0
-        target = 0.5 * h * (M.matrix @ chi0)
-        f, it, rn, status = _newton(
-            0.5 * h * chi0, M.m11, M.m12, M.m21, M.m22, simple, mass, target,
-            settings.tolerance, settings.max_iterations, COND_LIMIT,
-        )
-        iters[0] = it
-        resnorms[0] = rn
-        _raise_for_status(status, it, rn, 0)
-        steps[0] = f
-        twists[0] = (2.0 / h) * (M.inverse @ _residual_ab(f, M.m11, M.m12, M.m21, M.m22))
-        for k in range(1, n):
-            poses[k] = dq_mul(poses[k - 1], _step_dq(steps[k - 1]))
-            tau = total_wrench(force_models, poses[k], twists[k - 1], k * h)
-            wrenches[k] = tau
-            target = _transported_ab(steps[k - 1], M.m11, M.m12, M.m21, M.m22)
-            target += (0.5 * h * h) * tau
-            f, it, rn, status = _newton(
-                steps[k - 1], M.m11, M.m12, M.m21, M.m22, simple, mass, target,
-                settings.tolerance, settings.max_iterations, COND_LIMIT,
-            )
-            iters[k] = it
-            resnorms[k] = rn
-            _raise_for_status(status, it, rn, k)
-            steps[k] = f
-            twists[k] = (2.0 / h) * (M.inverse @ _residual_ab(f, M.m11, M.m12, M.m21, M.m22))
+    n = n_steps + 1
+    poses = np.empty((n, 8))
+    steps = np.empty((n, 6))
+    twists = np.empty((n, 6))
+    iters = np.zeros(n, dtype=np.int64)
+    resnorms = np.zeros(n)
+    wrenches = np.zeros((n, 6))
+    pose = p0.tolist()
+    poses[0] = pose
+    terms = _momentum_terms(f, K)
+    target = _scaled_product(0.5 * h, K.rows, chi0.tolist())
+    two_over_h = 2.0 / h
+    for k in range(n):
+        if k:
+            pose = dq_product(pose, _step_dq(f))
+            poses[k] = pose
+            if force_models:
+                tau = total_wrench(force_models, poses[k], twists[k - 1], k * h)
+                wrenches[k] = tau
+                target = _target(f, terms, tau.tolist(), h)
+            else:
+                target = _transported_ab(f, terms)
+        f, terms, ab, it, rn, status = _newton(f, terms, target, K, tol, max_iterations)
+        iters[k] = it
+        resnorms[k] = rn
+        _raise_for_status(status, it, rn, k)
+        steps[k] = f
+        twists[k] = _scaled_product(two_over_h, K.inverse, ab)
 
-    times = np.arange(n_steps + 1) * h
+    times = np.arange(n) * h
     return Trajectory.from_raw(
         times=times,
         poses=poses,

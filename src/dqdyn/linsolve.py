@@ -7,75 +7,74 @@ pivot magnitude. The estimate is crude (a lower bound on the true condition
 number up to modest factors) but is exactly what the step-abort rule needs.
 """
 
+import math
+
 import numpy as np
 
-from ._compat import njit
 from .errors import SingularMatrixError
 from .quat import Array
 
 COND_LIMIT = 1e12
 
 
-@njit(cache=True)
-def solve_full_pivot(A: Array, b: Array):
-    """Solve A x = b. Returns (x, cond_estimate, ok).
+def solve_rows(U: list, y: list):
+    """Solve U x = y on row lists of Python floats. Returns (x, cond_estimate, ok).
 
-    ok is False when elimination hits an exactly zero pivot block; x is
-    meaningless in that case. No exceptions are raised here so the function
-    can run in nopython mode.
+    U (a list of n row lists) and y are eliminated in place. ok is False when
+    elimination hits an exactly zero pivot block; x is meaningless in that
+    case. Pivots are taken in row-major order of first occurrence, and no
+    exceptions are raised, so the step loop can act on the flag.
     """
-    n = A.shape[0]
-    U = A.copy()
-    y = b.copy()
-    perm = np.arange(n)
+    n = len(U)
+    perm = list(range(n))
     for k in range(n):
-        pr = k
-        pc = k
+        pr = pc = k
         best = -1.0
         for i in range(k, n):
+            row = U[i]
             for j in range(k, n):
-                v = abs(U[i, j])
+                v = abs(row[j])
                 if v > best:
                     best = v
                     pr = i
                     pc = j
         if best <= 0.0:
-            return y, np.inf, False
+            return y, math.inf, False
         if pr != k:
-            for j in range(n):
-                tmp = U[k, j]
-                U[k, j] = U[pr, j]
-                U[pr, j] = tmp
-            ty = y[k]
-            y[k] = y[pr]
-            y[pr] = ty
+            U[k], U[pr] = U[pr], U[k]
+            y[k], y[pr] = y[pr], y[k]
         if pc != k:
-            for i in range(n):
-                tmp = U[i, k]
-                U[i, k] = U[i, pc]
-                U[i, pc] = tmp
-            tp = perm[k]
-            perm[k] = perm[pc]
-            perm[pc] = tp
-        piv = U[k, k]
+            for row in U:
+                row[k], row[pc] = row[pc], row[k]
+            perm[k], perm[pc] = perm[pc], perm[k]
+        prow = U[k]
+        piv = prow[k]
+        yk = y[k]
         for i in range(k + 1, n):
-            m = U[i, k] / piv
+            row = U[i]
+            m = row[k] / piv
             if m != 0.0:
-                U[i, k] = 0.0
+                row[k] = 0.0
                 for j in range(k + 1, n):
-                    U[i, j] -= m * U[k, j]
-                y[i] -= m * y[k]
-    z = np.empty(n)
+                    row[j] -= m * prow[j]
+                y[i] -= m * yk
+    z = [0.0] * n
     for i in range(n - 1, -1, -1):
+        row = U[i]
         s = y[i]
         for j in range(i + 1, n):
-            s -= U[i, j] * z[j]
-        z[i] = s / U[i, i]
-    x = np.empty(n)
+            s -= row[j] * z[j]
+        z[i] = s / row[i]
+    x = [0.0] * n
     for k in range(n):
         x[perm[k]] = z[k]
-    cond = abs(U[0, 0]) / abs(U[n - 1, n - 1])
-    return x, cond, True
+    return x, abs(U[0][0]) / abs(U[n - 1][n - 1]), True
+
+
+def solve_full_pivot(A: Array, b: Array):
+    """Solve A x = b for arrays; ``solve_rows`` on copies. Returns (x, cond_estimate, ok)."""
+    x, cond, ok = solve_rows(np.asarray(A, dtype=np.float64).tolist(), np.asarray(b, dtype=np.float64).tolist())
+    return np.array(x), cond, ok
 
 
 def solve_linear(A, b, cond_limit: float = COND_LIMIT) -> Array:

@@ -10,8 +10,10 @@ Nothing in this module renormalizes. Constraint drift of unit dual
 quaternions produced by long products is a quantity callers measure, not
 something the algebra hides.
 
-The hot functions are numba-jitted when numba is available; they run as
-plain Python otherwise with identical results.
+``dq_product`` is the dual quaternion product on Python floats that the
+integrator's step loop uses; ``dq_mul`` wraps it for arrays. The other small
+kernels are numba-jitted when numba is available; they run as plain Python
+otherwise with identical results.
 """
 
 import math
@@ -167,17 +169,28 @@ def quat_exp(q: Array) -> Array:
 # dual quaternion algebra
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
+def dq_product(p1, p2) -> tuple:
+    """Dual quaternion product (a1 + eps b1)(a2 + eps b2) of two 8-sequences of
+    Python floats, as a tuple: the form the integrator's step loop uses."""
+    a0, a1, a2, a3, b0, b1, b2, b3 = p1
+    c0, c1, c2, c3, d0, d1, d2, d3 = p2
+    return (
+        a0 * c0 - a1 * c1 - a2 * c2 - a3 * c3,
+        a0 * c1 + a1 * c0 + a2 * c3 - a3 * c2,
+        a0 * c2 - a1 * c3 + a2 * c0 + a3 * c1,
+        a0 * c3 + a1 * c2 - a2 * c1 + a3 * c0,
+        (a0 * d0 - a1 * d1 - a2 * d2 - a3 * d3) + (b0 * c0 - b1 * c1 - b2 * c2 - b3 * c3),
+        (a0 * d1 + a1 * d0 + a2 * d3 - a3 * d2) + (b0 * c1 + b1 * c0 + b2 * c3 - b3 * c2),
+        (a0 * d2 - a1 * d3 + a2 * d0 + a3 * d1) + (b0 * c2 - b1 * c3 + b2 * c0 + b3 * c1),
+        (a0 * d3 + a1 * d2 - a2 * d1 + a3 * d0) + (b0 * c3 + b1 * c2 - b2 * c1 + b3 * c0),
+    )
+
+
 def dq_mul(p1: Array, p2: Array) -> Array:
     """Dual quaternion product: (a1 + eps b1)(a2 + eps b2)."""
-    out = np.empty(8)
-    a1 = p1[:4]
-    b1 = p1[4:]
-    a2 = p2[:4]
-    b2 = p2[4:]
-    out[:4] = quat_mul(a1, a2)
-    out[4:] = quat_mul(a1, b2) + quat_mul(b1, a2)
-    return out
+    return np.array(
+        dq_product(np.asarray(p1, dtype=np.float64).tolist(), np.asarray(p2, dtype=np.float64).tolist())
+    )
 
 
 @njit(cache=True)

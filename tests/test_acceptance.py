@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from conftest import random_pose, random_unit_quaternion
 
+from dqdyn._compat import NUMBA_AVAILABLE
 from dqdyn.dynamics import (
     build_inertia,
     build_inertia_raw,
@@ -98,8 +99,9 @@ def test_long_run_preserves_group_constraints(free_top_long):
     traj, seconds = free_top_long
     unit = traj.unit_norm_errors.max()
     orth = traj.orthogonality_errors.max()
+    backend = "numba" if NUMBA_AVAILABLE else "plain Python"
     print(f"\nunit-norm error {unit:.3e}, orthogonality {orth:.3e} over 1e5 steps (bar 1e-10); "
-          f"runtime {seconds:.2f} s (bar 10 s)")
+          f"runtime {seconds:.2f} s (bar 10 s, {backend} backend)")
     assert unit <= 1e-10
     assert orth <= 1e-10
     assert seconds < 10.0

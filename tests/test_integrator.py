@@ -10,7 +10,7 @@ from dqdyn.dynamics import (
     constant_wrench_model,
     skew,
 )
-from dqdyn.errors import SolverDivergenceError, StepTooLargeError, ValidationError
+from dqdyn.errors import SingularMatrixError, SolverDivergenceError, StepTooLargeError, ValidationError
 from dqdyn.integrator import (
     SolverSettings,
     advance_pose,
@@ -215,6 +215,16 @@ def test_solve_step_divergence_error():
     assert info.value.step_index is None
 
 
+def test_solve_step_ill_conditioned_jacobian_aborts():
+    # |Phi|^2 = 1 - 1e-8 puts gamma^3 = 1e-12 under the Psi-dependent terms
+    # of the Jacobian: its pivot-ratio estimate (~1e15) exceeds the 1e12
+    # limit, so the step aborts instead of taking a meaningless update
+    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+    prev = np.array([np.sqrt(1.0 - 1e-8), 0.0, 0.0, 0.5, 0.5, 0.0])
+    with pytest.raises(SingularMatrixError):
+        solve_step(prev, M, None, SolverSettings(h=1e-3))
+
+
 def test_solve_step_rejects_infeasible_warm_start():
     M = build_inertia(1.0, np.eye(3))
     with pytest.raises(StepTooLargeError):
@@ -286,8 +296,9 @@ def test_simulate_pure_translation_is_exact():
 
 
 def test_simulate_free_kernel_matches_python_loop():
-    # a force list with a zero wrench routes through the python loop; the
-    # compiled force-free path must produce the same states
+    # one loop serves both cases: a zero-wrench model adds a zero impulse to
+    # every Newton target, so the states must match the force-free run bit
+    # for bit
     M = build_inertia(1.5, np.diag([1.0, 2.0, 3.0]), (0.3, 0.0, 0.1))
     chi0 = np.array([1.0, 0.1, -0.3, 0.2, 0.0, 0.1])
     settings = SolverSettings(h=1e-3)

@@ -60,6 +60,12 @@ def test_kernel_flags():
     x, cond, ok = solve_full_pivot(np.eye(6), np.arange(6.0))
     assert ok and cond == 1.0
     np.testing.assert_array_equal(x, np.arange(6.0))
+    # diag(1..6) with its rows reversed: full pivoting takes 6, 5, ..., 1 off
+    # the anti-diagonal, so the estimate (first over last pivot) is exactly 6
+    d = np.arange(1.0, 7.0)
+    x, cond, ok = solve_full_pivot(np.diag(d)[::-1], np.ones(6))
+    assert ok and cond == 6.0
+    np.testing.assert_array_equal(x, 1.0 / d)
 
 
 def test_shape_validation():
