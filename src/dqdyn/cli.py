@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 from .errors import (
@@ -61,7 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="integrator override",
     )
     run.add_argument("--stride", type=int, help="output thinning override")
-    run.add_argument("--jobs", type=int, default=1, help="batch parallelism (default 1)")
 
     comparison = sub.add_parser("compare", help="difference statistics of two trajectory files")
     comparison.add_argument("file_a", metavar="A")
@@ -141,18 +139,9 @@ def _run_one(path: str, args) -> str:
 
 
 def _cmd_run(args) -> int:
-    if args.jobs is not None and args.jobs < 1:
-        raise ConfigError("--jobs: must be at least 1")
     if args.output is not None and len(args.config) > 1:
         raise ConfigError("--output applies to a single --config; batch runs take paths from each config")
-    if len(args.config) == 1 or args.jobs == 1:
-        blocks = [_run_one(path, args) for path in args.config]
-    else:
-        # configs are independent and share no mutable state; results are
-        # printed in submission order so batch output stays deterministic
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            blocks = list(pool.map(lambda path: _run_one(path, args), args.config))
-    print("\n\n".join(blocks))
+    print("\n\n".join(_run_one(path, args) for path in args.config))
     return EXIT_OK
 
 

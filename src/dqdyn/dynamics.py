@@ -13,6 +13,7 @@ T = 0.5 [omega; v] . M [omega; v]. The off-diagonal blocks vanish when the
 reference point is the center of mass.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -24,17 +25,20 @@ from .kinematics import (
     FRAME_WORLD,
     Wrench,
     body_wrench,
+    point_sandwich,
     pose_to_rotation_translation,
     rotate_vector,
-    transform_point,
+    rotation_conjugate,
+    vector_sandwich,
 )
 from .linsolve import COND_LIMIT
 from .quat import (
     Array,
+    as_floats,
+    as_vector3,
     dq_mul,
     dq_quat_conjugate,
     dq_dual_transpose,
-    quat_conjugate,
 )
 
 
@@ -107,10 +111,7 @@ def build_inertia(mass: float, inertia, com_offset=(0.0, 0.0, 0.0)) -> InertiaMa
         raise ValidationError("inertia tensor must be symmetric")
     if np.any(np.linalg.eigvalsh(J) <= 0.0):
         raise ValidationError("inertia tensor must be positive definite")
-    r = np.asarray(com_offset, dtype=np.float64)
-    if r.shape != (3,):
-        raise ValidationError(f"com_offset must have shape (3,), got {r.shape}")
-    S = skew(r)
+    S = skew(as_vector3(com_offset, "com_offset"))
     matrix = np.zeros((6, 6))
     matrix[:3, :3] = J
     matrix[:3, 3:] = mass * S
@@ -170,20 +171,25 @@ class PotentialField:
     body_wrench: Optional[Callable[[Array], Wrench]] = None
 
 
+def _cross(a, b) -> tuple:
+    """a x b on 3-sequences of floats, in np.cross's operation order."""
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
 def gravity_potential(mass: float, g_world, com_offset=(0.0, 0.0, 0.0)) -> PotentialField:
     """Uniform gravity acting at the center of mass: U = -m g . x_cm."""
     mass = float(mass)
-    g = np.asarray(g_world, dtype=np.float64)
-    r = np.asarray(com_offset, dtype=np.float64)
-    if g.shape != (3,) or r.shape != (3,):
-        raise ValidationError("g_world and com_offset must each have shape (3,)")
+    g0, g1, g2 = as_vector3(g_world, "g_world")
+    r = as_vector3(com_offset, "com_offset")
+    weight = (mass * g0, mass * g1, mass * g2)
 
     def evaluate(pose) -> float:
-        return -mass * float(g @ transform_point(pose, r))
+        x0, x1, x2 = point_sandwich(as_floats(pose), r)
+        return -mass * (g0 * x0 + g1 * x1 + g2 * x2)
 
     def wrench(pose) -> Wrench:
-        f_body = rotate_vector(quat_conjugate(np.asarray(pose)[:4]), mass * g)
-        return body_wrench(np.cross(r, f_body), f_body)
+        f_body = vector_sandwich(rotation_conjugate(as_floats(pose)), weight)
+        return body_wrench(_cross(r, f_body), f_body)
 
     return PotentialField(evaluate=evaluate, body_wrench=wrench)
 
@@ -192,30 +198,33 @@ def spring_potential(
     anchor_world, attachment_body, stiffness: float, rest_length: float = 0.0
 ) -> PotentialField:
     """Linear spring from a world anchor to a body-fixed attachment point."""
-    anchor = np.asarray(anchor_world, dtype=np.float64)
-    attach = np.asarray(attachment_body, dtype=np.float64)
-    if anchor.shape != (3,) or attach.shape != (3,):
-        raise ValidationError("anchor and attachment must each have shape (3,)")
+    n0, n1, n2 = as_vector3(anchor_world, "anchor_world")
+    attach = as_vector3(attachment_body, "attachment_body")
     k = float(stiffness)
     if k < 0.0:
         raise ValidationError(f"stiffness must be non-negative, got {k}")
     rest = float(rest_length)
 
+    def stretch(pose) -> tuple:  # (anchor-to-attachment world vector d, |d|)
+        x0, x1, x2 = point_sandwich(pose, attach)
+        d = (x0 - n0, x1 - n1, x2 - n2)
+        return d, math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+
     def evaluate(pose) -> float:
-        d = transform_point(pose, attach) - anchor
-        return 0.5 * k * (float(np.linalg.norm(d)) - rest) ** 2
+        return 0.5 * k * (stretch(as_floats(pose))[1] - rest) ** 2
 
     def wrench(pose) -> Wrench:
-        d = transform_point(pose, attach) - anchor
-        dist = float(np.linalg.norm(d))
+        pose = as_floats(pose)
+        (d0, d1, d2), dist = stretch(pose)
         if dist < 1e-12:
             # force magnitude k*rest with undefined direction; zero is the
             # symmetric choice (matches the subgradient of the potential)
-            f_world = np.zeros(3)
+            f_world = (0.0, 0.0, 0.0)
         else:
-            f_world = -k * (dist - rest) * (d / dist)
-        f_body = rotate_vector(quat_conjugate(np.asarray(pose)[:4]), f_world)
-        return body_wrench(np.cross(attach, f_body), f_body)
+            s = -k * (dist - rest)
+            f_world = (s * (d0 / dist), s * (d1 / dist), s * (d2 / dist))
+        f_body = vector_sandwich(rotation_conjugate(pose), f_world)
+        return body_wrench(_cross(attach, f_body), f_body)
 
     return PotentialField(evaluate=evaluate, body_wrench=wrench)
 
@@ -298,9 +307,11 @@ def damping_model(angular, linear) -> ForceModel:
     c_l = np.broadcast_to(np.asarray(linear, dtype=np.float64), (3,)).copy()
     if np.any(c_a < 0.0) or np.any(c_l < 0.0):
         raise ValidationError("damping coefficients must be non-negative")
+    a0, a1, a2, l0, l1, l2 = (-c_a).tolist() + (-c_l).tolist()
 
     def evaluate(pose, chi, t):
-        return body_wrench(-c_a * chi[:3], -c_l * chi[3:])
+        w0, w1, w2, v0, v1, v2 = as_floats(chi)
+        return body_wrench((a0 * w0, a1 * w1, a2 * w2), (l0 * v0, l1 * v1, l2 * v2))
 
     return ForceModel(evaluate=evaluate, conservative=False)
 
@@ -308,27 +319,26 @@ def damping_model(angular, linear) -> ForceModel:
 def total_wrench(models: Sequence[ForceModel], pose, chi, t: float) -> Array:
     """Sum of all model wrenches as a body-frame 6-vector [torque; force].
 
-    World-tagged wrenches are rotated through the pose; unknown tags raise.
+    World-tagged wrenches are rotated through the pose; unknown tags, models
+    that return something other than a Wrench, and non-finite wrenches raise.
     """
     pose = np.asarray(pose, dtype=np.float64)
     chi = np.asarray(chi, dtype=np.float64)
-    out = np.zeros(6)
-    if not models:
-        return out
-    qc = quat_conjugate(pose[:4])
-    for model in models:
+    out = [0.0] * 6
+    for index, model in enumerate(models):
         w = model.evaluate(pose, chi, t)
         if not isinstance(w, Wrench):
-            raise ValidationError(f"force model returned {type(w).__name__}, expected Wrench")
-        if w.frame == FRAME_BODY:
-            out[:3] += w.torque
-            out[3:] += w.force
-        elif w.frame == FRAME_WORLD:
-            out[:3] += rotate_vector(qc, w.torque)
-            out[3:] += rotate_vector(qc, w.force)
-        else:
+            raise ValidationError(f"force model {index} returned {type(w).__name__}, expected Wrench")
+        torque, force = w.torque.tolist(), w.force.tolist()
+        if not all(map(math.isfinite, torque + force)):
+            raise ValidationError(f"force model {index} returned a non-finite wrench {torque + force}")
+        if w.frame == FRAME_WORLD:
+            qc = rotation_conjugate(pose.tolist())
+            torque, force = vector_sandwich(qc, torque), vector_sandwich(qc, force)
+        elif w.frame != FRAME_BODY:
             raise ValidationError(f"unknown wrench frame {w.frame!r}")
-    return out
+        out = [a + b for a, b in zip(out, (*torque, *force))]
+    return np.array(out)
 
 
 def potential_energy(models: Sequence[ForceModel], pose) -> float:

@@ -298,10 +298,13 @@ def _wrench_body_vector(wrench) -> Array:
             raise ValidationError(
                 "wrench must be in the body frame here; rotate a world wrench through the pose first"
             )
-        return wrench.vector6
-    arr = np.ascontiguousarray(wrench, dtype=np.float64)
+        arr = wrench.vector6
+    else:
+        arr = np.ascontiguousarray(wrench, dtype=np.float64)
     if arr.shape != (6,):
         raise ValidationError(f"wrench must be a Wrench or a 6-vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("wrench contains non-finite entries")
     return arr
 
 

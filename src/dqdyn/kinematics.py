@@ -26,9 +26,12 @@ import numpy as np
 from .errors import ValidationError
 from .quat import (
     Array,
+    as_floats,
+    as_vector3,
     dq_exp,
     dq_log,
     dq_mul,
+    dq_product,
     dq_quat_conjugate,
     dq_dual_transpose,
     pure_dual_quaternion,
@@ -51,9 +54,7 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 def pose_from_rotation_translation(q, l, tol: float = 1e-9) -> Array:
     """Unit dual quaternion for rotation q and reference-point position l."""
     q = unit_quaternion(q, tol=tol)
-    l = np.asarray(l, dtype=np.float64)
-    if l.shape != (3,):
-        raise ValidationError(f"translation must have shape (3,), got {l.shape}")
+    l = as_vector3(l, "translation")
     out = np.empty(8)
     out[:4] = q
     out[4:] = 0.5 * quat_mul(pure_quaternion(l), q)
@@ -95,34 +96,50 @@ def pose_to_rotation_translation(p, tol: float = 1e-9) -> tuple[Array, Array]:
     return q, l
 
 
+def vector_sandwich(q, v) -> tuple:
+    """Vector part of q (0, v) q† on Python floats. Both products keep quat_mul's
+    operation order (minus the terms of the zero scalar of (0, v)), so a
+    non-unit q gives the same polynomial as the explicit quat_mul sandwich."""
+    a0, a1, a2, a3 = q
+    v0, v1, v2 = v
+    t0 = -a1 * v0 - a2 * v1 - a3 * v2
+    t1 = a0 * v0 + a2 * v2 - a3 * v1
+    t2 = a0 * v1 - a1 * v2 + a3 * v0
+    t3 = a0 * v2 + a1 * v1 - a2 * v0
+    return (
+        -t0 * a1 + t1 * a0 - t2 * a3 + t3 * a2,
+        -t0 * a2 + t1 * a3 + t2 * a0 - t3 * a1,
+        -t0 * a3 - t1 * a2 + t2 * a1 + t3 * a0,
+    )
+
+
+def point_sandwich(p, r) -> tuple:
+    """World image R r + l of the body point r under the pose p, on Python floats.
+
+    The sandwich p (1 + eps r_hat) p_bar, p_bar the quaternion-conjugate,
+    dual-negated pose, as two dq_product calls: a polynomial in the 8 pose
+    coordinates, so it extends smoothly to ambient (slightly off-group) poses,
+    which the numeric potential gradient and the RK4 stages rely on.
+    """
+    a0, a1, a2, a3, b0, b1, b2, b3 = p
+    point = (1.0, 0.0, 0.0, 0.0, 0.0, *r)
+    return dq_product(dq_product(p, point), (a0, -a1, -a2, -a3, -b0, b1, b2, b3))[5:]
+
+
+def rotation_conjugate(p) -> tuple:
+    """q† of the rotation (first four floats) of p: it takes world axes to body axes."""
+    a0, a1, a2, a3 = p[:4]
+    return a0, -a1, -a2, -a3
+
+
 def rotate_vector(q, v) -> Array:
     """Rotate a 3-vector by a unit quaternion (sandwich product)."""
-    q = np.asarray(q, dtype=np.float64)
-    res = quat_mul(quat_mul(q, pure_quaternion(v)), quat_conjugate(q))
-    return res[1:]
+    return np.array(vector_sandwich(as_floats(q), as_vector3(v)))
 
 
 def transform_point(p, r) -> Array:
-    """Map a body-frame point r to world coordinates: R r + l.
-
-    Implemented as the dual quaternion sandwich p * (1 + eps r_hat) * p_bar
-    with p_bar the quaternion-conjugate, dual-negated pose. The formula is a
-    polynomial in the 8 pose coordinates, so it extends smoothly to ambient
-    (slightly off-group) poses; the numeric potential-gradient pipeline
-    relies on that.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (3,):
-        raise ValidationError(f"point must have shape (3,), got {r.shape}")
-    point = np.zeros(8)
-    point[0] = 1.0
-    point[5:] = r
-    pbar = np.empty(8)
-    pbar[:4] = quat_conjugate(p[:4])
-    pbar[4:] = -quat_conjugate(p[4:])
-    res = dq_mul(dq_mul(p, point), pbar)
-    return res[5:].copy()
+    """Map a body-frame point r to world coordinates: R r + l (see point_sandwich)."""
+    return np.array(point_sandwich(as_floats(p), as_vector3(r, "point")))
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +148,11 @@ def transform_point(p, r) -> Array:
 
 def twist(omega, v) -> Array:
     """Assemble the 6-vector [omega; v] (angular first)."""
-    omega = np.asarray(omega, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if omega.shape != (3,) or v.shape != (3,):
-        raise ValidationError("omega and v must each have shape (3,)")
-    return np.concatenate([omega, v])
+    return np.array(as_vector3(omega, "omega") + as_vector3(v, "v"))
 
 
 def pose_rate_from_body_twist(p, chi) -> Array:
     """Tangent vector of the pose under a body twist: pdot = 0.5 p * chi_hat."""
-    p = np.asarray(p, dtype=np.float64)
     chi = np.asarray(chi, dtype=np.float64)
     return 0.5 * dq_mul(p, pure_dual_quaternion(chi[:3], chi[3:]))
 
@@ -216,10 +228,10 @@ def wrench_body_from_world(p, wrench: Wrench) -> Wrench:
     """Rotate a world-frame wrench into body axes (same reference point)."""
     if wrench.frame == FRAME_BODY:
         return wrench
-    qc = quat_conjugate(np.asarray(p, dtype=np.float64)[:4])
+    qc = rotation_conjugate(as_floats(p))
     return Wrench(
-        torque=rotate_vector(qc, wrench.torque),
-        force=rotate_vector(qc, wrench.force),
+        torque=vector_sandwich(qc, wrench.torque.tolist()),
+        force=vector_sandwich(qc, wrench.force.tolist()),
         frame=FRAME_BODY,
     )
 
@@ -233,7 +245,6 @@ def wrench_to_dual_force(p, wrench: Wrench) -> Array:
     components carry physics (the scalar slots are the undetermined
     multiplier directions of the constrained variational principle).
     """
-    p = np.asarray(p, dtype=np.float64)
     if wrench.frame == FRAME_BODY:
         tau_star = pure_dual_quaternion(wrench.force, wrench.torque)
         return dq_dual_transpose(2.0 * dq_mul(p, tau_star))
@@ -274,10 +285,8 @@ class ScrewParameters:
     slide: float
 
     def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=np.float64)
-        moment = np.asarray(self.moment, dtype=np.float64)
-        if axis.shape != (3,) or moment.shape != (3,):
-            raise ValidationError("screw axis and moment must each have shape (3,)")
+        axis = np.array(as_vector3(self.axis, "screw axis"))
+        moment = np.array(as_vector3(self.moment, "screw moment"))
         if abs(float(np.linalg.norm(axis)) - 1.0) > 1e-12:
             raise ValidationError("screw axis must be a unit vector")
         if abs(float(axis @ moment)) > 1e-12:

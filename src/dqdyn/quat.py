@@ -11,9 +11,10 @@ quaternions produced by long products is a quantity callers measure, not
 something the algebra hides.
 
 ``dq_product`` is the dual quaternion product on Python floats that the
-integrator's step loop uses; ``dq_mul`` wraps it for arrays. The other small
-kernels are numba-jitted when numba is available; they run as plain Python
-otherwise with identical results.
+integrator's step loop and the force models use; ``dq_mul`` wraps it for
+arrays, with ``as_floats`` as the conversion. The other small kernels are
+numba-jitted when numba is available; they run as plain Python otherwise
+with identical results.
 """
 
 import math
@@ -38,12 +39,22 @@ def quaternion(w: float, x: float, y: float, z: float) -> Array:
     return np.array([w, x, y, z], dtype=np.float64)
 
 
-def pure_quaternion(v) -> Array:
-    """Quaternion with zero scalar part and vector part v."""
+def as_floats(v) -> list:
+    """v as a list of Python floats: the form the float kernels read."""
+    return np.asarray(v, dtype=np.float64).tolist()
+
+
+def as_vector3(v, what: str = "vector part") -> list:
+    """v as three Python floats; any other shape raises."""
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (3,):
-        raise ValidationError(f"vector part must have shape (3,), got {v.shape}")
-    return np.array([0.0, v[0], v[1], v[2]])
+        raise ValidationError(f"{what} must have shape (3,), got {v.shape}")
+    return v.tolist()
+
+
+def pure_quaternion(v) -> Array:
+    """Quaternion with zero scalar part and vector part v."""
+    return np.array([0.0, *as_vector3(v)])
 
 
 def quat_identity() -> Array:
@@ -75,14 +86,7 @@ def dual_quaternion(real, dual) -> Array:
 
 def pure_dual_quaternion(a, b) -> Array:
     """Pure dual quaternion [0, a, 0, b] from two 3-vectors."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != (3,) or b.shape != (3,):
-        raise ValidationError("a and b must each have shape (3,)")
-    out = np.zeros(8)
-    out[1:4] = a
-    out[5:8] = b
-    return out
+    return np.array([0.0, *as_vector3(a, "a"), 0.0, *as_vector3(b, "b")])
 
 
 def dq_identity() -> Array:
@@ -188,9 +192,7 @@ def dq_product(p1, p2) -> tuple:
 
 def dq_mul(p1: Array, p2: Array) -> Array:
     """Dual quaternion product: (a1 + eps b1)(a2 + eps b2)."""
-    return np.array(
-        dq_product(np.asarray(p1, dtype=np.float64).tolist(), np.asarray(p2, dtype=np.float64).tolist())
-    )
+    return np.array(dq_product(as_floats(p1), as_floats(p2)))
 
 
 @njit(cache=True)

@@ -185,8 +185,6 @@ def test_batch_runs_in_order(free_config, tmp_path, capsys):
             str(other),
             "--steps",
             "50",
-            "--jobs",
-            "2",
         ]
     )
     assert code == 0

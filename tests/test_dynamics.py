@@ -30,6 +30,7 @@ from dqdyn.kinematics import (
     body_wrench,
     pose_from_rotation_translation,
     pose_identity,
+    transform_point,
     world_wrench,
 )
 
@@ -252,16 +253,34 @@ def test_conservative_wrench_matches_power_balance(rng):
 
 
 def test_force_model_from_potential(rng):
-    field = gravity_potential(1.0, [0, 0, -9.81], com_offset=[0.1, 0.0, 0.0])
-    analytic = force_model_from_potential(field)
-    numeric = force_model_from_potential(field, numeric=True)
-    assert analytic.conservative and numeric.conservative
-    assert analytic.energy is field.evaluate
-    p = random_pose(rng)
-    wa = analytic.evaluate(p, np.zeros(6), 0.0)
-    wn = numeric.evaluate(p, np.zeros(6), 0.0)
-    np.testing.assert_allclose(wa.torque, wn.torque, atol=1e-6)
-    np.testing.assert_allclose(wa.force, wn.force, atol=1e-6)
+    # the spring has an off-centre attachment and a positive rest length
+    for field in (
+        gravity_potential(1.0, [0, 0, -9.81], com_offset=[0.1, 0.0, 0.0]),
+        spring_potential([0.2, -0.3, 1.0], [0.3, -0.1, 0.2], stiffness=25.0, rest_length=0.4),
+    ):
+        analytic = force_model_from_potential(field)
+        numeric = force_model_from_potential(field, numeric=True)
+        assert analytic.conservative and numeric.conservative
+        assert analytic.energy is field.evaluate
+        for _ in range(20):
+            p = random_pose(rng)
+            wa = analytic.evaluate(p, np.zeros(6), 0.0)
+            wn = numeric.evaluate(p, np.zeros(6), 0.0)
+            np.testing.assert_allclose(wa.torque, wn.torque, atol=1e-6)
+            np.testing.assert_allclose(wa.force, wn.force, atol=1e-6)
+
+
+def test_spring_wrench_zero_at_anchor(rng):
+    # attachment exactly on the anchor: the direction is undefined and the
+    # wrench is exactly zero, whatever the rest length
+    anchor = np.array([0.0, 0.0, 1.0])
+    attach = np.array([0.5, 0.0, 0.0])
+    field = spring_potential(anchor, attach, stiffness=40.0, rest_length=0.3)
+    p = pose_from_rotation_translation([1, 0, 0, 0], anchor - attach)
+    np.testing.assert_array_equal(transform_point(p, attach), anchor)
+    w = field.body_wrench(p)
+    assert np.array_equal(w.torque, np.zeros(3)) and np.array_equal(w.force, np.zeros(3))
+    assert field.evaluate(p) == 0.5 * 40.0 * 0.3**2
 
 
 def test_constant_wrench_model():
@@ -310,6 +329,14 @@ def test_total_wrench_rejects_bad_model(rng):
     bad = ForceModel(evaluate=lambda pose, chi, t: np.zeros(6))
     with pytest.raises(ValidationError):
         total_wrench([bad], random_pose(rng), np.zeros(6), 0.0)
+
+
+def test_total_wrench_rejects_non_finite_model(rng):
+    good = constant_wrench_model(body_wrench(np.ones(3), np.ones(3)))
+    for bad_value in (np.nan, np.inf, -np.inf):
+        bad = constant_wrench_model(world_wrench([0.0, 0.0, 0.0], [0.0, bad_value, 0.0]))
+        with pytest.raises(ValidationError, match="force model 1 returned a non-finite wrench"):
+            total_wrench([good, bad], random_pose(rng), np.zeros(6), 0.0)
 
 
 def test_potential_energy_sums_conservative_only():

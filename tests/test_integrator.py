@@ -225,6 +225,17 @@ def test_solve_step_ill_conditioned_jacobian_aborts():
         solve_step(prev, M, None, SolverSettings(h=1e-3))
 
 
+def test_solve_step_rejects_non_finite_wrench():
+    # a non-finite wrench is bad input, not a singular Newton system
+    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+    settings = SolverSettings(h=1e-3)
+    for wrench in (body_wrench([np.inf, 0.0, 0.0], np.zeros(3)), [0.0, 0.0, 0.0, 0.0, np.nan, 0.0]):
+        with pytest.raises(ValidationError, match="non-finite"):
+            solve_step(np.zeros(6), M, wrench, settings)
+        with pytest.raises(ValidationError, match="non-finite"):
+            rhs(np.zeros(6), M, wrench, 1e-3)
+
+
 def test_solve_step_rejects_infeasible_warm_start():
     M = build_inertia(1.0, np.eye(3))
     with pytest.raises(StepTooLargeError):
@@ -418,6 +429,21 @@ def test_simulate_annotates_divergence_step():
     with pytest.raises(SolverDivergenceError) as info:
         simulate(pose_identity(), np.zeros(6), M, [model], settings, 10)
     assert info.value.step_index == 5
+
+
+def test_simulate_rejects_non_finite_model_wrench():
+    from dqdyn.dynamics import ForceModel
+
+    # the second model turns NaN at t = 3h: the run stops with a typed
+    # validation error naming that model, not a singular-matrix report
+    def nan_torque(pose, chi, t):
+        torque = [np.nan, 0.0, 0.0] if t > 0.0025 else [0.0, 0.0, 0.0]
+        return body_wrench(torque, np.zeros(3))
+
+    models = [constant_wrench_model(body_wrench(np.zeros(3), [0.0, 0.0, -1.0])), ForceModel(evaluate=nan_torque)]
+    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(ValidationError, match="force model 1 returned a non-finite wrench"):
+        simulate(pose_identity(), np.zeros(6), M, models, SolverSettings(h=1e-3), 10)
 
 
 def test_simulate_rejects_bad_inputs():

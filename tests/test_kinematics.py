@@ -137,6 +137,24 @@ def test_rotate_vector(rng):
         np.testing.assert_array_equal(rotate_vector(q, u), rotate_vector(-q, u))
 
 
+def test_sandwiches_extend_off_the_group(rng):
+    # the float kernels keep the operation order of the explicit products, so
+    # non-unit quaternions and off-group poses give the same polynomial
+    from dqdyn.quat import quat_conjugate, quat_mul
+
+    for _ in range(100):
+        q = 1.7 * random_unit_quaternion(rng)
+        v = rng.normal(size=3)
+        explicit = quat_mul(quat_mul(q, np.concatenate([[0.0], v])), quat_conjugate(q))[1:]
+        np.testing.assert_allclose(rotate_vector(q, v), explicit, rtol=0.0, atol=1e-15)
+        p = random_pose(rng) + 0.05 * rng.normal(size=8)
+        assert abs(np.linalg.norm(p[:4]) - 1.0) > 1e-6 and abs(p[:4] @ p[4:]) > 1e-6
+        r = rng.normal(size=3)
+        pbar = np.concatenate([quat_conjugate(p[:4]), -quat_conjugate(p[4:])])
+        explicit = dq_mul(dq_mul(p, np.concatenate([[1.0, 0.0, 0.0, 0.0, 0.0], r])), pbar)[5:]
+        np.testing.assert_allclose(transform_point(p, r), explicit, rtol=0.0, atol=1e-15)
+
+
 def test_body_twist_from_pose_rate_round_trip(rng):
     np.testing.assert_array_equal(
         body_twist_from_pose_rate(pose_identity(), np.zeros(8)), np.zeros(6)
