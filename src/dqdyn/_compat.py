@@ -1,24 +1,3 @@
-"""Optional numba import.
+"""Backend flag read by the run reports: every kernel is plain CPython."""
 
-The small quaternion and RK4 helpers are written to be nopython-compilable.
-When numba is missing the same code runs as plain Python/numpy, just slower;
-results are identical either way. The integrator's step kernels are plain
-Python floats and do not use it.
-"""
-
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-
-    def njit(*args, **kwargs):
-        if len(args) == 1 and callable(args[0]) and not kwargs:
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-    NUMBA_AVAILABLE = False
+NUMBA_AVAILABLE = False

@@ -18,6 +18,8 @@ from .errors import (
     StepTooLargeError,
     ValidationError,
 )
+from .integrator import simulate
+from .newton_euler import rk4_simulate
 from .scenario import (
     INTEGRATOR_RK4,
     INTEGRATOR_VARIATIONAL,
@@ -101,11 +103,6 @@ def _format_float(value: float) -> str:
 
 
 def _run_one(path: str, args) -> str:
-    # imported lazily so `dqdyn compare` stays usable without a compiled
-    # numba cache warm-up
-    from .integrator import simulate
-    from .newton_euler import rk4_simulate
-
     config = _apply_overrides(load_config(path), args)
     inputs = build_run(config)
     integrate = simulate if inputs.integrator == INTEGRATOR_VARIATIONAL else rk4_simulate

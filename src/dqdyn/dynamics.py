@@ -297,16 +297,25 @@ def constant_wrench_model(wrench: Wrench) -> ForceModel:
     return ForceModel(evaluate=evaluate, conservative=False)
 
 
+def _damping_coefficients(value, what: str) -> Array:
+    try:
+        return np.broadcast_to(np.asarray(value, dtype=np.float64), (3,)).copy()
+    except ValueError:
+        raise ValidationError(
+            f"{what} damping coefficient must be a scalar or a 3-vector, got {value!r}"
+        ) from None
+
+
 def damping_model(angular, linear) -> ForceModel:
     """Linear viscous damping: wrench = [-c_a * omega; -c_l * v], body frame.
 
     Coefficients may be scalars or per-axis 3-vectors; negative values are
-    rejected (that would pump energy in).
+    rejected (that would pump energy in), and so are NaN and inf.
     """
-    c_a = np.broadcast_to(np.asarray(angular, dtype=np.float64), (3,)).copy()
-    c_l = np.broadcast_to(np.asarray(linear, dtype=np.float64), (3,)).copy()
-    if np.any(c_a < 0.0) or np.any(c_l < 0.0):
-        raise ValidationError("damping coefficients must be non-negative")
+    c_a = _damping_coefficients(angular, "angular")
+    c_l = _damping_coefficients(linear, "linear")
+    if not all(0.0 <= c < math.inf for c in (*c_a, *c_l)):
+        raise ValidationError("damping coefficients must be finite and non-negative")
     a0, a1, a2, l0, l1, l2 = (-c_a).tolist() + (-c_l).tolist()
 
     def evaluate(pose, chi, t):

@@ -40,7 +40,7 @@ from .errors import (
 )
 from .kinematics import FRAME_BODY, Wrench, check_pose
 from .linsolve import COND_LIMIT, solve_rows
-from .quat import Array, dq_mul, dq_product
+from .quat import Array, dq_mul, dq_product, finite_vector6
 from .trajectory import Trajectory
 
 # Newton statuses returned by the kernel
@@ -61,10 +61,10 @@ class SolverSettings:
     max_iterations: int = 20
 
     def __post_init__(self):
-        if not self.h > 0.0:
-            raise ValidationError(f"time step h must be positive, got {self.h}")
-        if not self.tolerance > 0.0:
-            raise ValidationError(f"tolerance must be positive, got {self.tolerance}")
+        if not (self.h > 0.0 and math.isfinite(self.h)):
+            raise ValidationError(f"time step h must be positive and finite, got {self.h}")
+        if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
+            raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
             raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
@@ -276,11 +276,7 @@ def _scaled_product(s: float, rows, v) -> list:
 
 
 def _as_step(step) -> Array:
-    f = np.ascontiguousarray(step, dtype=np.float64)
-    if f.shape != (6,):
-        raise ValidationError(f"step variables must have shape (6,), got {f.shape}")
-    if not np.all(np.isfinite(f)):
-        raise ValidationError("step variables contain non-finite entries")
+    f = finite_vector6(step, "step variables")
     n2 = _phi_norm2(f.tolist())
     if n2 >= 1.0:
         raise StepTooLargeError(
@@ -298,14 +294,8 @@ def _wrench_body_vector(wrench) -> Array:
             raise ValidationError(
                 "wrench must be in the body frame here; rotate a world wrench through the pose first"
             )
-        arr = wrench.vector6
-    else:
-        arr = np.ascontiguousarray(wrench, dtype=np.float64)
-    if arr.shape != (6,):
-        raise ValidationError(f"wrench must be a Wrench or a 6-vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("wrench contains non-finite entries")
-    return arr
+        wrench = wrench.vector6
+    return finite_vector6(wrench, "wrench")
 
 
 def step_to_dual_quaternion(step) -> Array:
@@ -359,9 +349,7 @@ def jacobian(step, M: InertiaMatrix6, method: str = "auto") -> Array:
 
 def initial_guess(chi, h: float) -> Array:
     """Warm start (h/2) * [omega; v] for the first step's Newton solve."""
-    chi = np.ascontiguousarray(chi, dtype=np.float64)
-    if chi.shape != (6,):
-        raise ValidationError(f"twist must have shape (6,), got {chi.shape}")
+    chi = finite_vector6(chi, "twist")
     f = 0.5 * float(h) * chi
     if _phi_norm2(f.tolist()) >= 1.0:
         raise StepTooLargeError(
@@ -437,23 +425,21 @@ def simulate(
 ) -> Trajectory:
     """Integrate n_steps steps from (pose0, twist0); returns states 0..n_steps.
 
-    State 0 solves the momentum-match system [A; B](f_0) = (h/2) M chi_0
-    (no wrench: f_0 encodes the starting momentum itself) warm-started from
-    (h/2) chi_0. Step k >= 1 advances the pose by the previous step, samples
-    the force models (if any) once at (p_k, chi_{k-1}, k*h), and solves for
-    f_k warm-started from f_{k-1}. The final state's step variables are
-    solved too, which is what retrieves its twist; they are never applied to
-    the pose.
+    State 0 solves the momentum-match system
+    [A; B](f_0) = (h/2) M chi_0 + (h^2/4) tau_0 warm-started from
+    (h/2) chi_0: the starting momentum plus the start-up half-kick of the
+    discrete Lagrange-d'Alembert principle, with tau_0 the force models
+    (if any) sampled at (p_0, chi_0, 0). Step k >= 1 advances the pose by
+    the previous step, samples the force models once at
+    (p_k, chi_{k-1}, k*h), and solves for f_k warm-started from f_{k-1}.
+    The final state's step variables are solved too, which is what
+    retrieves its twist; they are never applied to the pose.
 
     Velocity-dependent forces see the previous retrieved twist because the
     current one does not exist until its step is solved.
     """
     p0 = np.ascontiguousarray(check_pose(pose0))
-    chi0 = np.ascontiguousarray(twist0, dtype=np.float64)
-    if chi0.shape != (6,):
-        raise ValidationError(f"twist must have shape (6,), got {chi0.shape}")
-    if not np.all(np.isfinite(chi0)):
-        raise ValidationError("twist contains non-finite entries")
+    chi0 = finite_vector6(twist0, "twist")
     n_steps = int(n_steps)
     if n_steps < 0:
         raise ValidationError(f"n_steps must be >= 0, got {n_steps}")
@@ -475,6 +461,9 @@ def simulate(
     poses[0] = pose
     terms = _momentum_terms(f, K)
     target = _scaled_product(0.5 * h, K.rows, chi0.tolist())
+    if force_models:
+        wrenches[0] = total_wrench(force_models, p0, chi0, 0.0)
+        target = [a + 0.25 * h * h * t for a, t in zip(target, wrenches[0].tolist())]
     two_over_h = 2.0 / h
     for k in range(n):
         if k:

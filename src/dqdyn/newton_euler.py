@@ -22,22 +22,25 @@ step: this integrator's only job is trajectory accuracy, not structure
 preservation. Intermediate RK4 stages live slightly off the unit sphere
 and the vector field is evaluated on its smooth ambient extension.
 
+The state is 13 Python floats [q; l; chi]: numpy's per-call overhead
+dominates at these sizes. Free and forced bodies share one derivative.
+
 The continuous coupling term for an arbitrary raw 6x6 matrix (added-mass
 models) is model-dependent; cross-validation against this oracle should
 stick to inertias built from (mass, inertia tensor, center-of-mass offset).
 """
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ._compat import njit
 from .dynamics import InertiaMatrix6, total_wrench
 from .errors import ValidationError
 from .integrator import SolverSettings
-from .kinematics import check_pose, pose_to_rotation_translation, rotate_vector
-from .quat import Array, pure_quaternion, quat_conjugate, quat_mul
+from .kinematics import check_pose, pose_to_rotation_translation, vector_sandwich
+from .quat import Array, finite_vector6
 from .trajectory import Trajectory
 
 
@@ -50,7 +53,7 @@ class ContinuousState:
     twist: Array  # [omega; v], body frame
 
 
-def _pack(state: ContinuousState) -> Array:
+def _pack(state: ContinuousState) -> list:
     q = np.asarray(state.orientation, dtype=np.float64)
     l = np.asarray(state.translation, dtype=np.float64)
     chi = np.asarray(state.twist, dtype=np.float64)
@@ -58,101 +61,87 @@ def _pack(state: ContinuousState) -> Array:
         raise ValidationError(
             f"state shapes must be (4,), (3,), (6,); got {q.shape}, {l.shape}, {chi.shape}"
         )
-    return np.concatenate([q, l, chi])
+    return q.tolist() + l.tolist() + chi.tolist()
 
 
-def _unpack(y: Array) -> ContinuousState:
-    return ContinuousState(orientation=y[:4].copy(), translation=y[4:7].copy(), twist=y[7:].copy())
+def _unpack(y) -> ContinuousState:
+    y = np.array(y)
+    return ContinuousState(orientation=y[:4], translation=y[4:7], twist=y[7:])
 
 
-def _pose_of(q: Array, l: Array) -> Array:
-    """Dual quaternion of (q, l) without unit validation (RK4 stages drift)."""
-    dual = 0.5 * quat_mul(pure_quaternion(l), q)
-    return np.concatenate([q, dual])
+def _inertia_rows(M: InertiaMatrix6) -> tuple:
+    """(rows of M, rows of M^-1) as Python floats, converted once per call."""
+    return M.matrix.tolist(), M.inverse.tolist()
 
 
-def _deriv_general(y: Array, M: InertiaMatrix6, forces, t: float) -> Array:
-    q = y[:4]
-    l = y[4:7]
-    chi = y[7:]
-    qdot = 0.5 * quat_mul(q, pure_quaternion(chi[:3]))
-    ldot = rotate_vector(q, chi[3:])
-    pi = M.matrix @ chi
-    pidot = np.empty(6)
-    pidot[:3] = np.cross(pi[:3], chi[:3]) + np.cross(pi[3:], chi[3:])
-    pidot[3:] = np.cross(pi[3:], chi[:3])
+def _matvec(rows, v) -> list:
+    """A v for the 6x6 matrix A given by its rows, summed left to right."""
+    v0, v1, v2, v3, v4, v5 = v
+    return [m0 * v0 + m1 * v1 + m2 * v2 + m3 * v3 + m4 * v4 + m5 * v5 for m0, m1, m2, m3, m4, m5 in rows]
+
+
+def _pose_of(y) -> tuple:
+    """Dual quaternion (q, (1/2)(0, l) q) of the state, without unit validation
+    (RK4 stages drift off the group)."""
+    q0, q1, q2, q3, l0, l1, l2 = y[:7]
+    return (
+        q0, q1, q2, q3,
+        0.5 * (-l0 * q1 - l1 * q2 - l2 * q3),
+        0.5 * (l0 * q0 + l1 * q3 - l2 * q2),
+        0.5 * (-l0 * q3 + l1 * q0 + l2 * q1),
+        0.5 * (l0 * q2 - l1 * q1 + l2 * q0),
+    )
+
+
+def _deriv(y, K: tuple, forces, t: float) -> list:
+    """[qdot; ldot; chidot] of the 13-float state y = [q; l; chi]."""
+    q0, q1, q2, q3 = y[:4]
+    w0, w1, w2, v0, v1, v2 = chi = y[7:]
+    rows, inverse = K
+    p0, p1, p2, p3, p4, p5 = _matvec(rows, chi)
+    pidot = [
+        p1 * w2 - p2 * w1 + p4 * v2 - p5 * v1,
+        p2 * w0 - p0 * w2 + p5 * v0 - p3 * v2,
+        p0 * w1 - p1 * w0 + p3 * v1 - p4 * v0,
+        p4 * w2 - p5 * w1,
+        p5 * w0 - p3 * w2,
+        p3 * w1 - p4 * w0,
+    ]
     if forces:
-        pidot += total_wrench(forces, _pose_of(q, l), chi, t)
-    return np.concatenate([qdot, ldot, M.inverse @ pidot])
+        tau = total_wrench(forces, np.array(_pose_of(y)), np.array(chi), t).tolist()
+        pidot = [a + b for a, b in zip(pidot, tau)]
+    return [
+        0.5 * (-q1 * w0 - q2 * w1 - q3 * w2),
+        0.5 * (q0 * w0 + q2 * w2 - q3 * w1),
+        0.5 * (q0 * w1 - q1 * w2 + q3 * w0),
+        0.5 * (q0 * w2 + q1 * w1 - q2 * w0),
+        *vector_sandwich((q0, q1, q2, q3), (v0, v1, v2)),
+        *_matvec(inverse, pidot),
+    ]
 
 
 def state_derivative(state: ContinuousState, M: InertiaMatrix6, forces: Sequence = (), t: float = 0.0) -> ContinuousState:
     """Time derivative of the classical state under the given force models."""
-    d = _deriv_general(_pack(state), M, list(forces), t)
-    return _unpack(d)
+    return _unpack(_deriv(_pack(state), _inertia_rows(M), list(forces), t))
 
 
-def _rk4_step_general(y: Array, M: InertiaMatrix6, forces, t: float, h: float) -> Array:
-    k1 = _deriv_general(y, M, forces, t)
-    k2 = _deriv_general(y + 0.5 * h * k1, M, forces, t + 0.5 * h)
-    k3 = _deriv_general(y + 0.5 * h * k2, M, forces, t + 0.5 * h)
-    k4 = _deriv_general(y + h * k3, M, forces, t + h)
-    out = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    out[:4] /= np.sqrt(out[:4] @ out[:4])
+def _rk4_step(y, K: tuple, forces, t: float, h: float) -> list:
+    half = 0.5 * h
+    k1 = _deriv(y, K, forces, t)
+    k2 = _deriv([a + half * b for a, b in zip(y, k1)], K, forces, t + half)
+    k3 = _deriv([a + half * b for a, b in zip(y, k2)], K, forces, t + half)
+    k4 = _deriv([a + h * b for a, b in zip(y, k3)], K, forces, t + h)
+    sixth = h / 6.0
+    out = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
+    q0, q1, q2, q3 = out[:4]
+    n = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    out[:4] = q0 / n, q1 / n, q2 / n, q3 / n
     return out
 
 
 def rk4_step(state: ContinuousState, M: InertiaMatrix6, forces: Sequence = (), t: float = 0.0, h: float = 1e-3) -> ContinuousState:
     """One classical RK4 step; the quaternion is renormalized afterwards."""
-    return _unpack(_rk4_step_general(_pack(state), M, list(forces), float(t), float(h)))
-
-
-@njit(cache=True)
-def _deriv_free(y, mat, minv):
-    q = y[:4]
-    chi = y[7:]
-    omega_q = np.zeros(4)
-    omega_q[1] = chi[0]
-    omega_q[2] = chi[1]
-    omega_q[3] = chi[2]
-    v_q = np.zeros(4)
-    v_q[1] = chi[3]
-    v_q[2] = chi[4]
-    v_q[3] = chi[5]
-    qdot = 0.5 * quat_mul(q, omega_q)
-    ldot = quat_mul(quat_mul(q, v_q), quat_conjugate(q))[1:]
-    pi = mat @ chi
-    pidot = np.empty(6)
-    pidot[0] = pi[1] * chi[2] - pi[2] * chi[1] + pi[4] * chi[5] - pi[5] * chi[4]
-    pidot[1] = pi[2] * chi[0] - pi[0] * chi[2] + pi[5] * chi[3] - pi[3] * chi[5]
-    pidot[2] = pi[0] * chi[1] - pi[1] * chi[0] + pi[3] * chi[4] - pi[4] * chi[3]
-    pidot[3] = pi[4] * chi[2] - pi[5] * chi[1]
-    pidot[4] = pi[5] * chi[0] - pi[3] * chi[2]
-    pidot[5] = pi[3] * chi[1] - pi[4] * chi[0]
-    chidot = minv @ pidot
-    out = np.empty(13)
-    out[:4] = qdot
-    out[4:7] = ldot
-    out[7:] = chidot
-    return out
-
-
-@njit(cache=True)
-def _rk4_free(y0, mat, minv, h, n_steps):
-    ys = np.empty((n_steps + 1, 13))
-    ys[0] = y0
-    y = y0.copy()
-    for k in range(n_steps):
-        k1 = _deriv_free(y, mat, minv)
-        k2 = _deriv_free(y + 0.5 * h * k1, mat, minv)
-        k3 = _deriv_free(y + 0.5 * h * k2, mat, minv)
-        k4 = _deriv_free(y + h * k3, mat, minv)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        qn = np.sqrt(y[0] ** 2 + y[1] ** 2 + y[2] ** 2 + y[3] ** 2)
-        for i in range(4):
-            y[i] /= qn
-        ys[k + 1] = y
-    return ys
+    return _unpack(_rk4_step(_pack(state), _inertia_rows(M), list(forces), float(t), float(h)))
 
 
 def _poses_from_orientation_translation(qs: Array, ls: Array) -> Array:
@@ -179,26 +168,19 @@ def rk4_simulate(
     """
     p0 = check_pose(pose0)
     q0, l0 = pose_to_rotation_translation(p0)
-    chi0 = np.ascontiguousarray(twist0, dtype=np.float64)
-    if chi0.shape != (6,):
-        raise ValidationError(f"twist must have shape (6,), got {chi0.shape}")
-    if not np.all(np.isfinite(chi0)):
-        raise ValidationError("twist contains non-finite entries")
+    chi0 = finite_vector6(twist0, "twist")
     n_steps = int(n_steps)
     if n_steps < 0:
         raise ValidationError(f"n_steps must be >= 0, got {n_steps}")
     h = settings.h
+    K = _inertia_rows(M)
     force_models = list(forces)
-    y0 = np.concatenate([q0, l0, chi0])
-    if not force_models:
-        ys = _rk4_free(y0, M.matrix, M.inverse, h, n_steps)
-    else:
-        ys = np.empty((n_steps + 1, 13))
-        ys[0] = y0
-        y = y0
-        for k in range(n_steps):
-            y = _rk4_step_general(y, M, force_models, k * h, h)
-            ys[k + 1] = y
+    ys = np.empty((n_steps + 1, 13))
+    y = q0.tolist() + l0.tolist() + chi0.tolist()
+    ys[0] = y
+    for k in range(n_steps):
+        y = _rk4_step(y, K, force_models, k * h, h)
+        ys[k + 1] = y
     poses = _poses_from_orientation_translation(ys[:, :4], ys[:, 4:7])
     twists = ys[:, 7:]
     times = np.arange(n_steps + 1) * h

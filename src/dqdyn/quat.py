@@ -12,16 +12,13 @@ something the algebra hides.
 
 ``dq_product`` is the dual quaternion product on Python floats that the
 integrator's step loop and the force models use; ``dq_mul`` wraps it for
-arrays, with ``as_floats`` as the conversion. The other small kernels are
-numba-jitted when numba is available; they run as plain Python otherwise
-with identical results.
+arrays, with ``as_floats`` as the conversion.
 """
 
 import math
 
 import numpy as np
 
-from ._compat import njit
 from .errors import ValidationError
 
 Array = np.ndarray
@@ -50,6 +47,16 @@ def as_vector3(v, what: str = "vector part") -> list:
     if v.shape != (3,):
         raise ValidationError(f"{what} must have shape (3,), got {v.shape}")
     return v.tolist()
+
+
+def finite_vector6(v, what: str) -> Array:
+    """v as a float64 6-vector; any other shape or a non-finite entry raises."""
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    if v.shape != (6,):
+        raise ValidationError(f"{what} must have shape (6,), got {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{what} has non-finite entries")
+    return v
 
 
 def pure_quaternion(v) -> Array:
@@ -111,7 +118,6 @@ def check_pure_dual(eta, tol: float = 0.0) -> Array:
 # quaternion algebra
 # ---------------------------------------------------------------------------
 
-@njit(cache=True)
 def quat_mul(q1: Array, q2: Array) -> Array:
     """Hamilton product q1 ∘ q2 (scalar-first)."""
     out = np.empty(4)
@@ -122,7 +128,6 @@ def quat_mul(q1: Array, q2: Array) -> Array:
     return out
 
 
-@njit(cache=True)
 def quat_conjugate(q: Array) -> Array:
     """q† : negate the vector part."""
     out = np.empty(4)
@@ -133,12 +138,10 @@ def quat_conjugate(q: Array) -> Array:
     return out
 
 
-@njit(cache=True)
 def quat_norm(q: Array) -> float:
     return math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
 
 
-@njit(cache=True)
 def _sinc(theta: float) -> float:
     # sin(theta)/theta, Taylor branch below SMALL_ANGLE
     if theta < SMALL_ANGLE:
@@ -146,7 +149,6 @@ def _sinc(theta: float) -> float:
     return math.sin(theta) / theta
 
 
-@njit(cache=True)
 def _dsinc_over_theta(theta: float) -> float:
     # g(theta) = (theta*cos(theta) - sin(theta)) / theta^3, the derivative
     # term of the dual-number expansion; Taylor branch below SMALL_ANGLE
@@ -155,7 +157,6 @@ def _dsinc_over_theta(theta: float) -> float:
     return (theta * math.cos(theta) - math.sin(theta)) / (theta * theta * theta)
 
 
-@njit(cache=True)
 def quat_exp(q: Array) -> Array:
     """Quaternion exponential exp(w) * [cos|v|, sinc(|v|) v]."""
     theta = math.sqrt(q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
@@ -195,7 +196,6 @@ def dq_mul(p1: Array, p2: Array) -> Array:
     return np.array(dq_product(as_floats(p1), as_floats(p2)))
 
 
-@njit(cache=True)
 def dq_quat_conjugate(p: Array) -> Array:
     """p† : quaternion-conjugate both parts (reverses products)."""
     out = np.empty(8)
@@ -204,7 +204,6 @@ def dq_quat_conjugate(p: Array) -> Array:
     return out
 
 
-@njit(cache=True)
 def dq_dual_transpose(p: Array) -> Array:
     """p* : swap real and dual parts (an involution; distributes over ∘)."""
     out = np.empty(8)
@@ -213,7 +212,6 @@ def dq_dual_transpose(p: Array) -> Array:
     return out
 
 
-@njit(cache=True)
 def _dq_exp_parts(a: Array, b: Array) -> Array:
     # exp of the pure dual quaternion [0, a, 0, b], closed form.
     # real = [cos t, sinc(t) a], t = |a|

@@ -122,6 +122,16 @@ def test_bad_flag_value_is_config_error(free_config, capsys):
     capsys.readouterr()
 
 
+def test_infinite_step_flag_is_config_error(free_config, capsys):
+    assert main(["run", "--config", str(free_config), "--h", "inf"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+def test_infinite_tolerance_flag_is_config_error(free_config, capsys):
+    assert main(["run", "--config", str(free_config), "--tol", "inf"]) == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_divergence_is_exit_3(tmp_path, capsys):
     path = tmp_path / "diverge.yaml"
     path.write_text(

@@ -302,6 +302,16 @@ def test_damping_model():
         damping_model(-0.1, 0.0)
 
 
+def test_damping_model_rejects_bad_coefficients():
+    with pytest.raises(ValidationError, match="angular damping coefficient"):
+        damping_model([1.0, 2.0], 0.0)
+    with pytest.raises(ValidationError, match="linear damping coefficient"):
+        damping_model(0.0, np.ones((2, 3)))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValidationError, match="finite and non-negative"):
+            damping_model([0.1, bad, 0.1], 0.0)
+
+
 def test_total_wrench(rng):
     assert np.array_equal(total_wrench([], pose_identity(), np.zeros(6), 0.0), np.zeros(6))
     # gravity balanced by an equal and opposite constant world force

@@ -9,7 +9,6 @@ from dqdyn.dynamics import (
     force_model_from_potential,
     gravity_potential,
     skew,
-    total_wrench,
 )
 from dqdyn.errors import ValidationError
 from dqdyn.integrator import SolverSettings, simulate
@@ -139,14 +138,16 @@ def test_rk4_self_convergence_order():
     assert np.all(orders < 4.5)
 
 
-def test_free_kernel_matches_python_loop():
+def test_zero_wrench_run_is_bit_identical_to_free_run():
+    # one derivative serves free and forced bodies: adding a zero wrench on a
+    # coupled (offset-reference) inertia must not change a single bit
     M = build_inertia(1.5, np.diag([1.0, 2.0, 3.0]), (0.2, 0.0, -0.1))
     chi0 = np.array([0.8, -0.3, 0.5, 0.1, 0.2, 0.0])
     zero = constant_wrench_model(body_wrench(np.zeros(3), np.zeros(3)))
-    fast = rk4_simulate(pose_identity(), chi0, M, (), SolverSettings(h=1e-3), 100)
-    slow = rk4_simulate(pose_identity(), chi0, M, [zero], SolverSettings(h=1e-3), 100)
-    np.testing.assert_allclose(fast.poses, slow.poses, atol=1e-15)
-    np.testing.assert_allclose(fast.twists, slow.twists, atol=1e-15)
+    free = rk4_simulate(pose_identity(), chi0, M, (), SolverSettings(h=1e-3), 100)
+    forced = rk4_simulate(pose_identity(), chi0, M, [zero], SolverSettings(h=1e-3), 100)
+    np.testing.assert_array_equal(forced.poses, free.poses)
+    np.testing.assert_array_equal(forced.twists, free.twists)
 
 
 def test_shared_limit_with_variational_stepper_free_body():
@@ -164,10 +165,9 @@ def test_shared_limit_with_variational_stepper_free_body():
 
 
 def test_forced_agreement_with_variational_stepper():
-    # the variational run's seed step carries the initial momentum with no
-    # force, which shifts its effective initial velocity by (h/2) M^-1 tau_0
-    # relative to the continuous problem; feed the oracle that shifted
-    # velocity and the two forced trajectories agree to O(h^2)
+    # the variational run's seed step carries the start-up half-kick, so both
+    # integrators start from the same continuous state and the two forced
+    # trajectories agree to O(h^2)
     r = np.array([0.2, 0.0, 0.1])
     J_ref = np.diag([1.0, 2.0, 3.0]) - 1.0 * skew(r) @ skew(r)
     M = build_inertia(1.0, J_ref, r)
@@ -176,9 +176,7 @@ def test_forced_agreement_with_variational_stepper():
     h = 1e-3
     n = 500
     a = simulate(pose_identity(), chi0, M, [gravity], SolverSettings(h=h), n)
-    tau0 = total_wrench([gravity], pose_identity(), chi0, 0.0)
-    chi0_shifted = chi0 - 0.5 * h * (M.inverse @ tau0)
-    b = rk4_simulate(pose_identity(), chi0_shifted, M, [gravity], SolverSettings(h=h), n)
+    b = rk4_simulate(pose_identity(), chi0, M, [gravity], SolverSettings(h=h), n)
     cmp = compare_trajectories(a, b)
     assert cmp.max_pose_error < 1e-5
 
