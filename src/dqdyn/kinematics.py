@@ -19,6 +19,7 @@ Poses are never renormalized here. Constraint drift is reported by
 ``pose_constraint_errors`` and it is the caller's business to care.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ from .quat import (
     as_vector3,
     dq_exp,
     dq_log,
+    dq_log_parts,
     dq_mul,
     dq_product,
     dq_quat_conjugate,
@@ -341,6 +343,11 @@ def pose_difference_magnitude(p_a, p_b) -> float:
     canonicalized away). Mixes radians and length units on purpose: it is the
     single scalar used to report pose discrepancies.
     """
-    rel = dq_mul(dq_quat_conjugate(np.asarray(p_a, dtype=np.float64)), np.asarray(p_b, dtype=np.float64))
-    eta = dq_log(rel)
-    return 2.0 * float(np.sqrt(eta[1:4] @ eta[1:4] + eta[5:8] @ eta[5:8]))
+    return pose_distance(as_floats(p_a), as_floats(p_b))
+
+
+def pose_distance(p_a, p_b) -> float:
+    """pose_difference_magnitude of two 8-sequences of Python floats."""
+    a0, a1, a2, a3, b0, b1, b2, b3 = p_a
+    x0, x1, x2, y0, y1, y2 = dq_log_parts(dq_product((a0, -a1, -a2, -a3, b0, -b1, -b2, -b3), p_b))
+    return 2.0 * math.sqrt((x0 * x0 + x1 * x1 + x2 * x2) + (y0 * y0 + y1 * y1 + y2 * y2))

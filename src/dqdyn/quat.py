@@ -12,7 +12,8 @@ something the algebra hides.
 
 ``dq_product`` is the dual quaternion product on Python floats that the
 integrator's step loop and the force models use; ``dq_mul`` wraps it for
-arrays, with ``as_floats`` as the conversion.
+arrays, with ``as_floats`` as the conversion. ``dq_log_parts`` and
+``dq_log`` are the same pair for the logarithm.
 """
 
 import math
@@ -242,6 +243,23 @@ def dq_exp(eta) -> Array:
     return _dq_exp_parts(np.ascontiguousarray(eta[1:4]), np.ascontiguousarray(eta[5:8]))
 
 
+def dq_log_parts(p) -> tuple:
+    """(a0, a1, a2, b0, b1, b2) of log p = [0, a, 0, b] for a unit dual
+    quaternion given as an 8-sequence of Python floats: the kernel of dq_log.
+
+    The sign is canonicalised toward p[0] >= 0 first, as dq_log documents.
+    """
+    p0, p1, p2, p3, p4, p5, p6, p7 = p
+    if p0 < 0.0:
+        p0, p1, p2, p3, p4, p5, p6, p7 = -p0, -p1, -p2, -p3, -p4, -p5, -p6, -p7
+    theta = math.atan2(math.sqrt(p1 * p1 + p2 * p2 + p3 * p3), p0)
+    s = _sinc(theta)
+    g = _dsinc_over_theta(theta)
+    a0, a1, a2 = p1 / s, p2 / s, p3 / s
+    abg = -p4 / s * g
+    return a0, a1, a2, (p5 - abg * a0) / s, (p6 - abg * a1) / s, (p7 - abg * a2) / s
+
+
 def dq_log(p) -> Array:
     """Principal logarithm of a unit dual quaternion, as a pure dual quaternion.
 
@@ -252,13 +270,5 @@ def dq_log(p) -> Array:
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (8,):
         raise ValidationError(f"dual quaternion must have shape (8,), got {p.shape}")
-    if p[0] < 0.0:
-        p = -p
-    vnorm = math.sqrt(float(p[1] ** 2 + p[2] ** 2 + p[3] ** 2))
-    theta = math.atan2(vnorm, float(p[0]))
-    s = _sinc(theta)
-    g = _dsinc_over_theta(theta)
-    a = p[1:4] / s
-    ab = -float(p[4]) / s
-    b = (p[5:8] - ab * g * a) / s
-    return pure_dual_quaternion(a, b)
+    a0, a1, a2, b0, b1, b2 = dq_log_parts(p.tolist())
+    return np.array([0.0, a0, a1, a2, 0.0, b0, b1, b2])

@@ -16,7 +16,7 @@ import numpy as np
 
 from .dynamics import InertiaMatrix6, potential_energy
 from .errors import ValidationError
-from .kinematics import pose_difference_magnitude
+from .kinematics import pose_distance
 from .quat import Array
 
 FIELD_GROUPS = ("pose", "twist", "energy", "momentum", "solver", "constraints")
@@ -99,6 +99,8 @@ class Trajectory:
         self.poses = np.asarray(poses, dtype=np.float64)
         self.twists = np.asarray(twists, dtype=np.float64)
         n = self.times.shape[0]
+        if n == 0:
+            raise ValidationError("a trajectory needs at least one state")
         if self.poses.shape != (n, 8) or self.twists.shape != (n, 6):
             raise ValidationError("times, poses, and twists disagree on length")
 
@@ -269,22 +271,16 @@ def write_trajectory(traj: Trajectory, path, stride: int = 1, fields=None) -> No
     indices = list(range(0, traj.n_states, stride))
     if indices[-1] != traj.n_states - 1:
         indices.append(traj.n_states - 1)
-    blocks = [_group_matrix(traj, g) for g in groups]
-    header = ["t"]
+    names = ["t"]
     for g in groups:
-        header.extend(_GROUP_COLUMNS[g])
-    int_columns = {"newton_iterations"}
+        names.extend(_GROUP_COLUMNS[g])
+    # one %-format per row; "%.17g" of a Python float is f"{x:.17g}", nan and -0 included
+    row = "\t".join("%d" if name == "newton_iterations" else "%.17g" for name in names) + "\n"
+    table = np.column_stack([traj.times] + [_group_matrix(traj, g) for g in groups])[indices]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(header) + "\n")
-        for idx in indices:
-            cells = [f"{traj.times[idx]:.17g}"]
-            for g, block in zip(groups, blocks):
-                for name, value in zip(_GROUP_COLUMNS[g], block[idx]):
-                    if name in int_columns:
-                        cells.append(str(int(value)))
-                    else:
-                        cells.append(f"{value:.17g}")
-            fh.write("\t".join(cells) + "\n")
+        fh.write("\t".join(names) + "\n")
+        # row by row: a whole-table tolist() would hold every cell as a Python float at once
+        fh.writelines(row % tuple(r.tolist()) for r in table)
 
 
 def read_trajectory(path) -> Trajectory:
@@ -295,10 +291,17 @@ def read_trajectory(path) -> Trajectory:
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split("\t")
+        repeated = sorted({name for name in header if header.count(name) > 1})
+        if repeated:
+            raise ValidationError(f"{path}: header names column(s) {', '.join(repeated)} more than once")
         with warnings.catch_warnings():
             # empty data is reported as a ValidationError just below
             warnings.simplefilter("ignore", UserWarning)
-            data = np.loadtxt(fh, ndmin=2)
+            try:
+                data = np.loadtxt(fh, ndmin=2)
+            except ValueError as exc:
+                # a non-numeric cell or a row of a different width
+                raise ValidationError(f"{path}: {exc}") from None
     if data.size == 0:
         raise ValidationError(f"{path}: no data rows")
     if data.shape[1] != len(header):
@@ -377,16 +380,13 @@ def compare_trajectories(a: Trajectory, b: Trajectory) -> TrajectoryComparison:
     common, ia, ib = np.intersect1d(a.times, b.times, return_indices=True)
     if common.size == 0:
         raise ValidationError("trajectories share no sample times")
+    pa = a.poses[ia]
+    pb = b.poses[ib]
     # bitwise-equal poses report exactly zero; the log route would leave
-    # ~1e-16 of roundoff even for identical inputs
-    pose_errors = np.array(
-        [
-            0.0
-            if np.array_equal(a.poses[i], b.poses[j])
-            else pose_difference_magnitude(a.poses[i], b.poses[j])
-            for i, j in zip(ia, ib)
-        ]
-    )
+    # ~1e-16 of roundoff even for identical inputs (NaN rows differ)
+    differ = np.flatnonzero(np.any(pa != pb, axis=1))
+    pose_errors = np.zeros(common.size)
+    pose_errors[differ] = [pose_distance(x, y) for x, y in zip(pa[differ].tolist(), pb[differ].tolist())]
     twist_errors = np.linalg.norm(a.twists[ia] - b.twists[ib], axis=1)
     return TrajectoryComparison(times=common, pose_errors=pose_errors, twist_errors=twist_errors)
 

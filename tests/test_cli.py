@@ -257,6 +257,13 @@ def test_compare_schema_mismatch(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_compare_malformed_file_is_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("t\tp_rw\n0.0\t1.0\n0.1\tabc\n")
+    assert main(["compare", str(bad), str(bad)]) == 2
+    assert "bad.tsv" in capsys.readouterr().err
+
+
 def test_compare_missing_file(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")]) == 4
     capsys.readouterr()

@@ -23,6 +23,7 @@ from dqdyn import (
     quaternion,
     unit_quaternion,
 )
+from dqdyn.quat import SMALL_ANGLE, dq_log_parts
 
 
 def test_quat_mul_unit_elements():
@@ -242,3 +243,25 @@ def test_dq_log_pure_translation():
     p = np.array([1, 0, 0, 0, 0, 0.1, -0.2, 0.3])
     eta = dq_log(p)
     np.testing.assert_allclose(eta, pure_dual_quaternion(np.zeros(3), [0.1, -0.2, 0.3]), atol=1e-16)
+
+
+def test_dq_log_is_the_float_kernel(rng):
+    def check(p):
+        a0, a1, a2, b0, b1, b2 = dq_log_parts(p.tolist())
+        np.testing.assert_array_equal(dq_log(p), [0.0, a0, a1, a2, 0.0, b0, b1, b2])
+
+    for _ in range(100):
+        check(random_pose(rng))
+    # rotation angle below SMALL_ANGLE: the Taylor branches
+    for _ in range(20):
+        eta = pure_dual_quaternion(rng.normal(size=3) * 0.1 * SMALL_ANGLE, rng.normal(size=3))
+        p = dq_exp(eta)
+        assert np.linalg.norm(dq_log(p)[1:4]) < SMALL_ANGLE
+        check(p)
+    # negative scalar part: canonicalised to the same logarithm as -p
+    for _ in range(20):
+        p = random_pose(rng)
+        if p[0] > 0.0:
+            p = -p
+        check(p)
+        assert dq_log_parts(p.tolist()) == dq_log_parts((-p).tolist())

@@ -1,13 +1,16 @@
 """Trajectory container: file round trips, comparison, summaries."""
 
+import math
+
 import numpy as np
 import pytest
 
 from dqdyn.dynamics import build_inertia
 from dqdyn.errors import ValidationError
 from dqdyn.integrator import SolverSettings, simulate
-from dqdyn.kinematics import pose_identity
+from dqdyn.kinematics import pose_difference_magnitude, pose_from_rotation_translation, pose_identity
 from dqdyn.newton_euler import rk4_simulate
+from dqdyn.quat import dq_mul
 from dqdyn.trajectory import (
     FIELD_GROUPS,
     Trajectory,
@@ -97,6 +100,81 @@ def test_rk4_file_has_same_schema(tmp_path):
     assert np.all(np.isnan(back.residual_norms))
 
 
+def _tsv(*rows):
+    """File text of rows whose cells are written space-separated here."""
+    return "".join("\t".join(row.split()) + "\n" for row in rows)
+
+
+@pytest.fixture
+def edge_values():
+    """Five hand-built states: -0, nan fills, 1e-300/1e300, a subnormal,
+    integer iteration counts and values that need all 17 digits."""
+    nan = float("nan")
+    return Trajectory(
+        times=[0.0, 0.1, 0.2, 0.1 + 0.2, 0.4],
+        poses=[
+            [1.0, -0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0, 0.0, 1e-300, 1e300, 0.0],
+            [1 / 3, 2 / 3, -2 / 3, 0.0, 0.0, 0.1, -0.2, 0.1 + 0.2],
+        ],
+        twists=[
+            [1e-300, -1e300, 0.0, 0.0, 0.0, -0.0],
+            [0.0] * 6,
+            [0.0] * 6,
+            [0.0] * 6,
+            [math.pi, -math.e, 1 / 7, 0.0, 5e-324, 1.0],
+        ],
+        iterations=[0, 1, 2, 3, 12],
+        residual_norms=[nan] * 5,  # the fill an RK4 run writes
+        kinetic=[0.1] * 5,
+        potential=[0.2] * 5,
+        angular_momentum=[[0.0, 0.0, 0.0]] * 3 + [[1e300, -1e-300, 1 / 7], [0.0, -0.0, 1.0]],
+        unit_norm_errors=[2.220446049250313e-16] * 5,
+        orthogonality_errors=[0.0] * 5,
+    )
+
+
+def test_write_golden_bytes_all_fields_stride_3(edge_values, tmp_path):
+    path = tmp_path / "golden.tsv"
+    write_trajectory(edge_values, path, stride=3)
+    # states 0 and 3, plus the final state 4
+    assert path.read_bytes().decode("utf-8") == _tsv(
+        "t  p_rw p_rx p_ry p_rz p_dw p_dx p_dy p_dz  omega_x omega_y omega_z v_x v_y v_z"
+        "  energy kinetic_energy potential_energy  L_x L_y L_z  newton_iterations residual_norm"
+        "  unit_norm_error orthogonality_error",
+        "0  1 -0 0 0 0 0 0 0  1e-300 -1.0000000000000001e+300 0 0 0 -0"
+        "  0.30000000000000004 0.10000000000000001 0.20000000000000001  0 0 0  0 nan"
+        "  2.2204460492503131e-16 0",
+        "0.30000000000000004  1 0 0 0 0 1e-300 1.0000000000000001e+300 0  0 0 0 0 0 0"
+        "  0.30000000000000004 0.10000000000000001 0.20000000000000001"
+        "  1.0000000000000001e+300 -1e-300 0.14285714285714285  3 nan  2.2204460492503131e-16 0",
+        "0.40000000000000002"
+        "  0.33333333333333331 0.66666666666666663 -0.66666666666666663 0"
+        "  0 0.10000000000000001 -0.20000000000000001 0.30000000000000004"
+        "  3.1415926535897931 -2.7182818284590451 0.14285714285714285 0 4.9406564584124654e-324 1"
+        "  0.30000000000000004 0.10000000000000001 0.20000000000000001  0 -0 1  12 nan"
+        "  2.2204460492503131e-16 0",
+    )
+
+
+def test_write_golden_bytes_twist_and_pose(edge_values, tmp_path):
+    path = tmp_path / "golden.tsv"
+    write_trajectory(edge_values, path, fields=("twist", "pose"))
+    assert path.read_bytes().decode("utf-8") == _tsv(
+        "t  p_rw p_rx p_ry p_rz p_dw p_dx p_dy p_dz  omega_x omega_y omega_z v_x v_y v_z",
+        "0  1 -0 0 0 0 0 0 0  1e-300 -1.0000000000000001e+300 0 0 0 -0",
+        "0.10000000000000001  1 0 0 0 0 0 0 0  0 0 0 0 0 0",
+        "0.20000000000000001  1 0 0 0 0 0 0 0  0 0 0 0 0 0",
+        "0.30000000000000004  1 0 0 0 0 1e-300 1.0000000000000001e+300 0  0 0 0 0 0 0",
+        "0.40000000000000002"
+        "  0.33333333333333331 0.66666666666666663 -0.66666666666666663 0"
+        "  0 0.10000000000000001 -0.20000000000000001 0.30000000000000004"
+        "  3.1415926535897931 -2.7182818284590451 0.14285714285714285 0 4.9406564584124654e-324 1",
+    )
+
+
 def test_read_rejects_missing_required_columns(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("t\tp_rw\n0.0\t1.0\n")
@@ -105,6 +183,35 @@ def test_read_rejects_missing_required_columns(tmp_path):
     path.write_text("t\tx\n")
     with pytest.raises(ValidationError):
         read_trajectory(path)
+
+
+def test_read_rejects_non_numeric_cell(tmp_path):
+    path = tmp_path / "bad.tsv"
+    path.write_text("t\tp_rw\n0.0\t1.0\n0.1\tabc\n")
+    with pytest.raises(ValidationError, match="bad.tsv"):
+        read_trajectory(path)
+
+
+def test_read_rejects_ragged_row(tmp_path):
+    path = tmp_path / "ragged.tsv"
+    path.write_text("t\tp_rw\n0.0\t1.0\n0.1\n")
+    with pytest.raises(ValidationError, match="ragged.tsv"):
+        read_trajectory(path)
+
+
+def test_read_rejects_repeated_column(spinning_run, tmp_path):
+    path = tmp_path / "twice.tsv"
+    write_trajectory(spinning_run, path, fields=("pose", "twist"))
+    header, *rows = path.read_text().splitlines()
+    # a second p_rw column would otherwise silently replace the first
+    path.write_text("".join(line + "\n" for line in [header + "\tp_rw"] + [row + "\t0.5" for row in rows]))
+    with pytest.raises(ValidationError, match="twice.tsv.*p_rw"):
+        read_trajectory(path)
+
+
+def test_empty_trajectory_is_rejected():
+    with pytest.raises(ValidationError, match="at least one state"):
+        Trajectory(np.empty(0), np.empty((0, 8)), np.empty((0, 6)))
 
 
 def test_compare_identical_is_zero(spinning_run):
@@ -126,8 +233,6 @@ def test_compare_shifted_equals_one_step_displacement():
     )
     report = compare_trajectories(traj, shifted)
     assert report.n_common == 30
-    from dqdyn.kinematics import pose_difference_magnitude
-
     d01 = pose_difference_magnitude(traj.poses[0], traj.poses[1])
     np.testing.assert_allclose(report.pose_errors, d01, rtol=1e-12)
     # the discrete step angle is 2*asin(phi), h*|omega| + O(h^3)
@@ -142,6 +247,38 @@ def test_compare_disjoint_grids_raises(spinning_run):
     )
     with pytest.raises(ValidationError):
         compare_trajectories(spinning_run, other)
+
+
+def test_compare_mixed_pair_zero_on_equal_rows(spinning_run):
+    # every third pose displaced by a small screw, the rest bitwise equal
+    q = np.array([np.cos(0.003), 0.0, np.sin(0.003), 0.0])
+    offset = pose_from_rotation_translation(q, [1e-3, 0.0, -2e-3])
+    poses = spinning_run.poses.copy()
+    moved = np.arange(0, spinning_run.n_states, 3)
+    for k in moved:
+        poses[k] = dq_mul(poses[k], offset)
+    other = Trajectory(times=spinning_run.times, poses=poses, twists=spinning_run.twists)
+    report = compare_trajectories(spinning_run, other)
+    still = np.setdiff1d(np.arange(spinning_run.n_states), moved)
+    assert np.all(report.pose_errors[still] == 0.0)
+    expected = [pose_difference_magnitude(spinning_run.poses[k], poses[k]) for k in moved]
+    np.testing.assert_allclose(report.pose_errors[moved], expected, rtol=1e-15, atol=0.0)
+    assert np.all(report.pose_errors[moved] > 0.0)
+
+
+def test_compare_sign_cover_is_zero(spinning_run):
+    flipped = Trajectory(times=spinning_run.times, poses=-spinning_run.poses, twists=spinning_run.twists)
+    report = compare_trajectories(spinning_run, flipped)
+    assert report.max_pose_error < 1e-14
+
+
+def test_compare_nan_rows_report_nan(spinning_run):
+    poses = spinning_run.poses.copy()
+    poses[4, 2] = np.nan
+    other = Trajectory(times=spinning_run.times, poses=poses, twists=spinning_run.twists)
+    errors = compare_trajectories(spinning_run, other).pose_errors
+    assert np.isnan(errors[4])
+    assert np.all(errors[np.arange(errors.size) != 4] == 0.0)
 
 
 def test_summarize_keys(spinning_run):
