@@ -85,7 +85,6 @@ from .quat import (
     dq_log,
     dq_mul,
     dq_quat_conjugate,
-    dual_quaternion,
     pure_dual_quaternion,
     pure_quaternion,
     quat_conjugate,
@@ -99,8 +98,6 @@ from .quat import (
 from .scenario import (
     INTEGRATOR_RK4,
     INTEGRATOR_VARIATIONAL,
-    ForceSpec,
-    RunInputs,
     ScenarioConfig,
     build_force_models,
     build_run,
@@ -111,9 +108,7 @@ from .scenario import (
 )
 from .trajectory import (
     FIELD_GROUPS,
-    IntegratorState,
     Trajectory,
-    TrajectoryComparison,
     compare_trajectories,
     read_trajectory,
     summarize,

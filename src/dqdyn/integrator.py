@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import FRAME_BODY, Wrench, check_pose
-from .linsolve import COND_LIMIT, solve_rows
+from .linsolve import COND_LIMIT, solve_ordered, solve_rows
 from .quat import Array, dq_mul, dq_product, finite_vector6
 from .trajectory import Trajectory
 
@@ -223,24 +223,33 @@ def _max_abs(v) -> float:
     return max(map(abs, v)) if s == s else math.nan
 
 
-def _newton(f, terms, target, K: _Inertia, tol: float, max_iterations: int):
+def _newton(f, terms, target, K: _Inertia, tol: float, max_iterations: int, order):
     """Newton iteration on [A; B](f) = target from the warm start f, whose
     momentum terms are ``terms``.
 
-    Returns (f, terms, [A; B](f), iterations, residual_norm, status). Every
-    iteration solves the 6x6 system with full pivoting and backtracks the
-    update (halving) until the iterate keeps |Phi| < 1. Convergence is
-    checked after the update, so even a solved warm start reports one
-    iteration.
+    Returns (f, terms, [A; B](f), iterations, residual_norm, status, order).
+    Each iteration first solves the 6x6 system in ``order``, the pivot order
+    of the last searched solve (None: there is none yet). When that is
+    missing or fails a check, it solves with full pivoting and keeps the new
+    order; only that searched solve can abort the step as singular. The
+    update is backtracked (halving) until the iterate keeps |Phi| < 1.
+    Convergence is checked after the update, so even a solved warm start
+    reports one iteration.
     """
     ab = _residual_ab(f, terms)
     r = [a - t for a, t in zip(ab, target)]
     pre = _max_abs(r)
     jacobian_of = _jacobian_simple if K.simple else _jacobian_general
     for it in range(1, max_iterations + 1):
-        dx, cond, ok = solve_rows(jacobian_of(f, terms, K), [-v for v in r])
-        if (not ok) or cond > COND_LIMIT:
-            return f, terms, ab, it, pre, _STATUS_SINGULAR
+        J = jacobian_of(f, terms, K)
+        y = [-v for v in r]
+        solved = None if order is None else solve_ordered(J, y, order)
+        if solved is None:
+            dx, cond, ok, order = solve_rows(J, y)
+            if (not ok) or cond > COND_LIMIT:
+                return f, terms, ab, it, pre, _STATUS_SINGULAR, order
+        else:
+            dx = solved[0]
         scale = 1.0
         trial = [a + b for a, b in zip(f, dx)]
         nphi = _phi_norm2(trial)
@@ -251,15 +260,15 @@ def _newton(f, terms, target, K: _Inertia, tol: float, max_iterations: int):
             trial = [a + scale * b for a, b in zip(f, dx)]
             nphi = _phi_norm2(trial)
         if nphi >= 1.0:
-            return f, terms, ab, it, pre, _STATUS_INFEASIBLE
+            return f, terms, ab, it, pre, _STATUS_INFEASIBLE, order
         f = trial
         terms = _momentum_terms(f, K)
         ab = _residual_ab(f, terms)
         r = [a - t for a, t in zip(ab, target)]
         pre = _max_abs(r)
         if pre <= tol:
-            return f, terms, ab, it, pre, _STATUS_OK
-    return f, terms, ab, max_iterations, pre, _STATUS_NO_CONVERGENCE
+            return f, terms, ab, it, pre, _STATUS_OK, order
+    return f, terms, ab, max_iterations, pre, _STATUS_NO_CONVERGENCE, order
 
 
 def _step_dq(f) -> tuple:
@@ -369,8 +378,8 @@ def solve_step(prev_step, M: InertiaMatrix6, wrench, settings: SolverSettings):
     tau = _wrench_body_vector(wrench).tolist()
     K = _float_inertia(M)
     terms = _momentum_terms(f_prev, K)
-    f, _, _, it, rn, status = _newton(
-        f_prev, terms, _target(f_prev, terms, tau, settings.h), K, settings.tolerance, settings.max_iterations
+    f, _, _, it, rn, status, _ = _newton(  # no order: a single step always searches
+        f_prev, terms, _target(f_prev, terms, tau, settings.h), K, settings.tolerance, settings.max_iterations, None
     )
     _raise_for_status(status, it, rn)
     return np.array(f), it, rn
@@ -465,6 +474,7 @@ def simulate(
         wrenches[0] = total_wrench(force_models, p0, chi0, 0.0)
         target = [a + 0.25 * h * h * t for a, t in zip(target, wrenches[0].tolist())]
     two_over_h = 2.0 / h
+    order = None  # pivot order of the last searched solve; the first solve searches
     for k in range(n):
         if k:
             pose = dq_product(pose, _step_dq(f))
@@ -475,7 +485,7 @@ def simulate(
                 target = _target(f, terms, tau.tolist(), h)
             else:
                 target = _transported_ab(f, terms)
-        f, terms, ab, it, rn, status = _newton(f, terms, target, K, tol, max_iterations)
+        f, terms, ab, it, rn, status, order = _newton(f, terms, target, K, tol, max_iterations, order)
         iters[k] = it
         resnorms[k] = rn
         _raise_for_status(status, it, rn, k)

@@ -98,9 +98,16 @@ class Trajectory:
         self.times = np.asarray(times, dtype=np.float64)
         self.poses = np.asarray(poses, dtype=np.float64)
         self.twists = np.asarray(twists, dtype=np.float64)
+        if self.times.ndim != 1:
+            raise ValidationError(f"times must be one-dimensional, got shape {self.times.shape}")
         n = self.times.shape[0]
         if n == 0:
             raise ValidationError("a trajectory needs at least one state")
+        # compare_trajectories aligns runs on exact times: NaN or repeated times would drop rows
+        if not np.all(np.isfinite(self.times)):
+            raise ValidationError("times must be finite")
+        if not np.all(self.times[1:] > self.times[:-1]):
+            raise ValidationError("times must be strictly increasing")
         if self.poses.shape != (n, 8) or self.twists.shape != (n, 6):
             raise ValidationError("times, poses, and twists disagree on length")
 
@@ -323,18 +330,21 @@ def read_trajectory(path) -> Trajectory:
     energy = block("energy")
     solver = block("solver")
     constraints = block("constraints")
-    return Trajectory(
-        times=col["t"],
-        poses=poses,
-        twists=twists,
-        iterations=None if solver is None else solver[:, 0].astype(np.int64),
-        residual_norms=None if solver is None else solver[:, 1],
-        kinetic=None if energy is None else energy[:, 1],
-        potential=None if energy is None else energy[:, 2],
-        angular_momentum=block("momentum"),
-        unit_norm_errors=None if constraints is None else constraints[:, 0],
-        orthogonality_errors=None if constraints is None else constraints[:, 1],
-    )
+    try:
+        return Trajectory(
+            times=col["t"],
+            poses=poses,
+            twists=twists,
+            iterations=None if solver is None else solver[:, 0].astype(np.int64),
+            residual_norms=None if solver is None else solver[:, 1],
+            kinetic=None if energy is None else energy[:, 1],
+            potential=None if energy is None else energy[:, 2],
+            angular_momentum=block("momentum"),
+            unit_norm_errors=None if constraints is None else constraints[:, 0],
+            orthogonality_errors=None if constraints is None else constraints[:, 1],
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)

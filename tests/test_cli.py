@@ -264,6 +264,20 @@ def test_compare_malformed_file_is_exit_2(tmp_path, capsys):
     assert "bad.tsv" in capsys.readouterr().err
 
 
+def test_compare_repeated_time_is_exit_2(free_config, tmp_path, capsys):
+    good = tmp_path / "good.tsv"
+    bad = tmp_path / "repeated.tsv"
+    assert main(["run", "--config", str(free_config), "--output", str(good), "--steps", "5"]) == 0
+    header, *rows = good.read_text().splitlines()
+    # the last row again with different values at the same time
+    t, *rest = rows[-1].split("\t")
+    rows.append("\t".join([t] + ["0.5"] * len(rest)))
+    bad.write_text("".join(line + "\n" for line in [header] + rows))
+    capsys.readouterr()
+    assert main(["compare", str(good), str(bad)]) == 2
+    assert "repeated.tsv" in capsys.readouterr().err
+
+
 def test_compare_missing_file(tmp_path, capsys):
     assert main(["compare", str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")]) == 4
     capsys.readouterr()

@@ -1,9 +1,12 @@
 """Variational stepper: parametrization, residuals, Jacobian, Newton, runs."""
 
+import pathlib
+
 import numpy as np
 import pytest
 from conftest import random_pose
 
+from dqdyn import integrator
 from dqdyn.dynamics import (
     build_inertia,
     build_inertia_raw,
@@ -25,6 +28,9 @@ from dqdyn.integrator import (
 )
 from dqdyn.kinematics import body_wrench, pose_constraint_errors, pose_identity
 from dqdyn.quat import dq_identity
+from dqdyn.scenario import build_run, load_config
+
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 def random_step(rng, phi_scale=0.5):
@@ -472,3 +478,40 @@ def test_simulate_zero_steps_retrieves_initial_twist():
     traj = simulate(pose_identity(), chi0, M, (), SolverSettings(h=1e-3), 0)
     assert traj.n_states == 1
     np.testing.assert_allclose(traj.twists[0], chi0, rtol=1e-10, atol=1e-12)
+
+
+def _scenario_run(name, n_steps):
+    inputs = build_run(load_config(SCENARIO_DIR / f"{name}.yaml"))
+    return simulate(inputs.pose, inputs.twist, inputs.inertia, inputs.forces, inputs.settings, n_steps)
+
+
+@pytest.mark.parametrize("name", ["free_top", "generic_forced"])
+def test_reused_pivot_order_changes_no_state(monkeypatch, name):
+    # Newton reuses the last searched pivot order; with the same order the
+    # ordered solve returns solve_rows' bits, so the run must equal the one
+    # that searches every solve
+    searches = []
+    search = integrator.solve_rows
+
+    def counted(U, y):
+        searches.append(1)
+        return search(U, y)
+
+    monkeypatch.setattr(integrator, "solve_rows", counted)
+    reused = _scenario_run(name, 2000)
+    assert len(searches) == 1  # only the first solve of the run searched
+    monkeypatch.setattr(integrator, "solve_ordered", lambda J, y, order: None)
+    searched = _scenario_run(name, 2000)
+    assert len(searches) == 1 + int(searched.iterations.sum())
+    for column in ("poses", "twists", "steps", "iterations", "residual_norms"):
+        np.testing.assert_array_equal(getattr(reused, column), getattr(searched, column))
+
+
+def test_simulate_repeats_bit_for_bit():
+    # the reused pivot order lives in one call; nothing carries over, not
+    # even from a run of another body in between
+    first = _scenario_run("generic_forced", 500)
+    _scenario_run("damped_drop", 500)
+    second = _scenario_run("generic_forced", 500)
+    for column in ("poses", "twists", "steps", "iterations", "residual_norms"):
+        np.testing.assert_array_equal(getattr(first, column), getattr(second, column))

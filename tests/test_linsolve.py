@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from dqdyn.errors import SingularMatrixError
-from dqdyn.linsolve import solve_full_pivot, solve_linear
+from dqdyn.linsolve import COND_LIMIT, solve_full_pivot, solve_linear, solve_ordered, solve_rows
+
+IDENTITY_ORDER = (tuple(range(6)), tuple(range(6)))
 
 
 def test_matches_numpy_on_random_systems(rng):
@@ -73,3 +75,80 @@ def test_shape_validation():
         solve_linear(np.zeros((2, 3)), np.ones(2))
     with pytest.raises(SingularMatrixError):
         solve_linear(np.eye(3), np.ones(4))
+
+
+def _searched(A, b):
+    """solve_rows on copies of A and b: (x, cond, ok, order)."""
+    return solve_rows([list(r) for r in A], list(b))
+
+
+def _signed_zeros(rng, v):
+    """v with about half its off-diagonal entries set to +0.0 or -0.0."""
+    v = v.copy()
+    mask = rng.random(v.shape) < 0.5
+    if v.ndim == 2:
+        np.fill_diagonal(mask, False)
+    v[mask] = np.copysign(0.0, rng.normal(size=v.shape))[mask]
+    return v
+
+
+@pytest.mark.parametrize("noise, sparse", [(1e-3, False), (1.0, False), (1e-3, True)])
+def test_ordered_solve_is_bitwise_the_searched_solve(rng, noise, sparse):
+    # given the order the search picked, the straight-line elimination does
+    # the same float operations in the same order, so x and the estimate
+    # agree to the last bit; with exact zeros (as in the free-body
+    # Jacobians) that includes skipping rows whose multiplier is zero, or
+    # the sign of a zero in x would differ
+    for _ in range(200):
+        A = np.diag([1.0, 2.0, 3.0, 1.0, 1.0, 1.0]) + noise * rng.normal(size=(6, 6))
+        b = rng.normal(size=6)
+        if sparse:
+            A, b = _signed_zeros(rng, A), _signed_zeros(rng, b)
+        A, b = A.tolist(), b.tolist()
+        x_ref, cond_ref, ok, order = _searched(A, b)
+        assert ok and cond_ref <= COND_LIMIT
+        # the search's own order keeps every |multiplier| <= 1, so no check refuses it
+        x, cond = solve_ordered(A, b, order)
+        assert np.array(x).tobytes() == np.array(x_ref).tobytes()
+        assert cond == cond_ref
+
+
+def test_ordered_solve_leaves_inputs_unchanged(rng):
+    A = (np.eye(6) + 0.1 * rng.normal(size=(6, 6))).tolist()
+    b = rng.normal(size=6).tolist()
+    A0, b0 = [r[:] for r in A], b[:]
+    assert solve_ordered(A, b, _searched(A, b)[3]) is not None
+    assert A == A0 and b == b0
+
+
+def test_searched_order_is_in_original_indices():
+    # diag(1..6) with its rows reversed: the k-th pivot is 6 - k, on row k
+    # and column 5 - k
+    d = np.arange(1.0, 7.0)
+    A = np.diag(d)[::-1].tolist()
+    _, _, ok, (rows, cols) = _searched(A, [1.0] * 6)
+    assert ok and rows == (0, 1, 2, 3, 4, 5) and cols == (5, 4, 3, 2, 1, 0)
+    x, cond = solve_ordered(A, [1.0] * 6, (rows, cols))
+    assert cond == 6.0
+    np.testing.assert_array_equal(x, 1.0 / d)
+
+
+def _with(A, i, j, v):
+    A = np.array(A, dtype=float)
+    A[i, j] = v
+    return A
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        np.diag(np.arange(1.0, 7.0))[::-1],  # zero first pivot (test_kernel_flags' matrix)
+        _with(np.eye(6), 3, 0, 20.0),  # multiplier 20 > MULTIPLIER_LIMIT
+        _with(np.eye(6), 5, 5, 0.0),  # zero last pivot
+        _with(np.eye(6), 3, 0, np.nan),  # NaN entry: a NaN multiplier fails the bound check
+        np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1e-13]),  # estimate 1e13 > COND_LIMIT
+    ],
+    ids=["reversed-diagonal", "multiplier-20", "zero-last-pivot", "nan-entry", "ill-conditioned"],
+)
+def test_ordered_solve_refuses(A):
+    assert solve_ordered(A.tolist(), [1.0] * 6, IDENTITY_ORDER) is None

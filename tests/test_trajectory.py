@@ -214,6 +214,29 @@ def test_empty_trajectory_is_rejected():
         Trajectory(np.empty(0), np.empty((0, 8)), np.empty((0, 6)))
 
 
+def _two_states(times):
+    return Trajectory(times, [pose_identity()] * 2, np.zeros((2, 6)))
+
+
+def test_scalar_times_are_rejected():
+    with pytest.raises(ValidationError, match="one-dimensional"):
+        Trajectory(0.0, [pose_identity()], np.zeros((1, 6)))
+
+
+def test_nan_times_are_rejected():
+    # compare_trajectories would silently drop the NaN row
+    with pytest.raises(ValidationError, match="finite"):
+        _two_states([0.0, np.nan])
+
+
+def test_repeated_times_are_rejected():
+    # compare_trajectories would keep only the first row of a repeated time
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        _two_states([0.1, 0.1])
+    with pytest.raises(ValidationError, match="strictly increasing"):
+        _two_states([0.2, 0.1])
+
+
 def test_compare_identical_is_zero(spinning_run):
     report = compare_trajectories(spinning_run, spinning_run)
     assert report.n_common == spinning_run.n_states
