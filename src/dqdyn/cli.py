@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 from .errors import (
     ConfigError,
@@ -20,13 +19,7 @@ from .errors import (
 )
 from .integrator import simulate
 from .newton_euler import rk4_simulate
-from .scenario import (
-    INTEGRATOR_RK4,
-    INTEGRATOR_VARIATIONAL,
-    ScenarioConfig,
-    build_run,
-    load_config,
-)
+from .scenario import INTEGRATOR_RK4, INTEGRATOR_VARIATIONAL, build_run, load_config
 from .trajectory import compare_trajectories, read_trajectory, summarize, write_trajectory
 
 EXIT_OK = 0
@@ -69,41 +62,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: ScenarioConfig, args) -> ScenarioConfig:
+# flag (argparse dest) -> (config section, key) it overrides
+_FLAG_KEYS = {
+    "output": ("output", "path"),
+    "h": ("run", "h"),
+    "steps": ("run", "steps"),
+    "tol": ("run", "tolerance"),
+    "max_iter": ("run", "max_iterations"),
+    "integrator": ("run", "integrator"),
+    "stride": ("output", "stride"),
+}
+
+
+def _flag_overrides(args) -> dict:
+    """The flags given on the command line as config overrides, {section: {key: value}}."""
     overrides = {}
-    if args.output is not None:
-        overrides["output_path"] = args.output
-    if args.h is not None:
-        if args.h <= 0.0:
-            raise ConfigError("--h: time step must be positive")
-        overrides["h"] = args.h
-    if args.steps is not None:
-        if args.steps < 0:
-            raise ConfigError("--steps: must be non-negative")
-        overrides["steps"] = args.steps
-    if args.tol is not None:
-        if args.tol <= 0.0:
-            raise ConfigError("--tol: must be positive")
-        overrides["tolerance"] = args.tol
-    if args.max_iter is not None:
-        if args.max_iter < 1:
-            raise ConfigError("--max-iter: must be at least 1")
-        overrides["max_iterations"] = args.max_iter
-    if args.integrator is not None:
-        overrides["integrator"] = args.integrator
-    if args.stride is not None:
-        if args.stride < 1:
-            raise ConfigError("--stride: must be at least 1")
-        overrides["stride"] = args.stride
-    return replace(config, **overrides) if overrides else config
+    for flag, (section, key) in _FLAG_KEYS.items():
+        value = getattr(args, flag)
+        if value is not None:
+            overrides.setdefault(section, {})[key] = value
+    return overrides
 
 
 def _format_float(value: float) -> str:
     return f"{value:.6e}"
 
 
-def _run_one(path: str, args) -> str:
-    config = _apply_overrides(load_config(path), args)
+def _run_one(path: str, overrides: dict) -> str:
+    config = load_config(path, overrides)
     inputs = build_run(config)
     integrate = simulate if inputs.integrator == INTEGRATOR_VARIATIONAL else rk4_simulate
     traj = integrate(
@@ -138,7 +124,8 @@ def _run_one(path: str, args) -> str:
 def _cmd_run(args) -> int:
     if args.output is not None and len(args.config) > 1:
         raise ConfigError("--output applies to a single --config; batch runs take paths from each config")
-    print("\n\n".join(_run_one(path, args) for path in args.config))
+    overrides = _flag_overrides(args)
+    print("\n\n".join(_run_one(path, overrides) for path in args.config))
     return EXIT_OK
 
 

@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import FRAME_BODY, Wrench, check_pose
-from .linsolve import COND_LIMIT, solve_ordered, solve_rows
+from .linsolve import COND_LIMIT, matvec, solve_ordered, solve_rows
 from .quat import Array, dq_mul, dq_product, finite_vector6
 from .trajectory import Trajectory
 
@@ -54,7 +54,11 @@ _MAX_BACKTRACK = 60
 
 @dataclass(frozen=True)
 class SolverSettings:
-    """Time step and Newton controls for the implicit solve."""
+    """Time step and Newton controls for the implicit solve.
+
+    Each error message starts with the setting's name, which
+    ``scenario.build_run`` turns into the config key ``run.<name>``.
+    """
 
     h: float
     tolerance: float = 1e-12
@@ -62,7 +66,7 @@ class SolverSettings:
 
     def __post_init__(self):
         if not (self.h > 0.0 and math.isfinite(self.h)):
-            raise ValidationError(f"time step h must be positive and finite, got {self.h}")
+            raise ValidationError(f"h must be positive and finite, got {self.h}")
         if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
             raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance}")
         if self.max_iterations < 1:
@@ -79,8 +83,9 @@ class _Inertia(NamedTuple):
     mass: float  # M22[0][0]: the isotropic mass when simple
 
 
-def _float_inertia(M: InertiaMatrix6) -> _Inertia:
-    """Convert M once per call into the form the step kernels read."""
+def float_inertia(M: InertiaMatrix6) -> _Inertia:
+    """Convert M once per call into the form the step kernels (and the RK4
+    oracle) read."""
     rows = M.matrix.tolist()
     mass = rows[3][3]
     m22 = [r[3:] for r in rows[3:]]
@@ -100,9 +105,7 @@ def _momentum_terms(f, K: _Inertia) -> tuple:
     Everything the step momentum, its transport and the Jacobian share.
     """
     p0, p1, p2, s0, s1, s2 = f
-    w0, w1, w2, u0, u1, u2 = [
-        m0 * p0 + m1 * p1 + m2 * p2 + m3 * s0 + m4 * s1 + m5 * s2 for m0, m1, m2, m3, m4, m5 in K.rows
-    ]
+    w0, w1, w2, u0, u1, u2 = matvec(K.rows, f)
     return math.sqrt(1.0 - _phi_norm2(f)), s0 * p0 + s1 * p1 + s2 * p2, u0, u1, u2, w0, w1, w2
 
 
@@ -278,12 +281,6 @@ def _step_dq(f) -> tuple:
     return gamma, p0, p1, p2, -(s0 * p0 + s1 * p1 + s2 * p2) / gamma, s0, s1, s2
 
 
-def _scaled_product(s: float, rows, v) -> list:
-    """s * (A v) for the 6x6 matrix A given by its rows."""
-    v0, v1, v2, v3, v4, v5 = v
-    return [s * (m0 * v0 + m1 * v1 + m2 * v2 + m3 * v3 + m4 * v4 + m5 * v5) for m0, m1, m2, m3, m4, m5 in rows]
-
-
 def _as_step(step) -> Array:
     f = finite_vector6(step, "step variables")
     n2 = _phi_norm2(f.tolist())
@@ -319,7 +316,7 @@ def step_to_dual_quaternion(step) -> Array:
 def residual(step, M: InertiaMatrix6) -> tuple[Array, Array]:
     """Step momentum (A, B): rotational and translational components."""
     f = _as_step(step).tolist()
-    out = np.array(_residual_ab(f, _momentum_terms(f, _float_inertia(M))))
+    out = np.array(_residual_ab(f, _momentum_terms(f, float_inertia(M))))
     return out[:3], out[3:]
 
 
@@ -328,7 +325,7 @@ def rhs(prev_step, M: InertiaMatrix6, wrench, h: float) -> tuple[Array, Array]:
     wrench impulse (h^2/2) [torque; force], body frame."""
     f = _as_step(prev_step).tolist()
     tau = _wrench_body_vector(wrench).tolist()
-    out = np.array(_target(f, _momentum_terms(f, _float_inertia(M)), tau, h))
+    out = np.array(_target(f, _momentum_terms(f, float_inertia(M)), tau, h))
     return out[:3], out[3:]
 
 
@@ -340,7 +337,7 @@ def jacobian(step, M: InertiaMatrix6, method: str = "auto") -> Array:
     reference, isotropic mass block). Both forms agree there.
     """
     f = _as_step(step).tolist()
-    K = _float_inertia(M)
+    K = float_inertia(M)
     if method == "auto":
         method = "simplified" if K.simple else "general"
     if method == "simplified":
@@ -357,13 +354,18 @@ def jacobian(step, M: InertiaMatrix6, method: str = "auto") -> Array:
 
 
 def initial_guess(chi, h: float) -> Array:
-    """Warm start (h/2) * [omega; v] for the first step's Newton solve."""
+    """Warm start (h/2) * [omega; v] for the first step's Newton solve.
+
+    Raises StepTooLargeError when h*|omega|/2 >= 1, the first step's
+    half-turn bound; config parsing checks a run's h through this call.
+    """
     chi = finite_vector6(chi, "twist")
     f = 0.5 * float(h) * chi
     if _phi_norm2(f.tolist()) >= 1.0:
+        omega = np.linalg.norm(chi[:3])
         raise StepTooLargeError(
-            f"h*|omega|/2 = {0.5 * h * np.linalg.norm(chi[:3]):.6g} >= 1: one step would "
-            "rotate 180 degrees or more; reduce the time step"
+            f"h*|omega|/2 = {0.5 * h * omega:.6g} >= 1: one step would rotate 180 degrees "
+            f"or more, outside the step parametrization's half-turn bound; reduce h below {2.0 / omega:.3g}"
         )
     return f
 
@@ -376,7 +378,7 @@ def solve_step(prev_step, M: InertiaMatrix6, wrench, settings: SolverSettings):
     """
     f_prev = _as_step(prev_step).tolist()
     tau = _wrench_body_vector(wrench).tolist()
-    K = _float_inertia(M)
+    K = float_inertia(M)
     terms = _momentum_terms(f_prev, K)
     f, _, _, it, rn, status, _ = _newton(  # no order: a single step always searches
         f_prev, terms, _target(f_prev, terms, tau, settings.h), K, settings.tolerance, settings.max_iterations, None
@@ -420,8 +422,9 @@ def advance_pose(pose, step) -> Array:
 def retrieve_twist(step, M: InertiaMatrix6, h: float) -> Array:
     """Body twist consistent with the step momentum: (2/h) M^-1 [A; B]."""
     f = _as_step(step).tolist()
-    K = _float_inertia(M)
-    return np.array(_scaled_product(2.0 / float(h), K.inverse, _residual_ab(f, _momentum_terms(f, K))))
+    K = float_inertia(M)
+    s = 2.0 / float(h)
+    return np.array([s * x for x in matvec(K.inverse, _residual_ab(f, _momentum_terms(f, K)))])
 
 
 def simulate(
@@ -456,7 +459,7 @@ def simulate(
     tol = settings.tolerance
     max_iterations = settings.max_iterations
     f = initial_guess(chi0, h).tolist()  # fails fast on a step rotation >= 180 degrees
-    K = _float_inertia(M)
+    K = float_inertia(M)
     force_models = list(forces)
 
     n = n_steps + 1
@@ -469,7 +472,7 @@ def simulate(
     pose = p0.tolist()
     poses[0] = pose
     terms = _momentum_terms(f, K)
-    target = _scaled_product(0.5 * h, K.rows, chi0.tolist())
+    target = [0.5 * h * x for x in matvec(K.rows, chi0.tolist())]
     if force_models:
         wrenches[0] = total_wrench(force_models, p0, chi0, 0.0)
         target = [a + 0.25 * h * h * t for a, t in zip(target, wrenches[0].tolist())]
@@ -490,7 +493,7 @@ def simulate(
         resnorms[k] = rn
         _raise_for_status(status, it, rn, k)
         steps[k] = f
-        twists[k] = _scaled_product(two_over_h, K.inverse, ab)
+        twists[k] = [two_over_h * x for x in matvec(K.inverse, ab)]
 
     times = np.arange(n) * h
     return Trajectory.from_raw(

@@ -209,7 +209,9 @@ class Wrench:
         if torque.shape != (3,) or force.shape != (3,):
             raise ValidationError("wrench torque and force must each have shape (3,)")
         if self.frame not in (FRAME_BODY, FRAME_WORLD):
-            raise ValidationError(f"unknown wrench frame {self.frame!r}")
+            raise ValidationError(
+                f"unknown wrench frame {self.frame!r}; use '{FRAME_BODY}' or '{FRAME_WORLD}'"
+            )
         object.__setattr__(self, "torque", torque)
         object.__setattr__(self, "force", force)
 

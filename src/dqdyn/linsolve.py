@@ -30,6 +30,12 @@ COND_LIMIT = 1e12
 MULTIPLIER_LIMIT = 10.0
 
 
+def matvec(rows, v) -> list:
+    """A v for the 6x6 matrix A given by its rows, summed left to right."""
+    v0, v1, v2, v3, v4, v5 = v
+    return [m0 * v0 + m1 * v1 + m2 * v2 + m3 * v3 + m4 * v4 + m5 * v5 for m0, m1, m2, m3, m4, m5 in rows]
+
+
 def solve_rows(U: list, y: list):
     """Solve U x = y on row lists of Python floats.
 

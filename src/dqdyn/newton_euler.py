@@ -38,8 +38,9 @@ import numpy as np
 
 from .dynamics import InertiaMatrix6, total_wrench
 from .errors import ValidationError
-from .integrator import SolverSettings
+from .integrator import SolverSettings, float_inertia
 from .kinematics import check_pose, pose_to_rotation_translation, vector_sandwich
+from .linsolve import matvec
 from .quat import Array, finite_vector6
 from .trajectory import Trajectory
 
@@ -69,17 +70,6 @@ def _unpack(y) -> ContinuousState:
     return ContinuousState(orientation=y[:4], translation=y[4:7], twist=y[7:])
 
 
-def _inertia_rows(M: InertiaMatrix6) -> tuple:
-    """(rows of M, rows of M^-1) as Python floats, converted once per call."""
-    return M.matrix.tolist(), M.inverse.tolist()
-
-
-def _matvec(rows, v) -> list:
-    """A v for the 6x6 matrix A given by its rows, summed left to right."""
-    v0, v1, v2, v3, v4, v5 = v
-    return [m0 * v0 + m1 * v1 + m2 * v2 + m3 * v3 + m4 * v4 + m5 * v5 for m0, m1, m2, m3, m4, m5 in rows]
-
-
 def _pose_of(y) -> tuple:
     """Dual quaternion (q, (1/2)(0, l) q) of the state, without unit validation
     (RK4 stages drift off the group)."""
@@ -93,12 +83,11 @@ def _pose_of(y) -> tuple:
     )
 
 
-def _deriv(y, K: tuple, forces, t: float) -> list:
+def _deriv(y, K, forces, t: float) -> list:
     """[qdot; ldot; chidot] of the 13-float state y = [q; l; chi]."""
     q0, q1, q2, q3 = y[:4]
     w0, w1, w2, v0, v1, v2 = chi = y[7:]
-    rows, inverse = K
-    p0, p1, p2, p3, p4, p5 = _matvec(rows, chi)
+    p0, p1, p2, p3, p4, p5 = matvec(K.rows, chi)
     pidot = [
         p1 * w2 - p2 * w1 + p4 * v2 - p5 * v1,
         p2 * w0 - p0 * w2 + p5 * v0 - p3 * v2,
@@ -116,16 +105,16 @@ def _deriv(y, K: tuple, forces, t: float) -> list:
         0.5 * (q0 * w1 - q1 * w2 + q3 * w0),
         0.5 * (q0 * w2 + q1 * w1 - q2 * w0),
         *vector_sandwich((q0, q1, q2, q3), (v0, v1, v2)),
-        *_matvec(inverse, pidot),
+        *matvec(K.inverse, pidot),
     ]
 
 
 def state_derivative(state: ContinuousState, M: InertiaMatrix6, forces: Sequence = (), t: float = 0.0) -> ContinuousState:
     """Time derivative of the classical state under the given force models."""
-    return _unpack(_deriv(_pack(state), _inertia_rows(M), list(forces), t))
+    return _unpack(_deriv(_pack(state), float_inertia(M), list(forces), t))
 
 
-def _rk4_step(y, K: tuple, forces, t: float, h: float) -> list:
+def _rk4_step(y, K, forces, t: float, h: float) -> list:
     half = 0.5 * h
     k1 = _deriv(y, K, forces, t)
     k2 = _deriv([a + half * b for a, b in zip(y, k1)], K, forces, t + half)
@@ -141,7 +130,7 @@ def _rk4_step(y, K: tuple, forces, t: float, h: float) -> list:
 
 def rk4_step(state: ContinuousState, M: InertiaMatrix6, forces: Sequence = (), t: float = 0.0, h: float = 1e-3) -> ContinuousState:
     """One classical RK4 step; the quaternion is renormalized afterwards."""
-    return _unpack(_rk4_step(_pack(state), _inertia_rows(M), list(forces), float(t), float(h)))
+    return _unpack(_rk4_step(_pack(state), float_inertia(M), list(forces), float(t), float(h)))
 
 
 def _poses_from_orientation_translation(qs: Array, ls: Array) -> Array:
@@ -173,7 +162,7 @@ def rk4_simulate(
     if n_steps < 0:
         raise ValidationError(f"n_steps must be >= 0, got {n_steps}")
     h = settings.h
-    K = _inertia_rows(M)
+    K = float_inertia(M)
     force_models = list(forces)
     ys = np.empty((n_steps + 1, 13))
     y = q0.tolist() + l0.tolist() + chi0.tolist()

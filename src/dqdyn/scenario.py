@@ -40,6 +40,15 @@ Alternative spellings, each exclusive with its counterpart:
 ``parse_config`` fills every default, so parse -> serialize -> parse is the
 identity on configs. Unknown keys are rejected rather than ignored: a typo
 in a tolerance should fail loudly, not silently run with the default.
+
+Parsing proves a config can be built by building it: it ends with
+``build_run`` and the first step's warm start, so the rules of the library
+constructors (positive h and tolerance, at least one Newton iteration,
+non-negative stiffness and damping, the half-turn bound on the first step)
+are checked once, where they are defined, and every error is a
+``ConfigError`` naming the key at fault (``run.h``, ``forces[1]``...).
+Overrides such as the CLI flags are merged into the document before
+parsing, so a flag value meets exactly the checks of the key it sets.
 """
 
 from __future__ import annotations
@@ -60,11 +69,10 @@ from .dynamics import (
     gravity_potential,
     spring_potential,
 )
-from .errors import ConfigError, DqdynError
-from .integrator import SolverSettings
+from .errors import ConfigError, DqdynError, StepTooLargeError
+from .integrator import SolverSettings, initial_guess
 from .kinematics import (
     FRAME_BODY,
-    FRAME_WORLD,
     ScrewParameters,
     Wrench,
     pose_from_rotation_translation,
@@ -76,7 +84,13 @@ INTEGRATOR_VARIATIONAL = "dqvi"
 INTEGRATOR_RK4 = "rk4"
 _INTEGRATORS = (INTEGRATOR_VARIATIONAL, INTEGRATOR_RK4)
 
-_FORCE_TYPES = ("gravity", "spring", "constant_wrench", "linear_damping")
+_FORCE_KEYS = {
+    "gravity": {"acceleration"},
+    "spring": {"stiffness", "anchor_world", "attachment_body", "rest_length"},
+    "constant_wrench": {"torque", "force", "frame"},
+    "linear_damping": {"angular", "linear"},
+}
+_FORCE_TYPES = tuple(_FORCE_KEYS)
 
 
 def _vector(value, n: int, where: str) -> tuple:
@@ -110,6 +124,14 @@ def _scalar(value, where: str) -> float:
     if not np.isfinite(out):
         raise ConfigError(f"{where}: must be finite")
     return out
+
+
+def _integer(value, where: str, minimum: Optional[int] = None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{where}: must be at least {minimum}, got {value}")
+    return value
 
 
 def _require_mapping(value, where: str) -> dict:
@@ -160,8 +182,8 @@ class ScenarioConfig:
     h: float = 1e-3
     steps: int = 1000
     integrator: str = INTEGRATOR_VARIATIONAL
-    tolerance: float = 1e-12
-    max_iterations: int = 20
+    tolerance: float = SolverSettings.tolerance
+    max_iterations: int = SolverSettings.max_iterations
     output_path: Optional[str] = None
     stride: int = 1
     fields: Optional[tuple] = None
@@ -256,14 +278,6 @@ def _parse_initial(section, inertia: InertiaMatrix6) -> dict:
     return out
 
 
-_FORCE_KEYS = {
-    "gravity": {"acceleration"},
-    "spring": {"stiffness", "anchor_world", "attachment_body", "rest_length"},
-    "constant_wrench": {"torque", "force", "frame"},
-    "linear_damping": {"angular", "linear"},
-}
-
-
 def _parse_force(entry, index: int) -> ForceSpec:
     where = f"forces[{index}]"
     force = _require_mapping(entry, where)
@@ -283,31 +297,22 @@ def _parse_force(entry, index: int) -> ForceSpec:
             if key not in force:
                 raise ConfigError(f"{where}: spring requires '{key}'")
         params["stiffness"] = _scalar(force["stiffness"], f"{where}.stiffness")
-        if params["stiffness"] < 0.0:
-            raise ConfigError(f"{where}.stiffness: must be non-negative")
         params["anchor_world"] = _vector(force["anchor_world"], 3, f"{where}.anchor_world")
         params["attachment_body"] = _vector(
             force["attachment_body"], 3, f"{where}.attachment_body"
         )
         params["rest_length"] = _scalar(force.get("rest_length", 0.0), f"{where}.rest_length")
     elif kind == "constant_wrench":
-        frame = force.get("frame", FRAME_BODY)
-        if frame not in (FRAME_BODY, FRAME_WORLD):
-            raise ConfigError(
-                f"{where}.frame: must be '{FRAME_BODY}' or '{FRAME_WORLD}', got {frame!r}"
-            )
-        params["frame"] = frame
+        params["frame"] = force.get("frame", FRAME_BODY)
         params["torque"] = _vector(force.get("torque", (0.0, 0.0, 0.0)), 3, f"{where}.torque")
         params["force"] = _vector(force.get("force", (0.0, 0.0, 0.0)), 3, f"{where}.force")
     else:  # linear_damping
         for key in ("angular", "linear"):
             value = force.get(key, 0.0)
-            if isinstance(value, (int, float)) and not isinstance(value, bool):
-                params[key] = (float(value),) * 3
-            else:
+            if isinstance(value, list):
                 params[key] = _vector(value, 3, f"{where}.{key}")
-            if any(c < 0.0 for c in params[key]):
-                raise ConfigError(f"{where}.{key}: coefficients must be non-negative")
+            else:
+                params[key] = (_scalar(value, f"{where}.{key}"),) * 3
     return ForceSpec(type=kind, params=tuple(sorted(params.items())))
 
 
@@ -317,14 +322,8 @@ def _parse_run(section) -> dict:
     out = {}
     if "h" in run:
         out["h"] = _scalar(run["h"], "run.h")
-        if out["h"] <= 0.0:
-            raise ConfigError("run.h: time step must be positive")
     if "steps" in run:
-        if isinstance(run["steps"], bool) or not isinstance(run["steps"], int):
-            raise ConfigError(f"run.steps: expected an integer, got {run['steps']!r}")
-        if run["steps"] < 0:
-            raise ConfigError("run.steps: must be non-negative")
-        out["steps"] = run["steps"]
+        out["steps"] = _integer(run["steps"], "run.steps", minimum=0)
     if "integrator" in run:
         if run["integrator"] not in _INTEGRATORS:
             raise ConfigError(
@@ -334,16 +333,8 @@ def _parse_run(section) -> dict:
         out["integrator"] = run["integrator"]
     if "tolerance" in run:
         out["tolerance"] = _scalar(run["tolerance"], "run.tolerance")
-        if out["tolerance"] <= 0.0:
-            raise ConfigError("run.tolerance: must be positive")
     if "max_iterations" in run:
-        if isinstance(run["max_iterations"], bool) or not isinstance(run["max_iterations"], int):
-            raise ConfigError(
-                f"run.max_iterations: expected an integer, got {run['max_iterations']!r}"
-            )
-        if run["max_iterations"] < 1:
-            raise ConfigError("run.max_iterations: must be at least 1")
-        out["max_iterations"] = run["max_iterations"]
+        out["max_iterations"] = _integer(run["max_iterations"], "run.max_iterations")
     return out
 
 
@@ -358,11 +349,7 @@ def _parse_output(section) -> dict:
             raise ConfigError(f"output.path: expected a non-empty string, got {output['path']!r}")
         out["output_path"] = output["path"]
     if "stride" in output:
-        if isinstance(output["stride"], bool) or not isinstance(output["stride"], int):
-            raise ConfigError(f"output.stride: expected an integer, got {output['stride']!r}")
-        if output["stride"] < 1:
-            raise ConfigError("output.stride: must be at least 1")
-        out["stride"] = output["stride"]
+        out["stride"] = _integer(output["stride"], "output.stride", minimum=1)
     if "fields" in output:
         if not isinstance(output["fields"], list) or not output["fields"]:
             raise ConfigError("output.fields: expected a non-empty list of group names")
@@ -388,13 +375,18 @@ def config_inertia(config: ScenarioConfig) -> InertiaMatrix6:
         raise ConfigError(f"body: {exc}") from exc
 
 
-def parse_config(text: str) -> ScenarioConfig:
+def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
     """Parse and validate a YAML scenario document.
 
-    Every default is filled in, momentum initial conditions are converted
-    to twists, and physical consistency (SPD inertia, the half-turn bound
-    on the first step) is checked here so a config that parses will start
-    integrating.
+    ``overrides`` maps section names to keys, e.g. ``{"run": {"h": 1e-4}}``,
+    and is merged into the document before anything is checked, so an
+    override meets exactly the checks of the key it replaces.
+
+    Every default is filled in and momentum initial conditions are
+    converted to twists. Parsing ends by building the run (inertia, force
+    models, solver settings) and the first step's warm start, so a config
+    that parses will start integrating; an error names the section or key
+    at fault.
     """
     try:
         doc = yaml.safe_load(text)
@@ -403,6 +395,8 @@ def parse_config(text: str) -> ScenarioConfig:
     if doc is None:
         raise ConfigError("empty config")
     doc = _require_mapping(doc, "config")
+    for name, values in (overrides or {}).items():
+        doc[name] = {**_require_mapping(doc.get(name, {}), name), **values}
     _reject_unknown(doc, ("body", "initial", "forces", "run", "output"), "config")
     if "body" not in doc:
         raise ConfigError("config: required section 'body' is missing")
@@ -427,21 +421,18 @@ def parse_config(text: str) -> ScenarioConfig:
     if "output" in doc:
         config = replace(config, **_parse_output(doc["output"]))
 
-    omega = float(np.linalg.norm(config.body_twist[:3]))
-    if 0.5 * config.h * omega >= 1.0:
-        raise ConfigError(
-            f"run.h: h*|omega|/2 = {0.5 * config.h * omega:.3g} >= 1, so the "
-            "first step would rotate by 180 degrees or more, outside the step "
-            "parametrization's half-turn bound; reduce h below "
-            f"{2.0 / omega:.3g}"
-        )
+    run = build_run(config)
+    try:
+        initial_guess(run.twist, run.settings.h)
+    except StepTooLargeError as exc:
+        raise ConfigError(f"run.h: {exc}") from exc
     return config
 
 
-def load_config(path) -> ScenarioConfig:
-    """Read and parse a config file."""
+def load_config(path, overrides: Optional[dict] = None) -> ScenarioConfig:
+    """Read and parse a config file; ``overrides`` as in ``parse_config``."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read())
+        return parse_config(handle.read(), overrides)
 
 
 def serialize_config(config: ScenarioConfig) -> str:
@@ -481,41 +472,43 @@ def serialize_config(config: ScenarioConfig) -> str:
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
 
+def _force_model(config: ScenarioConfig, spec: ForceSpec):
+    if spec.type == "gravity":
+        return force_model_from_potential(
+            gravity_potential(config.mass, spec.get("acceleration"), config.reference_offset)
+        )
+    if spec.type == "spring":
+        return force_model_from_potential(
+            spring_potential(
+                spec.get("anchor_world"),
+                spec.get("attachment_body"),
+                spec.get("stiffness"),
+                spec.get("rest_length"),
+            )
+        )
+    if spec.type == "constant_wrench":
+        return constant_wrench_model(
+            Wrench(
+                torque=np.asarray(spec.get("torque")),
+                force=np.asarray(spec.get("force")),
+                frame=spec.get("frame"),
+            )
+        )
+    return damping_model(spec.get("angular"), spec.get("linear"))
+
+
 def build_force_models(config: ScenarioConfig) -> tuple:
-    """Instantiate the force models a config's ``forces`` list describes."""
+    """Instantiate the force models a config's ``forces`` list describes.
+
+    A model constructor's error is re-raised as a ``ConfigError`` naming
+    the entry, ``forces[i]``.
+    """
     models = []
-    for spec in config.forces:
-        if spec.type == "gravity":
-            models.append(
-                force_model_from_potential(
-                    gravity_potential(
-                        config.mass, spec.get("acceleration"), config.reference_offset
-                    )
-                )
-            )
-        elif spec.type == "spring":
-            models.append(
-                force_model_from_potential(
-                    spring_potential(
-                        spec.get("anchor_world"),
-                        spec.get("attachment_body"),
-                        spec.get("stiffness"),
-                        spec.get("rest_length"),
-                    )
-                )
-            )
-        elif spec.type == "constant_wrench":
-            models.append(
-                constant_wrench_model(
-                    Wrench(
-                        torque=np.asarray(spec.get("torque")),
-                        force=np.asarray(spec.get("force")),
-                        frame=spec.get("frame"),
-                    )
-                )
-            )
-        else:
-            models.append(damping_model(spec.get("angular"), spec.get("linear")))
+    for index, spec in enumerate(config.forces):
+        try:
+            models.append(_force_model(config, spec))
+        except DqdynError as exc:
+            raise ConfigError(f"forces[{index}]: {exc}") from exc
     return tuple(models)
 
 
@@ -533,17 +526,26 @@ class RunInputs:
 
 
 def build_run(config: ScenarioConfig) -> RunInputs:
-    """Turn a validated config into concrete simulation inputs."""
+    """Turn a config into concrete simulation inputs.
+
+    Constructor errors are re-raised as ``ConfigError``s naming the config
+    key: ``body``, ``forces[i]``, or ``run.<key>`` for the solver settings
+    (whose messages start with the setting's name).
+    """
+    try:
+        settings = SolverSettings(
+            h=config.h,
+            tolerance=config.tolerance,
+            max_iterations=config.max_iterations,
+        )
+    except DqdynError as exc:
+        raise ConfigError(f"run.{exc}") from exc
     return RunInputs(
         pose=pose_from_rotation_translation(config.orientation, config.translation),
         twist=np.asarray(config.body_twist, dtype=np.float64),
         inertia=config_inertia(config),
         forces=build_force_models(config),
-        settings=SolverSettings(
-            h=config.h,
-            tolerance=config.tolerance,
-            max_iterations=config.max_iterations,
-        ),
+        settings=settings,
         n_steps=config.steps,
         integrator=config.integrator,
     )

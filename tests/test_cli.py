@@ -1,11 +1,18 @@
 """Command line behavior: exit codes, output files, determinism."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import dqdyn
 from dqdyn.cli import main
+
+# a child process imports the same dqdyn as this one, installed or not
+CHILD_PYTHONPATH = os.pathsep.join(
+    filter(None, [os.path.dirname(os.path.dirname(dqdyn.__file__)), os.environ.get("PYTHONPATH")])
+)
 
 FREE_BODY = """
 body:
@@ -120,6 +127,43 @@ def test_bad_config_is_config_error(tmp_path, capsys):
 def test_bad_flag_value_is_config_error(free_config, capsys):
     assert main(["run", "--config", str(free_config), "--steps", "-3"]) == 2
     capsys.readouterr()
+
+
+HALF_TURN = """
+body:
+  mass: 1.0
+  inertia: [1.0, 2.0, 3.0]
+initial:
+  body_twist: [10.0, 0.0, 0.0, 0.0, 0.0, 0.0]
+run:
+  h: 0.5
+  steps: 5
+"""
+
+
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [
+        ("--h", "0", "run.h"),
+        ("--h", "100", "run.h"),  # breaks the first step's half-turn bound
+        ("--tol", "-1", "run.tolerance"),
+        ("--max-iter", "0", "run.max_iterations"),
+        ("--steps", "-1", "run.steps"),
+        ("--stride", "0", "output.stride"),
+    ],
+)
+def test_flag_is_checked_as_its_config_key(free_config, capsys, flag, value, key):
+    assert main(["run", "--config", str(free_config), flag, value]) == 2
+    assert key in capsys.readouterr().err
+
+
+def test_step_flag_rescues_half_turn_config(tmp_path, capsys):
+    path = tmp_path / "half_turn.yaml"
+    path.write_text(HALF_TURN)
+    assert main(["run", "--config", str(path)]) == 2
+    assert "reduce h below 0.2" in capsys.readouterr().err
+    assert main(["run", "--config", str(path), "--h", "1e-3"]) == 0
+    assert "steps: 5" in capsys.readouterr().out
 
 
 def test_infinite_step_flag_is_config_error(free_config, capsys):
@@ -300,6 +344,7 @@ def test_console_entry_point(free_config, tmp_path):
         ],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": CHILD_PYTHONPATH},
     )
     assert result.returncode == 0
     assert "steps: 5" in result.stdout

@@ -286,6 +286,16 @@ initial:
             "forces: [{type: linear_damping, angular: -0.1}]",
             "non-negative",
         ),
+        (
+            "body: {mass: 1.0, inertia: [1, 2, 3]}\n"
+            "forces: [{type: linear_damping, angular: .nan}]",
+            "forces[0].angular",
+        ),
+        (
+            "body: {mass: 1.0, inertia: [1, 2, 3]}\n"
+            "forces: [{type: constant_wrench, frame: inertial}]",
+            "frame",
+        ),
         ("[1, 2, 3]", "mapping"),
         ("", "empty"),
         ("body: {mass: 1.0, inertia: [1, 2, 3]}\ninitial: {body_twist: [1, 2]}", "6"),
