@@ -19,7 +19,7 @@ from .errors import (
 )
 from .integrator import simulate
 from .newton_euler import rk4_simulate
-from .scenario import INTEGRATOR_RK4, INTEGRATOR_VARIATIONAL, build_run, load_config
+from .scenario import INTEGRATOR_RK4, INTEGRATOR_VARIATIONAL, _load
 from .trajectory import compare_trajectories, read_trajectory, summarize, write_trajectory
 
 EXIT_OK = 0
@@ -89,8 +89,7 @@ def _format_float(value: float) -> str:
 
 
 def _run_one(path: str, overrides: dict) -> str:
-    config = load_config(path, overrides)
-    inputs = build_run(config)
+    config, inputs = _load(path, overrides)  # the run parsing built to check the config
     integrate = simulate if inputs.integrator == INTEGRATOR_VARIATIONAL else rk4_simulate
     traj = integrate(
         inputs.pose,

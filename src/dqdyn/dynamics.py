@@ -24,10 +24,10 @@ from .kinematics import (
     FRAME_BODY,
     FRAME_WORLD,
     Wrench,
+    _translation,
     body_wrench,
+    check_pose,
     point_sandwich,
-    pose_to_rotation_translation,
-    rotate_vector,
     rotation_conjugate,
     vector_sandwich,
 )
@@ -130,28 +130,42 @@ def build_inertia_raw(matrix) -> InertiaMatrix6:
     return _assemble(matrix)
 
 
-def kinetic_energy(M: InertiaMatrix6, chi) -> float:
+def kinetic_energy(M: InertiaMatrix6, chi):
+    """0.5 chi . M chi of one twist, or of each twist of a stack (leading axes)."""
     chi = np.asarray(chi, dtype=np.float64)
-    return 0.5 * float(chi @ (M.matrix @ chi))
+    return 0.5 * np.einsum("...i,ij,...j->...", chi, M.matrix, chi)
 
 
 def momentum(M: InertiaMatrix6, chi) -> Array:
-    """Body-frame generalized momentum [angular; linear] = M chi."""
-    return M.matrix @ np.asarray(chi, dtype=np.float64)
+    """Body-frame generalized momentum [angular; linear] = M chi, of one twist
+    or of each twist of a stack (leading axes)."""
+    return np.asarray(chi, dtype=np.float64) @ M.matrix.T
+
+
+def _rotate(q, v) -> Array:
+    """Rotate v by the quaternion q (w, x, y, z), row by row over leading axes."""
+    w = q[..., :1]
+    qv = q[..., 1:]
+    dot = np.einsum("...i,...i->...", qv, qv)[..., None]
+    cr = np.cross(qv, v)
+    return (w * w - dot) * v + 2.0 * np.einsum("...i,...i->...", qv, v)[..., None] * qv + 2.0 * w * cr
 
 
 def world_momentum(p, M: InertiaMatrix6, chi) -> tuple[Array, Array]:
     """(angular momentum about the world origin, linear momentum), world frame.
 
     Both are first integrals of a free body regardless of where the body
-    reference point sits.
+    reference point sits. ``p`` and ``chi`` are one pose and twist, or stacks
+    of them (leading axes); a single pose must lie on the unit group, a
+    stack is taken as it is, so a trajectory's drifted rows still report.
     """
     p = np.asarray(p, dtype=np.float64)
+    if p.ndim == 1:
+        check_pose(p)
     pi = momentum(M, chi)
-    q = p[:4]
-    _, l = pose_to_rotation_translation(p)
-    P = rotate_vector(q, pi[3:])
-    L = rotate_vector(q, pi[:3]) + np.cross(l, P)
+    q = p[..., :4]
+    P = _rotate(q, pi[..., 3:])
+    L = _rotate(q, pi[..., :3]) + np.cross(_translation(p), P)
     return L, P
 
 
@@ -267,8 +281,12 @@ class ForceModel:
     """
 
     evaluate: Callable[[Array, Array, float], Wrench]
-    conservative: bool = False
     energy: Optional[Callable[[Array], float]] = None
+
+    @property
+    def conservative(self) -> bool:
+        """True exactly when the model carries a potential."""
+        return self.energy is not None
 
 
 def force_model_from_potential(field: PotentialField, numeric: bool = False) -> ForceModel:
@@ -283,7 +301,7 @@ def force_model_from_potential(field: PotentialField, numeric: bool = False) -> 
     else:
         def evaluate(pose, chi, t):
             return numeric_conservative_wrench(field, pose)
-    return ForceModel(evaluate=evaluate, conservative=True, energy=field.evaluate)
+    return ForceModel(evaluate=evaluate, energy=field.evaluate)
 
 
 def constant_wrench_model(wrench: Wrench) -> ForceModel:
@@ -294,7 +312,7 @@ def constant_wrench_model(wrench: Wrench) -> ForceModel:
     def evaluate(pose, chi, t):
         return wrench
 
-    return ForceModel(evaluate=evaluate, conservative=False)
+    return ForceModel(evaluate=evaluate)
 
 
 def _damping_coefficients(value, what: str) -> Array:
@@ -322,7 +340,7 @@ def damping_model(angular, linear) -> ForceModel:
         w0, w1, w2, v0, v1, v2 = as_floats(chi)
         return body_wrench((a0 * w0, a1 * w1, a2 * w2), (l0 * v0, l1 * v1, l2 * v2))
 
-    return ForceModel(evaluate=evaluate, conservative=False)
+    return ForceModel(evaluate=evaluate)
 
 
 def total_wrench(models: Sequence[ForceModel], pose, chi, t: float) -> Array:
@@ -354,6 +372,6 @@ def potential_energy(models: Sequence[ForceModel], pose) -> float:
     """Sum of the potentials of the conservative models."""
     total = 0.0
     for model in models:
-        if model.conservative and model.energy is not None:
+        if model.energy is not None:
             total += float(model.energy(pose))
     return total

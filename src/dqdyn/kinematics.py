@@ -37,9 +37,6 @@ from .quat import (
     dq_quat_conjugate,
     dq_dual_transpose,
     pure_dual_quaternion,
-    pure_quaternion,
-    quat_conjugate,
-    quat_mul,
     unit_quaternion,
 )
 
@@ -53,14 +50,28 @@ Z_AXIS = np.array([0.0, 0.0, 1.0])
 # poses
 # ---------------------------------------------------------------------------
 
+def _pose_floats(q, l) -> tuple:
+    """Pose (q, (1/2)(0, l) q) of four and three Python floats, as 8 floats.
+
+    The dual part is quat_mul's product term for term, the 0.0 * q_i terms
+    of the zero scalar included, so signs of zero match too. No unit check:
+    the RK4 stages call it on off-group quaternions.
+    """
+    q0, q1, q2, q3 = q
+    l0, l1, l2 = l
+    return (
+        q0, q1, q2, q3,
+        0.5 * (0.0 * q0 - l0 * q1 - l1 * q2 - l2 * q3),
+        0.5 * (0.0 * q1 + l0 * q0 + l1 * q3 - l2 * q2),
+        0.5 * (0.0 * q2 - l0 * q3 + l1 * q0 + l2 * q1),
+        0.5 * (0.0 * q3 + l0 * q2 - l1 * q1 + l2 * q0),
+    )
+
+
 def pose_from_rotation_translation(q, l, tol: float = 1e-9) -> Array:
     """Unit dual quaternion for rotation q and reference-point position l."""
     q = unit_quaternion(q, tol=tol)
-    l = as_vector3(l, "translation")
-    out = np.empty(8)
-    out[:4] = q
-    out[4:] = 0.5 * quat_mul(pure_quaternion(l), q)
-    return out
+    return np.array(_pose_floats(q.tolist(), as_vector3(l, "translation")))
 
 
 def pose_identity() -> Array:
@@ -69,11 +80,16 @@ def pose_identity() -> Array:
     return out
 
 
-def pose_constraint_errors(p) -> tuple[float, float]:
-    """(unit-norm error of the real part, |real . dual| orthogonality error)."""
+def pose_constraint_errors(p) -> tuple:
+    """(unit-norm error of the real part, |real . dual| orthogonality error).
+
+    ``p`` is one pose or a stack of poses (leading axes); the errors have
+    the leading shape.
+    """
     p = np.asarray(p, dtype=np.float64)
-    unit_err = abs(float(np.linalg.norm(p[:4])) - 1.0)
-    orth_err = abs(float(p[:4] @ p[4:]))
+    reals = p[..., :4]
+    unit_err = np.abs(np.sqrt(np.einsum("...i,...i->...", reals, reals)) - 1.0)
+    orth_err = np.abs(np.einsum("...i,...i->...", reals, p[..., 4:]))
     return unit_err, orth_err
 
 
@@ -93,9 +109,17 @@ def check_pose(p, tol: float = 1e-9) -> Array:
 def pose_to_rotation_translation(p, tol: float = 1e-9) -> tuple[Array, Array]:
     """Split a pose into (q, l); rejects inputs that drifted off the group."""
     p = check_pose(p, tol=tol)
-    q = p[:4].copy()
-    l = 2.0 * quat_mul(p[4:], quat_conjugate(q))[1:]
-    return q, l
+    return p[:4].copy(), _translation(p)
+
+
+def _translation(p) -> Array:
+    """Reference-point position l = 2 vec(dual conj(real)) of one pose or a
+    stack of poses (leading axes), without unit validation."""
+    wr = p[..., :1]
+    vr = p[..., 1:4]
+    wd = p[..., 4:5]
+    vd = p[..., 5:]
+    return 2.0 * (wr * vd - wd * vr - np.cross(vd, vr))
 
 
 def vector_sandwich(q, v) -> tuple:

@@ -39,7 +39,7 @@ import numpy as np
 from .dynamics import InertiaMatrix6, total_wrench
 from .errors import ValidationError
 from .integrator import SolverSettings, float_inertia
-from .kinematics import check_pose, pose_to_rotation_translation, vector_sandwich
+from .kinematics import _pose_floats, check_pose, pose_to_rotation_translation, vector_sandwich
 from .linsolve import matvec
 from .quat import Array, finite_vector6
 from .trajectory import Trajectory
@@ -70,19 +70,6 @@ def _unpack(y) -> ContinuousState:
     return ContinuousState(orientation=y[:4], translation=y[4:7], twist=y[7:])
 
 
-def _pose_of(y) -> tuple:
-    """Dual quaternion (q, (1/2)(0, l) q) of the state, without unit validation
-    (RK4 stages drift off the group)."""
-    q0, q1, q2, q3, l0, l1, l2 = y[:7]
-    return (
-        q0, q1, q2, q3,
-        0.5 * (-l0 * q1 - l1 * q2 - l2 * q3),
-        0.5 * (l0 * q0 + l1 * q3 - l2 * q2),
-        0.5 * (-l0 * q3 + l1 * q0 + l2 * q1),
-        0.5 * (l0 * q2 - l1 * q1 + l2 * q0),
-    )
-
-
 def _deriv(y, K, forces, t: float) -> list:
     """[qdot; ldot; chidot] of the 13-float state y = [q; l; chi]."""
     q0, q1, q2, q3 = y[:4]
@@ -97,7 +84,7 @@ def _deriv(y, K, forces, t: float) -> list:
         p3 * w1 - p4 * w0,
     ]
     if forces:
-        tau = total_wrench(forces, np.array(_pose_of(y)), np.array(chi), t).tolist()
+        tau = total_wrench(forces, np.array(_pose_floats(y[:4], y[4:7])), np.array(chi), t).tolist()
         pidot = [a + b for a, b in zip(pidot, tau)]
     return [
         0.5 * (-q1 * w0 - q2 * w1 - q3 * w2),
@@ -133,14 +120,6 @@ def rk4_step(state: ContinuousState, M: InertiaMatrix6, forces: Sequence = (), t
     return _unpack(_rk4_step(_pack(state), float_inertia(M), list(forces), float(t), float(h)))
 
 
-def _poses_from_orientation_translation(qs: Array, ls: Array) -> Array:
-    w = qs[:, :1]
-    qv = qs[:, 1:]
-    dual_w = -0.5 * np.einsum("ni,ni->n", ls, qv)[:, None]
-    dual_v = 0.5 * (w * ls + np.cross(ls, qv))
-    return np.concatenate([qs, dual_w, dual_v], axis=1)
-
-
 def rk4_simulate(
     pose0,
     twist0,
@@ -152,8 +131,11 @@ def rk4_simulate(
     """Integrate with classical RK4; same call shape and trajectory schema
     as the variational simulate. Only ``settings.h`` is used here.
 
-    The stored twists are synchronous with the poses (continuous state), so
-    the energy diagnostics need no staggering correction.
+    Each stored pose is built from the state's (q, l) by the kinematics
+    kernel behind ``pose_from_rotation_translation``, the same one the RK4
+    stages hand to the force models. The stored twists are synchronous with
+    the poses (continuous state), so the energy diagnostics need no
+    staggering correction.
     """
     p0 = check_pose(pose0)
     q0, l0 = pose_to_rotation_translation(p0)
@@ -164,14 +146,14 @@ def rk4_simulate(
     h = settings.h
     K = float_inertia(M)
     force_models = list(forces)
-    ys = np.empty((n_steps + 1, 13))
+    poses = np.empty((n_steps + 1, 8))
+    twists = np.empty((n_steps + 1, 6))
     y = q0.tolist() + l0.tolist() + chi0.tolist()
-    ys[0] = y
-    for k in range(n_steps):
-        y = _rk4_step(y, K, force_models, k * h, h)
-        ys[k + 1] = y
-    poses = _poses_from_orientation_translation(ys[:, :4], ys[:, 4:7])
-    twists = ys[:, 7:]
+    for k in range(n_steps + 1):
+        if k:
+            y = _rk4_step(y, K, force_models, (k - 1) * h, h)
+        poses[k] = _pose_floats(y[:4], y[4:7])
+        twists[k] = y[7:]
     times = np.arange(n_steps + 1) * h
     return Trajectory.from_raw(
         times=times,

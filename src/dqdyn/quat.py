@@ -80,18 +80,6 @@ def unit_quaternion(q, tol: float = 1e-9) -> Array:
     return q
 
 
-def dual_quaternion(real, dual) -> Array:
-    """Dual quaternion from its real and dual quaternion parts."""
-    real = np.asarray(real, dtype=np.float64)
-    dual = np.asarray(dual, dtype=np.float64)
-    if real.shape != (4,) or dual.shape != (4,):
-        raise ValidationError("real and dual parts must each have shape (4,)")
-    out = np.empty(8)
-    out[:4] = real
-    out[4:] = dual
-    return out
-
-
 def pure_dual_quaternion(a, b) -> Array:
     """Pure dual quaternion [0, a, 0, b] from two 3-vectors."""
     return np.array([0.0, *as_vector3(a, "a"), 0.0, *as_vector3(b, "b")])

@@ -221,7 +221,7 @@ def _parse_body(section) -> dict:
     return out
 
 
-def _parse_initial(section, inertia: InertiaMatrix6) -> dict:
+def _parse_initial(section, config: ScenarioConfig) -> dict:
     initial = _require_mapping(section, "initial")
     _reject_unknown(
         initial,
@@ -272,7 +272,7 @@ def _parse_initial(section, inertia: InertiaMatrix6) -> dict:
         )
     if "momentum" in initial:
         pi = np.asarray(_vector(initial["momentum"], 6, "initial.momentum"))
-        out["body_twist"] = tuple(float(x) for x in inertia.inverse @ pi)
+        out["body_twist"] = tuple(float(x) for x in config_inertia(config).inverse @ pi)
     elif "body_twist" in initial:
         out["body_twist"] = _vector(initial["body_twist"], 6, "initial.body_twist")
     return out
@@ -375,19 +375,8 @@ def config_inertia(config: ScenarioConfig) -> InertiaMatrix6:
         raise ConfigError(f"body: {exc}") from exc
 
 
-def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
-    """Parse and validate a YAML scenario document.
-
-    ``overrides`` maps section names to keys, e.g. ``{"run": {"h": 1e-4}}``,
-    and is merged into the document before anything is checked, so an
-    override meets exactly the checks of the key it replaces.
-
-    Every default is filled in and momentum initial conditions are
-    converted to twists. Parsing ends by building the run (inertia, force
-    models, solver settings) and the first step's warm start, so a config
-    that parses will start integrating; an error names the section or key
-    at fault.
-    """
+def _parse(text: str, overrides: Optional[dict]) -> tuple[ScenarioConfig, RunInputs]:
+    """The config a document describes and the run that parsing built to prove it."""
     try:
         doc = yaml.safe_load(text)
     except yaml.YAMLError as exc:
@@ -401,13 +390,9 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
     if "body" not in doc:
         raise ConfigError("config: required section 'body' is missing")
 
-    values = _parse_body(doc["body"])
-    config = ScenarioConfig(**values)
-    inertia = config_inertia(config)
-
+    config = ScenarioConfig(**_parse_body(doc["body"]))
     if "initial" in doc:
-        values = _parse_initial(doc["initial"], inertia)
-        config = replace(config, **values)
+        config = replace(config, **_parse_initial(doc["initial"], config))
     if "forces" in doc:
         entries = doc["forces"]
         if not isinstance(entries, list):
@@ -426,13 +411,34 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
         initial_guess(run.twist, run.settings.h)
     except StepTooLargeError as exc:
         raise ConfigError(f"run.h: {exc}") from exc
-    return config
+    return config, run
+
+
+def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
+    """Parse and validate a YAML scenario document.
+
+    ``overrides`` maps section names to keys, e.g. ``{"run": {"h": 1e-4}}``,
+    and is merged into the document before anything is checked, so an
+    override meets exactly the checks of the key it replaces.
+
+    Every default is filled in and momentum initial conditions are
+    converted to twists. Parsing ends by building the run (inertia, force
+    models, solver settings) and the first step's warm start, so a config
+    that parses will start integrating; an error names the section or key
+    at fault.
+    """
+    return _parse(text, overrides)[0]
+
+
+def _load(path, overrides: Optional[dict] = None) -> tuple[ScenarioConfig, RunInputs]:
+    """Read and parse a config file: the config and the run parsing built."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return _parse(handle.read(), overrides)
 
 
 def load_config(path, overrides: Optional[dict] = None) -> ScenarioConfig:
     """Read and parse a config file; ``overrides`` as in ``parse_config``."""
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_config(handle.read(), overrides)
+    return _load(path, overrides)[0]
 
 
 def serialize_config(config: ScenarioConfig) -> str:

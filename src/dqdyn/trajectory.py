@@ -14,9 +14,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import InertiaMatrix6, potential_energy
+from .dynamics import InertiaMatrix6, kinetic_energy, potential_energy, world_momentum
 from .errors import ValidationError
-from .kinematics import pose_distance
+from .kinematics import pose_constraint_errors, pose_distance
 from .quat import Array
 
 FIELD_GROUPS = ("pose", "twist", "energy", "momentum", "solver", "constraints")
@@ -29,24 +29,6 @@ _GROUP_COLUMNS = {
     "solver": ("newton_iterations", "residual_norm"),
     "constraints": ("unit_norm_error", "orthogonality_error"),
 }
-
-
-def _batch_rotate(reals: Array, vectors: Array) -> Array:
-    """Rotate row i of ``vectors`` by row i of ``reals`` (w, x, y, z)."""
-    w = reals[:, :1]
-    qv = reals[:, 1:]
-    dot = np.einsum("ni,ni->n", qv, qv)[:, None]
-    cr = np.cross(qv, vectors)
-    return (w * w - dot) * vectors + 2.0 * np.einsum("ni,ni->n", qv, vectors)[:, None] * qv + 2.0 * w * cr
-
-
-def _batch_translations(reals: Array, duals: Array) -> Array:
-    """Translations 2 * vec(dual x conj(real)) for each row."""
-    wr = reals[:, :1]
-    vr = reals[:, 1:]
-    wd = duals[:, :1]
-    vd = duals[:, 1:]
-    return 2.0 * (wr * vd - wd * vr - np.cross(vd, vr))
 
 
 @dataclass(frozen=True)
@@ -146,6 +128,12 @@ class Trajectory:
         """Build a trajectory from the integrator's raw columns, computing
         energy, world momentum, and constraint diagnostics for every state.
 
+        The columns come from the same functions that report them for one
+        state, applied to whole columns: ``kinetic_energy``,
+        ``world_momentum`` (which does not reject drifted rows; their
+        constraint columns show the drift) and ``pose_constraint_errors``.
+        The potential column sums the ``energy`` of every model that has one.
+
         The stored twists are the step momenta leaving each state, which lag
         the state's pose by half a step whenever a wrench acts. When the
         per-state applied wrenches and the step size are given, the kinetic
@@ -156,20 +144,12 @@ class Trajectory:
         """
         poses = np.asarray(poses, dtype=np.float64)
         twists = np.asarray(twists, dtype=np.float64)
-        reals = poses[:, :4]
-        duals = poses[:, 4:]
-        unit = np.abs(np.sqrt(np.einsum("ni,ni->n", reals, reals)) - 1.0)
-        orth = np.abs(np.einsum("ni,ni->n", reals, duals))
-        pi = twists @ inertia.matrix.T
+        chi_sync = twists
         if applied_wrenches is not None and h is not None:
             chi_sync = twists - 0.5 * h * (np.asarray(applied_wrenches) @ inertia.inverse.T)
-            kinetic = 0.5 * np.einsum("ni,ij,nj->n", chi_sync, inertia.matrix, chi_sync)
-        else:
-            kinetic = 0.5 * np.einsum("ni,ni->n", twists, pi)
-        translations = _batch_translations(reals, duals)
-        P = _batch_rotate(reals, pi[:, 3:])
-        L = _batch_rotate(reals, pi[:, :3]) + np.cross(translations, P)
-        if any(getattr(m, "conservative", False) for m in force_models):
+        L, P = world_momentum(poses, inertia, twists)
+        unit, orth = pose_constraint_errors(poses)
+        if any(m.energy is not None for m in force_models):
             potential = np.array([potential_energy(force_models, p) for p in poses])
         else:
             potential = np.zeros(poses.shape[0])
@@ -180,7 +160,7 @@ class Trajectory:
             steps=steps,
             iterations=iterations,
             residual_norms=residual_norms,
-            kinetic=kinetic,
+            kinetic=kinetic_energy(inertia, chi_sync),
             potential=potential,
             angular_momentum=L,
             linear_momentum=P,

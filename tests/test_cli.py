@@ -226,6 +226,25 @@ def test_repeat_runs_are_byte_identical(free_config, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_builds_each_config_once(free_config, monkeypatch, capsys):
+    # parsing builds the run to check the config; the CLI integrates that run
+    import dqdyn.cli
+    import dqdyn.scenario
+
+    real = dqdyn.scenario.build_run
+    built = []
+
+    def counting(config):
+        built.append(config)
+        return real(config)
+
+    monkeypatch.setattr(dqdyn.scenario, "build_run", counting)
+    monkeypatch.setattr(dqdyn.cli, "build_run", counting, raising=False)
+    assert main(["run", "--config", str(free_config), "--steps", "5"]) == 0
+    assert len(built) == 1
+    assert "steps: 5" in capsys.readouterr().out
+
+
 def test_batch_runs_in_order(free_config, tmp_path, capsys):
     other = tmp_path / "forced.yaml"
     out = tmp_path / "forced.tsv"

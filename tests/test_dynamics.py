@@ -170,6 +170,16 @@ def test_world_momentum(rng):
     np.testing.assert_allclose(L3, R @ L, atol=1e-12)
 
 
+def test_world_momentum_rejects_one_off_group_pose():
+    # a stack is taken as it is (a trajectory's drifted rows still report);
+    # one pose must lie on the unit group
+    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+    pose = pose_identity()
+    pose[0] = 1.0 + 1e-6
+    with pytest.raises(ValidationError):
+        world_momentum(pose, M, np.ones(6))
+
+
 def test_momentum_vector():
     M = build_inertia(2.0, np.diag([1.0, 2.0, 3.0]))
     chi = np.arange(1.0, 7.0)

@@ -1,16 +1,24 @@
 """Trajectory container: file round trips, comparison, summaries."""
 
 import math
+import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from dqdyn.dynamics import build_inertia
+from dqdyn.dynamics import build_inertia, kinetic_energy, world_momentum
 from dqdyn.errors import ValidationError
 from dqdyn.integrator import SolverSettings, simulate
-from dqdyn.kinematics import pose_difference_magnitude, pose_from_rotation_translation, pose_identity
+from dqdyn.kinematics import (
+    pose_constraint_errors,
+    pose_difference_magnitude,
+    pose_from_rotation_translation,
+    pose_identity,
+)
 from dqdyn.newton_euler import rk4_simulate
 from dqdyn.quat import dq_mul
+from dqdyn.scenario import build_run, load_config
 from dqdyn.trajectory import (
     FIELD_GROUPS,
     Trajectory,
@@ -19,6 +27,8 @@ from dqdyn.trajectory import (
     summarize,
     write_trajectory,
 )
+
+SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +108,30 @@ def test_rk4_file_has_same_schema(tmp_path):
     # solver columns exist for schema stability; the fills mark "no data"
     assert np.all(back.iterations == 0)
     assert np.all(np.isnan(back.residual_norms))
+
+
+def _scenario_run(name, integrator):
+    run = build_run(replace(load_config(SCENARIO_DIR / f"{name}.yaml"), steps=200))
+    integrate = simulate if integrator == "dqvi" else rk4_simulate
+    return run.inertia, integrate(run.pose, run.twist, run.inertia, run.forces, run.settings, run.n_steps)
+
+
+@pytest.mark.parametrize(
+    "name, integrator", [("generic_forced", "dqvi"), ("damped_drop", "rk4")]
+)
+def test_diagnostic_columns_are_the_tested_functions(name, integrator):
+    # one formula per reported quantity: the columns are the unit-tested
+    # per-state functions applied to whole columns, bit for bit
+    M, traj = _scenario_run(name, integrator)
+    L, P = world_momentum(traj.poses, M, traj.twists)
+    np.testing.assert_array_equal(L, traj.angular_momentum)
+    np.testing.assert_array_equal(P, traj.linear_momentum)
+    unit, orth = pose_constraint_errors(traj.poses)
+    np.testing.assert_array_equal(unit, traj.unit_norm_errors)
+    np.testing.assert_array_equal(orth, traj.orthogonality_errors)
+    if integrator == "rk4":
+        # RK4 twists are synchronous with the poses: no half-kick correction
+        np.testing.assert_array_equal(kinetic_energy(M, traj.twists), traj.kinetic)
 
 
 def _tsv(*rows):
