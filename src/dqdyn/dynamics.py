@@ -274,7 +274,9 @@ def numeric_conservative_wrench(field, pose, relative_step: float = 1e-6) -> Wre
 
 @dataclass(frozen=True)
 class ForceModel:
-    """A wrench source evaluated once per step at (pose, twist, time).
+    """A wrench source evaluated at (pose, twist, time): by ``simulate`` once
+    per step, at the state's pose and a twist O(h^2) from the one it stores;
+    by ``rk4_simulate`` at each stage's state.
 
     ``energy`` is the scalar potential for conservative models (used by the
     energy diagnostics); non-conservative models leave it None.

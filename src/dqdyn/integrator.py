@@ -19,7 +19,8 @@ for f_k by Newton iteration with the analytic 6x6 Jacobian. A and B are the
 rotational and translational components of the step momentum; alpha/beta
 transport the previous step's momentum into the current frame and add the
 wrench impulse (h^2/2) [torque; force]. The body twist is retrieved from
-the solved step variables afterwards, chi = (2/h) M^-1 [A; B].
+the solved step variables afterwards, chi = (2/h) M^-1 [A; B], less the
+quarter kick (h/2) M^-1 tau that puts it at its state's instant.
 
 Conventions: twists are [omega; v] body frame, wrenches [torque; force],
 M is the 6x6 generalized inertia about the body reference point.
@@ -144,10 +145,9 @@ def _transported_ab(f, terms) -> tuple:
     )
 
 
-def _target(f, terms, tau, h: float) -> list:
-    """Newton target: the transported momentum plus the wrench impulse (h^2/2) tau."""
-    impulse = 0.5 * h * h
-    return [a + impulse * t for a, t in zip(_transported_ab(f, terms), tau)]
+def _kicked(momentum, tau, weight: float) -> list:
+    """momentum + weight * tau: a step momentum plus a share of the wrench impulse."""
+    return [a + weight * t for a, t in zip(momentum, tau)]
 
 
 def _jacobian_general(f, terms, K: _Inertia) -> list:
@@ -325,7 +325,7 @@ def rhs(prev_step, M: InertiaMatrix6, wrench, h: float) -> tuple[Array, Array]:
     wrench impulse (h^2/2) [torque; force], body frame."""
     f = _as_step(prev_step).tolist()
     tau = _wrench_body_vector(wrench).tolist()
-    out = np.array(_target(f, _momentum_terms(f, float_inertia(M)), tau, h))
+    out = np.array(_kicked(_transported_ab(f, _momentum_terms(f, float_inertia(M))), tau, 0.5 * h * h))
     return out[:3], out[3:]
 
 
@@ -380,8 +380,9 @@ def solve_step(prev_step, M: InertiaMatrix6, wrench, settings: SolverSettings):
     tau = _wrench_body_vector(wrench).tolist()
     K = float_inertia(M)
     terms = _momentum_terms(f_prev, K)
+    target = _kicked(_transported_ab(f_prev, terms), tau, 0.5 * settings.h * settings.h)
     f, _, _, it, rn, status, _ = _newton(  # no order: a single step always searches
-        f_prev, terms, _target(f_prev, terms, tau, settings.h), K, settings.tolerance, settings.max_iterations, None
+        f_prev, terms, target, K, settings.tolerance, settings.max_iterations, None
     )
     _raise_for_status(status, it, rn)
     return np.array(f), it, rn
@@ -420,7 +421,8 @@ def advance_pose(pose, step) -> Array:
 
 
 def retrieve_twist(step, M: InertiaMatrix6, h: float) -> Array:
-    """Body twist consistent with the step momentum: (2/h) M^-1 [A; B]."""
+    """Body twist of the step momentum, (2/h) M^-1 [A; B]: what ``simulate``
+    stores for a force-free state (under a wrench tau, this less (h/2) M^-1 tau)."""
     f = _as_step(step).tolist()
     K = float_inertia(M)
     s = 2.0 / float(h)
@@ -442,13 +444,16 @@ def simulate(
     (h/2) chi_0: the starting momentum plus the start-up half-kick of the
     discrete Lagrange-d'Alembert principle, with tau_0 the force models
     (if any) sampled at (p_0, chi_0, 0). Step k >= 1 advances the pose by
-    the previous step, samples the force models once at
-    (p_k, chi_{k-1}, k*h), and solves for f_k warm-started from f_{k-1}.
-    The final state's step variables are solved too, which is what
-    retrieves its twist; they are never applied to the pose.
+    the previous step, samples the force models once at (p_k, (2/h) M^-1
+    (T_k + (h^2/4) tau_{k-1}), k*h), with T_k the transported previous step
+    momentum, and solves [A; B](f_k) = T_k + (h^2/2) tau_k warm-started
+    from f_{k-1}. The final state's step variables are solved too, which is
+    what retrieves its twist; they are never applied to the pose.
 
-    Velocity-dependent forces see the previous retrieved twist because the
-    current one does not exist until its step is solved.
+    Each state stores the node-synchronized twist
+    (2/h) M^-1 ([A; B](f_k) - (h^2/4) tau_k), the average of the step
+    momenta arriving at and leaving it; the force models saw a twist O(h^2)
+    from it.
     """
     p0 = np.ascontiguousarray(check_pose(pose0))
     chi0 = finite_vector6(twist0, "twist")
@@ -468,31 +473,34 @@ def simulate(
     twists = np.empty((n, 6))
     iters = np.zeros(n, dtype=np.int64)
     resnorms = np.zeros(n)
-    wrenches = np.zeros((n, 6))
     pose = p0.tolist()
     poses[0] = pose
     terms = _momentum_terms(f, K)
     target = [0.5 * h * x for x in matvec(K.rows, chi0.tolist())]
-    if force_models:
-        wrenches[0] = total_wrench(force_models, p0, chi0, 0.0)
-        target = [a + 0.25 * h * h * t for a, t in zip(target, wrenches[0].tolist())]
     two_over_h = 2.0 / h
+    impulse = 0.5 * h * h
+    quarter_kick = 0.25 * h * h
+    if force_models:
+        tau = total_wrench(force_models, p0, chi0, 0.0).tolist()
+        target = _kicked(target, tau, quarter_kick)
     order = None  # pivot order of the last searched solve; the first solve searches
     for k in range(n):
         if k:
             pose = dq_product(pose, _step_dq(f))
             poses[k] = pose
+            target = _transported_ab(f, terms)  # T_k
             if force_models:
-                tau = total_wrench(force_models, poses[k], twists[k - 1], k * h)
-                wrenches[k] = tau
-                target = _target(f, terms, tau.tolist(), h)
-            else:
-                target = _transported_ab(f, terms)
+                # the twist predicted from T_k and the previous state's wrench
+                chi = [two_over_h * x for x in matvec(K.inverse, _kicked(target, tau, quarter_kick))]
+                tau = total_wrench(force_models, poses[k], chi, k * h).tolist()
+                target = _kicked(target, tau, impulse)
         f, terms, ab, it, rn, status, order = _newton(f, terms, target, K, tol, max_iterations, order)
         iters[k] = it
         resnorms[k] = rn
         _raise_for_status(status, it, rn, k)
         steps[k] = f
+        if force_models:
+            ab = _kicked(ab, tau, -quarter_kick)
         twists[k] = [two_over_h * x for x in matvec(K.inverse, ab)]
 
     times = np.arange(n) * h
@@ -505,6 +513,4 @@ def simulate(
         steps=steps,
         iterations=iters,
         residual_norms=resnorms,
-        applied_wrenches=wrenches,
-        h=h,
     )

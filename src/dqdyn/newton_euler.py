@@ -133,9 +133,8 @@ def rk4_simulate(
 
     Each stored pose is built from the state's (q, l) by the kinematics
     kernel behind ``pose_from_rotation_translation``, the same one the RK4
-    stages hand to the force models. The stored twists are synchronous with
-    the poses (continuous state), so the energy diagnostics need no
-    staggering correction.
+    stages hand to the force models. The stored twists are the continuous
+    state's, synchronous with the poses like the variational integrator's.
     """
     p0 = check_pose(pose0)
     q0, l0 = pose_to_rotation_translation(p0)

@@ -122,8 +122,6 @@ class Trajectory:
         steps=None,
         iterations=None,
         residual_norms=None,
-        applied_wrenches=None,
-        h: Optional[float] = None,
     ) -> "Trajectory":
         """Build a trajectory from the integrator's raw columns, computing
         energy, world momentum, and constraint diagnostics for every state.
@@ -133,20 +131,11 @@ class Trajectory:
         ``world_momentum`` (which does not reject drifted rows; their
         constraint columns show the drift) and ``pose_constraint_errors``.
         The potential column sums the ``energy`` of every model that has one.
-
-        The stored twists are the step momenta leaving each state, which lag
-        the state's pose by half a step whenever a wrench acts. When the
-        per-state applied wrenches and the step size are given, the kinetic
-        energy is evaluated at the node-synchronized twist, the average of
-        the arriving and leaving step momenta: chi - (h/2) M^-1 tau. Without
-        them (a continuous-state integrator, say) the twists are taken as
-        already synchronous.
+        Each twist is taken at its pose's instant, which is how both
+        integrators store them.
         """
         poses = np.asarray(poses, dtype=np.float64)
         twists = np.asarray(twists, dtype=np.float64)
-        chi_sync = twists
-        if applied_wrenches is not None and h is not None:
-            chi_sync = twists - 0.5 * h * (np.asarray(applied_wrenches) @ inertia.inverse.T)
         L, P = world_momentum(poses, inertia, twists)
         unit, orth = pose_constraint_errors(poses)
         if any(m.energy is not None for m in force_models):
@@ -160,7 +149,7 @@ class Trajectory:
             steps=steps,
             iterations=iterations,
             residual_norms=residual_norms,
-            kinetic=kinetic_energy(inertia, chi_sync),
+            kinetic=kinetic_energy(inertia, twists),
             potential=potential,
             angular_momentum=L,
             linear_momentum=P,

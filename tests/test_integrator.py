@@ -408,6 +408,9 @@ def test_simulate_energy_diagnostic_is_synchronized_free_fall():
     )
     E = traj.energies
     assert np.ptp(E) < 1e-10
+    # the stored twist itself is synchronized with its pose: v(t) = v0 + g t
+    np.testing.assert_allclose(traj.twists[:, 3:], v0 + np.outer(traj.times, g), rtol=0.0, atol=1e-12)
+    assert not traj.twists[:, :3].any()
 
 
 def test_simulate_momentum_update_with_constant_force():

@@ -179,6 +179,8 @@ def test_forced_agreement_with_variational_stepper():
     b = rk4_simulate(pose_identity(), chi0, M, [gravity], SolverSettings(h=h), n)
     cmp = compare_trajectories(a, b)
     assert cmp.max_pose_error < 1e-5
+    # both integrators store the twist synchronized with the pose
+    assert cmp.max_twist_error < 1e-5
 
 
 def test_rk4_trajectory_schema():
