@@ -30,6 +30,7 @@ from .kinematics import (
     point_sandwich,
     rotation_conjugate,
     vector_sandwich,
+    world_wrench_in_body,
 )
 from .linsolve import COND_LIMIT
 from .quat import (
@@ -170,6 +171,42 @@ def world_momentum(p, M: InertiaMatrix6, chi) -> tuple[Array, Array]:
 
 
 # ---------------------------------------------------------------------------
+# float kernels
+# ---------------------------------------------------------------------------
+
+class FloatKernel:
+    """A built-in model function carrying its float kernel.
+
+    ``floats`` is the kernel: it reads the pose (and twist) as sequences of
+    Python floats and returns Python floats; a wrench comes back as six
+    body-frame floats [torque; force]. ``wrench_sum`` and ``potential_sum``
+    call it directly. Calling the object is the ndarray edge that the public
+    ``ForceModel`` and ``PotentialField`` fields promise: every argument goes
+    through ``as_floats`` and the kernel's result through ``edge``.
+    """
+
+    __slots__ = ("floats", "edge")
+
+    def __init__(self, floats, edge):
+        self.floats = floats
+        self.edge = edge
+
+    def __call__(self, *args):
+        return self.edge(self.floats(*map(as_floats, args)))
+
+
+def _body_wrench6(w) -> Wrench:
+    return body_wrench(w[:3], w[3:])
+
+
+def _finite(value, what: str):
+    """value unchanged; a NaN or inf entry raises a ValidationError naming ``what``."""
+    if not np.all(np.isfinite(value)):
+        raise ValidationError(f"{what} must be finite, got {value}")
+    return value
+
+
+# ---------------------------------------------------------------------------
 # potentials
 # ---------------------------------------------------------------------------
 
@@ -178,7 +215,8 @@ class PotentialField:
     """Scalar potential of the pose, smooth in the 8 ambient coordinates.
 
     ``body_wrench`` is the analytic gradient route when available; the
-    numeric route below works for any field.
+    numeric route below works for any field. The library's fields carry both
+    as ``FloatKernel`` objects.
     """
 
     evaluate: Callable[[Array], float]
@@ -192,43 +230,42 @@ def _cross(a, b) -> tuple:
 
 def gravity_potential(mass: float, g_world, com_offset=(0.0, 0.0, 0.0)) -> PotentialField:
     """Uniform gravity acting at the center of mass: U = -m g . x_cm."""
-    mass = float(mass)
-    g0, g1, g2 = as_vector3(g_world, "g_world")
-    r = as_vector3(com_offset, "com_offset")
+    mass = _finite(float(mass), "mass")
+    g0, g1, g2 = _finite(as_vector3(g_world, "g_world"), "g_world")
+    r = _finite(as_vector3(com_offset, "com_offset"), "com_offset")
     weight = (mass * g0, mass * g1, mass * g2)
 
-    def evaluate(pose) -> float:
-        x0, x1, x2 = point_sandwich(as_floats(pose), r)
+    def energy(pose) -> float:
+        x0, x1, x2 = point_sandwich(pose, r)
         return -mass * (g0 * x0 + g1 * x1 + g2 * x2)
 
-    def wrench(pose) -> Wrench:
-        f_body = vector_sandwich(rotation_conjugate(as_floats(pose)), weight)
-        return body_wrench(_cross(r, f_body), f_body)
+    def wrench(pose) -> tuple:
+        f_body = vector_sandwich(rotation_conjugate(pose), weight)
+        return (*_cross(r, f_body), *f_body)
 
-    return PotentialField(evaluate=evaluate, body_wrench=wrench)
+    return PotentialField(evaluate=FloatKernel(energy, float), body_wrench=FloatKernel(wrench, _body_wrench6))
 
 
 def spring_potential(
     anchor_world, attachment_body, stiffness: float, rest_length: float = 0.0
 ) -> PotentialField:
     """Linear spring from a world anchor to a body-fixed attachment point."""
-    n0, n1, n2 = as_vector3(anchor_world, "anchor_world")
-    attach = as_vector3(attachment_body, "attachment_body")
-    k = float(stiffness)
+    n0, n1, n2 = _finite(as_vector3(anchor_world, "anchor_world"), "anchor_world")
+    attach = _finite(as_vector3(attachment_body, "attachment_body"), "attachment_body")
+    k = _finite(float(stiffness), "stiffness")
     if k < 0.0:
         raise ValidationError(f"stiffness must be non-negative, got {k}")
-    rest = float(rest_length)
+    rest = _finite(float(rest_length), "rest_length")
 
     def stretch(pose) -> tuple:  # (anchor-to-attachment world vector d, |d|)
         x0, x1, x2 = point_sandwich(pose, attach)
         d = (x0 - n0, x1 - n1, x2 - n2)
         return d, math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
 
-    def evaluate(pose) -> float:
-        return 0.5 * k * (stretch(as_floats(pose))[1] - rest) ** 2
+    def energy(pose) -> float:
+        return 0.5 * k * (stretch(pose)[1] - rest) ** 2
 
-    def wrench(pose) -> Wrench:
-        pose = as_floats(pose)
+    def wrench(pose) -> tuple:
         (d0, d1, d2), dist = stretch(pose)
         if dist < 1e-12:
             # force magnitude k*rest with undefined direction; zero is the
@@ -238,9 +275,9 @@ def spring_potential(
             s = -k * (dist - rest)
             f_world = (s * (d0 / dist), s * (d1 / dist), s * (d2 / dist))
         f_body = vector_sandwich(rotation_conjugate(pose), f_world)
-        return body_wrench(_cross(attach, f_body), f_body)
+        return (*_cross(attach, f_body), *f_body)
 
-    return PotentialField(evaluate=evaluate, body_wrench=wrench)
+    return PotentialField(evaluate=FloatKernel(energy, float), body_wrench=FloatKernel(wrench, _body_wrench6))
 
 
 def numeric_conservative_wrench(field, pose, relative_step: float = 1e-6) -> Wrench:
@@ -278,8 +315,13 @@ class ForceModel:
     per step, at the state's pose and a twist O(h^2) from the one it stores;
     by ``rk4_simulate`` at each stage's state.
 
-    ``energy`` is the scalar potential for conservative models (used by the
-    energy diagnostics); non-conservative models leave it None.
+    ``evaluate(pose, chi, t)`` takes ndarray pose and twist and returns a
+    ``Wrench``. The library's models make it a ``FloatKernel``, whose float
+    kernel the wrench sum calls without building arrays or a ``Wrench``;
+    any other callable, including one set with ``dataclasses.replace``, goes
+    through the sum's checked adapter. ``energy`` is the scalar potential for
+    conservative models (used by the energy diagnostics); non-conservative
+    models leave it None.
     """
 
     evaluate: Callable[[Array, Array, float], Wrench]
@@ -295,11 +337,16 @@ def force_model_from_potential(field: PotentialField, numeric: bool = False) -> 
     """Conservative force model from a potential.
 
     Uses the analytic wrench when the field carries one (unless ``numeric``
-    forces the finite-difference route).
+    forces the finite-difference route); a float-kernel wrench keeps its
+    kernel.
     """
-    if field.body_wrench is not None and not numeric:
+    gradient = field.body_wrench
+    if isinstance(gradient, FloatKernel) and not numeric:
+        kernel = gradient.floats
+        evaluate = FloatKernel(lambda pose, chi, t: kernel(pose), _body_wrench6)
+    elif gradient is not None and not numeric:
         def evaluate(pose, chi, t):
-            return field.body_wrench(pose)
+            return gradient(pose)
     else:
         def evaluate(pose, chi, t):
             return numeric_conservative_wrench(field, pose)
@@ -307,14 +354,21 @@ def force_model_from_potential(field: PotentialField, numeric: bool = False) -> 
 
 
 def constant_wrench_model(wrench: Wrench) -> ForceModel:
-    """Constant torque and force in the tagged frame."""
+    """Constant torque and force in the tagged frame; NaN and inf entries are
+    rejected. Called with arrays, the model returns ``wrench`` itself."""
     if not isinstance(wrench, Wrench):
         raise ValidationError("constant_wrench_model needs a Wrench")
+    torque = _finite(wrench.torque.tolist(), "constant wrench torque")
+    force = _finite(wrench.force.tolist(), "constant wrench force")
+    if wrench.frame == FRAME_WORLD:
+        def kernel(pose, chi, t):
+            return world_wrench_in_body(pose, torque, force)
+    else:
+        body = (*torque, *force)
 
-    def evaluate(pose, chi, t):
-        return wrench
-
-    return ForceModel(evaluate=evaluate)
+        def kernel(pose, chi, t):
+            return body
+    return ForceModel(evaluate=FloatKernel(kernel, lambda _: wrench))
 
 
 def _damping_coefficients(value, what: str) -> Array:
@@ -338,42 +392,70 @@ def damping_model(angular, linear) -> ForceModel:
         raise ValidationError("damping coefficients must be finite and non-negative")
     a0, a1, a2, l0, l1, l2 = (-c_a).tolist() + (-c_l).tolist()
 
-    def evaluate(pose, chi, t):
-        w0, w1, w2, v0, v1, v2 = as_floats(chi)
-        return body_wrench((a0 * w0, a1 * w1, a2 * w2), (l0 * v0, l1 * v1, l2 * v2))
+    def kernel(pose, chi, t):
+        w0, w1, w2, v0, v1, v2 = chi
+        return a0 * w0, a1 * w1, a2 * w2, l0 * v0, l1 * v1, l2 * v2
 
-    return ForceModel(evaluate=evaluate)
+    return ForceModel(evaluate=FloatKernel(kernel, _body_wrench6))
+
+
+def _adapted_wrench(index: int, w, pose) -> tuple:
+    """Body-frame six floats of the Wrench a model's ndarray edge returned."""
+    if not isinstance(w, Wrench):
+        raise ValidationError(f"force model {index} returned {type(w).__name__}, expected Wrench")
+    torque, force = w.torque.tolist(), w.force.tolist()
+    if w.frame == FRAME_WORLD:
+        return world_wrench_in_body(pose, torque, force)
+    if w.frame != FRAME_BODY:
+        raise ValidationError(f"unknown wrench frame {w.frame!r}")
+    return (*torque, *force)
+
+
+def wrench_sum(models: Sequence[ForceModel], pose, chi, t: float) -> list:
+    """``total_wrench`` on Python floats: ``pose`` and ``chi`` are sequences
+    of 8 and 6 floats, the sum is a list of six.
+
+    A ``FloatKernel`` model is called on the floats; any other model through
+    its ndarray edge and the adapter, which rejects a result that is not a
+    Wrench or has an unknown frame tag and rotates a world wrench through
+    the pose. A non-finite wrench from any model raises, naming the model.
+    """
+    out = [0.0] * 6
+    for index, model in enumerate(models):
+        evaluate = model.evaluate
+        if isinstance(evaluate, FloatKernel):
+            w = evaluate.floats(pose, chi, t)
+        else:
+            w = _adapted_wrench(index, evaluate(np.array(pose), np.array(chi), t), pose)
+        if not all(map(math.isfinite, w)):
+            raise ValidationError(f"force model {index} returned a non-finite wrench {list(w)}")
+        out = [a + b for a, b in zip(out, w)]
+    return out
 
 
 def total_wrench(models: Sequence[ForceModel], pose, chi, t: float) -> Array:
-    """Sum of all model wrenches as a body-frame 6-vector [torque; force].
+    """Sum of all model wrenches as a body-frame 6-vector [torque; force]:
+    the ndarray wrapper of ``wrench_sum``, with its checks.
 
     World-tagged wrenches are rotated through the pose; unknown tags, models
     that return something other than a Wrench, and non-finite wrenches raise.
     """
-    pose = np.asarray(pose, dtype=np.float64)
-    chi = np.asarray(chi, dtype=np.float64)
-    out = [0.0] * 6
-    for index, model in enumerate(models):
-        w = model.evaluate(pose, chi, t)
-        if not isinstance(w, Wrench):
-            raise ValidationError(f"force model {index} returned {type(w).__name__}, expected Wrench")
-        torque, force = w.torque.tolist(), w.force.tolist()
-        if not all(map(math.isfinite, torque + force)):
-            raise ValidationError(f"force model {index} returned a non-finite wrench {torque + force}")
-        if w.frame == FRAME_WORLD:
-            qc = rotation_conjugate(pose.tolist())
-            torque, force = vector_sandwich(qc, torque), vector_sandwich(qc, force)
-        elif w.frame != FRAME_BODY:
-            raise ValidationError(f"unknown wrench frame {w.frame!r}")
-        out = [a + b for a, b in zip(out, (*torque, *force))]
-    return np.array(out)
+    return np.array(wrench_sum(models, as_floats(pose), as_floats(chi), t))
+
+
+def potential_sum(models: Sequence[ForceModel], pose) -> float:
+    """``potential_energy`` of a pose given as 8 Python floats: a
+    ``FloatKernel`` energy reads the floats, any other an ndarray."""
+    total = 0.0
+    for model in models:
+        energy = model.energy
+        if isinstance(energy, FloatKernel):
+            total += energy.floats(pose)
+        elif energy is not None:
+            total += float(energy(np.array(pose)))
+    return total
 
 
 def potential_energy(models: Sequence[ForceModel], pose) -> float:
     """Sum of the potentials of the conservative models."""
-    total = 0.0
-    for model in models:
-        if model.energy is not None:
-            total += float(model.energy(pose))
-    return total
+    return potential_sum(models, as_floats(pose))

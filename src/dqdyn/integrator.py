@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import InertiaMatrix6, total_wrench
+from .dynamics import InertiaMatrix6, wrench_sum
 from .errors import (
     SingularMatrixError,
     SolverDivergenceError,
@@ -481,7 +481,7 @@ def simulate(
     impulse = 0.5 * h * h
     quarter_kick = 0.25 * h * h
     if force_models:
-        tau = total_wrench(force_models, p0, chi0, 0.0).tolist()
+        tau = wrench_sum(force_models, pose, chi0.tolist(), 0.0)
         target = _kicked(target, tau, quarter_kick)
     order = None  # pivot order of the last searched solve; the first solve searches
     for k in range(n):
@@ -492,7 +492,7 @@ def simulate(
             if force_models:
                 # the twist predicted from T_k and the previous state's wrench
                 chi = [two_over_h * x for x in matvec(K.inverse, _kicked(target, tau, quarter_kick))]
-                tau = total_wrench(force_models, poses[k], chi, k * h).tolist()
+                tau = wrench_sum(force_models, pose, chi, k * h)
                 target = _kicked(target, tau, impulse)
         f, terms, ab, it, rn, status, order = _newton(f, terms, target, K, tol, max_iterations, order)
         iters[k] = it

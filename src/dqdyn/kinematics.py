@@ -252,16 +252,19 @@ def world_wrench(torque, force) -> Wrench:
     return Wrench(torque=torque, force=force, frame=FRAME_WORLD)
 
 
+def world_wrench_in_body(p, torque, force) -> tuple:
+    """Body-frame [torque; force] of a world wrench at the pose p, as six
+    Python floats (p, torque and force are float sequences)."""
+    qc = rotation_conjugate(p)
+    return (*vector_sandwich(qc, torque), *vector_sandwich(qc, force))
+
+
 def wrench_body_from_world(p, wrench: Wrench) -> Wrench:
     """Rotate a world-frame wrench into body axes (same reference point)."""
     if wrench.frame == FRAME_BODY:
         return wrench
-    qc = rotation_conjugate(as_floats(p))
-    return Wrench(
-        torque=vector_sandwich(qc, wrench.torque.tolist()),
-        force=vector_sandwich(qc, wrench.force.tolist()),
-        frame=FRAME_BODY,
-    )
+    w = world_wrench_in_body(as_floats(p), wrench.torque.tolist(), wrench.force.tolist())
+    return Wrench(torque=w[:3], force=w[3:], frame=FRAME_BODY)
 
 
 def wrench_to_dual_force(p, wrench: Wrench) -> Array:

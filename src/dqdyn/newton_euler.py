@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import InertiaMatrix6, total_wrench
+from .dynamics import InertiaMatrix6, wrench_sum
 from .errors import ValidationError
 from .integrator import SolverSettings, float_inertia
 from .kinematics import _pose_floats, check_pose, pose_to_rotation_translation, vector_sandwich
@@ -84,7 +84,7 @@ def _deriv(y, K, forces, t: float) -> list:
         p3 * w1 - p4 * w0,
     ]
     if forces:
-        tau = total_wrench(forces, np.array(_pose_floats(y[:4], y[4:7])), np.array(chi), t).tolist()
+        tau = wrench_sum(forces, _pose_floats(y[:4], y[4:7]), chi, t)
         pidot = [a + b for a, b in zip(pidot, tau)]
     return [
         0.5 * (-q1 * w0 - q2 * w1 - q3 * w2),

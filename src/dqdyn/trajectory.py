@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import InertiaMatrix6, kinetic_energy, potential_energy, world_momentum
+from .dynamics import InertiaMatrix6, kinetic_energy, potential_sum, world_momentum
 from .errors import ValidationError
 from .kinematics import pose_constraint_errors, pose_distance
 from .quat import Array
@@ -139,7 +139,7 @@ class Trajectory:
         L, P = world_momentum(poses, inertia, twists)
         unit, orth = pose_constraint_errors(poses)
         if any(m.energy is not None for m in force_models):
-            potential = np.array([potential_energy(force_models, p) for p in poses])
+            potential = np.array([potential_sum(force_models, p) for p in poses.tolist()])
         else:
             potential = np.zeros(poses.shape[0])
         return cls(

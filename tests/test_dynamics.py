@@ -1,5 +1,7 @@
 """Inertia assembly, potentials, and force models against physical oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -20,10 +22,12 @@ from dqdyn.dynamics import (
     momentum,
     numeric_conservative_wrench,
     potential_energy,
+    potential_sum,
     skew,
     spring_potential,
     total_wrench,
     world_momentum,
+    wrench_sum,
 )
 from dqdyn.errors import SingularMatrixError, ValidationError
 from dqdyn.kinematics import (
@@ -354,9 +358,75 @@ def test_total_wrench_rejects_bad_model(rng):
 def test_total_wrench_rejects_non_finite_model(rng):
     good = constant_wrench_model(body_wrench(np.ones(3), np.ones(3)))
     for bad_value in (np.nan, np.inf, -np.inf):
-        bad = constant_wrench_model(world_wrench([0.0, 0.0, 0.0], [0.0, bad_value, 0.0]))
+        bad = ForceModel(evaluate=lambda pose, chi, t, v=bad_value: world_wrench([0.0, 0.0, 0.0], [0.0, v, 0.0]))
         with pytest.raises(ValidationError, match="force model 1 returned a non-finite wrench"):
             total_wrench([good, bad], random_pose(rng), np.zeros(6), 0.0)
+
+
+NON_FINITE_PARAMETER = {
+    "mass": lambda bad: gravity_potential(bad, [0.0, 0.0, -9.81]),
+    "g_world": lambda bad: gravity_potential(1.0, [0.0, bad, -9.81]),
+    "com_offset": lambda bad: gravity_potential(1.0, [0.0, 0.0, -9.81], [bad, 0.0, 0.0]),
+    "anchor_world": lambda bad: spring_potential([bad, 0.0, 1.0], [0.1, 0.0, 0.0], 10.0),
+    "attachment_body": lambda bad: spring_potential([0.0, 0.0, 1.0], [0.1, bad, 0.0], 10.0),
+    "stiffness": lambda bad: spring_potential([0.0, 0.0, 1.0], [0.1, 0.0, 0.0], bad),
+    "rest_length": lambda bad: spring_potential([0.0, 0.0, 1.0], [0.1, 0.0, 0.0], 10.0, bad),
+    "constant wrench torque": lambda bad: constant_wrench_model(body_wrench([bad, 0.0, 0.0], np.zeros(3))),
+    "constant wrench force": lambda bad: constant_wrench_model(world_wrench(np.zeros(3), [0.0, 0.0, bad])),
+}
+
+
+@pytest.mark.parametrize("what", list(NON_FINITE_PARAMETER))
+def test_library_constructors_reject_non_finite_parameters(what):
+    # rejected where the parameter is given, not at the first evaluation
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValidationError, match=f"^{what} must be finite"):
+            NON_FINITE_PARAMETER[what](bad)
+
+
+SPRING_ANCHOR = np.array([0.2, -0.3, 1.0])
+SPRING_ATTACHMENT = np.array([0.3, -0.1, 0.2])
+
+
+def _library_models() -> dict:
+    spring = force_model_from_potential(spring_potential(SPRING_ANCHOR, SPRING_ATTACHMENT, 25.0, 0.4))
+    return {
+        "gravity": force_model_from_potential(gravity_potential(1.3, [0.1, -0.2, -9.81], [0.2, -0.1, 0.3])),
+        "spring": spring,
+        "spring_at_anchor": spring,
+        "damping": damping_model([0.2, 0.3, 0.4], 0.5),
+        "constant_body": constant_wrench_model(body_wrench([0.3, -0.2, 0.1], [1.0, 2.0, -3.0])),
+        "constant_world": constant_wrench_model(world_wrench([0.3, -0.2, 0.1], [1.0, 2.0, -3.0])),
+    }
+
+
+@pytest.mark.parametrize("name", list(_library_models()))
+def test_float_kernel_is_bitwise_the_wrench_edge(rng, name):
+    # the float kernel the loops call, total_wrench, and the model's
+    # ndarray/Wrench edge behind a plain callable (the adapter route) agree
+    # bit for bit; so do the potentials
+    model = _library_models()[name]
+    edge = replace(
+        model,
+        evaluate=lambda p, c, t, e=model.evaluate: e(p, c, t),
+        energy=None if model.energy is None else (lambda p, e=model.energy: e(p)),
+    )
+    for _ in range(50):
+        pose, chi, t = random_pose(rng), random_twist(rng), float(rng.uniform(0.0, 10.0))
+        if name == "spring_at_anchor":
+            q = pose[:4]
+            R = quat_to_matrix_oracle(q)
+            pose = pose_from_rotation_translation(q, SPRING_ANCHOR - R @ SPRING_ATTACHMENT)
+        kernel = model.evaluate.floats(pose.tolist(), chi.tolist(), t)
+        if name == "spring_at_anchor":
+            assert kernel == (0.0,) * 6  # the dist < 1e-12 branch
+        np.testing.assert_array_equal(wrench_sum([model], pose.tolist(), chi.tolist(), t), kernel)
+        np.testing.assert_array_equal(total_wrench([model], pose, chi, t), kernel)
+        np.testing.assert_array_equal(total_wrench([edge], pose, chi, t), kernel)
+        energy = potential_sum([model], pose.tolist())
+        assert potential_energy([model], pose) == energy == potential_energy([edge], pose)
+        if model.energy is not None:
+            assert energy == model.energy(pose)
 
 
 def test_potential_energy_sums_conservative_only():

@@ -1,6 +1,7 @@
 """Variational stepper: parametrization, residuals, Jacobian, Newton, runs."""
 
 import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from conftest import random_pose
 
 from dqdyn import integrator
 from dqdyn.dynamics import (
+    ForceModel,
     build_inertia,
     build_inertia_raw,
     constant_wrench_model,
@@ -26,9 +28,11 @@ from dqdyn.integrator import (
     solve_step,
     step_to_dual_quaternion,
 )
-from dqdyn.kinematics import body_wrench, pose_constraint_errors, pose_identity
+from dqdyn.kinematics import Wrench, body_wrench, pose_constraint_errors, pose_identity
+from dqdyn.newton_euler import rk4_simulate
 from dqdyn.quat import dq_identity
 from dqdyn.scenario import build_run, load_config
+from dqdyn.trajectory import Trajectory
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -483,8 +487,12 @@ def test_simulate_zero_steps_retrieves_initial_twist():
     np.testing.assert_allclose(traj.twists[0], chi0, rtol=1e-10, atol=1e-12)
 
 
+def _scenario_inputs(name):
+    return build_run(load_config(SCENARIO_DIR / f"{name}.yaml"))
+
+
 def _scenario_run(name, n_steps):
-    inputs = build_run(load_config(SCENARIO_DIR / f"{name}.yaml"))
+    inputs = _scenario_inputs(name)
     return simulate(inputs.pose, inputs.twist, inputs.inertia, inputs.forces, inputs.settings, n_steps)
 
 
@@ -518,3 +526,76 @@ def test_simulate_repeats_bit_for_bit():
     second = _scenario_run("generic_forced", 500)
     for column in ("poses", "twists", "steps", "iterations", "residual_norms"):
         np.testing.assert_array_equal(getattr(first, column), getattr(second, column))
+
+
+def _behind_plain_callable(model):
+    """The model with its evaluate behind a plain function: the adapter route."""
+    return replace(model, evaluate=lambda p, c, t, e=model.evaluate: e(p, c, t))
+
+
+@pytest.mark.parametrize("run", [simulate, rk4_simulate], ids=["dqvi", "rk4"])
+@pytest.mark.parametrize("name", ["generic_forced", "damped_drop"])
+def test_float_kernels_run_bit_identical_to_wrench_edge(name, run):
+    # the loops call the library models' float kernels; the same models
+    # behind plain callables go through their ndarray/Wrench edge and the
+    # adapter, and the runs must not differ in a single bit
+    inputs = _scenario_inputs(name)
+    edge = tuple(map(_behind_plain_callable, inputs.forces))
+    kernel_run = run(inputs.pose, inputs.twist, inputs.inertia, inputs.forces, inputs.settings, 300)
+    edge_run = run(inputs.pose, inputs.twist, inputs.inertia, edge, inputs.settings, 300)
+    for column in ("poses", "twists", "steps", "potential"):
+        np.testing.assert_array_equal(getattr(kernel_run, column), getattr(edge_run, column))
+
+
+def test_replaced_evaluate_is_called_once_per_state():
+    # dataclasses.replace(model, evaluate=...) is honoured: the loop calls
+    # the new callable, once per state
+    inputs = _scenario_inputs("generic_forced")
+    times = []
+
+    def counted(pose, chi, t, inner=inputs.forces[0].evaluate):
+        times.append(t)
+        return inner(pose, chi, t)
+
+    models = (replace(inputs.forces[0], evaluate=counted), *inputs.forces[1:])
+    n_steps = 40
+    simulate(inputs.pose, inputs.twist, inputs.inertia, models, inputs.settings, n_steps)
+    assert len(times) == n_steps + 1
+    np.testing.assert_allclose(times, np.arange(n_steps + 1) * inputs.settings.h, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("run", [simulate, rk4_simulate], ids=["dqvi", "rk4"])
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (lambda pose, chi, t: np.zeros(6), "force model 1 returned ndarray, expected Wrench"),
+        (lambda pose, chi, t: body_wrench([0.0, np.nan, 0.0], np.zeros(3)), "force model 1 returned a non-finite wrench"),
+    ],
+    ids=["ndarray", "nan_torque"],
+)
+def test_user_model_errors_name_the_model(run, bad, message):
+    models = [constant_wrench_model(body_wrench(np.zeros(3), [0.0, 0.0, -1.0])), ForceModel(evaluate=bad)]
+    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(ValidationError, match=message):
+        run(pose_identity(), np.zeros(6), M, models, SolverSettings(h=1e-3), 5)
+
+
+def test_forced_runs_build_no_wrench(monkeypatch):
+    # the loop, the RK4 oracle and from_raw stay on floats: a Wrench is
+    # only built at the API edge, never per step or per state
+    runs = [_scenario_inputs(name) for name in ("generic_forced", "damped_drop")]
+    built = []
+    post_init = Wrench.__post_init__
+
+    def counted(self):
+        built.append(self.frame)
+        post_init(self)
+
+    monkeypatch.setattr(Wrench, "__post_init__", counted)
+    for inputs in runs:
+        for integrate in (simulate, rk4_simulate):
+            traj = integrate(inputs.pose, inputs.twist, inputs.inertia, inputs.forces, inputs.settings, 100)
+            Trajectory.from_raw(traj.times, traj.poses, traj.twists, inputs.inertia, inputs.forces)
+    assert built == []
+    body_wrench(np.zeros(3), np.zeros(3))  # the count does see a construction
+    assert built == ["body"]

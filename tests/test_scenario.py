@@ -299,6 +299,11 @@ initial:
         ("[1, 2, 3]", "mapping"),
         ("", "empty"),
         ("body: {mass: 1.0, inertia: [1, 2, 3]}\ninitial: {body_twist: [1, 2]}", "6"),
+        (
+            "body: {mass: 1.0, inertia: [1, 2, 3]}\n"
+            "forces: [{type: spring, stiffness: .nan, anchor_world: [0, 0, 1], attachment_body: [0, 0, 0]}]",
+            "forces[0].stiffness: must be finite",
+        ),
     ],
 )
 def test_rejections_are_actionable(text, fragment):
