@@ -18,9 +18,17 @@ Each step solves the discrete momentum balance
 for f_k by Newton iteration with the analytic 6x6 Jacobian. A and B are the
 rotational and translational components of the step momentum; alpha/beta
 transport the previous step's momentum into the current frame and add the
-wrench impulse (h^2/2) [torque; force]. The body twist is retrieved from
-the solved step variables afterwards, chi = (2/h) M^-1 [A; B], less the
-quarter kick (h/2) M^-1 tau that puts it at its state's instant.
+wrench impulse (h^2/2) [torque; force]. In a run, Newton starts from the
+linear prediction 2 f_{k-1} - f_{k-2}, which is O(h^3) from f_k, so one
+update reaches round-off and no one-signed stopping error accumulates in
+the conserved momenta. [A; B] is not one-to-one: about a principal axis
+A is proportional to gamma |Phi|, which peaks at |Phi|^2 = 1/2, and past
+that fold lies a mirror root. A prediction thrown next to the fold by a
+jump in the wrench can converge to it, so a predicted solve that fails, or
+that needs more than one update and ends with det J of the other sign
+than at f_{k-1}, is solved again from f_{k-1}. The body twist is retrieved
+from the solved step variables, chi = (2/h) M^-1 [A; B], less the quarter
+kick (h/2) M^-1 tau that puts it at its state's instant.
 
 Conventions: twists are [omega; v] body frame, wrenches [torque; force],
 M is the 6x6 generalized inertia about the body reference point.
@@ -220,6 +228,16 @@ def _jacobian_simple(f, terms, K: _Inertia) -> list:
     ]
 
 
+def _jacobian_positive(f, terms, K: _Inertia) -> bool:
+    """det d[A; B]/df > 0: the side of the fold of [A; B] that f is on.
+
+    Newton from a start on one side converges to the root on that side;
+    the sign can only change through a singular Jacobian.
+    """
+    jacobian_of = _jacobian_simple if K.simple else _jacobian_general
+    return bool(np.linalg.det(jacobian_of(f, terms, K)) > 0.0)
+
+
 def _max_abs(v) -> float:
     """max |v_i|, NaN when an entry is NaN (the builtin max would skip it)."""
     s = sum(v)
@@ -240,12 +258,11 @@ def _newton(f, terms, target, K: _Inertia, tol: float, max_iterations: int, orde
     reports one iteration.
     """
     ab = _residual_ab(f, terms)
-    r = [a - t for a, t in zip(ab, target)]
-    pre = _max_abs(r)
+    y = [t - a for a, t in zip(ab, target)]  # the negated residual, Newton's right-hand side
+    pre = _max_abs(y)
     jacobian_of = _jacobian_simple if K.simple else _jacobian_general
     for it in range(1, max_iterations + 1):
         J = jacobian_of(f, terms, K)
-        y = [-v for v in r]
         solved = None if order is None else solve_ordered(J, y, order)
         if solved is None:
             dx, cond, ok, order = solve_rows(J, y)
@@ -267,8 +284,8 @@ def _newton(f, terms, target, K: _Inertia, tol: float, max_iterations: int, orde
         f = trial
         terms = _momentum_terms(f, K)
         ab = _residual_ab(f, terms)
-        r = [a - t for a, t in zip(ab, target)]
-        pre = _max_abs(r)
+        y = [t - a for a, t in zip(ab, target)]
+        pre = _max_abs(y)
         if pre <= tol:
             return f, terms, ab, it, pre, _STATUS_OK, order
     return f, terms, ab, max_iterations, pre, _STATUS_NO_CONVERGENCE, order
@@ -446,14 +463,22 @@ def simulate(
     (if any) sampled at (p_0, chi_0, 0). Step k >= 1 advances the pose by
     the previous step, samples the force models once at (p_k, (2/h) M^-1
     (T_k + (h^2/4) tau_{k-1}), k*h), with T_k the transported previous step
-    momentum, and solves [A; B](f_k) = T_k + (h^2/2) tau_k warm-started
-    from f_{k-1}. The final state's step variables are solved too, which is
-    what retrieves its twist; they are never applied to the pose.
+    momentum, and solves [A; B](f_k) = T_k + (h^2/2) tau_k. Step 1 is
+    warm-started from f_0; step k >= 2 from 2 f_{k-1} - f_{k-2}, or from
+    f_{k-1} when that prediction has |Phi| >= 1. A predicted solve that
+    fails, or that takes more than one update and ends on the other side of
+    the fold of [A; B] from f_{k-1} (det J changes sign), is solved again
+    from f_{k-1}, and ``iterations`` counts that solve. A single update that
+    meets tol is not checked: its residual is its own second-order term, so
+    it moved O(sqrt(tol)), too little to cross a fold. The final state's
+    step variables are solved too, which is what retrieves its twist; they
+    are never applied to the pose.
 
     Each state stores the node-synchronized twist
     (2/h) M^-1 ([A; B](f_k) - (h^2/4) tau_k), the average of the step
     momenta arriving at and leaving it; the force models saw a twist O(h^2)
-    from it.
+    from it. The loop keeps the bracketed momenta and retrieves all twists
+    after it, with the bits of a per-state ``matvec``.
     """
     p0 = np.ascontiguousarray(check_pose(pose0))
     chi0 = finite_vector6(twist0, "twist")
@@ -470,7 +495,7 @@ def simulate(
     n = n_steps + 1
     poses = np.empty((n, 8))
     steps = np.empty((n, 6))
-    twists = np.empty((n, 6))
+    momenta = np.empty((n, 6))  # [A; B](f_k) - (h^2/4) tau_k, the stored twists' momenta
     iters = np.zeros(n, dtype=np.int64)
     resnorms = np.zeros(n)
     pose = p0.tolist()
@@ -485,6 +510,7 @@ def simulate(
         target = _kicked(target, tau, quarter_kick)
     order = None  # pivot order of the last searched solve; the first solve searches
     for k in range(n):
+        start, start_terms = f, terms
         if k:
             pose = dq_product(pose, _step_dq(f))
             poses[k] = pose
@@ -494,20 +520,32 @@ def simulate(
                 chi = [two_over_h * x for x in matvec(K.inverse, _kicked(target, tau, quarter_kick))]
                 tau = wrench_sum(force_models, pose, chi, k * h)
                 target = _kicked(target, tau, impulse)
-        f, terms, ab, it, rn, status, order = _newton(f, terms, target, K, tol, max_iterations, order)
+            if k > 1:
+                guess = [2.0 * a - b for a, b in zip(f, f_prev)]  # 2 f_{k-1} - f_{k-2}
+                if _phi_norm2(guess) < 1.0:
+                    start, start_terms = guess, _momentum_terms(guess, K)
+        f_prev, prev_terms, prev_order = f, terms, order
+        f, terms, ab, it, rn, status, order = _newton(start, start_terms, target, K, tol, max_iterations, order)
+        if start is not f_prev and (
+            status or (it > 1 and _jacobian_positive(f, terms, K) != _jacobian_positive(f_prev, prev_terms, K))
+        ):
+            # the predicted start failed, or its solve crossed the fold of
+            # [A; B] to the root on the other side from f_{k-1}: solve the
+            # step again as a start from f_{k-1} would
+            f, terms, ab, it, rn, status, order = _newton(
+                f_prev, prev_terms, target, K, tol, max_iterations, prev_order
+            )
         iters[k] = it
         resnorms[k] = rn
         _raise_for_status(status, it, rn, k)
         steps[k] = f
-        if force_models:
-            ab = _kicked(ab, tau, -quarter_kick)
-        twists[k] = [two_over_h * x for x in matvec(K.inverse, ab)]
+        momenta[k] = _kicked(ab, tau, -quarter_kick) if force_models else ab
 
     times = np.arange(n) * h
     return Trajectory.from_raw(
         times=times,
         poses=poses,
-        twists=twists,
+        twists=two_over_h * np.column_stack(matvec(K.inverse, momenta.T)),
         inertia=M,
         force_models=force_models,
         steps=steps,

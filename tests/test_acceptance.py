@@ -4,9 +4,9 @@ One test per shipped guarantee, in a fixed order, each printing the measured
 numbers next to its bar (run with -s to see them on passing tests too):
 
 1. long-run group-constraint preservation without reprojection
-2. world angular momentum conservation
+2. world angular momentum conservation, with its drift at round-off
 3. bounded energy without secular drift
-4. Newton convergence effort
+4. Newton convergence effort, one iteration per forced step
 5. pure-translation single-iteration exactness
 6. convergence order against the RK4 oracle, free and forced
 7. analytic Jacobian validity
@@ -133,6 +133,15 @@ def test_world_angular_momentum_conserved(free_top_10k):
     assert drift <= 1e-8
 
 
+def test_world_angular_momentum_drift_is_roundoff(free_top_10k):
+    # Newton starts each step from a second-order prediction and stops at
+    # round-off, so no one-signed stopping error accumulates in L
+    L = free_top_10k.angular_momentum
+    drift = np.abs(L - L[0]).max() / np.linalg.norm(L[0])
+    print(f"\nangular momentum relative drift {drift:.3e} over 1e4 steps (bar 1e-11)")
+    assert drift <= 1e-11
+
+
 def test_energy_bounded_without_secular_drift(free_top_10k, spring_pendulum_10k):
     results = {}
     for name, traj in (("free top", free_top_10k), ("spring pendulum", spring_pendulum_10k)):
@@ -151,12 +160,14 @@ def test_energy_bounded_without_secular_drift(free_top_10k, spring_pendulum_10k)
     for name, (rel, ratio) in results.items():
         assert ratio <= 1e-3, (
             f"{name}: |slope| x T = {ratio:.3e} of peak deviation (bar 1e-3). "
-            "The deviation is a bounded oscillation (its peak is identical on "
-            "10x and 100x longer runs) whose slowest mode completes about one "
-            "period in this window, so a least-squares line reads oscillation "
-            "phase rather than a secular trend; no integrator whose energy "
-            "error oscillates at the system's own frequencies can meet this "
-            "bar over this window."
+            "On the spring pendulum the deviation is a bounded oscillation (its "
+            "peak is the same on a 10x longer run and 0.8% higher on a 100x "
+            "longer one) whose slowest mode completes about one period in this "
+            "window, so a least-squares line reads oscillation phase rather "
+            "than a secular trend; no integrator whose energy error oscillates "
+            "at the system's own frequencies can meet this bar over this "
+            "window. On the free top the deviation is round-off, and the line "
+            "fits noise."
         )
 
 
@@ -168,6 +179,14 @@ def test_newton_convergence_effort(generic_forced_10k):
     assert frac3 >= 0.99
     assert iters.max() <= 5
     assert generic_forced_10k.residual_norms.max() <= 1e-12
+
+
+def test_forced_steps_solve_in_one_newton_iteration(generic_forced_10k):
+    # from step 1 on, the predicted warm start is within O(h^3) of the
+    # solution, so one Newton update meets the tolerance
+    mean = float(generic_forced_10k.iterations[1:].mean())
+    print(f"\nmean Newton iterations over steps >= 1: {mean:.3f} (bar 1.05)")
+    assert mean <= 1.05
 
 
 def test_pure_translation_single_newton_iteration_exact():

@@ -368,15 +368,14 @@ def test_simulate_energy_bounded_free_top():
 def test_simulate_energy_peak_does_not_grow_with_run_length():
     # the energy error is a bounded oscillation: a 10x longer run reaches
     # the same peak deviation instead of 10x more, which is the actual
-    # no-secular-drift evidence (a drifting method would scale with T)
-    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
-    chi0 = np.array([1.0, 0.1, 0.0, 0.0, 0.0, 0.0])
+    # no-secular-drift evidence (a drifting method would scale with T). The
+    # spring pendulum's peak is truncation error (~7e-5); a free top's is
+    # round-off, which would compare noise, so there is no absolute floor
     peaks = []
     for n in (10_000, 100_000):
-        traj = simulate(pose_identity(), chi0, M, (), SolverSettings(h=1e-3), n)
-        E = traj.energies
+        E = _scenario_run("spring_pendulum", n).energies
         peaks.append(np.abs(E - E[0]).max())
-    assert peaks[1] == pytest.approx(peaks[0], rel=0.05)
+    assert peaks[1] == pytest.approx(peaks[0], rel=0.05, abs=0.0)
 
 
 def test_simulate_energy_bounded_with_gravity(rng):
@@ -452,6 +451,59 @@ def test_simulate_annotates_divergence_step():
     assert info.value.step_index == 5
 
 
+def test_simulate_spin_up_fails_at_the_half_turn_step():
+    # a steady torque spins the body up until a step nears the half-turn
+    # ceiling; the predicted warm start must not move the failing step
+    M = build_inertia(1.0, np.eye(3))
+    torque = constant_wrench_model(body_wrench([20.0, 0.0, 0.0], np.zeros(3)))
+    with pytest.raises(SolverDivergenceError) as info:
+        simulate(pose_identity(), [5.0, 0.0, 0.0, 0.0, 0.0, 0.0], M, [torque], SolverSettings(h=0.05), 40)
+    assert info.value.step_index == 15
+
+
+def test_simulate_falls_back_when_the_prediction_leaves_the_chart():
+    # a torque impulse at state 2 makes the step jump, so the linear
+    # prediction 2 f_2 - f_1 for step 3 has |Phi| >= 1, where the momentum
+    # terms are undefined; step 3 must start from f_2 instead, which makes
+    # it the single-step solve from f_2
+    h = 0.1
+
+    def impulse(pose, chi, t):
+        return body_wrench([80.0 if abs(t - 2 * h) < 1e-9 else 0.0, 0.0, 0.0], np.zeros(3))
+
+    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+    settings = SolverSettings(h=h)
+    traj = simulate(pose_identity(), [1.0, 0.1, 0.0, 0.0, 0.0, 0.0], M, [ForceModel(evaluate=impulse)], settings, 8)
+    f = traj.steps
+    assert np.linalg.norm((2.0 * f[2] - f[1])[:3]) >= 1.0
+    assert traj.residual_norms.max() <= settings.tolerance
+    single, iterations, _ = solve_step(f[2], M, None, settings)
+    np.testing.assert_allclose(f[3], single, rtol=0.0, atol=1e-15)
+    assert traj.iterations[3] == iterations
+
+
+def test_simulate_keeps_the_branch_of_the_previous_step():
+    # a torque impulse at state 2 puts the prediction 2 f_2 - f_1 for step 3
+    # next to the fold of [A; B] (|Phi|^2 = 1/2 about the principal x axis);
+    # Newton from it lands on the mirror root, a 136-degree step, with every
+    # residual within tol. Step 3 must be solved again from f_2, whose root
+    # is the 44-degree step, and the run must stay on that branch
+    h = 0.1
+
+    def impulse(pose, chi, t):
+        return body_wrench([60.0 if abs(t - 2 * h) < 1e-9 else 0.0, 0.0, 0.0], np.zeros(3))
+
+    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+    settings = SolverSettings(h=h)
+    traj = simulate(pose_identity(), [1.0, 0.1, 0.0, 0.0, 0.0, 0.0], M, [ForceModel(evaluate=impulse)], settings, 8)
+    f = traj.steps
+    assert np.linalg.norm((2.0 * f[2] - f[1])[:3]) ** 2 == pytest.approx(0.5, abs=0.01)
+    single, iterations, _ = solve_step(f[2], M, None, settings)
+    np.testing.assert_allclose(f[3], single, rtol=0.0, atol=1e-15)
+    assert traj.iterations[3] == iterations
+    assert np.linalg.norm(f[:, :3], axis=1).max() < 0.4
+
+
 def test_simulate_rejects_non_finite_model_wrench():
     from dqdyn.dynamics import ForceModel
 
@@ -516,6 +568,14 @@ def test_reused_pivot_order_changes_no_state(monkeypatch, name):
     assert len(searches) == 1 + int(searched.iterations.sum())
     for column in ("poses", "twists", "steps", "iterations", "residual_norms"):
         np.testing.assert_array_equal(getattr(reused, column), getattr(searched, column))
+
+
+@pytest.mark.parametrize("name", ["free_top", "offset_reference"])
+def test_free_run_twists_are_retrieve_twist(name):
+    inputs = _scenario_inputs(name)
+    traj = _scenario_run(name, 300)
+    for k in range(traj.n_states):
+        np.testing.assert_array_equal(retrieve_twist(traj.steps[k], inputs.inertia, inputs.settings.h), traj.twists[k])
 
 
 def test_simulate_repeats_bit_for_bit():
