@@ -103,6 +103,7 @@ from .scenario import (
     build_run,
     config_inertia,
     load_config,
+    load_run,
     parse_config,
     serialize_config,
 )

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .integrator import simulate
 from .newton_euler import rk4_simulate
-from .scenario import INTEGRATOR_RK4, INTEGRATOR_VARIATIONAL, _load
+from .scenario import INTEGRATOR_RK4, INTEGRATOR_VARIATIONAL, load_run
 from .trajectory import compare_trajectories, read_trajectory, summarize, write_trajectory
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def _format_float(value: float) -> str:
 
 
 def _run_one(path: str, overrides: dict) -> str:
-    config, inputs = _load(path, overrides)  # the run parsing built to check the config
+    config, inputs = load_run(path, overrides)
     integrate = simulate if inputs.integrator == INTEGRATOR_VARIATIONAL else rk4_simulate
     traj = integrate(
         inputs.pose,

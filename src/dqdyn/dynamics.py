@@ -179,10 +179,14 @@ class FloatKernel:
 
     ``floats`` is the kernel: it reads the pose (and twist) as sequences of
     Python floats and returns Python floats; a wrench comes back as six
-    body-frame floats [torque; force]. ``wrench_sum`` and ``potential_sum``
-    call it directly. Calling the object is the ndarray edge that the public
-    ``ForceModel`` and ``PotentialField`` fields promise: every argument goes
-    through ``as_floats`` and the kernel's result through ``edge``.
+    body-frame floats [torque; force]. A potential's kernel also reads the
+    pose as eight equal-shape arrays, the pose columns of a stack, and
+    returns the energy of each pose. It uses only + - * / and ``np.sqrt``,
+    which round correctly, so every element has the bits of the float call.
+    ``wrench_sum`` and ``potential_energy`` call the kernel directly.
+    Calling the object is the ndarray edge that the public ``ForceModel``
+    and ``PotentialField`` fields promise: every argument goes through
+    ``as_floats`` and the kernel's result through ``edge``.
     """
 
     __slots__ = ("floats", "edge")
@@ -216,7 +220,9 @@ class PotentialField:
 
     ``body_wrench`` is the analytic gradient route when available; the
     numeric route below works for any field. The library's fields carry both
-    as ``FloatKernel`` objects.
+    as ``FloatKernel`` objects, and their energy kernel evaluates a whole
+    stack of poses in one call; any other ``evaluate`` is called once per
+    pose with an ndarray.
     """
 
     evaluate: Callable[[Array], float]
@@ -235,7 +241,7 @@ def gravity_potential(mass: float, g_world, com_offset=(0.0, 0.0, 0.0)) -> Poten
     r = _finite(as_vector3(com_offset, "com_offset"), "com_offset")
     weight = (mass * g0, mass * g1, mass * g2)
 
-    def energy(pose) -> float:
+    def energy(pose):
         x0, x1, x2 = point_sandwich(pose, r)
         return -mass * (g0 * x0 + g1 * x1 + g2 * x2)
 
@@ -257,16 +263,18 @@ def spring_potential(
         raise ValidationError(f"stiffness must be non-negative, got {k}")
     rest = _finite(float(rest_length), "rest_length")
 
-    def stretch(pose) -> tuple:  # (anchor-to-attachment world vector d, |d|)
+    def offset(pose) -> tuple:  # the anchor-to-attachment world vector d
         x0, x1, x2 = point_sandwich(pose, attach)
-        d = (x0 - n0, x1 - n1, x2 - n2)
-        return d, math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        return x0 - n0, x1 - n1, x2 - n2
 
-    def energy(pose) -> float:
-        return 0.5 * k * (stretch(pose)[1] - rest) ** 2
+    def energy(pose):
+        d0, d1, d2 = offset(pose)
+        e = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2) - rest
+        return 0.5 * k * (e * e)
 
     def wrench(pose) -> tuple:
-        (d0, d1, d2), dist = stretch(pose)
+        d0, d1, d2 = offset(pose)
+        dist = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
         if dist < 1e-12:
             # force magnitude k*rest with undefined direction; zero is the
             # symmetric choice (matches the subgradient of the potential)
@@ -443,19 +451,27 @@ def total_wrench(models: Sequence[ForceModel], pose, chi, t: float) -> Array:
     return np.array(wrench_sum(models, as_floats(pose), as_floats(chi), t))
 
 
-def potential_sum(models: Sequence[ForceModel], pose) -> float:
-    """``potential_energy`` of a pose given as 8 Python floats: a
-    ``FloatKernel`` energy reads the floats, any other an ndarray."""
-    total = 0.0
+def potential_energy(models: Sequence[ForceModel], pose):
+    """Sum of the potentials of the conservative models at one pose (a
+    float), or at each pose of a stack with leading axes (an array).
+
+    A ``FloatKernel`` energy reads a single pose as floats and a stack as
+    its eight pose columns, in one call; any other energy is called once
+    per pose with an ndarray. Either way each pose of a stack gets the bits
+    of a single-pose call.
+    """
+    p = np.asarray(pose, dtype=np.float64)
+    if p.ndim == 0 or p.shape[-1] != 8:
+        raise ValidationError(f"pose must have 8 entries in its last axis, got shape {p.shape}")
+    rows = p.reshape(-1, 8)
+    stacked = p.ndim > 1
+    columns = tuple(rows.T) if stacked else p.tolist()
+    total = np.zeros(rows.shape[0]) if stacked else 0.0
     for model in models:
         energy = model.energy
         if isinstance(energy, FloatKernel):
-            total += energy.floats(pose)
+            total = total + energy.floats(columns)
         elif energy is not None:
-            total += float(energy(np.array(pose)))
-    return total
-
-
-def potential_energy(models: Sequence[ForceModel], pose) -> float:
-    """Sum of the potentials of the conservative models."""
-    return potential_sum(models, as_floats(pose))
+            values = [float(energy(row.copy())) for row in rows]
+            total = total + (np.array(values) if stacked else values[0])
+    return total.reshape(p.shape[:-1]) if stacked else float(total)

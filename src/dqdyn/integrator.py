@@ -170,28 +170,37 @@ def _jacobian_general(f, terms, K: _Inertia) -> list:
     p0, p1, p2, s0, s1, s2 = f
     g, c, u0, u1, u2, w0, w1, w2 = terms
     cg = c / g
-    cols = K.cols
-    J = [
-        [g * t0 - p2 * t1 + p1 * t2 - cg * b0 - s2 * b1 + s1 * b2 for t0, t1, t2, b0, b1, b2 in cols],
-        [p2 * t0 + g * t1 - p0 * t2 + s2 * b0 - cg * b1 - s0 * b2 for t0, t1, t2, b0, b1, b2 in cols],
-        [-p1 * t0 + p0 * t1 + g * t2 - s1 * b0 + s0 * b1 - cg * b2 for t0, t1, t2, b0, b1, b2 in cols],
-        [g * b0 - p2 * b1 + p1 * b2 for _, _, _, b0, b1, b2 in cols],
-        [p2 * b0 + g * b1 - p0 * b2 for _, _, _, b0, b1, b2 in cols],
-        [-p1 * b0 + p0 * b1 + g * b2 for _, _, _, b0, b1, b2 in cols],
-    ]
+    # the six rows of [[R, S(Psi) - (c/gamma) I], [0, R]] M, one pass over M's columns
+    t0, t1, t2, b0, b1, b2 = zip(*[
+        (
+            g * m0 - p2 * m1 + p1 * m2 - cg * m3 - s2 * m4 + s1 * m5,
+            p2 * m0 + g * m1 - p0 * m2 + s2 * m3 - cg * m4 - s0 * m5,
+            -p1 * m0 + p0 * m1 + g * m2 - s1 * m3 + s0 * m4 - cg * m5,
+            g * m3 - p2 * m4 + p1 * m5,
+            p2 * m3 + g * m4 - p0 * m5,
+            -p1 * m3 + p0 * m4 + g * m5,
+        )
+        for m0, m1, m2, m3, m4, m5 in K.cols
+    ])
     g3 = g * g * g
-    x = ((g * g * s0 + c * p0) / g3, (g * g * s1 + c * p1) / g3, (g * g * s2 + c * p2) / g3)
-    y = (p0 / g, p1 / g, p2 / g)
-    skew_w = ((0.0, -w2, w1), (w2, 0.0, -w0), (-w1, w0, 0.0))
-    skew_u = ((0.0, -u2, u1), (u2, 0.0, -u0), (-u1, u0, 0.0))
-    for i, ui, wi in ((0, u0, w0), (1, u1, w1), (2, u2, w2)):
-        top, bottom, sw, su = J[i], J[3 + i], skew_w[i], skew_u[i]
-        for j in range(3):
-            top[j] -= ui * x[j] + wi * y[j] + sw[j]
-            k = ui * y[j] + su[j]
-            top[3 + j] -= k
-            bottom[j] -= k
-    return J
+    x0, x1, x2 = (g * g * s0 + c * p0) / g3, (g * g * s1 + c * p1) / g3, (g * g * s2 + c * p2) / g3
+    y0, y1, y2 = p0 / g, p1 / g, p2 / g
+    # u y^T + S(u), shared by the top-right and bottom-left blocks; the
+    # + 0.0 of a zero skew entry turns a -0.0 product into +0.0
+    k00, k01, k02 = u0 * y0 + 0.0, u0 * y1 - u2, u0 * y2 + u1
+    k10, k11, k12 = u1 * y0 + u2, u1 * y1 + 0.0, u1 * y2 - u0
+    k20, k21, k22 = u2 * y0 - u1, u2 * y1 + u0, u2 * y2 + 0.0
+    return [
+        [t0[0] - (u0 * x0 + w0 * y0 + 0.0), t0[1] - (u0 * x1 + w0 * y1 - w2),
+         t0[2] - (u0 * x2 + w0 * y2 + w1), t0[3] - k00, t0[4] - k01, t0[5] - k02],
+        [t1[0] - (u1 * x0 + w1 * y0 + w2), t1[1] - (u1 * x1 + w1 * y1 + 0.0),
+         t1[2] - (u1 * x2 + w1 * y2 - w0), t1[3] - k10, t1[4] - k11, t1[5] - k12],
+        [t2[0] - (u2 * x0 + w2 * y0 - w1), t2[1] - (u2 * x1 + w2 * y1 + w0),
+         t2[2] - (u2 * x2 + w2 * y2 + 0.0), t2[3] - k20, t2[4] - k21, t2[5] - k22],
+        [b0[0] - k00, b0[1] - k01, b0[2] - k02, b0[3], b0[4], b0[5]],
+        [b1[0] - k10, b1[1] - k11, b1[2] - k12, b1[3], b1[4], b1[5]],
+        [b2[0] - k20, b2[1] - k21, b2[2] - k22, b2[3], b2[4], b2[5]],
+    ]
 
 
 def _jacobian_simple(f, terms, K: _Inertia) -> list:

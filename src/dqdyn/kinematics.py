@@ -140,16 +140,24 @@ def vector_sandwich(q, v) -> tuple:
 
 
 def point_sandwich(p, r) -> tuple:
-    """World image R r + l of the body point r under the pose p, on Python floats.
+    """World image R r + l of the body point r under the pose p = a + eps b.
 
     The sandwich p (1 + eps r_hat) p_bar, p_bar the quaternion-conjugate,
-    dual-negated pose, as two dq_product calls: a polynomial in the 8 pose
-    coordinates, so it extends smoothly to ambient (slightly off-group) poses,
-    which the numeric potential gradient and the RK4 stages rely on.
+    dual-negated pose, has the dual vector part vec(a r a†) + 2 vec(b a†):
+    a rotation and a translation. That is the same polynomial in the 8 pose
+    coordinates as the two products, so it extends smoothly to ambient
+    (slightly off-group) poses, which the numeric potential gradient and the
+    RK4 stages rely on. Only + - and * are used, so the entries of p may be
+    Python floats or equal-shape arrays (pose columns), with the same bits
+    per element.
     """
     a0, a1, a2, a3, b0, b1, b2, b3 = p
-    point = (1.0, 0.0, 0.0, 0.0, 0.0, *r)
-    return dq_product(dq_product(p, point), (a0, -a1, -a2, -a3, -b0, b1, b2, b3))[5:]
+    x0, x1, x2 = vector_sandwich((a0, a1, a2, a3), r)
+    return (
+        x0 + 2.0 * (a0 * b1 - b0 * a1 + (a2 * b3 - a3 * b2)),
+        x1 + 2.0 * (a0 * b2 - b0 * a2 + (a3 * b1 - a1 * b3)),
+        x2 + 2.0 * (a0 * b3 - b0 * a3 + (a1 * b2 - a2 * b1)),
+    )
 
 
 def rotation_conjugate(p) -> tuple:

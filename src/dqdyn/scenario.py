@@ -430,15 +430,19 @@ def parse_config(text: str, overrides: Optional[dict] = None) -> ScenarioConfig:
     return _parse(text, overrides)[0]
 
 
-def _load(path, overrides: Optional[dict] = None) -> tuple[ScenarioConfig, RunInputs]:
-    """Read and parse a config file: the config and the run parsing built."""
+def load_run(path, overrides: Optional[dict] = None) -> tuple[ScenarioConfig, RunInputs]:
+    """Read and parse a config file; ``overrides`` as in ``parse_config``.
+
+    Returns the config and the run that parsing built to check it, so a
+    caller that integrates needs no second ``build_run``.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         return _parse(handle.read(), overrides)
 
 
 def load_config(path, overrides: Optional[dict] = None) -> ScenarioConfig:
     """Read and parse a config file; ``overrides`` as in ``parse_config``."""
-    return _load(path, overrides)[0]
+    return load_run(path, overrides)[0]
 
 
 def serialize_config(config: ScenarioConfig) -> str:

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynamics import InertiaMatrix6, kinetic_energy, potential_sum, world_momentum
+from .dynamics import InertiaMatrix6, kinetic_energy, potential_energy, world_momentum
 from .errors import ValidationError
 from .kinematics import pose_constraint_errors, pose_distance
 from .quat import Array
@@ -129,19 +129,14 @@ class Trajectory:
         The columns come from the same functions that report them for one
         state, applied to whole columns: ``kinetic_energy``,
         ``world_momentum`` (which does not reject drifted rows; their
-        constraint columns show the drift) and ``pose_constraint_errors``.
-        The potential column sums the ``energy`` of every model that has one.
-        Each twist is taken at its pose's instant, which is how both
-        integrators store them.
+        constraint columns show the drift), ``pose_constraint_errors`` and
+        ``potential_energy``. Each twist is taken at its pose's instant,
+        which is how both integrators store them.
         """
         poses = np.asarray(poses, dtype=np.float64)
         twists = np.asarray(twists, dtype=np.float64)
         L, P = world_momentum(poses, inertia, twists)
         unit, orth = pose_constraint_errors(poses)
-        if any(m.energy is not None for m in force_models):
-            potential = np.array([potential_sum(force_models, p) for p in poses.tolist()])
-        else:
-            potential = np.zeros(poses.shape[0])
         return cls(
             times=times,
             poses=poses,
@@ -150,7 +145,7 @@ class Trajectory:
             iterations=iterations,
             residual_norms=residual_norms,
             kinetic=kinetic_energy(inertia, twists),
-            potential=potential,
+            potential=potential_energy(force_models, poses),
             angular_momentum=L,
             linear_momentum=P,
             unit_norm_errors=unit,

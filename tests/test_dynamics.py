@@ -22,7 +22,6 @@ from dqdyn.dynamics import (
     momentum,
     numeric_conservative_wrench,
     potential_energy,
-    potential_sum,
     skew,
     spring_potential,
     total_wrench,
@@ -423,7 +422,7 @@ def test_float_kernel_is_bitwise_the_wrench_edge(rng, name):
         np.testing.assert_array_equal(wrench_sum([model], pose.tolist(), chi.tolist(), t), kernel)
         np.testing.assert_array_equal(total_wrench([model], pose, chi, t), kernel)
         np.testing.assert_array_equal(total_wrench([edge], pose, chi, t), kernel)
-        energy = potential_sum([model], pose.tolist())
+        energy = potential_energy([model], pose[np.newaxis])[0]
         assert potential_energy([model], pose) == energy == potential_energy([edge], pose)
         if model.energy is not None:
             assert energy == model.energy(pose)
@@ -438,3 +437,41 @@ def test_potential_energy_sums_conservative_only():
     ]
     p = pose_from_rotation_translation([1, 0, 0, 0], [0, 0, 2.0])
     assert abs(potential_energy(models, p) - field.evaluate(p)) < 1e-15
+
+
+def _stack_potentials() -> dict:
+    spring = spring_potential(SPRING_ANCHOR, SPRING_ATTACHMENT, 25.0, 0.4)
+    return {
+        "gravity_com_offset": gravity_potential(1.3, [0.1, -0.2, -9.81], [0.2, -0.1, 0.3]),
+        "spring_rest_length": spring,
+        "spring_at_anchor": spring,
+        "plain_callable": PotentialField(evaluate=lambda pose: float(np.sin(pose) @ np.arange(1.0, 9.0))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_stack_potentials()))
+def test_stacked_potential_energy_is_bitwise_per_pose(rng, name):
+    # a stack goes through a built-in kernel as eight pose columns in one
+    # call, a plain callable once per pose; each row must carry the bits of
+    # the single-pose call, on and off the group
+    model = force_model_from_potential(_stack_potentials()[name])
+    poses = np.array([random_pose(rng, translation_scale=2.0) for _ in range(60)])
+    if name == "spring_at_anchor":
+        for k, pose in enumerate(poses):
+            R = quat_to_matrix_oracle(pose[:4])
+            poses[k] = pose_from_rotation_translation(pose[:4], SPRING_ANCHOR - R @ SPRING_ATTACHMENT)
+    else:
+        poses[::3] += 0.05 * rng.normal(size=poses[::3].shape)
+    models = [model, damping_model(1.0, 1.0)]
+    stacked = potential_energy(models, poses)
+    assert stacked.shape == (60,)
+    np.testing.assert_array_equal(stacked, [potential_energy(models, pose) for pose in poses])
+    np.testing.assert_array_equal(stacked, [model.energy(pose) for pose in poses])
+    np.testing.assert_array_equal(potential_energy(models, poses.reshape(3, 20, 8)), stacked.reshape(3, 20))
+
+
+def test_potential_energy_rejects_a_pose_without_eight_entries():
+    models = [force_model_from_potential(gravity_potential(1.0, [0, 0, -9.81]))]
+    for shape in ((7,), (8, 7), ()):
+        with pytest.raises(ValidationError, match="8 entries"):
+            potential_energy(models, np.zeros(shape))

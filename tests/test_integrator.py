@@ -13,6 +13,7 @@ from dqdyn.dynamics import (
     build_inertia,
     build_inertia_raw,
     constant_wrench_model,
+    potential_energy,
     skew,
 )
 from dqdyn.errors import SingularMatrixError, SolverDivergenceError, StepTooLargeError, ValidationError
@@ -31,7 +32,7 @@ from dqdyn.integrator import (
 from dqdyn.kinematics import Wrench, body_wrench, pose_constraint_errors, pose_identity
 from dqdyn.newton_euler import rk4_simulate
 from dqdyn.quat import dq_identity
-from dqdyn.scenario import build_run, load_config
+from dqdyn.scenario import load_run
 from dqdyn.trajectory import Trajectory
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
@@ -171,6 +172,37 @@ def test_jacobian_general_equals_simplified(rng):
         Js = jacobian(f, M, method="simplified")
         np.testing.assert_allclose(Jg, Js, atol=1e-13)
         np.testing.assert_array_equal(jacobian(f, M), Js)
+
+
+def test_jacobian_general_matches_closed_form(rng):
+    # J = [[R, S(Psi) - (c/gamma) I], [0, R]] M - C, R = gamma I + S(Phi),
+    # C = [[u x^T + w y^T + S(w), u y^T + S(u)], [u y^T + S(u), 0]], built
+    # with numpy: a tighter check of the one-pass kernel than finite differences
+    for _ in range(20):
+        A = rng.normal(size=(6, 6))
+        r = rng.normal(size=3)
+        coupled = (
+            build_inertia_raw(A @ A.T + 6.0 * np.eye(6)),
+            build_inertia(rng.uniform(0.5, 3.0), np.diag(rng.uniform(1.0, 4.0, size=3)) - skew(r) @ skew(r), r),
+        )
+        for M in coupled:
+            assert M.coupled
+            for _ in range(10):
+                f = random_step(rng, phi_scale=0.9)
+                phi, psi = f[:3], f[3:]
+                gamma = np.sqrt(1.0 - phi @ phi)
+                c = psi @ phi
+                w, u = np.split(M.matrix @ f, 2)
+                x = (gamma**2 * psi + c * phi) / gamma**3
+                y = phi / gamma
+                R = gamma * np.eye(3) + skew(phi)
+                top = np.hstack([R, skew(psi) - (c / gamma) * np.eye(3)])
+                bottom = np.hstack([np.zeros((3, 3)), R])
+                k = np.outer(u, y) + skew(u)
+                C = np.block([[np.outer(u, x) + np.outer(w, y) + skew(w), k], [k, np.zeros((3, 3))]])
+                expected = np.vstack([top, bottom]) @ M.matrix - C
+                J = jacobian(f, M, method="general")
+                assert np.max(np.abs(J - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_jacobian_method_validation(rng):
@@ -540,7 +572,7 @@ def test_simulate_zero_steps_retrieves_initial_twist():
 
 
 def _scenario_inputs(name):
-    return build_run(load_config(SCENARIO_DIR / f"{name}.yaml"))
+    return load_run(SCENARIO_DIR / f"{name}.yaml")[1]
 
 
 def _scenario_run(name, n_steps):
@@ -605,6 +637,16 @@ def test_float_kernels_run_bit_identical_to_wrench_edge(name, run):
     edge_run = run(inputs.pose, inputs.twist, inputs.inertia, edge, inputs.settings, 300)
     for column in ("poses", "twists", "steps", "potential"):
         np.testing.assert_array_equal(getattr(kernel_run, column), getattr(edge_run, column))
+
+
+def test_simulated_potential_column_is_per_state_potential_energy():
+    # from_raw evaluates the potentials once over the pose column; each
+    # entry must carry the bits of potential_energy at that state's pose
+    inputs = _scenario_inputs("generic_forced")
+    traj = _scenario_run("generic_forced", 300)
+    assert np.any(traj.potential != 0.0)
+    per_state = [potential_energy(inputs.forces, pose) for pose in traj.poses]
+    np.testing.assert_array_equal(traj.potential, per_state)
 
 
 def test_replaced_evaluate_is_called_once_per_state():

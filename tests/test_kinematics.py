@@ -155,6 +155,19 @@ def test_sandwiches_extend_off_the_group(rng):
         np.testing.assert_allclose(transform_point(p, r), explicit, rtol=0.0, atol=1e-15)
 
 
+def test_point_map_is_the_two_product_sandwich(rng):
+    # rotate-plus-translate, vec(a r a†) + 2 vec(b a†), is the same polynomial
+    # as the sandwich p (1 + eps r) p_bar for any ambient 8-vector p = a + eps b
+    for _ in range(2000):
+        p = rng.uniform(0.2, 3.0) * rng.normal(size=8)
+        r = rng.uniform(0.1, 3.0) * rng.normal(size=3)
+        assert abs(np.linalg.norm(p[:4]) - 1.0) > 1e-6
+        pbar = np.concatenate([dq_quat_conjugate(p)[:4], -dq_quat_conjugate(p)[4:]])
+        explicit = dq_mul(dq_mul(p, np.concatenate([[1.0, 0.0, 0.0, 0.0, 0.0], r])), pbar)[5:]
+        got = transform_point(p, r)
+        assert np.max(np.abs(got - explicit)) <= 1e-14 * np.max(np.abs(explicit))
+
+
 def test_body_twist_from_pose_rate_round_trip(rng):
     np.testing.assert_array_equal(
         body_twist_from_pose_rate(pose_identity(), np.zeros(8)), np.zeros(6)

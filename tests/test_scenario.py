@@ -19,6 +19,7 @@ from dqdyn.scenario import (
     build_run,
     config_inertia,
     load_config,
+    load_run,
     parse_config,
     serialize_config,
 )
@@ -376,9 +377,16 @@ def test_direct_dataclass_is_usable():
     "path", sorted(SCENARIO_DIR.glob("*.yaml")), ids=lambda p: p.stem
 )
 def test_shipped_scenarios_parse_and_build(path):
-    # every config in scenarios/ must stay loadable end to end
-    config = load_config(path)
-    inputs = build_run(config)
+    # every config in scenarios/ must stay loadable end to end; load_run
+    # hands back the run parsing built, equal to a fresh build_run
+    config, inputs = load_run(path)
+    assert config == load_config(path)
+    rebuilt = build_run(config)
+    np.testing.assert_array_equal(inputs.pose, rebuilt.pose)
+    np.testing.assert_array_equal(inputs.twist, rebuilt.twist)
+    np.testing.assert_array_equal(inputs.inertia.matrix, rebuilt.inertia.matrix)
+    assert len(inputs.forces) == len(rebuilt.forces) == len(config.forces)
+    assert (inputs.settings, inputs.n_steps, inputs.integrator) == (rebuilt.settings, rebuilt.n_steps, rebuilt.integrator)
     assert inputs.n_steps >= 1
     assert inputs.settings.h > 0.0
     # round trip through the serializer as well
