@@ -59,8 +59,9 @@ class InertiaMatrix6:
     """Generalized 6x6 inertia with cached blocks and inverse.
 
     ``coupled`` is True when the off-diagonal blocks are nonzero (reference
-    point away from the center of mass, or a raw matrix with coupling); the
-    integrator Jacobian takes a cheaper path when it is False.
+    point away from the center of mass, or a raw matrix with coupling). The
+    integrator needs no such flag: its step kernels are generated from M's
+    entries and leave out every zero one.
     """
 
     matrix: Array

@@ -22,7 +22,16 @@ class StepTooLargeError(DqdynError):
 
 class SingularMatrixError(DqdynError):
     """A matrix that must be invertible is singular or numerically
-    indistinguishable from singular (condition estimate above 1e12)."""
+    indistinguishable from singular (condition estimate above 1e12).
+
+    Raised by a Newton step, it carries the iteration and, from a simulation
+    run, the index of the failing step; both are None otherwise.
+    """
+
+    def __init__(self, message, iterations=None, step_index=None):
+        super().__init__(message)
+        self.iterations = iterations
+        self.step_index = step_index
 
 
 class SolverDivergenceError(DqdynError):

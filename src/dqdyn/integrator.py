@@ -30,13 +30,21 @@ than at f_{k-1}, is solved again from f_{k-1}. The body twist is retrieved
 from the solved step variables, chi = (2/h) M^-1 [A; B], less the quarter
 kick (h/2) M^-1 tau that puts it at its state's instant.
 
+The kernels that read M, the momentum terms [w; u] = M f, the Jacobian
+and the product with M^-1, are generated for each inertia as straight-line
+Python with M's entries as literals and its zero entries left out, so one
+Jacobian formula serves every body at the cost of its own zero pattern.
+They are compiled on first use and cached; ``step_kernels(M).source`` is
+their code.
+
 Conventions: twists are [omega; v] body frame, wrenches [torque; force],
 M is the 6x6 generalized inertia about the body reference point.
 """
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -82,40 +90,159 @@ class SolverSettings:
             raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
 
-class _Inertia(NamedTuple):
-    """An inertia in the kernels' form: rows and columns of Python floats."""
-
-    rows: list  # M, six rows
-    cols: list  # M, six column tuples
-    inverse: list  # M^-1, six rows
-    simple: bool  # the center-of-mass Jacobian applies
-    mass: float  # M22[0][0]: the isotropic mass when simple
-
-
-def float_inertia(M: InertiaMatrix6) -> _Inertia:
-    """Convert M once per call into the form the step kernels (and the RK4
-    oracle) read."""
-    rows = M.matrix.tolist()
-    mass = rows[3][3]
-    m22 = [r[3:] for r in rows[3:]]
-    simple = not M.coupled and mass > 0.0 and m22 == [[mass, 0.0, 0.0], [0.0, mass, 0.0], [0.0, 0.0, mass]]
-    return _Inertia(rows, list(zip(*rows)), M.inverse.tolist(), simple, mass)
-
-
 def _phi_norm2(f) -> float:
     """Phi . Phi, summed in the order the kernels use."""
     return f[0] * f[0] + f[1] * f[1] + f[2] * f[2]
 
 
-def _momentum_terms(f, K: _Inertia) -> tuple:
-    """(gamma, c, u0, u1, u2, w0, w1, w2) of f = [Phi; Psi]: gamma = sqrt(1 - Phi.Phi),
-    c = Psi.Phi, w = M11 Phi + M12 Psi and u = M21 Phi + M22 Psi.
+# Step kernels generated per inertia. Leaving out a term whose coefficient is
+# zero, and writing a coefficient of +-1 as the bare symbol, keeps the bits of
+# the full left-to-right sum up to the sign of a zero result (x + +-0.0 == x
+# for x != 0, and x * 1.0 == x).
 
-    Everything the step momentum, its transport and the Jacobian share.
+_KERNEL_CACHE_SIZE = 16
+_STEP_VARIABLES = ("p0", "p1", "p2", "s0", "s1", "s2")
+
+
+class StepKernels(NamedTuple):
+    """The generated kernels of one inertia, and their source (print it).
+
+    ``terms(f)`` is (gamma, c, u0, u1, u2, w0, w1, w2) of f = [Phi; Psi]:
+    gamma = sqrt(1 - Phi.Phi), c = Psi.Phi and [w; u] = M f, everything the
+    step momentum, its transport and the Jacobian share.
+    ``jacobian(f, terms)`` is d[A; B]/d[Phi; Psi] as six row lists.
+    ``inverse(v)`` is M^-1 v as a list.
     """
-    p0, p1, p2, s0, s1, s2 = f
-    w0, w1, w2, u0, u1, u2 = matvec(K.rows, f)
-    return math.sqrt(1.0 - _phi_norm2(f)), s0 * p0 + s1 * p1 + s2 * p2, u0, u1, u2, w0, w1, w2
+
+    terms: Callable
+    jacobian: Callable
+    inverse: Callable
+    source: str
+
+
+def _sum_source(terms) -> str:
+    """Source of the left-to-right sum of sign * symbol * coefficient over
+    (sign, symbol, coefficient) triples, each sign folded into the operator."""
+    out = []
+    for sign, symbol, coefficient in terms:
+        if coefficient == 0.0:
+            continue
+        negative = (sign < 0) != (coefficient < 0.0)
+        magnitude = abs(coefficient)
+        term = symbol if magnitude == 1.0 else f"{symbol} * {magnitude!r}"
+        if out:
+            out.append(f"{'-' if negative else '+'} {term}")
+        else:
+            out.append(f"-{term}" if negative else term)
+    return " ".join(out) if out else "0.0"
+
+
+def _matvec_source(rows, symbols) -> list:
+    """Source of each entry of A v, summed like ``linsolve.matvec``."""
+    return [_sum_source((1, x, a) for x, a in zip(symbols, row)) for row in rows]
+
+
+def _skew(i: int, j: int) -> tuple:
+    """S(v)[i][j] = sign * v[k] for i != j, as (sign, k)."""
+    return (-1 if (j - i) % 3 == 1 else 1), 3 - i - j
+
+
+def _skew_source(v: str, i: int, j: int) -> str:
+    """S(v)[i][j] as a trailing term; a diagonal entry adds 0.0, which turns
+    a -0.0 sum into +0.0."""
+    if i == j:
+        return " + 0.0"
+    sign, k = _skew(i, j)
+    return f" {'-' if sign < 0 else '+'} {v}{k}"
+
+
+def _factor(i: int, k: int):
+    """(sign, symbol) of entry (i, k) of [[R, S(Psi) - (c/gamma) I], [0, R]]
+    with R = gamma I + S(Phi); None in the zero block."""
+    bi, bk, i, k = i // 3, k // 3, i % 3, k % 3
+    if bi > bk:
+        return None
+    if i == k:
+        return (-1, "cg") if bk > bi else (1, "g")
+    sign, n = _skew(i, k)
+    return sign, f"{'s' if bk > bi else 'p'}{n}"
+
+
+def _correction(i: int, j: int):
+    """Entry (i, j) of C = [[u x^T + w y^T + S(w), K], [K, 0]], K = u y^T + S(u);
+    None in the zero block."""
+    if i < 3 and j < 3:
+        return f"(u{i} * x{j} + w{i} * y{j}{_skew_source('w', i, j)})"
+    if i < 3 or j < 3:
+        return f"k{i % 3}{j % 3}"
+    return None
+
+
+def _jacobian_entry(M, i: int, j: int) -> str:
+    """Entry (i, j) of [[R, S(Psi) - (c/gamma) I], [0, R]] M - C."""
+    factors = [(k, _factor(i, k)) for k in range(6)]
+    product = _sum_source((*t, M[k][j]) for k, t in factors if t is not None)
+    correction = _correction(i, j)
+    if correction is None:
+        return product
+    return f"-{correction}" if product == "0.0" else f"{product} - {correction}"
+
+
+def _kernel_source(M, M_inv) -> str:
+    """Source of the step kernels for the 6x6 inertia M and its inverse, both
+    given as row lists of floats."""
+    p = ", ".join(_STEP_VARIABLES)
+    v = [f"v{i}" for i in range(6)]
+    w, u = _matvec_source(M[:3], _STEP_VARIABLES), _matvec_source(M[3:], _STEP_VARIABLES)
+    lines = [
+        "def terms(f):",
+        f"    {p} = f",
+        "    return (",
+        "        sqrt(1.0 - (p0 * p0 + p1 * p1 + p2 * p2)),",
+        "        s0 * p0 + s1 * p1 + s2 * p2,",
+        *[f"        {x}," for x in u + w],
+        "    )",
+        "",
+        "",
+        "def jacobian(f, terms):",
+        "    # J = [[R, S(Psi) - (c/gamma) I], [0, R]] M - C, R = gamma I + S(Phi),",
+        "    # C = [[u x^T + w y^T + S(w), u y^T + S(u)], [u y^T + S(u), 0]],",
+        "    # y = Phi / gamma, x = (gamma^2 Psi + c Phi) / gamma^3",
+        f"    {p} = f",
+        "    g, c, u0, u1, u2, w0, w1, w2 = terms",
+        "    cg = c / g",
+        "    g3 = g * g * g",
+        "    x0, x1, x2 = (g * g * s0 + c * p0) / g3, (g * g * s1 + c * p1) / g3, (g * g * s2 + c * p2) / g3",
+        "    y0, y1, y2 = p0 / g, p1 / g, p2 / g",
+        *[
+            f"    {', '.join(f'k{i}{j}' for j in range(3))} = "
+            + ", ".join(f"u{i} * y{j}{_skew_source('u', i, j)}" for j in range(3))
+            for i in range(3)
+        ],
+        "    return [",
+    ]
+    for i in range(6):
+        lines += ["        ["] + [f"            {_jacobian_entry(M, i, j)}," for j in range(6)] + ["        ],"]
+    lines += ["    ]", "", "", "def inverse(v):", f"    {', '.join(v)} = v", "    return ["]
+    lines += [f"        {x}," for x in _matvec_source(M_inv, v)] + ["    ]"]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _compiled_kernels(matrix: bytes, inverse: bytes) -> StepKernels:
+    M, M_inv = (np.frombuffer(b, dtype=np.float64).reshape(6, 6).tolist() for b in (matrix, inverse))
+    source = _kernel_source(M, M_inv)
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(source, "<dqdyn.integrator.step_kernels>", "exec"), namespace)
+    return StepKernels(namespace["terms"], namespace["jacobian"], namespace["inverse"], source)
+
+
+def step_kernels(M: InertiaMatrix6) -> StepKernels:
+    """The step kernels of M, generated and compiled on first use and kept
+    in a small LRU cache keyed by M's bytes."""
+    return _compiled_kernels(
+        np.asarray(M.matrix, dtype=np.float64).tobytes(), np.asarray(M.inverse, dtype=np.float64).tobytes()
+    )
 
 
 def _residual_ab(f, terms) -> tuple:
@@ -158,102 +285,22 @@ def _kicked(momentum, tau, weight: float) -> list:
     return [a + weight * t for a, t in zip(momentum, tau)]
 
 
-def _jacobian_general(f, terms, K: _Inertia) -> list:
-    """d[A; B]/d[Phi; Psi] for an arbitrary 6x6 inertia, as six row lists.
-
-    With R = gamma I + S(Phi), y = Phi / gamma and
-    x = (gamma^2 Psi + c Phi) / gamma^3:
-
-        J = [[R, S(Psi) - (c/gamma) I], [0, R]] M
-            - [[u x^T + w y^T + S(w), u y^T + S(u)], [u y^T + S(u), 0]]
-    """
-    p0, p1, p2, s0, s1, s2 = f
-    g, c, u0, u1, u2, w0, w1, w2 = terms
-    cg = c / g
-    # the six rows of [[R, S(Psi) - (c/gamma) I], [0, R]] M, one pass over M's columns
-    t0, t1, t2, b0, b1, b2 = zip(*[
-        (
-            g * m0 - p2 * m1 + p1 * m2 - cg * m3 - s2 * m4 + s1 * m5,
-            p2 * m0 + g * m1 - p0 * m2 + s2 * m3 - cg * m4 - s0 * m5,
-            -p1 * m0 + p0 * m1 + g * m2 - s1 * m3 + s0 * m4 - cg * m5,
-            g * m3 - p2 * m4 + p1 * m5,
-            p2 * m3 + g * m4 - p0 * m5,
-            -p1 * m3 + p0 * m4 + g * m5,
-        )
-        for m0, m1, m2, m3, m4, m5 in K.cols
-    ])
-    g3 = g * g * g
-    x0, x1, x2 = (g * g * s0 + c * p0) / g3, (g * g * s1 + c * p1) / g3, (g * g * s2 + c * p2) / g3
-    y0, y1, y2 = p0 / g, p1 / g, p2 / g
-    # u y^T + S(u), shared by the top-right and bottom-left blocks; the
-    # + 0.0 of a zero skew entry turns a -0.0 product into +0.0
-    k00, k01, k02 = u0 * y0 + 0.0, u0 * y1 - u2, u0 * y2 + u1
-    k10, k11, k12 = u1 * y0 + u2, u1 * y1 + 0.0, u1 * y2 - u0
-    k20, k21, k22 = u2 * y0 - u1, u2 * y1 + u0, u2 * y2 + 0.0
-    return [
-        [t0[0] - (u0 * x0 + w0 * y0 + 0.0), t0[1] - (u0 * x1 + w0 * y1 - w2),
-         t0[2] - (u0 * x2 + w0 * y2 + w1), t0[3] - k00, t0[4] - k01, t0[5] - k02],
-        [t1[0] - (u1 * x0 + w1 * y0 + w2), t1[1] - (u1 * x1 + w1 * y1 + 0.0),
-         t1[2] - (u1 * x2 + w1 * y2 - w0), t1[3] - k10, t1[4] - k11, t1[5] - k12],
-        [t2[0] - (u2 * x0 + w2 * y0 - w1), t2[1] - (u2 * x1 + w2 * y1 + w0),
-         t2[2] - (u2 * x2 + w2 * y2 + 0.0), t2[3] - k20, t2[4] - k21, t2[5] - k22],
-        [b0[0] - k00, b0[1] - k01, b0[2] - k02, b0[3], b0[4], b0[5]],
-        [b1[0] - k10, b1[1] - k11, b1[2] - k12, b1[3], b1[4], b1[5]],
-        [b2[0] - k20, b2[1] - k21, b2[2] - k22, b2[3], b2[4], b2[5]],
-    ]
-
-
-def _jacobian_simple(f, terms, K: _Inertia) -> list:
-    """Jacobian for the center-of-mass case M12 = M21 = 0, M22 = mass * I.
-
-    Here u = mass * Psi, so S(Psi) M22 - S(u) cancels in the top-right block
-    of the general form, and the zero blocks of M drop out of R M.
-    """
-    p0, p1, p2, s0, s1, s2 = f
-    g, c, u0, u1, u2, w0, w1, w2 = terms
-    m = K.mass
-    mg = m * g
-    mcg = m * (c / g)
-    g3 = g * g * g
-    x0, x1, x2 = (g * g * s0 + c * p0) / g3, (g * g * s1 + c * p1) / g3, (g * g * s2 + c * p2) / g3
-    y0, y1, y2 = p0 / g, p1 / g, p2 / g
-    r0, r1, r2 = [
-        (g * a0 - p2 * a1 + p1 * a2, p2 * a0 + g * a1 - p0 * a2, -p1 * a0 + p0 * a1 + g * a2)
-        for a0, a1, a2, _, _, _ in K.cols[:3]
-    ]
-    uy00, uy01, uy02 = u0 * y0, u0 * y1, u0 * y2
-    uy10, uy11, uy12 = u1 * y0, u1 * y1, u1 * y2
-    uy20, uy21, uy22 = u2 * y0, u2 * y1, u2 * y2
-    return [
-        [r0[0] - u0 * x0 - w0 * y0, r1[0] - u0 * x1 - w0 * y1 + w2, r2[0] - u0 * x2 - w0 * y2 - w1,
-         -uy00 - mcg, -uy01, -uy02],
-        [r0[1] - u1 * x0 - w1 * y0 - w2, r1[1] - u1 * x1 - w1 * y1, r2[1] - u1 * x2 - w1 * y2 + w0,
-         -uy10, -uy11 - mcg, -uy12],
-        [r0[2] - u2 * x0 - w2 * y0 + w1, r1[2] - u2 * x1 - w2 * y1 - w0, r2[2] - u2 * x2 - w2 * y2,
-         -uy20, -uy21, -uy22 - mcg],
-        [-uy00, -uy01 + u2, -uy02 - u1, mg, -m * p2, m * p1],
-        [-uy10 - u2, -uy11, -uy12 + u0, m * p2, mg, -m * p0],
-        [-uy20 + u1, -uy21 - u0, -uy22, -m * p1, m * p0, mg],
-    ]
-
-
-def _jacobian_positive(f, terms, K: _Inertia) -> bool:
+def _jacobian_positive(f, terms, K: StepKernels) -> bool:
     """det d[A; B]/df > 0: the side of the fold of [A; B] that f is on.
 
     Newton from a start on one side converges to the root on that side;
     the sign can only change through a singular Jacobian.
     """
-    jacobian_of = _jacobian_simple if K.simple else _jacobian_general
-    return bool(np.linalg.det(jacobian_of(f, terms, K)) > 0.0)
+    return bool(np.linalg.det(K.jacobian(f, terms)) > 0.0)
 
 
 def _max_abs(v) -> float:
     """max |v_i|, NaN when an entry is NaN (the builtin max would skip it)."""
-    s = sum(v)
+    s = sum(map(abs, v))  # NaN only for a NaN entry: +inf and -inf add up to inf here
     return max(map(abs, v)) if s == s else math.nan
 
 
-def _newton(f, terms, target, K: _Inertia, tol: float, max_iterations: int, order):
+def _newton(f, terms, target, K: StepKernels, tol: float, max_iterations: int, order):
     """Newton iteration on [A; B](f) = target from the warm start f, whose
     momentum terms are ``terms``.
 
@@ -268,15 +315,14 @@ def _newton(f, terms, target, K: _Inertia, tol: float, max_iterations: int, orde
     """
     ab = _residual_ab(f, terms)
     y = [t - a for a, t in zip(ab, target)]  # the negated residual, Newton's right-hand side
-    pre = _max_abs(y)
-    jacobian_of = _jacobian_simple if K.simple else _jacobian_general
+    jacobian, terms_of = K.jacobian, K.terms
     for it in range(1, max_iterations + 1):
-        J = jacobian_of(f, terms, K)
+        J = jacobian(f, terms)
         solved = None if order is None else solve_ordered(J, y, order)
         if solved is None:
-            dx, cond, ok, order = solve_rows(J, y)
+            dx, cond, ok, order = solve_rows(J, list(y))  # in place: y stays the residual
             if (not ok) or cond > COND_LIMIT:
-                return f, terms, ab, it, pre, _STATUS_SINGULAR, order
+                return f, terms, ab, it, _max_abs(y), _STATUS_SINGULAR, order
         else:
             dx = solved[0]
         scale = 1.0
@@ -289,9 +335,9 @@ def _newton(f, terms, target, K: _Inertia, tol: float, max_iterations: int, orde
             trial = [a + scale * b for a, b in zip(f, dx)]
             nphi = _phi_norm2(trial)
         if nphi >= 1.0:
-            return f, terms, ab, it, pre, _STATUS_INFEASIBLE, order
+            return f, terms, ab, it, _max_abs(y), _STATUS_INFEASIBLE, order
         f = trial
-        terms = _momentum_terms(f, K)
+        terms = terms_of(f)
         ab = _residual_ab(f, terms)
         y = [t - a for a, t in zip(ab, target)]
         pre = _max_abs(y)
@@ -300,11 +346,11 @@ def _newton(f, terms, target, K: _Inertia, tol: float, max_iterations: int, orde
     return f, terms, ab, max_iterations, pre, _STATUS_NO_CONVERGENCE, order
 
 
-def _step_dq(f) -> tuple:
-    """Unit dual quaternion of the step variables."""
+def _step_dq(f, gamma: float, c: float) -> tuple:
+    """Unit dual quaternion of the step variables, given their
+    gamma = sqrt(1 - Phi.Phi) and c = Psi.Phi."""
     p0, p1, p2, s0, s1, s2 = f
-    gamma = math.sqrt(1.0 - _phi_norm2(f))
-    return gamma, p0, p1, p2, -(s0 * p0 + s1 * p1 + s2 * p2) / gamma, s0, s1, s2
+    return gamma, p0, p1, p2, -c / gamma, s0, s1, s2
 
 
 def _as_step(step) -> Array:
@@ -336,13 +382,15 @@ def step_to_dual_quaternion(step) -> Array:
     Unit norm and orthogonality hold as algebraic identities of this
     parametrization, not approximately.
     """
-    return np.array(_step_dq(_as_step(step).tolist()))
+    f = _as_step(step).tolist()
+    p0, p1, p2, s0, s1, s2 = f
+    return np.array(_step_dq(f, math.sqrt(1.0 - _phi_norm2(f)), s0 * p0 + s1 * p1 + s2 * p2))
 
 
 def residual(step, M: InertiaMatrix6) -> tuple[Array, Array]:
     """Step momentum (A, B): rotational and translational components."""
     f = _as_step(step).tolist()
-    out = np.array(_residual_ab(f, _momentum_terms(f, float_inertia(M))))
+    out = np.array(_residual_ab(f, step_kernels(M).terms(f)))
     return out[:3], out[3:]
 
 
@@ -351,32 +399,15 @@ def rhs(prev_step, M: InertiaMatrix6, wrench, h: float) -> tuple[Array, Array]:
     wrench impulse (h^2/2) [torque; force], body frame."""
     f = _as_step(prev_step).tolist()
     tau = _wrench_body_vector(wrench).tolist()
-    out = np.array(_kicked(_transported_ab(f, _momentum_terms(f, float_inertia(M))), tau, 0.5 * h * h))
+    out = np.array(_kicked(_transported_ab(f, step_kernels(M).terms(f)), tau, 0.5 * h * h))
     return out[:3], out[3:]
 
 
-def jacobian(step, M: InertiaMatrix6, method: str = "auto") -> Array:
-    """Analytic d[A; B]/d[Phi; Psi].
-
-    ``method`` picks "general" or "simplified" explicitly; "auto" uses the
-    simplified form exactly when the inertia qualifies (center-of-mass
-    reference, isotropic mass block). Both forms agree there.
-    """
+def jacobian(step, M: InertiaMatrix6) -> Array:
+    """Analytic d[A; B]/d[Phi; Psi], from the kernel generated for M."""
     f = _as_step(step).tolist()
-    K = float_inertia(M)
-    if method == "auto":
-        method = "simplified" if K.simple else "general"
-    if method == "simplified":
-        if not K.simple:
-            raise ValidationError(
-                "simplified Jacobian needs M12 = M21 = 0 and an isotropic mass block"
-            )
-        kernel = _jacobian_simple
-    elif method == "general":
-        kernel = _jacobian_general
-    else:
-        raise ValidationError(f"unknown Jacobian method {method!r}")
-    return np.array(kernel(f, _momentum_terms(f, K), K))
+    K = step_kernels(M)
+    return np.array(K.jacobian(f, K.terms(f)))
 
 
 def initial_guess(chi, h: float) -> Array:
@@ -404,8 +435,8 @@ def solve_step(prev_step, M: InertiaMatrix6, wrench, settings: SolverSettings):
     """
     f_prev = _as_step(prev_step).tolist()
     tau = _wrench_body_vector(wrench).tolist()
-    K = float_inertia(M)
-    terms = _momentum_terms(f_prev, K)
+    K = step_kernels(M)
+    terms = K.terms(f_prev)
     target = _kicked(_transported_ab(f_prev, terms), tau, 0.5 * settings.h * settings.h)
     f, _, _, it, rn, status, _ = _newton(  # no order: a single step always searches
         f_prev, terms, target, K, settings.tolerance, settings.max_iterations, None
@@ -421,7 +452,9 @@ def _raise_for_status(status: int, iterations: int, residual_norm: float, step_i
     if status == _STATUS_SINGULAR:
         raise SingularMatrixError(
             f"Newton Jacobian is singular or too ill-conditioned{where} "
-            f"(iteration {iterations})"
+            f"(iteration {iterations})",
+            iterations=iterations,
+            step_index=step_index,
         )
     if status == _STATUS_INFEASIBLE:
         raise SolverDivergenceError(
@@ -450,9 +483,8 @@ def retrieve_twist(step, M: InertiaMatrix6, h: float) -> Array:
     """Body twist of the step momentum, (2/h) M^-1 [A; B]: what ``simulate``
     stores for a force-free state (under a wrench tau, this less (h/2) M^-1 tau)."""
     f = _as_step(step).tolist()
-    K = float_inertia(M)
     s = 2.0 / float(h)
-    return np.array([s * x for x in matvec(K.inverse, _residual_ab(f, _momentum_terms(f, K)))])
+    return np.array([s * x for x in matvec(M.inverse.tolist(), _residual_ab(f, step_kernels(M).terms(f)))])
 
 
 def simulate(
@@ -498,7 +530,7 @@ def simulate(
     tol = settings.tolerance
     max_iterations = settings.max_iterations
     f = initial_guess(chi0, h).tolist()  # fails fast on a step rotation >= 180 degrees
-    K = float_inertia(M)
+    K = step_kernels(M)
     force_models = list(forces)
 
     n = n_steps + 1
@@ -509,8 +541,8 @@ def simulate(
     resnorms = np.zeros(n)
     pose = p0.tolist()
     poses[0] = pose
-    terms = _momentum_terms(f, K)
-    target = [0.5 * h * x for x in matvec(K.rows, chi0.tolist())]
+    terms = K.terms(f)
+    target = [0.5 * h * x for x in matvec(M.matrix.tolist(), chi0.tolist())]
     two_over_h = 2.0 / h
     impulse = 0.5 * h * h
     quarter_kick = 0.25 * h * h
@@ -521,18 +553,18 @@ def simulate(
     for k in range(n):
         start, start_terms = f, terms
         if k:
-            pose = dq_product(pose, _step_dq(f))
+            pose = dq_product(pose, _step_dq(f, terms[0], terms[1]))
             poses[k] = pose
             target = _transported_ab(f, terms)  # T_k
             if force_models:
                 # the twist predicted from T_k and the previous state's wrench
-                chi = [two_over_h * x for x in matvec(K.inverse, _kicked(target, tau, quarter_kick))]
+                chi = [two_over_h * x for x in K.inverse(_kicked(target, tau, quarter_kick))]
                 tau = wrench_sum(force_models, pose, chi, k * h)
                 target = _kicked(target, tau, impulse)
             if k > 1:
                 guess = [2.0 * a - b for a, b in zip(f, f_prev)]  # 2 f_{k-1} - f_{k-2}
                 if _phi_norm2(guess) < 1.0:
-                    start, start_terms = guess, _momentum_terms(guess, K)
+                    start, start_terms = guess, K.terms(guess)
         f_prev, prev_terms, prev_order = f, terms, order
         f, terms, ab, it, rn, status, order = _newton(start, start_terms, target, K, tol, max_iterations, order)
         if start is not f_prev and (
@@ -554,7 +586,7 @@ def simulate(
     return Trajectory.from_raw(
         times=times,
         poses=poses,
-        twists=two_over_h * np.column_stack(matvec(K.inverse, momenta.T)),
+        twists=two_over_h * np.column_stack(matvec(M.inverse.tolist(), momenta.T)),
         inertia=M,
         force_models=force_models,
         steps=steps,

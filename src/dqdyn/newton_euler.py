@@ -32,17 +32,28 @@ stick to inertias built from (mass, inertia tensor, center-of-mass offset).
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .dynamics import InertiaMatrix6, wrench_sum
 from .errors import ValidationError
-from .integrator import SolverSettings, float_inertia
+from .integrator import SolverSettings
 from .kinematics import _pose_floats, check_pose, pose_to_rotation_translation, vector_sandwich
 from .linsolve import matvec
 from .quat import Array, finite_vector6
 from .trajectory import Trajectory
+
+
+class _Inertia(NamedTuple):
+    """M and M^-1 as the derivative reads them: six rows of Python floats each."""
+
+    rows: list
+    inverse: list
+
+
+def _float_inertia(M: InertiaMatrix6) -> _Inertia:
+    return _Inertia(M.matrix.tolist(), M.inverse.tolist())
 
 
 @dataclass(frozen=True)
@@ -98,7 +109,7 @@ def _deriv(y, K, forces, t: float) -> list:
 
 def state_derivative(state: ContinuousState, M: InertiaMatrix6, forces: Sequence = (), t: float = 0.0) -> ContinuousState:
     """Time derivative of the classical state under the given force models."""
-    return _unpack(_deriv(_pack(state), float_inertia(M), list(forces), t))
+    return _unpack(_deriv(_pack(state), _float_inertia(M), list(forces), t))
 
 
 def _rk4_step(y, K, forces, t: float, h: float) -> list:
@@ -117,7 +128,7 @@ def _rk4_step(y, K, forces, t: float, h: float) -> list:
 
 def rk4_step(state: ContinuousState, M: InertiaMatrix6, forces: Sequence = (), t: float = 0.0, h: float = 1e-3) -> ContinuousState:
     """One classical RK4 step; the quaternion is renormalized afterwards."""
-    return _unpack(_rk4_step(_pack(state), float_inertia(M), list(forces), float(t), float(h)))
+    return _unpack(_rk4_step(_pack(state), _float_inertia(M), list(forces), float(t), float(h)))
 
 
 def rk4_simulate(
@@ -143,7 +154,7 @@ def rk4_simulate(
     if n_steps < 0:
         raise ValidationError(f"n_steps must be >= 0, got {n_steps}")
     h = settings.h
-    K = float_inertia(M)
+    K = _float_inertia(M)
     force_models = list(forces)
     poses = np.empty((n_steps + 1, 8))
     twists = np.empty((n_steps + 1, 6))

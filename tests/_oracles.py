@@ -94,6 +94,30 @@ def skew(v):
     )
 
 
+def step_jacobian_oracle(f, M):
+    """d[A; B]/d[Phi; Psi] in block matrix form:
+
+        J = [[R, S(Psi) - (c/gamma) I], [0, R]] M - C,    R = gamma I + S(Phi),
+        C = [[u x^T + w y^T + S(w), u y^T + S(u)], [u y^T + S(u), 0]],
+
+    with [w; u] = M f, y = Phi / gamma and x = (gamma^2 Psi + c Phi) / gamma^3.
+    """
+    f = np.asarray(f, dtype=float)
+    M = np.asarray(M, dtype=float)
+    phi, psi = f[:3], f[3:]
+    gamma = np.sqrt(1.0 - phi @ phi)
+    c = psi @ phi
+    w, u = np.split(M @ f, 2)
+    x = (gamma**2 * psi + c * phi) / gamma**3
+    y = phi / gamma
+    R = gamma * np.eye(3) + skew(phi)
+    top = np.hstack([R, skew(psi) - (c / gamma) * np.eye(3)])
+    bottom = np.hstack([np.zeros((3, 3)), R])
+    k = np.outer(u, y) + skew(u)
+    C = np.block([[np.outer(u, x) + np.outer(w, y) + skew(w), k], [k, np.zeros((3, 3))]])
+    return np.vstack([top, bottom]) @ M - C
+
+
 def point_cloud(mass, inertia_cm, com):
     """Point masses with the requested total mass, center of mass, and
     central inertia tensor. inertia_cm must be physically realizable

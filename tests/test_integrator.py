@@ -1,10 +1,12 @@
 """Variational stepper: parametrization, residuals, Jacobian, Newton, runs."""
 
 import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from _oracles import step_jacobian_oracle
 from conftest import random_pose
 
 from dqdyn import integrator
@@ -30,6 +32,7 @@ from dqdyn.integrator import (
     step_to_dual_quaternion,
 )
 from dqdyn.kinematics import Wrench, body_wrench, pose_constraint_errors, pose_identity
+from dqdyn.linsolve import matvec
 from dqdyn.newton_euler import rk4_simulate
 from dqdyn.quat import dq_identity
 from dqdyn.scenario import load_run
@@ -46,13 +49,26 @@ def random_step(rng, phi_scale=0.5):
 
 
 def mixed_inertias(rng):
+    """Inertias whose zero patterns the generated step kernels must all handle."""
     A = rng.normal(size=(6, 6))
+    B = rng.normal(size=(3, 3))
     yield build_inertia(1.0, np.eye(3))
     yield build_inertia(2.0, np.diag([1.0, 2.0, 3.0]))
+    yield build_inertia(1.5, B @ B.T + np.eye(3))  # center of mass, full M11
     yield build_inertia(1.5, np.diag([2.0, 3.0, 4.0]) - 1.5 * skew([0.2, -0.1, 0.3]) @ skew([0.2, -0.1, 0.3]), (0.2, -0.1, 0.3))
     yield build_inertia_raw(A @ A.T + 6.0 * np.eye(6))
-    # decoupled blocks but anisotropic mass block: must take the general path
+    # decoupled blocks, anisotropic mass block
     yield build_inertia_raw(np.diag([1.0, 2.0, 3.0, 2.0, 3.0, 4.0]))
+    # anisotropic mass block and scattered zeros
+    scattered = np.diag([3.0, 4.0, 5.0, 2.0, 3.0, 4.0])
+    scattered[0, 4] = scattered[4, 0] = 0.5
+    scattered[2, 3] = scattered[3, 2] = -0.25
+    scattered[3, 5] = scattered[5, 3] = 0.125
+    yield build_inertia_raw(scattered)
+    # zero entries stored as -0.0
+    signed = np.diag([1.0, 2.0, 3.0, 1.5, 1.5, 1.5])
+    signed[signed == 0.0] = -0.0
+    yield build_inertia_raw(signed)
 
 
 def test_step_dq_identity_cases():
@@ -164,57 +180,70 @@ def test_jacobian_matches_finite_differences(rng):
             np.testing.assert_allclose(J, fd_jacobian(f, M), atol=1e-6)
 
 
-def test_jacobian_general_equals_simplified(rng):
-    M = build_inertia(2.0, np.diag([1.0, 2.0, 3.0]))
-    for _ in range(50):
-        f = random_step(rng)
-        Jg = jacobian(f, M, method="general")
-        Js = jacobian(f, M, method="simplified")
-        np.testing.assert_allclose(Jg, Js, atol=1e-13)
-        np.testing.assert_array_equal(jacobian(f, M), Js)
-
-
-def test_jacobian_general_matches_closed_form(rng):
-    # J = [[R, S(Psi) - (c/gamma) I], [0, R]] M - C, R = gamma I + S(Phi),
-    # C = [[u x^T + w y^T + S(w), u y^T + S(u)], [u y^T + S(u), 0]], built
-    # with numpy: a tighter check of the one-pass kernel than finite differences
+def test_jacobian_matches_closed_form(rng):
+    # the numpy block form of J, a tighter check of the generated kernel than
+    # finite differences: every zero pattern, then random coupled inertias
+    inertias = [(M, 40) for M in mixed_inertias(rng)]
     for _ in range(20):
         A = rng.normal(size=(6, 6))
         r = rng.normal(size=3)
-        coupled = (
-            build_inertia_raw(A @ A.T + 6.0 * np.eye(6)),
-            build_inertia(rng.uniform(0.5, 3.0), np.diag(rng.uniform(1.0, 4.0, size=3)) - skew(r) @ skew(r), r),
-        )
-        for M in coupled:
-            assert M.coupled
-            for _ in range(10):
-                f = random_step(rng, phi_scale=0.9)
-                phi, psi = f[:3], f[3:]
-                gamma = np.sqrt(1.0 - phi @ phi)
-                c = psi @ phi
-                w, u = np.split(M.matrix @ f, 2)
-                x = (gamma**2 * psi + c * phi) / gamma**3
-                y = phi / gamma
-                R = gamma * np.eye(3) + skew(phi)
-                top = np.hstack([R, skew(psi) - (c / gamma) * np.eye(3)])
-                bottom = np.hstack([np.zeros((3, 3)), R])
-                k = np.outer(u, y) + skew(u)
-                C = np.block([[np.outer(u, x) + np.outer(w, y) + skew(w), k], [k, np.zeros((3, 3))]])
-                expected = np.vstack([top, bottom]) @ M.matrix - C
-                J = jacobian(f, M, method="general")
-                assert np.max(np.abs(J - expected)) <= 1e-13 * np.max(np.abs(expected))
+        inertias += [
+            (build_inertia_raw(A @ A.T + 6.0 * np.eye(6)), 10),
+            (build_inertia(rng.uniform(0.5, 3.0), np.diag(rng.uniform(1.0, 4.0, size=3)) - skew(r) @ skew(r), r), 10),
+        ]
+    for M, n in inertias:
+        for _ in range(n):
+            f = random_step(rng, phi_scale=0.9)
+            expected = step_jacobian_oracle(f, M.matrix)
+            J = jacobian(f, M)
+            assert np.max(np.abs(J - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
-def test_jacobian_method_validation(rng):
-    coupled = build_inertia(1.0, np.diag([2.0, 2.0, 2.0]), (0.0, 0.5, 0.0))
-    with pytest.raises(ValidationError):
-        jacobian(np.zeros(6), coupled, method="simplified")
-    with pytest.raises(ValidationError):
-        jacobian(np.zeros(6), coupled, method="banana")
-    # anisotropic mass block also disqualifies the simplified form
-    aniso = build_inertia_raw(np.diag([1.0, 2.0, 3.0, 2.0, 3.0, 4.0]))
-    with pytest.raises(ValidationError):
-        jacobian(np.zeros(6), aniso, method="simplified")
+def test_step_kernel_terms_equal_matvec(rng):
+    for M in mixed_inertias(rng):
+        K = integrator.step_kernels(M)
+        rows = M.matrix.tolist()
+        for _ in range(20):
+            f = random_step(rng).tolist()
+            g, c, u0, u1, u2, w0, w1, w2 = K.terms(f)
+            assert [w0, w1, w2, u0, u1, u2] == matvec(rows, f)
+            assert g == np.sqrt(1.0 - (f[0] * f[0] + f[1] * f[1] + f[2] * f[2]))
+            assert c == f[3] * f[0] + f[4] * f[1] + f[5] * f[2]
+            assert K.inverse(f) == matvec(M.inverse.tolist(), f)
+
+
+def test_step_kernel_source_has_no_zero_products(rng):
+    zero_literal = r"-?0\.0(?![0-9e])"
+    for M in mixed_inertias(rng):
+        source = integrator.step_kernels(M).source
+        assert not re.search(r"\* " + zero_literal, source)
+        assert not re.search(r"(?<![\w.])" + zero_literal + r" \*", source)
+    # a diagonal inertia leaves one product for each entry of M f that is not 1.0
+    source = integrator.step_kernels(build_inertia(2.0, np.diag([1.0, 3.0, 4.0]))).source
+    assert source.split("def jacobian")[0].count(" * ") == 3 + 3 + 5  # gamma, c, M f
+
+
+def test_step_kernels_compile_once_per_inertia(rng):
+    compiled = integrator._compiled_kernels
+    compiled.cache_clear()
+    M = build_inertia(1.0, np.diag(rng.uniform(1.0, 4.0, size=3)))
+    settings = SolverSettings(h=1e-3)
+    twist = [1.0, 0.1, 0.0, 0.0, 0.0, 0.0]
+    rk4_simulate(pose_identity(), twist, M, (), settings, 3)
+    assert compiled.cache_info().misses == 0  # the RK4 oracle never generates
+    for _ in range(3):
+        simulate(pose_identity(), twist, M, (), settings, 3)
+    assert compiled.cache_info().misses == 1
+    bound = compiled.cache_info().maxsize
+    for k in range(bound + 4):
+        integrator.step_kernels(build_inertia(1.0 + k, np.diag([1.0, 2.0, 3.0])))
+    assert compiled.cache_info().currsize <= bound
+
+
+def test_max_abs_of_opposite_infinities_is_inf():
+    assert integrator._max_abs([np.inf, -np.inf, 0.0, 0.0, 0.0, 0.0]) == np.inf
+    assert np.isnan(integrator._max_abs([np.inf, 0.0, np.nan, 0.0, 0.0, 0.0]))
+    assert integrator._max_abs([0.5, -2.0, 1.0, 0.0, 0.0, 0.0]) == 2.0
 
 
 def test_initial_guess():
@@ -263,8 +292,22 @@ def test_solve_step_ill_conditioned_jacobian_aborts():
     # limit, so the step aborts instead of taking a meaningless update
     M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
     prev = np.array([np.sqrt(1.0 - 1e-8), 0.0, 0.0, 0.5, 0.5, 0.0])
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError) as info:
         solve_step(prev, M, None, SolverSettings(h=1e-3))
+    assert info.value.iterations == 1
+    assert info.value.step_index is None
+
+
+def test_simulate_singular_first_step_names_step_and_iteration():
+    # the same ill-conditioned Jacobian as the first step of a run: its
+    # warm start (h/2) chi_0 lies next to |Phi| = 1 with a nonzero Psi
+    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+    h = 1e-3
+    chi0 = (2.0 / h) * np.array([np.sqrt(1.0 - 1e-8), 0.0, 0.0, 0.5, 0.5, 0.0])
+    with pytest.raises(SingularMatrixError, match="at step 0") as info:
+        simulate(pose_identity(), chi0, M, (), SolverSettings(h=h), 5)
+    assert info.value.step_index == 0
+    assert info.value.iterations == 1
 
 
 def test_solve_step_rejects_non_finite_wrench():
