@@ -81,7 +81,6 @@ from .newton_euler import (
 from .quat import (
     dq_dual_transpose,
     dq_exp,
-    dq_identity,
     dq_log,
     dq_mul,
     dq_quat_conjugate,

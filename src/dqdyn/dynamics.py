@@ -24,23 +24,17 @@ from .kinematics import (
     FRAME_BODY,
     FRAME_WORLD,
     Wrench,
-    _translation,
     body_wrench,
     check_pose,
+    dual_force_to_body_wrench,
     point_sandwich,
     rotation_conjugate,
+    translation,
     vector_sandwich,
     world_wrench_in_body,
 )
-from .linsolve import COND_LIMIT
-from .quat import (
-    Array,
-    as_floats,
-    as_vector3,
-    dq_mul,
-    dq_quat_conjugate,
-    dq_dual_transpose,
-)
+from .linsolve import COND_LIMIT, matvec
+from .quat import Array, as_floats, as_vector3
 
 
 def skew(v) -> Array:
@@ -56,21 +50,14 @@ def skew(v) -> Array:
 
 @dataclass(frozen=True)
 class InertiaMatrix6:
-    """Generalized 6x6 inertia with cached blocks and inverse.
+    """Generalized 6x6 inertia M and its inverse.
 
-    ``coupled`` is True when the off-diagonal blocks are nonzero (reference
-    point away from the center of mass, or a raw matrix with coupling). The
-    integrator needs no such flag: its step kernels are generated from M's
-    entries and leave out every zero one.
+    Its blocks are slices of ``matrix``. The integrator reads M only through
+    the step kernels it generates from M's entries, leaving out every zero.
     """
 
     matrix: Array
     inverse: Array
-    m11: Array
-    m12: Array
-    m21: Array
-    m22: Array
-    coupled: bool
 
 
 def _assemble(matrix: Array) -> InertiaMatrix6:
@@ -79,21 +66,7 @@ def _assemble(matrix: Array) -> InertiaMatrix6:
         raise SingularMatrixError(
             f"inertia matrix is singular or near singular (condition estimate {cond:.3e})"
         )
-    inverse = np.linalg.inv(matrix)
-    m11 = np.ascontiguousarray(matrix[:3, :3])
-    m12 = np.ascontiguousarray(matrix[:3, 3:])
-    m21 = np.ascontiguousarray(matrix[3:, :3])
-    m22 = np.ascontiguousarray(matrix[3:, 3:])
-    coupled = bool(np.any(m12 != 0.0) or np.any(m21 != 0.0))
-    return InertiaMatrix6(
-        matrix=matrix,
-        inverse=inverse,
-        m11=m11,
-        m12=m12,
-        m21=m21,
-        m22=m22,
-        coupled=coupled,
-    )
+    return InertiaMatrix6(matrix=matrix, inverse=np.linalg.inv(matrix))
 
 
 def build_inertia(mass: float, inertia, com_offset=(0.0, 0.0, 0.0)) -> InertiaMatrix6:
@@ -140,17 +113,10 @@ def kinetic_energy(M: InertiaMatrix6, chi):
 
 def momentum(M: InertiaMatrix6, chi) -> Array:
     """Body-frame generalized momentum [angular; linear] = M chi, of one twist
-    or of each twist of a stack (leading axes)."""
-    return np.asarray(chi, dtype=np.float64) @ M.matrix.T
-
-
-def _rotate(q, v) -> Array:
-    """Rotate v by the quaternion q (w, x, y, z), row by row over leading axes."""
-    w = q[..., :1]
-    qv = q[..., 1:]
-    dot = np.einsum("...i,...i->...", qv, qv)[..., None]
-    cr = np.cross(qv, v)
-    return (w * w - dot) * v + 2.0 * np.einsum("...i,...i->...", qv, v)[..., None] * qv + 2.0 * w * cr
+    or of each twist of a stack (leading axes). ``matvec`` sums each row left
+    to right over the twist's columns, so a stack's rows get the bits of single calls."""
+    columns = np.moveaxis(np.asarray(chi, dtype=np.float64), -1, 0)
+    return np.stack(matvec(M.matrix.tolist(), columns), axis=-1)
 
 
 def world_momentum(p, M: InertiaMatrix6, chi) -> tuple[Array, Array]:
@@ -160,15 +126,17 @@ def world_momentum(p, M: InertiaMatrix6, chi) -> tuple[Array, Array]:
     reference point sits. ``p`` and ``chi`` are one pose and twist, or stacks
     of them (leading axes); a single pose must lie on the unit group, a
     stack is taken as it is, so a trajectory's drifted rows still report.
+    Stacks run column-wise on the float kernels the potentials use.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim == 1:
         check_pose(p)
-    pi = momentum(M, chi)
-    q = p[..., :4]
-    P = _rotate(q, pi[..., 3:])
-    L = _rotate(q, pi[..., :3]) + np.cross(_translation(p), P)
-    return L, P
+    pose = np.moveaxis(p, -1, 0)
+    pi = np.moveaxis(momentum(M, chi), -1, 0)
+    q = pose[:4]
+    P = vector_sandwich(q, pi[3:])
+    L = [a + b for a, b in zip(vector_sandwich(q, pi[:3]), _cross(translation(pose), P))]
+    return np.stack(L, axis=-1), np.stack(P, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +257,20 @@ def spring_potential(
     return PotentialField(evaluate=FloatKernel(energy, float), body_wrench=FloatKernel(wrench, _body_wrench6))
 
 
-def numeric_conservative_wrench(field, pose, relative_step: float = 1e-6) -> Wrench:
-    """Body wrench of a potential by central differences in the 8 ambient
-    pose coordinates, contracted back through the pose.
+def numeric_conservative_wrench(field, pose) -> Wrench:
+    """Body wrench of a potential by central differences (relative step 1e-6)
+    in the 8 ambient pose coordinates, contracted back through the pose.
 
-    The gradient G = dU/dp is an ambient row vector; the wrench readout is
-    the vector slots of -0.5 * conj(p) * G^T (dual-transposed product), the
-    same contraction the variational force term uses. Scalar slots are
-    discarded: they are the constraint-multiplier directions.
+    The gradient G = dU/dp is an ambient row vector and -G the dual force;
+    ``dual_force_to_body_wrench`` contracts it, the same contraction the
+    variational force term uses. Scalar slots are discarded: they are the
+    constraint-multiplier directions.
     """
     evaluate = field.evaluate if isinstance(field, PotentialField) else field
     p = np.asarray(pose, dtype=np.float64).copy()
     grad = np.empty(8)
     for i in range(8):
-        step = relative_step * max(1.0, abs(float(p[i])))
+        step = 1e-6 * max(1.0, abs(float(p[i])))
         orig = p[i]
         p[i] = orig + step
         up = float(evaluate(p))
@@ -310,8 +278,7 @@ def numeric_conservative_wrench(field, pose, relative_step: float = 1e-6) -> Wre
         um = float(evaluate(p))
         p[i] = orig
         grad[i] = (up - um) / (2.0 * step)
-    tau_star = -0.5 * dq_mul(dq_quat_conjugate(p), dq_dual_transpose(grad))
-    return Wrench(torque=tau_star[5:8].copy(), force=tau_star[1:4].copy(), frame=FRAME_BODY)
+    return dual_force_to_body_wrench(p, -grad)
 
 
 # ---------------------------------------------------------------------------
@@ -342,18 +309,18 @@ class ForceModel:
         return self.energy is not None
 
 
-def force_model_from_potential(field: PotentialField, numeric: bool = False) -> ForceModel:
+def force_model_from_potential(field: PotentialField) -> ForceModel:
     """Conservative force model from a potential.
 
-    Uses the analytic wrench when the field carries one (unless ``numeric``
-    forces the finite-difference route); a float-kernel wrench keeps its
+    Uses the analytic wrench when the field carries one, and the
+    finite-difference route otherwise; a float-kernel wrench keeps its
     kernel.
     """
     gradient = field.body_wrench
-    if isinstance(gradient, FloatKernel) and not numeric:
+    if isinstance(gradient, FloatKernel):
         kernel = gradient.floats
         evaluate = FloatKernel(lambda pose, chi, t: kernel(pose), _body_wrench6)
-    elif gradient is not None and not numeric:
+    elif gradient is not None:
         def evaluate(pose, chi, t):
             return gradient(pose)
     else:

@@ -43,6 +43,7 @@ M is the 6x6 generalized inertia about the body reference point.
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -86,6 +87,8 @@ class SolverSettings:
             raise ValidationError(f"h must be positive and finite, got {self.h}")
         if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
             raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance}")
+        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, numbers.Integral):
+            raise ValidationError(f"max_iterations must be an integer, got {self.max_iterations!r}")
         if self.max_iterations < 1:
             raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
 

@@ -109,17 +109,22 @@ def check_pose(p, tol: float = 1e-9) -> Array:
 def pose_to_rotation_translation(p, tol: float = 1e-9) -> tuple[Array, Array]:
     """Split a pose into (q, l); rejects inputs that drifted off the group."""
     p = check_pose(p, tol=tol)
-    return p[:4].copy(), _translation(p)
+    return p[:4].copy(), np.array(translation(p.tolist()))
 
 
-def _translation(p) -> Array:
-    """Reference-point position l = 2 vec(dual conj(real)) of one pose or a
-    stack of poses (leading axes), without unit validation."""
-    wr = p[..., :1]
-    vr = p[..., 1:4]
-    wd = p[..., 4:5]
-    vd = p[..., 5:]
-    return 2.0 * (wr * vd - wd * vr - np.cross(vd, vr))
+def translation(p) -> tuple:
+    """Reference-point position l = 2 vec(b a†) of the pose p = a + eps b,
+    without unit validation.
+
+    Only + - and * are used, so the entries of p may be Python floats or
+    equal-shape arrays (pose columns), with the same bits per element.
+    """
+    a0, a1, a2, a3, b0, b1, b2, b3 = p
+    return (
+        2.0 * (a0 * b1 - b0 * a1 + (a2 * b3 - a3 * b2)),
+        2.0 * (a0 * b2 - b0 * a2 + (a3 * b1 - a1 * b3)),
+        2.0 * (a0 * b3 - b0 * a3 + (a1 * b2 - a2 * b1)),
+    )
 
 
 def vector_sandwich(q, v) -> tuple:
@@ -144,20 +149,15 @@ def point_sandwich(p, r) -> tuple:
 
     The sandwich p (1 + eps r_hat) p_bar, p_bar the quaternion-conjugate,
     dual-negated pose, has the dual vector part vec(a r a†) + 2 vec(b a†):
-    a rotation and a translation. That is the same polynomial in the 8 pose
-    coordinates as the two products, so it extends smoothly to ambient
-    (slightly off-group) poses, which the numeric potential gradient and the
-    RK4 stages rely on. Only + - and * are used, so the entries of p may be
-    Python floats or equal-shape arrays (pose columns), with the same bits
-    per element.
+    ``vector_sandwich`` plus ``translation``. That is the same polynomial in
+    the 8 pose coordinates as the two products, so it extends smoothly to
+    ambient (slightly off-group) poses, which the numeric potential gradient
+    and the RK4 stages rely on. The entries of p may be Python floats or
+    equal-shape arrays (pose columns), with the same bits per element.
     """
-    a0, a1, a2, a3, b0, b1, b2, b3 = p
-    x0, x1, x2 = vector_sandwich((a0, a1, a2, a3), r)
-    return (
-        x0 + 2.0 * (a0 * b1 - b0 * a1 + (a2 * b3 - a3 * b2)),
-        x1 + 2.0 * (a0 * b2 - b0 * a2 + (a3 * b1 - a1 * b3)),
-        x2 + 2.0 * (a0 * b3 - b0 * a3 + (a1 * b2 - a2 * b1)),
-    )
+    x0, x1, x2 = vector_sandwich(p[:4], r)
+    l0, l1, l2 = translation(p)
+    return x0 + l0, x1 + l1, x2 + l2
 
 
 def rotation_conjugate(p) -> tuple:

@@ -22,7 +22,6 @@ import math
 
 import numpy as np
 
-from .errors import SingularMatrixError
 from .quat import Array
 
 COND_LIMIT = 1e12
@@ -141,22 +140,3 @@ def solve_full_pivot(A: Array, b: Array):
     """Solve A x = b for arrays; ``solve_rows`` on copies. Returns (x, cond_estimate, ok)."""
     x, cond, ok, _ = solve_rows(np.asarray(A, dtype=np.float64).tolist(), np.asarray(b, dtype=np.float64).tolist())
     return np.array(x), cond, ok
-
-
-def solve_linear(A, b, cond_limit: float = COND_LIMIT) -> Array:
-    """Validated solve; raises SingularMatrixError on singular or
-    condition-estimate-above-limit systems."""
-    A = np.ascontiguousarray(np.asarray(A, dtype=np.float64))
-    b = np.ascontiguousarray(np.asarray(b, dtype=np.float64))
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise SingularMatrixError(f"matrix must be square, got shape {A.shape}")
-    if b.shape != (A.shape[0],):
-        raise SingularMatrixError(f"rhs shape {b.shape} does not match matrix {A.shape}")
-    x, cond, ok = solve_full_pivot(A, b)
-    if not ok:
-        raise SingularMatrixError("matrix is singular (zero pivot)")
-    if not np.isfinite(cond) or cond > cond_limit:
-        raise SingularMatrixError(
-            f"matrix condition estimate {cond:.3e} exceeds limit {cond_limit:.1e}"
-        )
-    return x

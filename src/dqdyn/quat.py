@@ -85,12 +85,6 @@ def pure_dual_quaternion(a, b) -> Array:
     return np.array([0.0, *as_vector3(a, "a"), 0.0, *as_vector3(b, "b")])
 
 
-def dq_identity() -> Array:
-    out = np.zeros(8)
-    out[0] = 1.0
-    return out
-
-
 def check_pure_dual(eta, tol: float = 0.0) -> Array:
     """Validate the two scalar slots of eta are zero (within tol)."""
     eta = np.asarray(eta, dtype=np.float64)

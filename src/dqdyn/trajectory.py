@@ -31,34 +31,6 @@ _GROUP_COLUMNS = {
 }
 
 
-@dataclass(frozen=True)
-class IntegratorState:
-    """One trajectory sample with its diagnostics.
-
-    ``step`` holds the six step variables [Phi; Psi] taking this pose to the
-    next one; solver fields are None for trajectories not produced by the
-    variational stepper.
-    """
-
-    k: int
-    time: float
-    pose: Array
-    twist: Array
-    step: Optional[Array]
-    kinetic_energy: float
-    potential_energy: float
-    angular_momentum: Array
-    linear_momentum: Array
-    unit_norm_error: float
-    orthogonality_error: float
-    iterations: Optional[int]
-    residual_norm: Optional[float]
-
-    @property
-    def energy(self) -> float:
-        return self.kinetic_energy + self.potential_energy
-
-
 class Trajectory:
     """Columnar record of one simulation run, states 0..N."""
 
@@ -156,9 +128,6 @@ class Trajectory:
     def n_states(self) -> int:
         return int(self.times.shape[0])
 
-    def __len__(self) -> int:
-        return self.n_states
-
     @property
     def energies(self) -> Optional[Array]:
         if self.kinetic is None:
@@ -166,32 +135,6 @@ class Trajectory:
         if self.potential is None:
             return self.kinetic
         return self.kinetic + self.potential
-
-    def state(self, k: int) -> IntegratorState:
-        idx = range(self.n_states)[k]
-
-        def pick(col, default=None):
-            return col[idx] if col is not None else default
-
-        return IntegratorState(
-            k=idx,
-            time=float(self.times[idx]),
-            pose=self.poses[idx],
-            twist=self.twists[idx],
-            step=pick(self.steps),
-            kinetic_energy=float(pick(self.kinetic, np.nan)),
-            potential_energy=float(pick(self.potential, np.nan)),
-            angular_momentum=pick(self.angular_momentum),
-            linear_momentum=pick(self.linear_momentum),
-            unit_norm_error=float(pick(self.unit_norm_errors, np.nan)),
-            orthogonality_error=float(pick(self.orthogonality_errors, np.nan)),
-            iterations=None if self.iterations is None else int(self.iterations[idx]),
-            residual_norm=None if self.residual_norms is None else float(self.residual_norms[idx]),
-        )
-
-    @property
-    def final(self) -> IntegratorState:
-        return self.state(-1)
 
 
 def _resolve_groups(fields) -> tuple:
@@ -294,12 +237,16 @@ def read_trajectory(path) -> Trajectory:
     energy = block("energy")
     solver = block("solver")
     constraints = block("constraints")
+    counts = None if solver is None else solver[:, 0]
+    # a NaN, fractional, negative or huge count would not survive the int64 cast
+    if counts is not None and not np.all((counts >= 0.0) & (counts == np.floor(counts)) & (counts < 2.0**63)):
+        raise ValidationError(f"{path}: column newton_iterations must hold non-negative integers")
     try:
         return Trajectory(
             times=col["t"],
             poses=poses,
             twists=twists,
-            iterations=None if solver is None else solver[:, 0].astype(np.int64),
+            iterations=None if counts is None else counts.astype(np.int64),
             residual_norms=None if solver is None else solver[:, 1],
             kinetic=None if energy is None else energy[:, 1],
             potential=None if energy is None else energy[:, 2],

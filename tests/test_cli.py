@@ -320,11 +320,25 @@ def test_compare_schema_mismatch(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_compare_malformed_file_is_exit_2(tmp_path, capsys):
+def test_compare_malformed_file_is_exit_2(free_config, tmp_path, capsys):
     bad = tmp_path / "bad.tsv"
     bad.write_text("t\tp_rw\n0.0\t1.0\n0.1\tabc\n")
     assert main(["compare", str(bad), str(bad)]) == 2
     assert "bad.tsv" in capsys.readouterr().err
+    # iteration counts that an int64 cast would turn into -2**63, 1 and -4
+    good = tmp_path / "good.tsv"
+    counts = tmp_path / "counts.tsv"
+    assert main(["run", "--config", str(free_config), "--output", str(good), "--steps", "2"]) == 0
+    header, *rows = good.read_text().splitlines()
+    column = header.split("\t").index("newton_iterations")
+    cells = [row.split("\t") for row in rows]
+    for row, count in zip(cells, ("nan", "1.5", "-4")):
+        row[column] = count
+    counts.write_text("".join("\t".join(row) + "\n" for row in [header.split("\t")] + cells))
+    capsys.readouterr()
+    assert main(["compare", str(good), str(counts)]) == 2
+    err = capsys.readouterr().err
+    assert "counts.tsv" in err and "newton_iterations" in err
 
 
 def test_compare_repeated_time_is_exit_2(free_config, tmp_path, capsys):

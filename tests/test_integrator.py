@@ -34,7 +34,6 @@ from dqdyn.integrator import (
 from dqdyn.kinematics import Wrench, body_wrench, pose_constraint_errors, pose_identity
 from dqdyn.linsolve import matvec
 from dqdyn.newton_euler import rk4_simulate
-from dqdyn.quat import dq_identity
 from dqdyn.scenario import load_run
 from dqdyn.trajectory import Trajectory
 
@@ -72,7 +71,7 @@ def mixed_inertias(rng):
 
 
 def test_step_dq_identity_cases():
-    np.testing.assert_array_equal(step_to_dual_quaternion(np.zeros(6)), dq_identity())
+    np.testing.assert_array_equal(step_to_dual_quaternion(np.zeros(6)), pose_identity())
     d = 0.7
     out = step_to_dual_quaternion([0.0, 0.0, 0.0, 0.0, 0.0, d / 2.0])
     np.testing.assert_array_equal(out, [1, 0, 0, 0, 0, 0, 0, d / 2.0])
@@ -138,8 +137,8 @@ def test_rhs_flips_cross_terms_of_residual(rng):
             phi, psi = f[:3], f[3:]
             gamma = np.sqrt(1.0 - phi @ phi)
             c = psi @ phi
-            u = M.m21 @ phi + M.m22 @ psi
-            w = M.m11 @ phi + M.m12 @ psi
+            u = M.matrix[3:, :3] @ phi + M.matrix[3:, 3:] @ psi
+            w = M.matrix[:3, :3] @ phi + M.matrix[:3, 3:] @ psi
             a, b = residual(f, M)
             alpha, beta = rhs(f, M, None, 1.0)
             np.testing.assert_allclose(a + alpha, 2.0 * (gamma * w - (c / gamma) * u), atol=1e-12)
@@ -334,6 +333,10 @@ def test_solver_settings_validation():
         SolverSettings(h=1e-3, tolerance=0.0)
     with pytest.raises(ValidationError):
         SolverSettings(h=1e-3, max_iterations=0)
+    # range() would fail on a float deep inside simulate; a bool is no count
+    for bad in (2.5, True):
+        with pytest.raises(ValidationError, match="^max_iterations"):
+            SolverSettings(h=1e-3, max_iterations=bad)
 
 
 def test_solver_settings_reject_infinite_step():
@@ -383,8 +386,7 @@ def test_simulate_at_rest_holds_pose(rng):
     for k in range(51):
         np.testing.assert_array_equal(traj.poses[k], p0)
         np.testing.assert_array_equal(traj.twists[k], np.zeros(6))
-    assert traj.state(0).iterations == 1
-    assert traj.final.k == 50
+    assert traj.iterations[0] == 1
 
 
 def test_simulate_pure_translation_is_exact():

@@ -1,10 +1,11 @@
 """Pivoted solver against numpy.linalg and crafted singular systems."""
 
+import math
+
 import numpy as np
 import pytest
 
-from dqdyn.errors import SingularMatrixError
-from dqdyn.linsolve import COND_LIMIT, solve_full_pivot, solve_linear, solve_ordered, solve_rows
+from dqdyn.linsolve import COND_LIMIT, solve_full_pivot, solve_ordered, solve_rows
 
 IDENTITY_ORDER = (tuple(range(6)), tuple(range(6)))
 
@@ -16,7 +17,8 @@ def test_matches_numpy_on_random_systems(rng):
         b = rng.normal(size=n)
         if abs(np.linalg.det(A)) < 1e-6:
             continue
-        x = solve_linear(A, b)
+        x, cond, ok = solve_full_pivot(A, b)
+        assert ok and 0.0 < cond <= COND_LIMIT
         np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=1e-9, atol=1e-12)
 
 
@@ -24,7 +26,8 @@ def test_residual_is_small(rng):
     for _ in range(100):
         A = rng.normal(size=(6, 6))
         b = rng.normal(size=6)
-        x = solve_linear(A, b)
+        x, cond, ok = solve_full_pivot(A, b)
+        assert ok and 0.0 < cond <= COND_LIMIT
         assert np.linalg.norm(A @ x - b) < 1e-11 * max(1.0, np.linalg.norm(b))
 
 
@@ -34,25 +37,21 @@ def test_permutation_matrix():
     for i, j in enumerate(order):
         P[i, j] = 1.0
     b = np.arange(6.0)
-    x = solve_linear(P, b)
+    x, cond, ok = solve_full_pivot(P, b)
+    assert ok and cond == 1.0
     np.testing.assert_allclose(P @ x, b, atol=1e-15)
 
 
-def test_singular_matrix_raises():
-    A = np.zeros((6, 6))
-    with pytest.raises(SingularMatrixError):
-        solve_linear(A, np.ones(6))
-    A = np.ones((3, 3))  # rank one
-    with pytest.raises(SingularMatrixError):
-        solve_linear(A, np.ones(3))
+def test_singular_matrix_is_flagged():
+    for A in (np.zeros((6, 6)), np.ones((3, 3))):  # zero, then rank one
+        x, cond, ok = solve_full_pivot(A, np.ones(A.shape[0]))
+        assert not ok and cond == math.inf
 
 
-def test_condition_limit_enforced():
-    A = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1e-13])
-    with pytest.raises(SingularMatrixError):
-        solve_linear(A, np.ones(6))
-    # explicit looser limit allows it through
-    x = solve_linear(A, np.ones(6), cond_limit=1e14)
+def test_condition_estimate_exceeds_limit():
+    # the estimate the step loop holds against COND_LIMIT
+    x, cond, ok = solve_full_pivot(np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 1e-13]), np.ones(6))
+    assert ok and cond == 1e13 and cond > COND_LIMIT
     assert abs(x[5] - 1e13) < 1.0
 
 
@@ -68,13 +67,6 @@ def test_kernel_flags():
     x, cond, ok = solve_full_pivot(np.diag(d)[::-1], np.ones(6))
     assert ok and cond == 6.0
     np.testing.assert_array_equal(x, 1.0 / d)
-
-
-def test_shape_validation():
-    with pytest.raises(SingularMatrixError):
-        solve_linear(np.zeros((2, 3)), np.ones(2))
-    with pytest.raises(SingularMatrixError):
-        solve_linear(np.eye(3), np.ones(4))
 
 
 def _searched(A, b):

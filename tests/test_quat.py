@@ -9,10 +9,10 @@ from dqdyn import (
     ValidationError,
     dq_dual_transpose,
     dq_exp,
-    dq_identity,
     dq_log,
     dq_mul,
     dq_quat_conjugate,
+    pose_identity,
     pure_dual_quaternion,
     pure_quaternion,
     quat_conjugate,
@@ -123,8 +123,8 @@ def test_dq_mul_matches_eps_expansion_oracle(rng):
 
 def test_dq_identity_element(rng):
     p = rng.normal(size=8)
-    np.testing.assert_array_equal(dq_mul(dq_identity(), p), p)
-    np.testing.assert_array_equal(dq_mul(p, dq_identity()), p)
+    np.testing.assert_array_equal(dq_mul(pose_identity(), p), p)
+    np.testing.assert_array_equal(dq_mul(p, pose_identity()), p)
 
 
 def test_dq_unit_group_closure(rng):
@@ -135,7 +135,7 @@ def test_dq_unit_group_closure(rng):
         assert abs(np.linalg.norm(prod[:4]) - 1.0) < 1e-13
         assert abs(prod[:4] @ prod[4:]) < 1e-13
         # p * conj(p) = identity for unit dual quaternions
-        np.testing.assert_allclose(dq_mul(p1, dq_quat_conjugate(p1)), dq_identity(), atol=1e-13)
+        np.testing.assert_allclose(dq_mul(p1, dq_quat_conjugate(p1)), pose_identity(), atol=1e-13)
 
 
 def test_dq_quat_conjugate_reverses_products(rng):
@@ -174,7 +174,7 @@ def test_dq_dot_product_identities(rng):
 
 
 def test_dq_exp_identity_and_rotation():
-    np.testing.assert_array_equal(dq_exp(np.zeros(8)), dq_identity())
+    np.testing.assert_array_equal(dq_exp(np.zeros(8)), pose_identity())
     # pure rotation: real part is the quaternion exponential, dual part zero
     a = np.array([0.3, -0.1, 0.2])
     got = dq_exp(pure_dual_quaternion(a, np.zeros(3)))
