@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .quat import (
+    UNIT_TOL,
     Array,
     as_floats,
     as_vector3,
@@ -68,9 +69,9 @@ def _pose_floats(q, l) -> tuple:
     )
 
 
-def pose_from_rotation_translation(q, l, tol: float = 1e-9) -> Array:
+def pose_from_rotation_translation(q, l) -> Array:
     """Unit dual quaternion for rotation q and reference-point position l."""
-    q = unit_quaternion(q, tol=tol)
+    q = unit_quaternion(q)
     return np.array(_pose_floats(q.tolist(), as_vector3(l, "translation")))
 
 
@@ -93,22 +94,22 @@ def pose_constraint_errors(p) -> tuple:
     return unit_err, orth_err
 
 
-def check_pose(p, tol: float = 1e-9) -> Array:
+def check_pose(p) -> Array:
     """Validate the two unit-group constraints of a pose."""
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (8,):
         raise ValidationError(f"pose must have shape (8,), got {p.shape}")
     unit_err, orth_err = pose_constraint_errors(p)
-    if unit_err > tol:
-        raise ValidationError(f"pose real part norm off unity by {unit_err:.3e} (tol {tol})")
-    if orth_err > tol:
-        raise ValidationError(f"pose real/dual orthogonality violated by {orth_err:.3e} (tol {tol})")
+    if not (unit_err <= UNIT_TOL):  # written so that NaN fails
+        raise ValidationError(f"pose real part norm off unity by {unit_err:.3e} (tol {UNIT_TOL})")
+    if not (orth_err <= UNIT_TOL):
+        raise ValidationError(f"pose real/dual orthogonality violated by {orth_err:.3e} (tol {UNIT_TOL})")
     return p
 
 
-def pose_to_rotation_translation(p, tol: float = 1e-9) -> tuple[Array, Array]:
+def pose_to_rotation_translation(p) -> tuple[Array, Array]:
     """Split a pose into (q, l); rejects inputs that drifted off the group."""
-    p = check_pose(p, tol=tol)
+    p = check_pose(p)
     return p[:4].copy(), np.array(translation(p.tolist()))
 
 

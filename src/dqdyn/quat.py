@@ -27,6 +27,9 @@ Array = np.ndarray
 # Below this angle the sinc-like series switch to 2-term Taylor expansions.
 SMALL_ANGLE = 1e-8
 
+# How far off the unit group a validator lets a quaternion or pose be.
+UNIT_TOL = 1e-9
+
 
 # ---------------------------------------------------------------------------
 # constructors / validators (plain Python; allocate fresh float64 arrays)
@@ -69,14 +72,14 @@ def quat_identity() -> Array:
     return np.array([1.0, 0.0, 0.0, 0.0])
 
 
-def unit_quaternion(q, tol: float = 1e-9) -> Array:
+def unit_quaternion(q) -> Array:
     """Validate and return q as a float64 unit quaternion (no renormalizing)."""
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (4,):
         raise ValidationError(f"quaternion must have shape (4,), got {q.shape}")
     n = math.sqrt(float(q @ q))
-    if abs(n - 1.0) > tol:
-        raise ValidationError(f"quaternion norm {n!r} differs from 1 by more than {tol}")
+    if not (abs(n - 1.0) <= UNIT_TOL):  # written so that NaN fails
+        raise ValidationError(f"quaternion norm {n!r} differs from 1 by more than {UNIT_TOL}")
     return q
 
 
@@ -85,12 +88,12 @@ def pure_dual_quaternion(a, b) -> Array:
     return np.array([0.0, *as_vector3(a, "a"), 0.0, *as_vector3(b, "b")])
 
 
-def check_pure_dual(eta, tol: float = 0.0) -> Array:
-    """Validate the two scalar slots of eta are zero (within tol)."""
+def check_pure_dual(eta) -> Array:
+    """Validate the two scalar slots of eta are exactly zero."""
     eta = np.asarray(eta, dtype=np.float64)
     if eta.shape != (8,):
         raise ValidationError(f"dual quaternion must have shape (8,), got {eta.shape}")
-    if abs(eta[0]) > tol or abs(eta[4]) > tol:
+    if not (eta[0] == 0.0 and eta[4] == 0.0):  # written so that NaN fails
         raise ValidationError(
             f"expected a pure dual quaternion, scalar slots are ({eta[0]!r}, {eta[4]!r})"
         )

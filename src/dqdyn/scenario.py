@@ -37,9 +37,14 @@ Alternative spellings, each exclusive with its counterpart:
 - ``initial.momentum``: body momentum [angular; linear], converted to a
   twist through the inverse inertia at parse time.
 
-``parse_config`` fills every default, so parse -> serialize -> parse is the
-identity on configs. Unknown keys are rejected rather than ignored: a typo
-in a tolerance should fail loudly, not silently run with the default.
+Each key is declared once, in a table: ``_KEYS`` maps every section's keys
+to the ``ScenarioConfig`` field they set and the parser of their values,
+``_FORCES`` lists each force type's keys with their defaults. Parsing,
+unknown-key rejection and ``serialize_config`` all read these tables, and
+parse -> serialize -> parse is the identity on configs. Unknown keys are
+rejected rather than ignored: a typo in a tolerance should fail loudly, not
+silently run with the default. A value that is not what its key needs (a
+ragged matrix, a word for a number) is a ``ConfigError`` naming the key.
 
 Parsing proves a config can be built by building it: it ends with
 ``build_run`` and the first step's warm start, so the rules of the library
@@ -54,6 +59,7 @@ parsing, so a flag value meets exactly the checks of the key it sets.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -79,25 +85,22 @@ from .kinematics import (
     pose_to_rotation_translation,
     screw_compose,
 )
+from .trajectory import FIELD_GROUPS
 
 INTEGRATOR_VARIATIONAL = "dqvi"
 INTEGRATOR_RK4 = "rk4"
 _INTEGRATORS = (INTEGRATOR_VARIATIONAL, INTEGRATOR_RK4)
 
-_FORCE_KEYS = {
-    "gravity": {"acceleration"},
-    "spring": {"stiffness", "anchor_world", "attachment_body", "rest_length"},
-    "constant_wrench": {"torque", "force", "frame"},
-    "linear_damping": {"angular", "linear"},
-}
-_FORCE_TYPES = tuple(_FORCE_KEYS)
 
-
-def _vector(value, n: int, where: str) -> tuple:
+def _array(value, where: str, what: str) -> np.ndarray:
     try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: expected {n} numbers, got {value!r}") from exc
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: expected {what}, got {value!r}") from exc
+
+
+def _vector(value, where: str, n: int) -> tuple:
+    arr = _array(value, where, f"{n} numbers")
     if arr.shape != (n,):
         raise ConfigError(f"{where}: expected {n} numbers, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -105,11 +108,11 @@ def _vector(value, n: int, where: str) -> tuple:
     return tuple(float(x) for x in arr)
 
 
-def _matrix(value, n: int, where: str) -> tuple:
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: expected a {n}x{n} matrix") from exc
+def _matrix(value, where: str, n: int, diagonal: bool = False) -> tuple:
+    """An n x n matrix as row tuples; with ``diagonal``, n numbers are its diagonal."""
+    arr = _array(value, where, f"a {n}x{n} matrix")
+    if diagonal and arr.shape == (n,):
+        arr = np.diag(arr)
     if arr.shape != (n, n):
         raise ConfigError(f"{where}: expected a {n}x{n} matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -120,7 +123,7 @@ def _matrix(value, n: int, where: str) -> tuple:
 def _scalar(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
-    out = float(value)
+    out = float(_array(value, where, "a number"))
     if not np.isfinite(out):
         raise ConfigError(f"{where}: must be finite")
     return out
@@ -134,6 +137,64 @@ def _integer(value, where: str, minimum: Optional[int] = None) -> int:
     return value
 
 
+def _per_axis(value, where: str) -> tuple:
+    """Three numbers, or one number for all three axes."""
+    if isinstance(value, list):
+        return _vector(value, where, 3)
+    return (_scalar(value, where),) * 3
+
+
+def _orientation(value, where: str) -> tuple:
+    q = np.asarray(_vector(value, where, 4))
+    norm = float(np.linalg.norm(q))
+    if abs(norm - 1.0) > 1e-6:
+        raise ConfigError(
+            f"{where}: quaternion norm is {norm:.6g}; "
+            "must be unit to 1e-6 (it is normalized exactly after the check)"
+        )
+    # dividing by the norm again can move a normalized quaternion's last bits;
+    # keeping one that is unit to round-off (~2 ulp) makes parsing idempotent
+    if abs(norm - 1.0) > 1e-15:
+        q = q / norm
+    return tuple(float(x) for x in q)
+
+
+def _screw(value, where: str) -> dict:
+    """The orientation and translation of the pose an ``initial.screw`` composes."""
+    screw = _require_mapping(value, where)
+    _reject_unknown(screw, _SCREW, where)
+    params = _params(screw, _SCREW, where, "screw")
+    try:
+        pose = screw_compose(ScrewParameters(**params))
+    except DqdynError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    q, translation = pose_to_rotation_translation(pose)
+    return {"orientation": _orientation(q, where), "translation": tuple(map(float, translation))}
+
+
+def _choice(value, where: str, options: tuple) -> str:
+    if value not in options:
+        raise ConfigError(f"{where}: must be one of {', '.join(options)}, got {value!r}")
+    return value
+
+
+def _path(value, where: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{where}: expected a non-empty string, got {value!r}")
+    return value
+
+
+def _fields(value, where: str) -> tuple:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{where}: expected a non-empty list of group names")
+    bad = sorted({repr(name) for name in value if name not in FIELD_GROUPS})
+    if bad:
+        raise ConfigError(
+            f"{where}: unknown group(s) {', '.join(bad)}; allowed: {', '.join(FIELD_GROUPS)}"
+        )
+    return tuple(value)
+
+
 def _require_mapping(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{where}: expected a mapping, got {type(value).__name__}")
@@ -141,12 +202,83 @@ def _require_mapping(value, where: str) -> dict:
 
 
 def _reject_unknown(section: dict, allowed, where: str) -> None:
-    unknown = sorted(set(section) - set(allowed))
+    unknown = sorted(repr(key) for key in section if key not in allowed)
     if unknown:
         raise ConfigError(
-            f"{where}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"{where}: unknown key(s) {', '.join(unknown)}; "
             f"allowed: {', '.join(sorted(allowed))}"
         )
+
+
+_vector3 = partial(_vector, n=3)
+
+# section -> key -> (ScenarioConfig field, parser(value, where)). ``screw``
+# and ``momentum`` have no field: they are other spellings of fields, and
+# _parse converts them once the body is known.
+_KEYS = {
+    "body": {
+        "mass": ("mass", _scalar),
+        "inertia": ("inertia", partial(_matrix, n=3, diagonal=True)),
+        "inertia_raw": ("inertia_raw", partial(_matrix, n=6)),
+        "reference_offset": ("reference_offset", _vector3),
+    },
+    "initial": {
+        "orientation": ("orientation", _orientation),
+        "translation": ("translation", _vector3),
+        "screw": (None, _screw),
+        "body_twist": ("body_twist", partial(_vector, n=6)),
+        "momentum": (None, partial(_vector, n=6)),
+    },
+    "run": {
+        "h": ("h", _scalar),
+        "steps": ("steps", partial(_integer, minimum=0)),
+        "integrator": ("integrator", partial(_choice, options=_INTEGRATORS)),
+        "tolerance": ("tolerance", _scalar),
+        "max_iterations": ("max_iterations", _integer),
+    },
+    "output": {
+        "path": ("output_path", _path),
+        "stride": ("stride", partial(_integer, minimum=1)),
+        "fields": ("fields", _fields),
+    },
+}
+_SECTIONS = ("body", "initial", "forces", "run", "output")
+
+# (section, key, key, why the two cannot both be present)
+_EXCLUSIVE = (
+    ("body", "inertia", "inertia_raw", "'inertia' and 'inertia_raw' are both present; "
+     "keep exactly one (they are alternative spellings of the same matrix)"),
+    ("body", "reference_offset", "inertia_raw", "'reference_offset' only applies to the "
+     "'inertia' form; a raw 6x6 matrix already encodes the reference point"),
+    ("initial", "screw", "orientation",
+     "'screw' replaces 'orientation'/'translation'; give one form or the other"),
+    ("initial", "screw", "translation",
+     "'screw' replaces 'orientation'/'translation'; give one form or the other"),
+    ("initial", "body_twist", "momentum", "'body_twist' and 'momentum' are both present; "
+     "keep exactly one (momentum is converted to a twist at parse time)"),
+)
+
+_REQUIRED = object()
+
+# force type -> key -> default, or _REQUIRED for a key without one
+_FORCES = {
+    "gravity": {"acceleration": _REQUIRED},
+    "spring": {"stiffness": _REQUIRED, "anchor_world": _REQUIRED, "attachment_body": _REQUIRED,
+               "rest_length": 0.0},
+    "constant_wrench": {"torque": (0.0, 0.0, 0.0), "force": (0.0, 0.0, 0.0), "frame": FRAME_BODY},
+    "linear_damping": {"angular": 0.0, "linear": 0.0},
+}
+_SCREW = {"axis": _REQUIRED, "angle": _REQUIRED, "moment": (0.0, 0.0, 0.0), "slide": 0.0}
+
+# key of a force or of initial.screw -> parser(value, where); a key name
+# means the same wherever it appears
+_PARAM_PARSERS = {
+    **dict.fromkeys(("acceleration", "anchor_world", "attachment_body", "torque", "force"), _vector3),
+    **dict.fromkeys(("axis", "moment"), _vector3),
+    **dict.fromkeys(("stiffness", "rest_length", "angle", "slide"), _scalar),
+    **dict.fromkeys(("angular", "linear"), _per_axis),
+    "frame": lambda value, where: value,  # Wrench checks the tag
+}
 
 
 @dataclass(frozen=True)
@@ -161,10 +293,7 @@ class ForceSpec:
     params: tuple  # sorted (name, value) pairs
 
     def get(self, name):
-        for key, value in self.params:
-            if key == name:
-                return value
-        raise KeyError(name)
+        return dict(self.params)[name]
 
 
 @dataclass(frozen=True)
@@ -189,178 +318,36 @@ class ScenarioConfig:
     fields: Optional[tuple] = None
 
 
-def _parse_body(section) -> dict:
-    body = _require_mapping(section, "body")
-    _reject_unknown(body, ("mass", "inertia", "inertia_raw", "reference_offset"), "body")
-    if "mass" not in body:
-        raise ConfigError("body: required key 'mass' is missing")
-    out = {"mass": _scalar(body["mass"], "body.mass")}
-    if "inertia" in body and "inertia_raw" in body:
-        raise ConfigError(
-            "body: 'inertia' and 'inertia_raw' are both present; keep exactly "
-            "one (they are alternative spellings of the same matrix)"
-        )
-    if "inertia_raw" in body:
-        if "reference_offset" in body:
-            raise ConfigError(
-                "body: 'reference_offset' only applies to the 'inertia' form; "
-                "a raw 6x6 matrix already encodes the reference point"
-            )
-        out["inertia_raw"] = _matrix(body["inertia_raw"], 6, "body.inertia_raw")
-    elif "inertia" in body:
-        value = np.asarray(body["inertia"], dtype=np.float64)
-        if value.shape == (3,):
-            value = np.diag(value)
-        out["inertia"] = _matrix(value, 3, "body.inertia")
-        if "reference_offset" in body:
-            out["reference_offset"] = _vector(
-                body["reference_offset"], 3, "body.reference_offset"
-            )
-    else:
-        raise ConfigError("body: one of 'inertia' or 'inertia_raw' is required")
-    return out
+def _parse_section(doc: dict, name: str) -> dict:
+    """The parsed value of each key of section ``name`` that ``doc`` sets,
+    under its ``ScenarioConfig`` field, or under the key if it has none."""
+    section = _require_mapping(doc.get(name, {}), name)
+    keys = _KEYS[name]
+    _reject_unknown(section, keys, name)
+    for where, a, b, reason in _EXCLUSIVE:
+        if where == name and a in section and b in section:
+            raise ConfigError(f"{name}: {reason}")
+    return {field or key: parse(section[key], f"{name}.{key}")
+            for key, (field, parse) in keys.items() if key in section}
 
 
-def _parse_initial(section, config: ScenarioConfig) -> dict:
-    initial = _require_mapping(section, "initial")
-    _reject_unknown(
-        initial,
-        ("orientation", "translation", "screw", "body_twist", "momentum"),
-        "initial",
-    )
-    out = {}
-    if "screw" in initial:
-        if "orientation" in initial or "translation" in initial:
-            raise ConfigError(
-                "initial: 'screw' replaces 'orientation'/'translation'; "
-                "give one form or the other"
-            )
-        screw = _require_mapping(initial["screw"], "initial.screw")
-        _reject_unknown(screw, ("axis", "angle", "moment", "slide"), "initial.screw")
-        for key in ("axis", "angle"):
-            if key not in screw:
-                raise ConfigError(f"initial.screw: required key '{key}' is missing")
-        try:
-            params = ScrewParameters(
-                axis=_vector(screw["axis"], 3, "initial.screw.axis"),
-                moment=_vector(screw.get("moment", (0.0, 0.0, 0.0)), 3, "initial.screw.moment"),
-                angle=_scalar(screw["angle"], "initial.screw.angle"),
-                slide=_scalar(screw.get("slide", 0.0), "initial.screw.slide"),
-            )
-        except DqdynError as exc:
-            raise ConfigError(f"initial.screw: {exc}") from exc
-        pose = screw_compose(params)
-        q, translation = pose_to_rotation_translation(pose)
-        out["orientation"] = tuple(float(x) for x in q)
-        out["translation"] = tuple(float(x) for x in translation)
-    else:
-        if "orientation" in initial:
-            q = np.asarray(_vector(initial["orientation"], 4, "initial.orientation"))
-            norm = float(np.linalg.norm(q))
-            if abs(norm - 1.0) > 1e-6:
-                raise ConfigError(
-                    f"initial.orientation: quaternion norm is {norm:.6g}; "
-                    "must be unit to 1e-6 (it is normalized exactly after the check)"
-                )
-            out["orientation"] = tuple(float(x) for x in q / norm)
-        if "translation" in initial:
-            out["translation"] = _vector(initial["translation"], 3, "initial.translation")
-    if "body_twist" in initial and "momentum" in initial:
-        raise ConfigError(
-            "initial: 'body_twist' and 'momentum' are both present; keep "
-            "exactly one (momentum is converted to a twist at parse time)"
-        )
-    if "momentum" in initial:
-        pi = np.asarray(_vector(initial["momentum"], 6, "initial.momentum"))
-        out["body_twist"] = tuple(float(x) for x in config_inertia(config).inverse @ pi)
-    elif "body_twist" in initial:
-        out["body_twist"] = _vector(initial["body_twist"], 6, "initial.body_twist")
-    return out
+def _params(mapping: dict, defaults: dict, where: str, kind: str) -> dict:
+    """Each key of ``defaults`` parsed from ``mapping``, or from its default."""
+    params = {}
+    for key, default in defaults.items():
+        if key not in mapping and default is _REQUIRED:
+            raise ConfigError(f"{where}: {kind} requires '{key}'")
+        params[key] = _PARAM_PARSERS[key](mapping.get(key, default), f"{where}.{key}")
+    return params
 
 
 def _parse_force(entry, index: int) -> ForceSpec:
     where = f"forces[{index}]"
     force = _require_mapping(entry, where)
-    kind = force.get("type")
-    if kind not in _FORCE_TYPES:
-        raise ConfigError(
-            f"{where}: 'type' must be one of {', '.join(_FORCE_TYPES)}, got {kind!r}"
-        )
-    _reject_unknown(force, _FORCE_KEYS[kind] | {"type"}, where)
-    params = {}
-    if kind == "gravity":
-        if "acceleration" not in force:
-            raise ConfigError(f"{where}: gravity requires 'acceleration'")
-        params["acceleration"] = _vector(force["acceleration"], 3, f"{where}.acceleration")
-    elif kind == "spring":
-        for key in ("stiffness", "anchor_world", "attachment_body"):
-            if key not in force:
-                raise ConfigError(f"{where}: spring requires '{key}'")
-        params["stiffness"] = _scalar(force["stiffness"], f"{where}.stiffness")
-        params["anchor_world"] = _vector(force["anchor_world"], 3, f"{where}.anchor_world")
-        params["attachment_body"] = _vector(
-            force["attachment_body"], 3, f"{where}.attachment_body"
-        )
-        params["rest_length"] = _scalar(force.get("rest_length", 0.0), f"{where}.rest_length")
-    elif kind == "constant_wrench":
-        params["frame"] = force.get("frame", FRAME_BODY)
-        params["torque"] = _vector(force.get("torque", (0.0, 0.0, 0.0)), 3, f"{where}.torque")
-        params["force"] = _vector(force.get("force", (0.0, 0.0, 0.0)), 3, f"{where}.force")
-    else:  # linear_damping
-        for key in ("angular", "linear"):
-            value = force.get(key, 0.0)
-            if isinstance(value, list):
-                params[key] = _vector(value, 3, f"{where}.{key}")
-            else:
-                params[key] = (_scalar(value, f"{where}.{key}"),) * 3
+    kind = _choice(force.get("type"), f"{where}.type", tuple(_FORCES))
+    _reject_unknown(force, (*_FORCES[kind], "type"), where)
+    params = _params(force, _FORCES[kind], where, kind)
     return ForceSpec(type=kind, params=tuple(sorted(params.items())))
-
-
-def _parse_run(section) -> dict:
-    run = _require_mapping(section, "run")
-    _reject_unknown(run, ("h", "steps", "integrator", "tolerance", "max_iterations"), "run")
-    out = {}
-    if "h" in run:
-        out["h"] = _scalar(run["h"], "run.h")
-    if "steps" in run:
-        out["steps"] = _integer(run["steps"], "run.steps", minimum=0)
-    if "integrator" in run:
-        if run["integrator"] not in _INTEGRATORS:
-            raise ConfigError(
-                f"run.integrator: must be one of {', '.join(_INTEGRATORS)}, "
-                f"got {run['integrator']!r}"
-            )
-        out["integrator"] = run["integrator"]
-    if "tolerance" in run:
-        out["tolerance"] = _scalar(run["tolerance"], "run.tolerance")
-    if "max_iterations" in run:
-        out["max_iterations"] = _integer(run["max_iterations"], "run.max_iterations")
-    return out
-
-
-def _parse_output(section) -> dict:
-    from .trajectory import FIELD_GROUPS
-
-    output = _require_mapping(section, "output")
-    _reject_unknown(output, ("path", "stride", "fields"), "output")
-    out = {}
-    if "path" in output:
-        if not isinstance(output["path"], str) or not output["path"]:
-            raise ConfigError(f"output.path: expected a non-empty string, got {output['path']!r}")
-        out["output_path"] = output["path"]
-    if "stride" in output:
-        out["stride"] = _integer(output["stride"], "output.stride", minimum=1)
-    if "fields" in output:
-        if not isinstance(output["fields"], list) or not output["fields"]:
-            raise ConfigError("output.fields: expected a non-empty list of group names")
-        bad = sorted(set(output["fields"]) - set(FIELD_GROUPS))
-        if bad:
-            raise ConfigError(
-                f"output.fields: unknown group(s) {', '.join(map(repr, bad))}; "
-                f"allowed: {', '.join(FIELD_GROUPS)}"
-            )
-        out["fields"] = tuple(output["fields"])
-    return out
 
 
 def config_inertia(config: ScenarioConfig) -> InertiaMatrix6:
@@ -384,27 +371,27 @@ def _parse(text: str, overrides: Optional[dict]) -> tuple[ScenarioConfig, RunInp
     if doc is None:
         raise ConfigError("empty config")
     doc = _require_mapping(doc, "config")
-    for name, values in (overrides or {}).items():
-        doc[name] = {**_require_mapping(doc.get(name, {}), name), **values}
-    _reject_unknown(doc, ("body", "initial", "forces", "run", "output"), "config")
+    for name, keys in (overrides or {}).items():
+        doc[name] = {**_require_mapping(doc.get(name, {}), name), **keys}
+    _reject_unknown(doc, _SECTIONS, "config")
     if "body" not in doc:
         raise ConfigError("config: required section 'body' is missing")
-
-    config = ScenarioConfig(**_parse_body(doc["body"]))
-    if "initial" in doc:
-        config = replace(config, **_parse_initial(doc["initial"], config))
-    if "forces" in doc:
-        entries = doc["forces"]
-        if not isinstance(entries, list):
-            raise ConfigError("forces: expected a list")
-        config = replace(
-            config,
-            forces=tuple(_parse_force(entry, i) for i, entry in enumerate(entries)),
-        )
-    if "run" in doc:
-        config = replace(config, **_parse_run(doc["run"]))
-    if "output" in doc:
-        config = replace(config, **_parse_output(doc["output"]))
+    parsed = {key: value for name in _KEYS for key, value in _parse_section(doc, name).items()}
+    if "mass" not in parsed:
+        raise ConfigError("body: required key 'mass' is missing")
+    if "inertia" not in parsed and "inertia_raw" not in parsed:
+        raise ConfigError("body: one of 'inertia' or 'inertia_raw' is required")
+    screw, momentum = parsed.pop("screw", None), parsed.pop("momentum", None)
+    entries = doc.get("forces", [])
+    if not isinstance(entries, list):
+        raise ConfigError("forces: expected a list")
+    forces = tuple(_parse_force(entry, i) for i, entry in enumerate(entries))
+    config = ScenarioConfig(**parsed, forces=forces)
+    if screw is not None:
+        config = replace(config, **screw)
+    if momentum is not None:
+        pi = np.asarray(momentum)
+        config = replace(config, body_twist=tuple(float(x) for x in config_inertia(config).inverse @ pi))
 
     run = build_run(config)
     try:
@@ -447,64 +434,37 @@ def load_config(path, overrides: Optional[dict] = None) -> ScenarioConfig:
 
 def serialize_config(config: ScenarioConfig) -> str:
     """YAML text for a config; parsing it back yields an equal config."""
-    body = {"mass": config.mass}
-    if config.inertia_raw is not None:
-        body["inertia_raw"] = [list(row) for row in config.inertia_raw]
-    else:
-        body["inertia"] = [list(row) for row in config.inertia]
-        body["reference_offset"] = list(config.reference_offset)
-    doc = {
-        "body": body,
-        "initial": {
-            "orientation": list(config.orientation),
-            "translation": list(config.translation),
-            "body_twist": list(config.body_twist),
-        },
-        "forces": [
-            {"type": spec.type, **{k: list(v) if isinstance(v, tuple) else v for k, v in spec.params}}
-            for spec in config.forces
-        ],
-        "run": {
-            "h": config.h,
-            "steps": config.steps,
-            "integrator": config.integrator,
-            "tolerance": config.tolerance,
-            "max_iterations": config.max_iterations,
-        },
-        "output": {
-            "stride": config.stride,
-        },
-    }
-    if config.output_path is not None:
-        doc["output"]["path"] = config.output_path
-    if config.fields is not None:
-        doc["output"]["fields"] = list(config.fields)
+    doc = {name: {} for name in _SECTIONS}
+    for name, keys in _KEYS.items():
+        for key, (field, _) in keys.items():
+            value = None if field is None else getattr(config, field)
+            # the offset form's default offset is no key of the raw form
+            if value is not None and not (key == "reference_offset" and config.inertia_raw is not None):
+                doc[name][key] = _plain(value)
+    doc["forces"] = [
+        {"type": spec.type, **{key: _plain(value) for key, value in spec.params}}
+        for spec in config.forces
+    ]
     return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
 
+def _plain(value):
+    """A config value for YAML: tuples (vectors, matrix rows) become lists."""
+    return [_plain(x) for x in value] if isinstance(value, tuple) else value
+
+
 def _force_model(config: ScenarioConfig, spec: ForceSpec):
+    # every force key but gravity's is its constructor's keyword
+    params = dict(spec.params)
     if spec.type == "gravity":
         return force_model_from_potential(
-            gravity_potential(config.mass, spec.get("acceleration"), config.reference_offset)
+            gravity_potential(config.mass, params["acceleration"], config.reference_offset)
         )
     if spec.type == "spring":
-        return force_model_from_potential(
-            spring_potential(
-                spec.get("anchor_world"),
-                spec.get("attachment_body"),
-                spec.get("stiffness"),
-                spec.get("rest_length"),
-            )
-        )
+        return force_model_from_potential(spring_potential(**params))
     if spec.type == "constant_wrench":
-        return constant_wrench_model(
-            Wrench(
-                torque=np.asarray(spec.get("torque")),
-                force=np.asarray(spec.get("force")),
-                frame=spec.get("frame"),
-            )
-        )
-    return damping_model(spec.get("angular"), spec.get("linear"))
+        return constant_wrench_model(Wrench(**params))
+    return damping_model(**params)
 
 
 def build_force_models(config: ScenarioConfig) -> tuple:

@@ -124,6 +124,13 @@ def test_bad_config_is_config_error(tmp_path, capsys):
     assert "junk" in capsys.readouterr().err
 
 
+def test_malformed_config_value_is_config_error(tmp_path, capsys):
+    path = tmp_path / "ragged.yaml"
+    path.write_text("body: {mass: 1.0, inertia: [1, [2, 3], 4]}\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert "body.inertia" in capsys.readouterr().err
+
+
 def test_bad_flag_value_is_config_error(free_config, capsys):
     assert main(["run", "--config", str(free_config), "--steps", "-3"]) == 2
     capsys.readouterr()

@@ -608,6 +608,15 @@ def test_simulate_rejects_bad_inputs():
         simulate(pose_identity(), np.zeros(6), M, (), SolverSettings(h=1e-3), -1)
 
 
+def test_simulators_reject_nan_pose():
+    M = build_inertia(1.0, np.eye(3))
+    pose = np.full(8, np.nan)
+    with pytest.raises(ValidationError, match="pose"):
+        simulate(pose, [1.0, 0.1, 0.0, 0.0, 0.0, 0.0], M, (), SolverSettings(h=1e-3), 10)
+    with pytest.raises(ValidationError, match="pose"):
+        rk4_simulate(pose, [1.0, 0.1, 0.0, 0.0, 0.0, 0.0], M, (), SolverSettings(h=1e-3), 10)
+
+
 def test_simulate_zero_steps_retrieves_initial_twist():
     M = build_inertia(2.0, np.diag([1.0, 2.0, 3.0]), (0.1, -0.2, 0.3))
     chi0 = np.array([0.5, -0.2, 0.3, 0.1, 0.4, -0.6])

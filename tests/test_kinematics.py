@@ -10,7 +10,14 @@ from _oracles import (
     pose_translation_oracle,
     quat_to_matrix_oracle,
 )
-from dqdyn import ValidationError, dq_exp, dq_mul, dq_quat_conjugate, pure_dual_quaternion
+from dqdyn import (
+    ValidationError,
+    dq_exp,
+    dq_mul,
+    dq_quat_conjugate,
+    pure_dual_quaternion,
+    unit_quaternion,
+)
 from dqdyn.kinematics import (
     ScrewParameters,
     Wrench,
@@ -402,6 +409,23 @@ def test_pose_difference_magnitude(rng):
     # translation offset: magnitude equals the displacement length
     shift = pose_from_rotation_translation([1, 0, 0, 0], [0.3, 0.0, 0.4])
     assert abs(pose_difference_magnitude(p, dq_mul(p, shift)) - 0.5) < 1e-12
+
+
+def test_validators_reject_nan():
+    # NaN fails every comparison, so a check must not pass it by default
+    nan = float("nan")
+    with pytest.raises(ValidationError, match="norm off unity"):
+        check_pose(np.full(8, nan))
+    with pytest.raises(ValidationError, match="orthogonality"):
+        check_pose(np.array([1.0, 0.0, 0.0, 0.0, nan, 0.0, 0.0, 0.0]))
+    with pytest.raises(ValidationError):
+        pose_to_rotation_translation(np.full(8, nan))
+    with pytest.raises(ValidationError):
+        unit_quaternion([nan, 0.0, 0.0, 0.0])
+    with pytest.raises(ValidationError):
+        pose_from_rotation_translation([nan, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
+    with pytest.raises(ValidationError):
+        dq_exp([nan, 0.0, 0.0, 0.0, nan, 0.0, 0.0, 0.0])
 
 
 def test_check_pose_accepts_valid(rng):

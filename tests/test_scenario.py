@@ -1,5 +1,6 @@
 """Scenario config grammar: parsing, validation, round trips."""
 
+import dataclasses
 import pathlib
 
 import numpy as np
@@ -14,6 +15,7 @@ from dqdyn.kinematics import (
     screw_compose,
 )
 from dqdyn.scenario import (
+    _KEYS,
     ScenarioConfig,
     build_force_models,
     build_run,
@@ -68,6 +70,31 @@ output:
   fields: [pose, twist, energy]
 """
 
+# the other spellings: a screw pose, momentum, a world-frame wrench and
+# per-axis damping
+SPELLINGS = """
+body:
+  mass: 2.0
+  inertia: [1.0, 2.0, 3.0]
+initial:
+  screw: {axis: [0.0, 0.0, 1.0], angle: 0.3, slide: 0.3}
+  momentum: [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+forces:
+  - type: constant_wrench
+    torque: [0.0, 0.0, 0.1]
+    frame: world
+  - type: linear_damping
+    angular: [0.01, 0.02, 0.03]
+    linear: 0.05
+"""
+
+# 1.8e-7 off unit norm: dividing the normalized quaternion by its own norm
+# again would move its last bits
+NEAR_UNIT = """
+body: {mass: 1.0, inertia: [1.0, 2.0, 3.0]}
+initial: {orientation: [0.6, 0.8, 0.0, 6.0e-4]}
+"""
+
 
 def test_minimal_config_fills_defaults():
     config = parse_config(MINIMAL)
@@ -100,7 +127,7 @@ def test_full_config_parses():
 
 
 def test_round_trip_is_identity():
-    for text in (MINIMAL, FULL):
+    for text in (MINIMAL, FULL, SPELLINGS, NEAR_UNIT):
         config = parse_config(text)
         again = parse_config(serialize_config(config))
         assert again == config
@@ -305,6 +332,20 @@ initial:
             "forces: [{type: spring, stiffness: .nan, anchor_world: [0, 0, 1], attachment_body: [0, 0, 0]}]",
             "forces[0].stiffness: must be finite",
         ),
+        ("body: {mass: 1.0, inertia: [1, [2, 3], 4]}", "body.inertia"),
+        ("body: {mass: 1.0, inertia: abc}", "body.inertia"),
+        pytest.param(
+            "body: {mass: 1" + "0" * 400 + ", inertia: [1, 2, 3]}", "body.mass", id="mass-overflows-float"
+        ),
+        pytest.param(
+            "body: {mass: 1.0, inertia: [1, 2, 3]}\n"
+            "initial: {translation: [1" + "0" * 400 + ", 0, 0]}",
+            "initial.translation",
+            id="translation-overflows-float",
+        ),
+        ("body: {mass: 1.0, inertia: [1, 2, 3]}\noutput: {fields: [[pose]]}", "output.fields"),
+        ("body: {mass: 1.0, inertia: [1, 2, 3], 1: 2, color: red}", "color"),
+        ("body: {mass: 1.0, inertia: [1, 2, 3]}\n1: 2\nfoo: 3", "foo"),
     ],
 )
 def test_rejections_are_actionable(text, fragment):
@@ -366,6 +407,13 @@ def test_build_run_smoke():
         5,
     )
     assert traj.n_states == 6
+
+
+def test_every_config_field_has_one_key():
+    # a field that no key names would be neither parsed nor serialized
+    named = [field for keys in _KEYS.values() for field, _ in keys.values() if field is not None]
+    fields = [f.name for f in dataclasses.fields(ScenarioConfig) if f.name != "forces"]
+    assert sorted(named) == sorted(fields)
 
 
 def test_direct_dataclass_is_usable():
