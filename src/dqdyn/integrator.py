@@ -34,8 +34,13 @@ The kernels that read M, the momentum terms [w; u] = M f, the Jacobian
 and the product with M^-1, are generated for each inertia as straight-line
 Python with M's entries as literals and its zero entries left out, so one
 Jacobian formula serves every body at the cost of its own zero pattern.
-They are compiled on first use and cached; ``step_kernels(M).source`` is
-their code.
+A Newton iteration is one more generated function, for an inertia and the
+pivot order of the last full-pivot solve: the start's residual, each
+Jacobian entry written straight into its elimination variable, the
+elimination without a search, the update and the new iterate's residual
+norm, in one call. Both are compiled on first use and cached;
+``step_kernels(M).source`` and ``step_kernels(M).update(order).source``
+are their code.
 
 Conventions: twists are [omega; v] body frame, wrenches [torque; force],
 M is the 6x6 generalized inertia about the body reference point.
@@ -57,7 +62,7 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import FRAME_BODY, Wrench, check_pose
-from .linsolve import COND_LIMIT, matvec, solve_ordered, solve_rows
+from .linsolve import COND_LIMIT, matvec, solve_rows
 from .quat import Array, dq_mul, dq_product, finite_vector6
 from .trajectory import Trajectory
 
@@ -104,7 +109,24 @@ def _phi_norm2(f) -> float:
 # for x != 0, and x * 1.0 == x).
 
 _KERNEL_CACHE_SIZE = 16
+_UPDATE_CACHE_SIZE = 32
 _STEP_VARIABLES = ("p0", "p1", "p2", "s0", "s1", "s2")
+_TERMS = "g, c, u0, u1, u2, w0, w1, w2"
+# largest |multiplier| an update accepts: threshold pivoting with u = 1/10
+# keeps element growth bounded (Higham, Accuracy and Stability of Numerical
+# Algorithms, ch. 9)
+MULTIPLIER_LIMIT = 10.0
+
+# Step momentum [A; B] of f = [Phi; Psi] from its terms and cg = c/gamma:
+# A = -(c/gamma) u + Psi x u + gamma w + Phi x w and B = gamma u + Phi x u.
+_MOMENTUM = (
+    "-cg * u0 + (s1 * u2 - s2 * u1) + g * w0 + (p1 * w2 - p2 * w1)",
+    "-cg * u1 + (s2 * u0 - s0 * u2) + g * w1 + (p2 * w0 - p0 * w2)",
+    "-cg * u2 + (s0 * u1 - s1 * u0) + g * w2 + (p0 * w1 - p1 * w0)",
+    "g * u0 + (p1 * u2 - p2 * u1)",
+    "g * u1 + (p2 * u0 - p0 * u2)",
+    "g * u2 + (p0 * u1 - p1 * u0)",
+)
 
 
 class StepKernels(NamedTuple):
@@ -115,12 +137,34 @@ class StepKernels(NamedTuple):
     step momentum, its transport and the Jacobian share.
     ``jacobian(f, terms)`` is d[A; B]/d[Phi; Psi] as six row lists.
     ``inverse(v)`` is M^-1 v as a list.
+    ``momentum(f, terms)`` is the step momentum [A; B](f).
+    ``matrix`` is M's bytes, the key of ``update``.
     """
 
     terms: Callable
     jacobian: Callable
     inverse: Callable
+    momentum: Callable
     source: str
+    matrix: bytes
+
+    def update(self, order) -> Callable:
+        """The Newton update of this inertia for the pivot order (rows, cols),
+        generated on first use and kept in a small LRU cache; its ``source``
+        attribute is its code.
+
+        ``update(f, target)`` does one Newton iteration on
+        [A; B](f) = target in one call and returns (f', terms', [A; B](f'),
+        max |target - [A; B](f')|), the norm NaN when an entry is. It
+        refuses (returns None) on an exactly zero pivot, a |multiplier|
+        above ``MULTIPLIER_LIMIT`` or a condition estimate above
+        ``COND_LIMIT``; the caller then searches. When f' = f + dx has
+        |Phi| >= 1 it returns (None, dx, None, None) for the caller to
+        halve. Otherwise it does the float operations of the separate
+        kernels and of ``solve_rows`` for this order, in their order, so
+        every value has their bits.
+        """
+        return _compiled_update(self.matrix, order)
 
 
 def _sum_source(terms) -> str:
@@ -191,53 +235,137 @@ def _jacobian_entry(M, i: int, j: int) -> str:
     return f"-{correction}" if product == "0.0" else f"{product} - {correction}"
 
 
+def _terms_lines(M, phi2: str = "(p0 * p0 + p1 * p1 + p2 * p2)") -> list:
+    """Lines binding the terms g, c, u0..u2, w0..w2 of p0..s2; ``phi2`` is
+    the source of Phi.Phi."""
+    w, u = _matvec_source(M[:3], _STEP_VARIABLES), _matvec_source(M[3:], _STEP_VARIABLES)
+    return [
+        f"    g = sqrt(1.0 - {phi2})",
+        "    c = s0 * p0 + s1 * p1 + s2 * p2",
+        *[f"    {x}{i} = {e}" for x, entries in (("u", u), ("w", w)) for i, e in enumerate(entries)],
+    ]
+
+
+# The locals the Jacobian entries read besides the terms and cg.
+_JACOBIAN_LOCALS = [
+    "    # J = [[R, S(Psi) - (c/gamma) I], [0, R]] M - C, R = gamma I + S(Phi),",
+    "    # C = [[u x^T + w y^T + S(w), u y^T + S(u)], [u y^T + S(u), 0]],",
+    "    # y = Phi / gamma, x = (gamma^2 Psi + c Phi) / gamma^3",
+    "    g3 = g * g * g",
+    "    x0, x1, x2 = (g * g * s0 + c * p0) / g3, (g * g * s1 + c * p1) / g3, (g * g * s2 + c * p2) / g3",
+    "    y0, y1, y2 = p0 / g, p1 / g, p2 / g",
+    *[
+        f"    {', '.join(f'k{i}{j}' for j in range(3))} = "
+        + ", ".join(f"u{i} * y{j}{_skew_source('u', i, j)}" for j in range(3))
+        for i in range(3)
+    ],
+]
+
+
 def _kernel_source(M, M_inv) -> str:
     """Source of the step kernels for the 6x6 inertia M and its inverse, both
     given as row lists of floats."""
     p = ", ".join(_STEP_VARIABLES)
     v = [f"v{i}" for i in range(6)]
-    w, u = _matvec_source(M[:3], _STEP_VARIABLES), _matvec_source(M[3:], _STEP_VARIABLES)
     lines = [
         "def terms(f):",
         f"    {p} = f",
-        "    return (",
-        "        sqrt(1.0 - (p0 * p0 + p1 * p1 + p2 * p2)),",
-        "        s0 * p0 + s1 * p1 + s2 * p2,",
-        *[f"        {x}," for x in u + w],
-        "    )",
+        *_terms_lines(M),
+        f"    return {_TERMS}",
         "",
         "",
         "def jacobian(f, terms):",
-        "    # J = [[R, S(Psi) - (c/gamma) I], [0, R]] M - C, R = gamma I + S(Phi),",
-        "    # C = [[u x^T + w y^T + S(w), u y^T + S(u)], [u y^T + S(u), 0]],",
-        "    # y = Phi / gamma, x = (gamma^2 Psi + c Phi) / gamma^3",
         f"    {p} = f",
-        "    g, c, u0, u1, u2, w0, w1, w2 = terms",
+        f"    {_TERMS} = terms",
         "    cg = c / g",
-        "    g3 = g * g * g",
-        "    x0, x1, x2 = (g * g * s0 + c * p0) / g3, (g * g * s1 + c * p1) / g3, (g * g * s2 + c * p2) / g3",
-        "    y0, y1, y2 = p0 / g, p1 / g, p2 / g",
-        *[
-            f"    {', '.join(f'k{i}{j}' for j in range(3))} = "
-            + ", ".join(f"u{i} * y{j}{_skew_source('u', i, j)}" for j in range(3))
-            for i in range(3)
-        ],
+        *_JACOBIAN_LOCALS,
         "    return [",
     ]
     for i in range(6):
         lines += ["        ["] + [f"            {_jacobian_entry(M, i, j)}," for j in range(6)] + ["        ],"]
     lines += ["    ]", "", "", "def inverse(v):", f"    {', '.join(v)} = v", "    return ["]
-    lines += [f"        {x}," for x in _matvec_source(M_inv, v)] + ["    ]"]
+    lines += [f"        {x}," for x in _matvec_source(M_inv, v)] + ["    ]", "", ""]
+    lines += ["def momentum(f, terms):", f"    {p} = f", f"    {_TERMS} = terms", "    cg = c / g", "    return ("]
+    lines += [f"        {e}," for e in _MOMENTUM] + ["    )"]
     return "\n".join(lines) + "\n"
+
+
+def _update_source(M, order) -> str:
+    """Source of ``update(f, target)`` for the inertia M (row lists) and the
+    pivot order (rows, cols): the k-th pivot is J[rows[k]][cols[k]].
+
+    One operation per line in ``solve_rows``' order: the start's terms and
+    negated residual b = target - [A; B](f), the Jacobian entries straight
+    into the elimination locals a_ij = J[rows[i]][cols[j]], the elimination
+    with its refusals, the back-substitution, f + dx, and the new iterate's
+    terms, [A; B] and residual norm.
+    """
+    rows, cols = order
+    n = len(rows)
+    idx = range(n)
+    a = [[f"a{i}{j}" for j in idx] for i in idx]
+    p = ", ".join(_STEP_VARIABLES)
+    ab = [f"m{i}" for i in idx]
+    lines = [
+        "def update(f, target):",
+        f"    {p} = f",
+        f"    {', '.join(f't{i}' for i in idx)} = target",
+        *_terms_lines(M),
+        "    cg = c / g",
+        *[f"    b{i} = t{r} - ({_MOMENTUM[r]})" for i, r in enumerate(rows)],
+        *_JACOBIAN_LOCALS,
+        *[f"    {a[i][j]} = {_jacobian_entry(M, r, c)}" for i, r in enumerate(rows) for j, c in enumerate(cols)],
+    ]
+    for k in idx:
+        lines += [f"    if {a[k][k]} == 0.0:", "        return None"]
+        for i in range(k + 1, n):
+            lines += [
+                f"    q = {a[i][k]} / {a[k][k]}",
+                "    if q != 0.0:",  # solve_rows skips these rows too; the sign of a zero would differ
+                f"        if not {-MULTIPLIER_LIMIT!r} <= q <= {MULTIPLIER_LIMIT!r}:",
+                "            return None",
+            ]
+            lines += [f"        {a[i][j]} -= q * {a[k][j]}" for j in range(k + 1, n)] + [f"        b{i} -= q * b{k}"]
+    last = a[n - 1][n - 1]
+    lines += [f"    if not abs(a00) / abs({last}) <= {COND_LIMIT!r}:", "        return None"]
+    for i in reversed(idx):
+        s = "".join(f" - {a[i][j]} * z{j}" for j in range(i + 1, n))
+        lines.append(f"    z{i} = (b{i}{s}) / {a[i][i]}")
+    dx = [f"z{cols.index(j)}" for j in idx]
+    lines += [f"    {x} += {d}" for x, d in zip(_STEP_VARIABLES, dx)]
+    lines += [
+        "    n = p0 * p0 + p1 * p1 + p2 * p2",
+        "    if n >= 1.0:",
+        f"        return None, [{', '.join(dx)}], None, None",
+        *_terms_lines(M, "n"),
+        "    cg = c / g",
+        *[f"    {m} = {e}" for m, e in zip(ab, _MOMENTUM)],
+        f"    {', '.join(f'e{i}' for i in idx)} = {', '.join(f'abs(t{i} - {m})' for i, m in enumerate(ab))}",
+        f"    s = {' + '.join(f'e{i}' for i in idx)}",  # NaN only for a NaN entry, as in _max_abs
+        f"    return [{p}], ({_TERMS}), ({', '.join(ab)}), max({', '.join(f'e{i}' for i in idx)}) if s == s else nan",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _compile(source: str, names):
+    namespace = {"sqrt": math.sqrt, "nan": math.nan}
+    exec(compile(source, "<dqdyn.integrator.step_kernels>", "exec"), namespace)
+    return [namespace[name] for name in names]
 
 
 @functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _compiled_kernels(matrix: bytes, inverse: bytes) -> StepKernels:
     M, M_inv = (np.frombuffer(b, dtype=np.float64).reshape(6, 6).tolist() for b in (matrix, inverse))
     source = _kernel_source(M, M_inv)
-    namespace = {"sqrt": math.sqrt}
-    exec(compile(source, "<dqdyn.integrator.step_kernels>", "exec"), namespace)
-    return StepKernels(namespace["terms"], namespace["jacobian"], namespace["inverse"], source)
+    return StepKernels(*_compile(source, ("terms", "jacobian", "inverse", "momentum")), source, matrix)
+
+
+@functools.lru_cache(maxsize=_UPDATE_CACHE_SIZE)
+def _compiled_update(matrix: bytes, order) -> Callable:
+    source = _update_source(np.frombuffer(matrix, dtype=np.float64).reshape(6, 6).tolist(), order)
+    (update,) = _compile(source, ("update",))
+    update.source = source
+    return update
 
 
 def step_kernels(M: InertiaMatrix6) -> StepKernels:
@@ -245,22 +373,6 @@ def step_kernels(M: InertiaMatrix6) -> StepKernels:
     in a small LRU cache keyed by M's bytes."""
     return _compiled_kernels(
         np.asarray(M.matrix, dtype=np.float64).tobytes(), np.asarray(M.inverse, dtype=np.float64).tobytes()
-    )
-
-
-def _residual_ab(f, terms) -> tuple:
-    """Step momentum [A; B] of the step variables f = [Phi; Psi]:
-    A = -(c/gamma) u + Psi x u + gamma w + Phi x w and B = gamma u + Phi x u."""
-    p0, p1, p2, s0, s1, s2 = f
-    g, c, u0, u1, u2, w0, w1, w2 = terms
-    cg = c / g
-    return (
-        -cg * u0 + (s1 * u2 - s2 * u1) + g * w0 + (p1 * w2 - p2 * w1),
-        -cg * u1 + (s2 * u0 - s0 * u2) + g * w1 + (p2 * w0 - p0 * w2),
-        -cg * u2 + (s0 * u1 - s1 * u0) + g * w2 + (p0 * w1 - p1 * w0),
-        g * u0 + (p1 * u2 - p2 * u1),
-        g * u1 + (p2 * u0 - p0 * u2),
-        g * u2 + (p0 * u1 - p1 * u0),
     )
 
 
@@ -303,50 +415,52 @@ def _max_abs(v) -> float:
     return max(map(abs, v)) if s == s else math.nan
 
 
-def _newton(f, terms, target, K: StepKernels, tol: float, max_iterations: int, order):
-    """Newton iteration on [A; B](f) = target from the warm start f, whose
-    momentum terms are ``terms``.
+def _newton(f, target, K: StepKernels, tol: float, max_iterations: int, update):
+    """Newton iteration on [A; B](f) = target from the warm start f.
 
-    Returns (f, terms, [A; B](f), iterations, residual_norm, status, order).
-    Each iteration first solves the 6x6 system in ``order``, the pivot order
-    of the last searched solve (None: there is none yet). When that is
-    missing or fails a check, it solves with full pivoting and keeps the new
-    order; only that searched solve can abort the step as singular. The
-    update is backtracked (halving) until the iterate keeps |Phi| < 1.
+    Returns (f, terms, [A; B](f), iterations, residual_norm, status, update).
+    ``update`` is the generated update of the pivot order of the last
+    searched solve (None: there is none yet), which does a whole iteration
+    in one call. When it is missing or refuses, the iteration solves with
+    full pivoting and takes the update of the new order; only that searched
+    solve can abort the step as singular. A step dx that would reach
+    |Phi| >= 1 is backtracked (halving) until the iterate keeps |Phi| < 1.
     Convergence is checked after the update, so even a solved warm start
     reports one iteration.
     """
-    ab = _residual_ab(f, terms)
-    y = [t - a for a, t in zip(ab, target)]  # the negated residual, Newton's right-hand side
-    jacobian, terms_of = K.jacobian, K.terms
     for it in range(1, max_iterations + 1):
-        J = jacobian(f, terms)
-        solved = None if order is None else solve_ordered(J, y, order)
-        if solved is None:
-            dx, cond, ok, order = solve_rows(J, list(y))  # in place: y stays the residual
-            if (not ok) or cond > COND_LIMIT:
-                return f, terms, ab, it, _max_abs(y), _STATUS_SINGULAR, order
+        solved = None if update is None else update(f, target)
+        if solved is not None and solved[0] is not None:
+            f, terms, ab, pre = solved
         else:
-            dx = solved[0]
-        scale = 1.0
-        trial = [a + b for a, b in zip(f, dx)]
-        nphi = _phi_norm2(trial)
-        hops = 0
-        while nphi >= 1.0 and hops < _MAX_BACKTRACK:
-            scale *= 0.5
-            hops += 1
-            trial = [a + scale * b for a, b in zip(f, dx)]
+            terms = K.terms(f)
+            ab = K.momentum(f, terms)
+            y = [t - a for a, t in zip(ab, target)]  # the negated residual, Newton's right-hand side
+            if solved is None:
+                dx, cond, ok, order = solve_rows(K.jacobian(f, terms), list(y))  # in place: y stays the residual
+                if (not ok) or cond > COND_LIMIT:
+                    return f, terms, ab, it, _max_abs(y), _STATUS_SINGULAR, update
+                update = K.update(order)
+            else:
+                dx = solved[1]
+            scale = 1.0
+            trial = [a + b for a, b in zip(f, dx)]
             nphi = _phi_norm2(trial)
-        if nphi >= 1.0:
-            return f, terms, ab, it, _max_abs(y), _STATUS_INFEASIBLE, order
-        f = trial
-        terms = terms_of(f)
-        ab = _residual_ab(f, terms)
-        y = [t - a for a, t in zip(ab, target)]
-        pre = _max_abs(y)
+            hops = 0
+            while nphi >= 1.0 and hops < _MAX_BACKTRACK:
+                scale *= 0.5
+                hops += 1
+                trial = [a + scale * b for a, b in zip(f, dx)]
+                nphi = _phi_norm2(trial)
+            if nphi >= 1.0:
+                return f, terms, ab, it, _max_abs(y), _STATUS_INFEASIBLE, update
+            f = trial
+            terms = K.terms(f)
+            ab = K.momentum(f, terms)
+            pre = _max_abs([t - a for a, t in zip(ab, target)])
         if pre <= tol:
-            return f, terms, ab, it, pre, _STATUS_OK, order
-    return f, terms, ab, max_iterations, pre, _STATUS_NO_CONVERGENCE, order
+            return f, terms, ab, it, pre, _STATUS_OK, update
+    return f, terms, ab, max_iterations, pre, _STATUS_NO_CONVERGENCE, update
 
 
 def _step_dq(f, gamma: float, c: float) -> tuple:
@@ -393,7 +507,8 @@ def step_to_dual_quaternion(step) -> Array:
 def residual(step, M: InertiaMatrix6) -> tuple[Array, Array]:
     """Step momentum (A, B): rotational and translational components."""
     f = _as_step(step).tolist()
-    out = np.array(_residual_ab(f, step_kernels(M).terms(f)))
+    K = step_kernels(M)
+    out = np.array(K.momentum(f, K.terms(f)))
     return out[:3], out[3:]
 
 
@@ -439,10 +554,9 @@ def solve_step(prev_step, M: InertiaMatrix6, wrench, settings: SolverSettings):
     f_prev = _as_step(prev_step).tolist()
     tau = _wrench_body_vector(wrench).tolist()
     K = step_kernels(M)
-    terms = K.terms(f_prev)
-    target = _kicked(_transported_ab(f_prev, terms), tau, 0.5 * settings.h * settings.h)
-    f, _, _, it, rn, status, _ = _newton(  # no order: a single step always searches
-        f_prev, terms, target, K, settings.tolerance, settings.max_iterations, None
+    target = _kicked(_transported_ab(f_prev, K.terms(f_prev)), tau, 0.5 * settings.h * settings.h)
+    f, _, _, it, rn, status, _ = _newton(  # no update yet: a single step always searches
+        f_prev, target, K, settings.tolerance, settings.max_iterations, None
     )
     _raise_for_status(status, it, rn)
     return np.array(f), it, rn
@@ -487,7 +601,8 @@ def retrieve_twist(step, M: InertiaMatrix6, h: float) -> Array:
     stores for a force-free state (under a wrench tau, this less (h/2) M^-1 tau)."""
     f = _as_step(step).tolist()
     s = 2.0 / float(h)
-    return np.array([s * x for x in matvec(M.inverse.tolist(), _residual_ab(f, step_kernels(M).terms(f)))])
+    K = step_kernels(M)
+    return np.array([s * x for x in matvec(M.inverse.tolist(), K.momentum(f, K.terms(f)))])
 
 
 def simulate(
@@ -544,7 +659,7 @@ def simulate(
     resnorms = np.zeros(n)
     pose = p0.tolist()
     poses[0] = pose
-    terms = K.terms(f)
+    terms = None  # of f, known once f is solved
     target = [0.5 * h * x for x in matvec(M.matrix.tolist(), chi0.tolist())]
     two_over_h = 2.0 / h
     impulse = 0.5 * h * h
@@ -552,9 +667,9 @@ def simulate(
     if force_models:
         tau = wrench_sum(force_models, pose, chi0.tolist(), 0.0)
         target = _kicked(target, tau, quarter_kick)
-    order = None  # pivot order of the last searched solve; the first solve searches
+    update = None  # the update of the last searched pivot order; the first solve searches
     for k in range(n):
-        start, start_terms = f, terms
+        start = f
         if k:
             pose = dq_product(pose, _step_dq(f, terms[0], terms[1]))
             poses[k] = pose
@@ -567,18 +682,16 @@ def simulate(
             if k > 1:
                 guess = [2.0 * a - b for a, b in zip(f, f_prev)]  # 2 f_{k-1} - f_{k-2}
                 if _phi_norm2(guess) < 1.0:
-                    start, start_terms = guess, K.terms(guess)
-        f_prev, prev_terms, prev_order = f, terms, order
-        f, terms, ab, it, rn, status, order = _newton(start, start_terms, target, K, tol, max_iterations, order)
+                    start = guess
+        f_prev, prev_terms, prev_update = f, terms, update
+        f, terms, ab, it, rn, status, update = _newton(start, target, K, tol, max_iterations, update)
         if start is not f_prev and (
             status or (it > 1 and _jacobian_positive(f, terms, K) != _jacobian_positive(f_prev, prev_terms, K))
         ):
             # the predicted start failed, or its solve crossed the fold of
             # [A; B] to the root on the other side from f_{k-1}: solve the
             # step again as a start from f_{k-1} would
-            f, terms, ab, it, rn, status, order = _newton(
-                f_prev, prev_terms, target, K, tol, max_iterations, prev_order
-            )
+            f, terms, ab, it, rn, status, update = _newton(f_prev, target, K, tol, max_iterations, prev_update)
         iters[k] = it
         resnorms[k] = rn
         _raise_for_status(status, it, rn, k)

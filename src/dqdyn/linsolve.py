@@ -6,16 +6,11 @@ free growth-based condition estimate, the ratio of the first to the last
 pivot magnitude. The estimate is crude (a lower bound on the true condition
 number up to modest factors) but is exactly what the step-abort rule needs.
 
-``solve_ordered`` runs the same elimination for a pivot order given in
-advance, the one a searched call returned. The Newton Jacobian stays close
-to M from step to step, so that order keeps working, and the straight-line
-code skips both the search and the list loops. It gives up (returns None)
-on an exactly zero pivot, on a multiplier above ``MULTIPLIER_LIMIT`` in
-magnitude (threshold pivoting with u = 0.1, which keeps element growth
-bounded; Higham, Accuracy and Stability of Numerical Algorithms, ch. 9) and
-on an estimate above ``COND_LIMIT``; the caller then searches again. For
-the same order both perform the same float operations in the same order,
-so they return the same bits.
+The order it returns, the original row and column of each pivot, is what
+the integrator generates its straight-line Newton update for: the Newton
+Jacobian stays close to M from step to step, so that order keeps working,
+and the generated update repeats this elimination for it without the
+search (``integrator.StepKernels.update``).
 """
 
 import math
@@ -25,8 +20,6 @@ import numpy as np
 from .quat import Array
 
 COND_LIMIT = 1e12
-# largest |multiplier| solve_ordered accepts: threshold pivoting with u = 1/10
-MULTIPLIER_LIMIT = 10.0
 
 
 def matvec(rows, v) -> list:
@@ -43,7 +36,7 @@ def solve_rows(U: list, y: list):
     zero pivot block; x is meaningless in that case. Pivots are taken in
     row-major order of first occurrence, and no exceptions are raised, so
     the step loop can act on the flag. order is (rows, cols): the original
-    row and column of the k-th pivot, as tuples, for ``solve_ordered``.
+    row and column of the k-th pivot, as tuples.
     """
     n = len(U)
     rperm = list(range(n))
@@ -91,49 +84,6 @@ def solve_rows(U: list, y: list):
     for k in range(n):
         x[perm[k]] = z[k]
     return x, abs(U[0][0]) / abs(U[n - 1][n - 1]), True, (tuple(rperm), tuple(perm))
-
-
-def _ordered_source(n: int) -> str:
-    """Source of ``solve_ordered`` for n x n systems (n < 10): solve_rows'
-    elimination and back-substitution for a fixed pivot order, one
-    operation per line, plus the checks that make it refuse."""
-    idx = range(n)
-    a = [[f"a{i}{j}" for j in idx] for i in idx]
-    lines = [
-        "def solve_ordered(J, y, order):",
-        '    """Solve J x = y with the k-th pivot at (rows[k], cols[k]), order = (rows, cols).',
-        "    Returns (x, cond_estimate), or None when a pivot is zero, a |multiplier| exceeds",
-        '    MULTIPLIER_LIMIT or the estimate exceeds COND_LIMIT. J and y are only read."""',
-        "    rows, cols = order",
-        f"    {', '.join(f'c{j}' for j in idx)} = cols",
-    ]
-    for i in idx:
-        lines += [f"    r = J[rows[{i}]]", f"    {', '.join(a[i])} = {', '.join(f'r[c{j}]' for j in idx)}"]
-    lines.append(f"    {', '.join(f'y{i}' for i in idx)} = {', '.join(f'y[rows[{i}]]' for i in idx)}")
-    for k in idx:
-        lines += [f"    if {a[k][k]} == 0.0:", "        return None"]
-        for i in range(k + 1, n):
-            lines += [
-                f"    m = {a[i][k]} / {a[k][k]}",
-                "    if m != 0.0:",  # solve_rows skips these rows too; the sign of a zero would differ
-                f"        if not {-MULTIPLIER_LIMIT!r} <= m <= {MULTIPLIER_LIMIT!r}:",
-                "            return None",
-            ]
-            lines += [f"        {a[i][j]} -= m * {a[k][j]}" for j in range(k + 1, n)] + [f"        y{i} -= m * y{k}"]
-    last = a[n - 1][n - 1]
-    lines += [f"    cond = abs(a00) / abs({last})", f"    if not cond <= {COND_LIMIT!r}:", "        return None"]
-    for i in reversed(idx):
-        s = "".join(f" - {a[i][j]} * z{j}" for j in range(i + 1, n))
-        lines.append(f"    z{i} = (y{i}{s}) / {a[i][i]}")
-    lines += [f"    x = [0.0] * {n}"] + [f"    x[c{k}] = z{k}" for k in idx] + ["    return x, cond"]
-    return "\n".join(lines) + "\n"
-
-
-# The generated 6x6 solver, kept as text so it can be read (print it).
-ORDERED_SOURCE = _ordered_source(6)
-_generated = {"__name__": __name__}
-exec(compile(ORDERED_SOURCE, "<dqdyn.linsolve.ORDERED_SOURCE>", "exec"), _generated)
-solve_ordered = _generated["solve_ordered"]
 
 
 def solve_full_pivot(A: Array, b: Array):

@@ -92,10 +92,23 @@ INTEGRATOR_RK4 = "rk4"
 _INTEGRATORS = (INTEGRATOR_VARIATIONAL, INTEGRATOR_RK4)
 
 
+def _is_number(value) -> bool:
+    """A config number is an int or a float; a bool (YAML's true/false) or a
+    string is not, even where numpy would convert it."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value) -> bool:
+    """A number, or a list of them (nested for a matrix)."""
+    return all(map(_numbers, value)) if isinstance(value, (list, tuple)) else _is_number(value)
+
+
 def _array(value, where: str, what: str) -> np.ndarray:
+    if not _numbers(value):
+        raise ConfigError(f"{where}: expected {what}, got {value!r}")
     try:
         return np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:  # a ragged list, or an int too large for a float
         raise ConfigError(f"{where}: expected {what}, got {value!r}") from exc
 
 
@@ -121,7 +134,7 @@ def _matrix(value, where: str, n: int, diagonal: bool = False) -> tuple:
 
 
 def _scalar(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"{where}: expected a number, got {value!r}")
     out = float(_array(value, where, "a number"))
     if not np.isfinite(out):
@@ -169,7 +182,7 @@ def _screw(value, where: str) -> dict:
     except DqdynError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
     q, translation = pose_to_rotation_translation(pose)
-    return {"orientation": _orientation(q, where), "translation": tuple(map(float, translation))}
+    return {"orientation": _orientation(q.tolist(), where), "translation": tuple(map(float, translation))}
 
 
 def _choice(value, where: str, options: tuple) -> str:

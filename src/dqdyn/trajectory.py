@@ -212,7 +212,7 @@ def read_trajectory(path) -> Trajectory:
             # empty data is reported as a ValidationError just below
             warnings.simplefilter("ignore", UserWarning)
             try:
-                data = np.loadtxt(fh, ndmin=2)
+                data = np.loadtxt(fh, ndmin=2, delimiter="\t")
             except ValueError as exc:
                 # a non-numeric cell or a row of a different width
                 raise ValidationError(f"{path}: {exc}") from None

@@ -8,6 +8,8 @@ import pytest
 
 import dqdyn
 from dqdyn.cli import main
+from test_scenario import NOT_NUMBERS
+from test_trajectory import MISSPLIT_ROWS, write_missplit
 
 # a child process imports the same dqdyn as this one, installed or not
 CHILD_PYTHONPATH = os.pathsep.join(
@@ -129,6 +131,14 @@ def test_malformed_config_value_is_config_error(tmp_path, capsys):
     path.write_text("body: {mass: 1.0, inertia: [1, [2, 3], 4]}\n")
     assert main(["run", "--config", str(path)]) == 2
     assert "body.inertia" in capsys.readouterr().err
+
+
+def test_non_number_list_entry_is_config_error(tmp_path, capsys):
+    for name, (text, key) in NOT_NUMBERS.items():
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(text + "\n")
+        assert main(["run", "--config", str(path), "--output", str(tmp_path / "x.tsv")]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_bad_flag_value_is_config_error(free_config, capsys):
@@ -360,6 +370,14 @@ def test_compare_repeated_time_is_exit_2(free_config, tmp_path, capsys):
     capsys.readouterr()
     assert main(["compare", str(good), str(bad)]) == 2
     assert "repeated.tsv" in capsys.readouterr().err
+
+
+def test_compare_missplit_row_is_exit_2(tmp_path, capsys):
+    for name, cells in MISSPLIT_ROWS.items():
+        bad = tmp_path / f"{name}.tsv"
+        write_missplit(bad, cells)
+        assert main(["compare", str(bad), str(bad)]) == 2
+        assert f"{name}.tsv" in capsys.readouterr().err
 
 
 def test_compare_missing_file(tmp_path, capsys):

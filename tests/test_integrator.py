@@ -32,7 +32,7 @@ from dqdyn.integrator import (
     step_to_dual_quaternion,
 )
 from dqdyn.kinematics import Wrench, body_wrench, pose_constraint_errors, pose_identity
-from dqdyn.linsolve import matvec
+from dqdyn.linsolve import matvec, solve_rows
 from dqdyn.newton_euler import rk4_simulate
 from dqdyn.scenario import load_run
 from dqdyn.trajectory import Trajectory
@@ -211,32 +211,51 @@ def test_step_kernel_terms_equal_matvec(rng):
             assert K.inverse(f) == matvec(M.inverse.tolist(), f)
 
 
+def _searched_order(K, f):
+    """The pivot order solve_rows picks for the Jacobian of K at f."""
+    return solve_rows(K.jacobian(f, K.terms(f)), [1.0] * 6)[3]
+
+
 def test_step_kernel_source_has_no_zero_products(rng):
     zero_literal = r"-?0\.0(?![0-9e])"
     for M in mixed_inertias(rng):
-        source = integrator.step_kernels(M).source
-        assert not re.search(r"\* " + zero_literal, source)
-        assert not re.search(r"(?<![\w.])" + zero_literal + r" \*", source)
+        K = integrator.step_kernels(M)
+        for source in (K.source, K.update(_searched_order(K, random_step(rng).tolist())).source):
+            assert not re.search(r"\* " + zero_literal, source)
+            assert not re.search(r"(?<![\w.])" + zero_literal + r" \*", source)
     # a diagonal inertia leaves one product for each entry of M f that is not 1.0
     source = integrator.step_kernels(build_inertia(2.0, np.diag([1.0, 3.0, 4.0]))).source
     assert source.split("def jacobian")[0].count(" * ") == 3 + 3 + 5  # gamma, c, M f
 
 
 def test_step_kernels_compile_once_per_inertia(rng):
-    compiled = integrator._compiled_kernels
+    compiled, updates = integrator._compiled_kernels, integrator._compiled_update
     compiled.cache_clear()
+    updates.cache_clear()
     M = build_inertia(1.0, np.diag(rng.uniform(1.0, 4.0, size=3)))
     settings = SolverSettings(h=1e-3)
     twist = [1.0, 0.1, 0.0, 0.0, 0.0, 0.0]
     rk4_simulate(pose_identity(), twist, M, (), settings, 3)
     assert compiled.cache_info().misses == 0  # the RK4 oracle never generates
+    assert updates.cache_info().misses == 0
     for _ in range(3):
         simulate(pose_identity(), twist, M, (), settings, 3)
     assert compiled.cache_info().misses == 1
+    assert updates.cache_info().misses == 1  # one searched order, one update
     bound = compiled.cache_info().maxsize
     for k in range(bound + 4):
         integrator.step_kernels(build_inertia(1.0 + k, np.diag([1.0, 2.0, 3.0])))
     assert compiled.cache_info().currsize <= bound
+    # one update per (M, order), in a bounded cache of its own
+    K = integrator.step_kernels(M)
+    orders = {_searched_order(K, random_step(rng, 0.9).tolist()) for _ in range(400)}
+    bound = updates.cache_info().maxsize
+    assert len(orders) > bound
+    for order in orders:
+        K.update(order)
+        K.update(order)
+    info = updates.cache_info()
+    assert info.misses == 1 + len(orders) and info.hits >= len(orders) and info.currsize <= bound
 
 
 def test_max_abs_of_opposite_infinities_is_inf():
@@ -637,8 +656,8 @@ def _scenario_run(name, n_steps):
 @pytest.mark.parametrize("name", ["free_top", "generic_forced"])
 def test_reused_pivot_order_changes_no_state(monkeypatch, name):
     # Newton reuses the last searched pivot order; with the same order the
-    # ordered solve returns solve_rows' bits, so the run must equal the one
-    # that searches every solve
+    # generated update returns the bits of solve_rows and the separate
+    # kernels, so the run must equal the one that searches every solve
     searches = []
     search = integrator.solve_rows
 
@@ -649,7 +668,8 @@ def test_reused_pivot_order_changes_no_state(monkeypatch, name):
     monkeypatch.setattr(integrator, "solve_rows", counted)
     reused = _scenario_run(name, 2000)
     assert len(searches) == 1  # only the first solve of the run searched
-    monkeypatch.setattr(integrator, "solve_ordered", lambda J, y, order: None)
+    # every generated update refuses, so every iteration searches
+    monkeypatch.setattr(integrator, "_compiled_update", lambda matrix, order: lambda f, target: None)
     searched = _scenario_run(name, 2000)
     assert len(searches) == 1 + int(searched.iterations.sum())
     for column in ("poses", "twists", "steps", "iterations", "residual_norms"):

@@ -1,11 +1,16 @@
-"""Pivoted solver against numpy.linalg and crafted singular systems."""
+"""Pivoted solver against numpy.linalg and crafted singular systems, and the
+integrator's generated Newton update, which repeats its elimination for a
+given pivot order, against it."""
 
 import math
 
 import numpy as np
 import pytest
+from test_integrator import mixed_inertias, random_step
 
-from dqdyn.linsolve import COND_LIMIT, solve_full_pivot, solve_ordered, solve_rows
+from dqdyn import integrator
+from dqdyn.dynamics import build_inertia, build_inertia_raw
+from dqdyn.linsolve import COND_LIMIT, solve_full_pivot, solve_rows
 
 IDENTITY_ORDER = (tuple(range(6)), tuple(range(6)))
 
@@ -74,55 +79,82 @@ def _searched(A, b):
     return solve_rows([list(r) for r in A], list(b))
 
 
+def _update(M, order):
+    """The generated Newton update of the 6x6 matrix M (any, not only an
+    inertia) for a pivot order. At f = 0 its Jacobian is M."""
+    return integrator._compiled_update(np.asarray(M, dtype=np.float64).tobytes(), order)
+
+
 def _signed_zeros(rng, v):
-    """v with about half its off-diagonal entries set to +0.0 or -0.0."""
+    """v with about half its entries set to +0.0 or -0.0."""
     v = v.copy()
     mask = rng.random(v.shape) < 0.5
-    if v.ndim == 2:
-        np.fill_diagonal(mask, False)
     v[mask] = np.copysign(0.0, rng.normal(size=v.shape))[mask]
     return v
 
 
-@pytest.mark.parametrize("noise, sparse", [(1e-3, False), (1.0, False), (1e-3, True)])
-def test_ordered_solve_is_bitwise_the_searched_solve(rng, noise, sparse):
-    # given the order the search picked, the straight-line elimination does
-    # the same float operations in the same order, so x and the estimate
-    # agree to the last bit; with exact zeros (as in the free-body
-    # Jacobians) that includes skipping rows whose multiplier is zero, or
-    # the sign of a zero in x would differ
-    for _ in range(200):
-        A = np.diag([1.0, 2.0, 3.0, 1.0, 1.0, 1.0]) + noise * rng.normal(size=(6, 6))
-        b = rng.normal(size=6)
-        if sparse:
-            A, b = _signed_zeros(rng, A), _signed_zeros(rng, b)
-        A, b = A.tolist(), b.tolist()
-        x_ref, cond_ref, ok, order = _searched(A, b)
-        assert ok and cond_ref <= COND_LIMIT
-        # the search's own order keeps every |multiplier| <= 1, so no check refuses it
-        x, cond = solve_ordered(A, b, order)
-        assert np.array(x).tobytes() == np.array(x_ref).tobytes()
-        assert cond == cond_ref
+def _inertias(rng, kind):
+    if kind == "diagonal":
+        return [build_inertia_raw(np.diag(rng.uniform(1.0, 4.0, size=6))) for _ in range(3)]
+    if kind == "coupled":
+        return [build_inertia_raw(A @ A.T + 6.0 * np.eye(6)) for A in rng.normal(size=(3, 6, 6))]
+    return list(mixed_inertias(rng))
+
+
+@pytest.mark.parametrize("kind", ["mixed", "diagonal", "coupled"])
+def test_ordered_solve_is_bitwise_the_searched_solve(rng, kind):
+    # given the order the search picked, the generated update does the
+    # searched iteration's float operations in the same order, so the new
+    # iterate, its terms, [A; B] and residual norm agree to the last bit;
+    # with exact zeros in f and the target (J(0) = M keeps M's zeros) that
+    # includes skipping rows whose multiplier is zero, or the sign of a
+    # zero would differ
+    for M in _inertias(rng, kind):
+        K = integrator.step_kernels(M)
+        for _ in range(40):
+            f = _signed_zeros(rng, random_step(rng)).tolist()
+            terms = K.terms(f)
+            ab = K.momentum(f, terms)
+            target = _signed_zeros(rng, np.array(ab) + 0.05 * rng.normal(size=6)).tolist()
+            y = [t - a for a, t in zip(ab, target)]
+            dx, cond, ok, order = _searched(K.jacobian(f, terms), y)
+            assert ok and cond <= COND_LIMIT
+            # the search's own order keeps every |multiplier| <= 1, so no check refuses it
+            new_f, new_terms, new_ab, norm = K.update(order)(f, target)  # (None, dx, None, None) for |Phi| >= 1
+            expected_f = [a + b for a, b in zip(f, dx)]
+            if integrator._phi_norm2(expected_f) >= 1.0:  # the caller halves the step
+                assert new_f is None and np.array(new_terms).tobytes() == np.array(dx).tobytes()
+                continue
+            expected_terms = K.terms(expected_f)
+            expected_ab = K.momentum(expected_f, expected_terms)
+            expected_norm = integrator._max_abs([t - a for a, t in zip(expected_ab, target)])
+            for got, want in ((new_f, expected_f), (new_terms, expected_terms), (new_ab, expected_ab), (norm, expected_norm)):
+                assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_ordered_solve_leaves_inputs_unchanged(rng):
-    A = (np.eye(6) + 0.1 * rng.normal(size=(6, 6))).tolist()
-    b = rng.normal(size=6).tolist()
-    A0, b0 = [r[:] for r in A], b[:]
-    assert solve_ordered(A, b, _searched(A, b)[3]) is not None
-    assert A == A0 and b == b0
+    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+    K = integrator.step_kernels(M)
+    f = (0.1 * rng.normal(size=6)).tolist()
+    target = rng.normal(size=6).tolist()
+    f0, target0 = f[:], target[:]
+    order = _searched(K.jacobian(f, K.terms(f)), [1.0] * 6)[3]
+    assert K.update(order)(f, target) is not None
+    assert f == f0 and target == target0
 
 
 def test_searched_order_is_in_original_indices():
     # diag(1..6) with its rows reversed: the k-th pivot is 6 - k, on row k
     # and column 5 - k
     d = np.arange(1.0, 7.0)
-    A = np.diag(d)[::-1].tolist()
-    _, _, ok, (rows, cols) = _searched(A, [1.0] * 6)
+    A = np.diag(d)[::-1]
+    _, _, ok, (rows, cols) = _searched(A.tolist(), [1.0] * 6)
     assert ok and rows == (0, 1, 2, 3, 4, 5) and cols == (5, 4, 3, 2, 1, 0)
-    x, cond = solve_ordered(A, [1.0] * 6, (rows, cols))
-    assert cond == 6.0
-    np.testing.assert_array_equal(x, 1.0 / d)
+    # the update for that order solves J(0) = A; its step from f = 0 has
+    # |Phi| >= 1, so it returns the step for the caller to halve
+    new_f, dx, _, _ = _update(A, (rows, cols))([0.0] * 6, [1.0] * 6)
+    assert new_f is None
+    np.testing.assert_array_equal(dx, 1.0 / d)
 
 
 def _with(A, i, j, v):
@@ -143,4 +175,5 @@ def _with(A, i, j, v):
     ids=["reversed-diagonal", "multiplier-20", "zero-last-pivot", "nan-entry", "ill-conditioned"],
 )
 def test_ordered_solve_refuses(A):
-    assert solve_ordered(A.tolist(), [1.0] * 6, IDENTITY_ORDER) is None
+    # J(f = 0) = A, so each matrix is the Jacobian of the first iteration
+    assert _update(A, IDENTITY_ORDER)([0.0] * 6, [1.0] * 6) is None

@@ -2,6 +2,7 @@
 
 import dataclasses
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -352,6 +353,26 @@ def test_rejections_are_actionable(text, fragment):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(text)
     assert fragment in str(excinfo.value)
+
+
+# entries numpy would convert to floats but that are not YAML numbers, with
+# the key each error must name
+BODY = "body: {mass: 1.0, inertia: [1, 2, 3]}\n"
+NOT_NUMBERS = {
+    "string-vector": (BODY + "initial: {translation: ['1', '2', '3']}", "initial.translation"),
+    "bool-vector": (BODY + "initial: {translation: [true, false, true]}", "initial.translation"),
+    "bool-quaternion": (BODY + "initial: {orientation: [true, 0, 0, 0]}", "initial.orientation"),
+    "string-force-vector": (BODY + "forces: [{type: gravity, acceleration: [0, 0, '-9.81']}]", "forces[0].acceleration"),
+    "string-matrix-entry": ("body: {mass: 1.0, inertia: [[1, 0, 0], [0, '2', 0], [0, 0, 3]]}", "body.inertia"),
+}
+
+
+@pytest.mark.parametrize("text, key", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
+def test_list_entries_follow_the_number_rule(tmp_path, text, key):
+    path = tmp_path / "c.yaml"
+    path.write_text(text + "\n")
+    with pytest.raises(ConfigError, match=re.escape(key) + ": expected"):
+        load_config(path)
 
 
 def test_first_step_half_turn_bound_names_the_constraint():

@@ -233,6 +233,29 @@ def test_read_rejects_ragged_row(tmp_path):
         read_trajectory(path)
 
 
+# rows under the pose and twist header whose cells a whitespace split would
+# shift into a valid-looking row: pose (1, 0, ...) and v_z = 0.5
+MISSPLIT_ROWS = {
+    "empty-cell": ["0.001", "", "1"] + ["0"] * 12 + ["0.5"],
+    "space-in-cell": ["0.001", "1 0"] + ["0"] * 11 + ["0.5"],
+}
+
+
+POSE_TWIST_HEADER = "t p_rw p_rx p_ry p_rz p_dw p_dx p_dy p_dz omega_x omega_y omega_z v_x v_y v_z".split()
+
+
+def write_missplit(path, cells):
+    path.write_text("\t".join(POSE_TWIST_HEADER) + "\n" + "\t".join(cells) + "\n")
+
+
+@pytest.mark.parametrize("cells", MISSPLIT_ROWS.values(), ids=MISSPLIT_ROWS.keys())
+def test_read_splits_rows_on_tabs(tmp_path, cells):
+    path = tmp_path / "shifted.tsv"
+    write_missplit(path, cells)
+    with pytest.raises(ValidationError, match="shifted.tsv"):
+        read_trajectory(path)
+
+
 def test_read_rejects_repeated_column(spinning_run, tmp_path):
     path = tmp_path / "twice.tsv"
     write_trajectory(spinning_run, path, fields=("pose", "twist"))
