@@ -152,7 +152,7 @@ class FloatKernel:
     pose as eight equal-shape arrays, the pose columns of a stack, and
     returns the energy of each pose. It uses only + - * / and ``np.sqrt``,
     which round correctly, so every element has the bits of the float call.
-    ``wrench_sum`` and ``potential_energy`` call the kernel directly.
+    ``wrench_sum_kernel`` and ``potential_energy`` call the kernel directly.
     Calling the object is the ndarray edge that the public ``ForceModel``
     and ``PotentialField`` fields promise: every argument goes through
     ``as_floats`` and the kernel's result through ``edge``.
@@ -295,9 +295,9 @@ class ForceModel:
     ``Wrench``. The library's models make it a ``FloatKernel``, whose float
     kernel the wrench sum calls without building arrays or a ``Wrench``;
     any other callable, including one set with ``dataclasses.replace``, goes
-    through the sum's checked adapter. ``energy`` is the scalar potential for
-    conservative models (used by the energy diagnostics); non-conservative
-    models leave it None.
+    through the sum's checked adapter; the sum resolves the route once per
+    run. ``energy`` is the scalar potential for conservative models (used
+    by the energy diagnostics); non-conservative models leave it None.
     """
 
     evaluate: Callable[[Array, Array, float], Wrench]
@@ -387,26 +387,54 @@ def _adapted_wrench(index: int, w, pose) -> tuple:
     return (*torque, *force)
 
 
-def wrench_sum(models: Sequence[ForceModel], pose, chi, t: float) -> list:
-    """``total_wrench`` on Python floats: ``pose`` and ``chi`` are sequences
-    of 8 and 6 floats, the sum is a list of six.
+def _float_wrench(index: int, evaluate) -> Callable:
+    """Model ``index``'s wrench on Python floats, (pose, chi, t) -> six
+    body-frame floats: a ``FloatKernel``'s kernel, or the ndarray edge
+    through the adapter."""
+    if isinstance(evaluate, FloatKernel):
+        return evaluate.floats
 
-    A ``FloatKernel`` model is called on the floats; any other model through
-    its ndarray edge and the adapter, which rejects a result that is not a
-    Wrench or has an unknown frame tag and rotates a world wrench through
-    the pose. A non-finite wrench from any model raises, naming the model.
+    def adapted(pose, chi, t):
+        return _adapted_wrench(index, evaluate(np.array(pose), np.array(chi), t), pose)
+
+    return adapted
+
+
+def wrench_sum_kernel(models: Sequence[ForceModel]) -> Callable:
+    """The wrench sum of ``models`` as ``total(pose, chi, t)`` on Python
+    floats (8 and 6 of them; the sum is a list of six), with each model's
+    route resolved once: both integrators take it once per run.
+
+    A ``FloatKernel`` model's kernel is called on the floats; any other
+    model goes through its ndarray edge and the adapter, which rejects a
+    result that is not a Wrench or has an unknown frame tag and rotates a
+    world wrench through the pose. Each component is summed from 0.0 in
+    model order. A non-finite wrench from any model raises, naming the
+    model's index.
     """
-    out = [0.0] * 6
-    for index, model in enumerate(models):
-        evaluate = model.evaluate
-        if isinstance(evaluate, FloatKernel):
-            w = evaluate.floats(pose, chi, t)
-        else:
-            w = _adapted_wrench(index, evaluate(np.array(pose), np.array(chi), t), pose)
-        if not all(map(math.isfinite, w)):
-            raise ValidationError(f"force model {index} returned a non-finite wrench {list(w)}")
-        out = [a + b for a, b in zip(out, w)]
-    return out
+    kernels = [_float_wrench(index, model.evaluate) for index, model in enumerate(models)]
+
+    def total(pose, chi, t) -> list:
+        a0 = a1 = a2 = a3 = a4 = a5 = 0.0
+        for index, kernel in enumerate(kernels):
+            w0, w1, w2, w3, w4, w5 = w = kernel(pose, chi, t)
+            # x * 0.0 is a zero for a finite x and NaN for inf or NaN
+            if w0 * 0.0 + w1 * 0.0 + w2 * 0.0 + w3 * 0.0 + w4 * 0.0 + w5 * 0.0 != 0.0:
+                raise ValidationError(f"force model {index} returned a non-finite wrench {list(w)}")
+            a0 += w0
+            a1 += w1
+            a2 += w2
+            a3 += w3
+            a4 += w4
+            a5 += w5
+        return [a0, a1, a2, a3, a4, a5]
+
+    return total
+
+
+def wrench_sum(models: Sequence[ForceModel], pose, chi, t: float) -> list:
+    """``total_wrench`` on Python floats: one call of ``wrench_sum_kernel``."""
+    return wrench_sum_kernel(models)(pose, chi, t)
 
 
 def total_wrench(models: Sequence[ForceModel], pose, chi, t: float) -> Array:

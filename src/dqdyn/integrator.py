@@ -40,7 +40,10 @@ Jacobian entry written straight into its elimination variable, the
 elimination without a search, the update and the new iterate's residual
 norm, in one call. Both are compiled on first use and cached;
 ``step_kernels(M).source`` and ``step_kernels(M).update(order).source``
-are their code.
+are their code. ``simulate`` calls the update itself: a step whose first
+update meets the tolerance costs that one call, and the Newton loop runs
+only after a refusal, a step that must be halved or a residual above the
+tolerance.
 
 Conventions: twists are [omega; v] body frame, wrenches [torque; force],
 M is the 6x6 generalized inertia about the body reference point.
@@ -48,13 +51,12 @@ M is the 6x6 generalized inertia about the body reference point.
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import InertiaMatrix6, wrench_sum
+from .dynamics import InertiaMatrix6, wrench_sum_kernel
 from .errors import (
     SingularMatrixError,
     SolverDivergenceError,
@@ -63,7 +65,7 @@ from .errors import (
 )
 from .kinematics import FRAME_BODY, Wrench, check_pose
 from .linsolve import COND_LIMIT, matvec, solve_rows
-from .quat import Array, dq_mul, dq_product, finite_vector6
+from .quat import Array, as_count, dq_mul, dq_product, finite_vector6
 from .trajectory import Trajectory
 
 # Newton statuses returned by the kernel
@@ -92,10 +94,7 @@ class SolverSettings:
             raise ValidationError(f"h must be positive and finite, got {self.h}")
         if not (self.tolerance > 0.0 and math.isfinite(self.tolerance)):
             raise ValidationError(f"tolerance must be positive and finite, got {self.tolerance}")
-        if isinstance(self.max_iterations, bool) or not isinstance(self.max_iterations, numbers.Integral):
-            raise ValidationError(f"max_iterations must be an integer, got {self.max_iterations!r}")
-        if self.max_iterations < 1:
-            raise ValidationError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        as_count(self.max_iterations, "max_iterations", 1)
 
 
 def _phi_norm2(f) -> float:
@@ -397,7 +396,21 @@ def _transported_ab(f, terms) -> tuple:
 
 def _kicked(momentum, tau, weight: float) -> list:
     """momentum + weight * tau: a step momentum plus a share of the wrench impulse."""
-    return [a + weight * t for a, t in zip(momentum, tau)]
+    a0, a1, a2, a3, a4, a5 = momentum
+    t0, t1, t2, t3, t4, t5 = tau
+    return [
+        a0 + weight * t0, a1 + weight * t1, a2 + weight * t2, a3 + weight * t3, a4 + weight * t4, a5 + weight * t5
+    ]
+
+
+def _predicted(f, f_prev):
+    """The linear prediction 2 f - f_prev, or None when it has |Phi| >= 1."""
+    a0, a1, a2, a3, a4, a5 = f
+    b0, b1, b2, b3, b4, b5 = f_prev
+    p0, p1, p2 = 2.0 * a0 - b0, 2.0 * a1 - b1, 2.0 * a2 - b2
+    if p0 * p0 + p1 * p1 + p2 * p2 < 1.0:
+        return [p0, p1, p2, 2.0 * a3 - b3, 2.0 * a4 - b4, 2.0 * a5 - b5]
+    return None
 
 
 def _jacobian_positive(f, terms, K: StepKernels) -> bool:
@@ -415,21 +428,23 @@ def _max_abs(v) -> float:
     return max(map(abs, v)) if s == s else math.nan
 
 
-def _newton(f, target, K: StepKernels, tol: float, max_iterations: int, update):
+def _newton(f, target, K: StepKernels, tol: float, max_iterations: int, update, solved):
     """Newton iteration on [A; B](f) = target from the warm start f.
 
     Returns (f, terms, [A; B](f), iterations, residual_norm, status, update).
     ``update`` is the generated update of the pivot order of the last
     searched solve (None: there is none yet), which does a whole iteration
-    in one call. When it is missing or refuses, the iteration solves with
-    full pivoting and takes the update of the new order; only that searched
-    solve can abort the step as singular. A step dx that would reach
-    |Phi| >= 1 is backtracked (halving) until the iterate keeps |Phi| < 1.
-    Convergence is checked after the update, so even a solved warm start
-    reports one iteration.
+    in one call, and ``solved`` is the caller's ``update(f, target)`` (None
+    without an update): the first iteration takes it over instead of
+    calling the update again. When the update is missing or refuses, the
+    iteration solves with full pivoting and takes the update of the new
+    order; only that searched solve can abort the step as singular. A step
+    dx that would reach |Phi| >= 1 is backtracked (halving) until the
+    iterate keeps |Phi| < 1. Convergence is checked after the update, so
+    even a solved warm start reports one iteration.
     """
-    for it in range(1, max_iterations + 1):
-        solved = None if update is None else update(f, target)
+    it = 1
+    while True:
         if solved is not None and solved[0] is not None:
             f, terms, ab, pre = solved
         else:
@@ -460,7 +475,10 @@ def _newton(f, target, K: StepKernels, tol: float, max_iterations: int, update):
             pre = _max_abs([t - a for a, t in zip(ab, target)])
         if pre <= tol:
             return f, terms, ab, it, pre, _STATUS_OK, update
-    return f, terms, ab, max_iterations, pre, _STATUS_NO_CONVERGENCE, update
+        if it == max_iterations:
+            return f, terms, ab, it, pre, _STATUS_NO_CONVERGENCE, update
+        it += 1
+        solved = update(f, target)
 
 
 def _step_dq(f, gamma: float, c: float) -> tuple:
@@ -556,7 +574,7 @@ def solve_step(prev_step, M: InertiaMatrix6, wrench, settings: SolverSettings):
     K = step_kernels(M)
     target = _kicked(_transported_ab(f_prev, K.terms(f_prev)), tau, 0.5 * settings.h * settings.h)
     f, _, _, it, rn, status, _ = _newton(  # no update yet: a single step always searches
-        f_prev, target, K, settings.tolerance, settings.max_iterations, None
+        f_prev, target, K, settings.tolerance, settings.max_iterations, None, None
     )
     _raise_for_status(status, it, rn)
     return np.array(f), it, rn
@@ -629,9 +647,11 @@ def simulate(
     the fold of [A; B] from f_{k-1} (det J changes sign), is solved again
     from f_{k-1}, and ``iterations`` counts that solve. A single update that
     meets tol is not checked: its residual is its own second-order term, so
-    it moved O(sqrt(tol)), too little to cross a fold. The final state's
-    step variables are solved too, which is what retrieves its twist; they
-    are never applied to the pose.
+    it moved O(sqrt(tol)), too little to cross a fold. Such a step is one
+    call of the generated update; the Newton loop takes over from that
+    call's result only after a refusal, a step that must be halved, or a
+    residual above tol. The final state's step variables are solved too,
+    which is what retrieves its twist; they are never applied to the pose.
 
     Each state stores the node-synchronized twist
     (2/h) M^-1 ([A; B](f_k) - (h^2/4) tau_k), the average of the step
@@ -641,9 +661,7 @@ def simulate(
     """
     p0 = np.ascontiguousarray(check_pose(pose0))
     chi0 = finite_vector6(twist0, "twist")
-    n_steps = int(n_steps)
-    if n_steps < 0:
-        raise ValidationError(f"n_steps must be >= 0, got {n_steps}")
+    n_steps = as_count(n_steps, "n_steps", 0)
     h = settings.h
     tol = settings.tolerance
     max_iterations = settings.max_iterations
@@ -665,7 +683,8 @@ def simulate(
     impulse = 0.5 * h * h
     quarter_kick = 0.25 * h * h
     if force_models:
-        tau = wrench_sum(force_models, pose, chi0.tolist(), 0.0)
+        wrench = wrench_sum_kernel(force_models)
+        tau = wrench(pose, chi0.tolist(), 0.0)
         target = _kicked(target, tau, quarter_kick)
     update = None  # the update of the last searched pivot order; the first solve searches
     for k in range(n):
@@ -676,25 +695,37 @@ def simulate(
             target = _transported_ab(f, terms)  # T_k
             if force_models:
                 # the twist predicted from T_k and the previous state's wrench
-                chi = [two_over_h * x for x in K.inverse(_kicked(target, tau, quarter_kick))]
-                tau = wrench_sum(force_models, pose, chi, k * h)
+                w0, w1, w2, v0, v1, v2 = K.inverse(_kicked(target, tau, quarter_kick))
+                chi = [
+                    two_over_h * w0, two_over_h * w1, two_over_h * w2, two_over_h * v0, two_over_h * v1, two_over_h * v2
+                ]
+                tau = wrench(pose, chi, k * h)
                 target = _kicked(target, tau, impulse)
             if k > 1:
-                guess = [2.0 * a - b for a, b in zip(f, f_prev)]  # 2 f_{k-1} - f_{k-2}
-                if _phi_norm2(guess) < 1.0:
-                    start = guess
-        f_prev, prev_terms, prev_update = f, terms, update
-        f, terms, ab, it, rn, status, update = _newton(start, target, K, tol, max_iterations, update)
-        if start is not f_prev and (
-            status or (it > 1 and _jacobian_positive(f, terms, K) != _jacobian_positive(f_prev, prev_terms, K))
-        ):
-            # the predicted start failed, or its solve crossed the fold of
-            # [A; B] to the root on the other side from f_{k-1}: solve the
-            # step again as a start from f_{k-1} would
-            f, terms, ab, it, rn, status, update = _newton(f_prev, target, K, tol, max_iterations, prev_update)
+                start = _predicted(f, f_prev) or f  # 2 f_{k-1} - f_{k-2}
+        f_prev = f
+        solved = None if update is None else update(start, target)
+        if solved is not None and solved[0] is not None and solved[3] <= tol:
+            # one update met tol: the step is solved, and the branch guard
+            # does not apply to a one-update solve
+            f, terms, ab, rn = solved
+            it = 1
+        else:
+            prev_terms, prev_update = terms, update
+            f, terms, ab, it, rn, status, update = _newton(start, target, K, tol, max_iterations, update, solved)
+            if start is not f_prev and (
+                status or (it > 1 and _jacobian_positive(f, terms, K) != _jacobian_positive(f_prev, prev_terms, K))
+            ):
+                # the predicted start failed, or its solve crossed the fold of
+                # [A; B] to the root on the other side from f_{k-1}: solve the
+                # step again as a start from f_{k-1} would
+                solved = None if prev_update is None else prev_update(f_prev, target)
+                f, terms, ab, it, rn, status, update = _newton(
+                    f_prev, target, K, tol, max_iterations, prev_update, solved
+                )
+            _raise_for_status(status, it, rn, k)
         iters[k] = it
         resnorms[k] = rn
-        _raise_for_status(status, it, rn, k)
         steps[k] = f
         momenta[k] = _kicked(ab, tau, -quarter_kick) if force_models else ab
 

@@ -36,12 +36,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import InertiaMatrix6, wrench_sum
+from .dynamics import InertiaMatrix6, wrench_sum_kernel
 from .errors import ValidationError
 from .integrator import SolverSettings
 from .kinematics import _pose_floats, check_pose, pose_to_rotation_translation, vector_sandwich
 from .linsolve import matvec
-from .quat import Array, finite_vector6
+from .quat import Array, as_count, finite_vector6
 from .trajectory import Trajectory
 
 
@@ -81,8 +81,15 @@ def _unpack(y) -> ContinuousState:
     return ContinuousState(orientation=y[:4], translation=y[4:7], twist=y[7:])
 
 
-def _deriv(y, K, forces, t: float) -> list:
-    """[qdot; ldot; chidot] of the 13-float state y = [q; l; chi]."""
+def _wrench(forces):
+    """The wrench sum of the force models, resolved once; None for no models."""
+    models = list(forces)
+    return wrench_sum_kernel(models) if models else None
+
+
+def _deriv(y, K, wrench, t: float) -> list:
+    """[qdot; ldot; chidot] of the 13-float state y = [q; l; chi] under the
+    resolved wrench sum (None: no force models)."""
     q0, q1, q2, q3 = y[:4]
     w0, w1, w2, v0, v1, v2 = chi = y[7:]
     p0, p1, p2, p3, p4, p5 = matvec(K.rows, chi)
@@ -94,8 +101,8 @@ def _deriv(y, K, forces, t: float) -> list:
         p5 * w0 - p3 * w2,
         p3 * w1 - p4 * w0,
     ]
-    if forces:
-        tau = wrench_sum(forces, _pose_floats(y[:4], y[4:7]), chi, t)
+    if wrench is not None:
+        tau = wrench(_pose_floats(y[:4], y[4:7]), chi, t)
         pidot = [a + b for a, b in zip(pidot, tau)]
     return [
         0.5 * (-q1 * w0 - q2 * w1 - q3 * w2),
@@ -109,15 +116,15 @@ def _deriv(y, K, forces, t: float) -> list:
 
 def state_derivative(state: ContinuousState, M: InertiaMatrix6, forces: Sequence = (), t: float = 0.0) -> ContinuousState:
     """Time derivative of the classical state under the given force models."""
-    return _unpack(_deriv(_pack(state), _float_inertia(M), list(forces), t))
+    return _unpack(_deriv(_pack(state), _float_inertia(M), _wrench(forces), t))
 
 
-def _rk4_step(y, K, forces, t: float, h: float) -> list:
+def _rk4_step(y, K, wrench, t: float, h: float) -> list:
     half = 0.5 * h
-    k1 = _deriv(y, K, forces, t)
-    k2 = _deriv([a + half * b for a, b in zip(y, k1)], K, forces, t + half)
-    k3 = _deriv([a + half * b for a, b in zip(y, k2)], K, forces, t + half)
-    k4 = _deriv([a + h * b for a, b in zip(y, k3)], K, forces, t + h)
+    k1 = _deriv(y, K, wrench, t)
+    k2 = _deriv([a + half * b for a, b in zip(y, k1)], K, wrench, t + half)
+    k3 = _deriv([a + half * b for a, b in zip(y, k2)], K, wrench, t + half)
+    k4 = _deriv([a + h * b for a, b in zip(y, k3)], K, wrench, t + h)
     sixth = h / 6.0
     out = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
     q0, q1, q2, q3 = out[:4]
@@ -128,7 +135,7 @@ def _rk4_step(y, K, forces, t: float, h: float) -> list:
 
 def rk4_step(state: ContinuousState, M: InertiaMatrix6, forces: Sequence = (), t: float = 0.0, h: float = 1e-3) -> ContinuousState:
     """One classical RK4 step; the quaternion is renormalized afterwards."""
-    return _unpack(_rk4_step(_pack(state), _float_inertia(M), list(forces), float(t), float(h)))
+    return _unpack(_rk4_step(_pack(state), _float_inertia(M), _wrench(forces), float(t), float(h)))
 
 
 def rk4_simulate(
@@ -150,18 +157,17 @@ def rk4_simulate(
     p0 = check_pose(pose0)
     q0, l0 = pose_to_rotation_translation(p0)
     chi0 = finite_vector6(twist0, "twist")
-    n_steps = int(n_steps)
-    if n_steps < 0:
-        raise ValidationError(f"n_steps must be >= 0, got {n_steps}")
+    n_steps = as_count(n_steps, "n_steps", 0)
     h = settings.h
     K = _float_inertia(M)
     force_models = list(forces)
+    wrench = _wrench(force_models)
     poses = np.empty((n_steps + 1, 8))
     twists = np.empty((n_steps + 1, 6))
     y = q0.tolist() + l0.tolist() + chi0.tolist()
     for k in range(n_steps + 1):
         if k:
-            y = _rk4_step(y, K, force_models, (k - 1) * h, h)
+            y = _rk4_step(y, K, wrench, (k - 1) * h, h)
         poses[k] = _pose_floats(y[:4], y[4:7])
         twists[k] = y[7:]
     times = np.arange(n_steps + 1) * h

@@ -17,6 +17,7 @@ arrays, with ``as_floats`` as the conversion. ``dq_log_parts`` and
 """
 
 import math
+import numbers
 
 import numpy as np
 
@@ -51,6 +52,17 @@ def as_vector3(v, what: str = "vector part") -> list:
     if v.shape != (3,):
         raise ValidationError(f"{what} must have shape (3,), got {v.shape}")
     return v.tolist()
+
+
+def as_count(value, what: str, minimum: int) -> int:
+    """value as an int of at least ``minimum``. A bool, a value that is not
+    an integer (a float or a string too) or a smaller one raises a
+    ValidationError naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{what} must be >= {minimum}, got {value}")
+    return int(value)
 
 
 def finite_vector6(v, what: str) -> Array:

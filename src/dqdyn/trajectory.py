@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import InertiaMatrix6, kinetic_energy, potential_energy, world_momentum
 from .errors import ValidationError
 from .kinematics import pose_constraint_errors, pose_distance
-from .quat import Array
+from .quat import Array, as_count
 
 FIELD_GROUPS = ("pose", "twist", "energy", "momentum", "solver", "constraints")
 
@@ -178,9 +178,7 @@ def write_trajectory(traj: Trajectory, path, stride: int = 1, fields=None) -> No
     Rows are states 0, stride, 2*stride, ... plus always the final state.
     Floats carry 17 significant digits so a read-back is lossless.
     """
-    stride = int(stride)
-    if stride < 1:
-        raise ValidationError(f"stride must be >= 1, got {stride}")
+    stride = as_count(stride, "stride", 1)
     groups = _resolve_groups(fields)
     indices = list(range(0, traj.n_states, stride))
     if indices[-1] != traj.n_states - 1:

@@ -409,6 +409,22 @@ def _library_models() -> dict:
     }
 
 
+def test_wrench_sum_adds_in_model_order(rng):
+    # every library model, every other one behind a plain callable (the
+    # adapter route): each component is summed from 0.0 in model order
+    models = [
+        m if i % 2 else replace(m, evaluate=lambda p, c, t, e=m.evaluate: e(p, c, t))
+        for i, m in enumerate(_library_models().values())
+    ]
+    for _ in range(50):
+        pose, chi, t = random_pose(rng).tolist(), random_twist(rng).tolist(), float(rng.uniform(0.0, 10.0))
+        expected = [0.0] * 6
+        for model in models:
+            w = total_wrench([model], pose, chi, t).tolist()
+            expected = [a + b for a, b in zip(expected, w)]
+        assert np.array(wrench_sum(models, pose, chi, t)).tobytes() == np.array(expected).tobytes()
+
+
 @pytest.mark.parametrize("name", list(_library_models()))
 def test_float_kernel_is_bitwise_the_wrench_edge(rng, name):
     # the float kernel the loops call, total_wrench, and the model's

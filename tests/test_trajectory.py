@@ -79,6 +79,11 @@ def test_stride_thins_but_keeps_final_row(spinning_run, tmp_path):
     assert back.n_states == 9
     assert back.times[-1] == spinning_run.times[-1]
     np.testing.assert_array_equal(back.poses[-1], spinning_run.poses[-1])
+    # int() would truncate 2.5 to every 2nd row; a bool or a string is no count
+    for bad in (2.5, True, "3", 0):
+        with pytest.raises(ValidationError, match="^stride"):
+            write_trajectory(spinning_run, tmp_path / "bad_stride.tsv", stride=bad)
+    assert not (tmp_path / "bad_stride.tsv").exists()
 
 
 def test_field_subset(spinning_run, tmp_path):
