@@ -191,7 +191,9 @@ class PotentialField:
     numeric route below works for any field. The library's fields carry both
     as ``FloatKernel`` objects, and their energy kernel evaluates a whole
     stack of poses in one call; any other ``evaluate`` is called once per
-    pose with an ndarray.
+    pose with an ndarray. A ``FloatKernel`` wrench's kernel takes
+    (pose, chi=None, t=None) and ignores the twist and time, so
+    ``force_model_from_potential`` makes it the model's own ``evaluate``.
     """
 
     evaluate: Callable[[Array], float]
@@ -214,7 +216,7 @@ def gravity_potential(mass: float, g_world, com_offset=(0.0, 0.0, 0.0)) -> Poten
         x0, x1, x2 = point_sandwich(pose, r)
         return -mass * (g0 * x0 + g1 * x1 + g2 * x2)
 
-    def wrench(pose) -> tuple:
+    def wrench(pose, chi=None, t=None) -> tuple:
         f_body = vector_sandwich(rotation_conjugate(pose), weight)
         return (*_cross(r, f_body), *f_body)
 
@@ -241,7 +243,7 @@ def spring_potential(
         e = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2) - rest
         return 0.5 * k * (e * e)
 
-    def wrench(pose) -> tuple:
+    def wrench(pose, chi=None, t=None) -> tuple:
         d0, d1, d2 = offset(pose)
         dist = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
         if dist < 1e-12:
@@ -313,13 +315,13 @@ def force_model_from_potential(field: PotentialField) -> ForceModel:
     """Conservative force model from a potential.
 
     Uses the analytic wrench when the field carries one, and the
-    finite-difference route otherwise; a float-kernel wrench keeps its
-    kernel.
+    finite-difference route otherwise; a ``FloatKernel`` wrench is the
+    model's ``evaluate`` itself, so the wrench sum calls its kernel with no
+    wrapper in between.
     """
     gradient = field.body_wrench
     if isinstance(gradient, FloatKernel):
-        kernel = gradient.floats
-        evaluate = FloatKernel(lambda pose, chi, t: kernel(pose), _body_wrench6)
+        evaluate = gradient  # its kernel takes and ignores the twist and time
     elif gradient is not None:
         def evaluate(pose, chi, t):
             return gradient(pose)

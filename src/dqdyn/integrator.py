@@ -38,12 +38,19 @@ A Newton iteration is one more generated function, for an inertia and the
 pivot order of the last full-pivot solve: the start's residual, each
 Jacobian entry written straight into its elimination variable, the
 elimination without a search, the update and the new iterate's residual
-norm, in one call. Both are compiled on first use and cached;
-``step_kernels(M).source`` and ``step_kernels(M).update(order).source``
-are their code. ``simulate`` calls the update itself: a step whose first
-update meets the tolerance costs that one call, and the Newton loop runs
-only after a refusal, a step that must be halved or a residual above the
-tolerance.
+norm, in one call. ``simulate``'s steps run in a third generated
+function, a loop for an inertia, a pivot order and whether the body is
+forced: per step, the pose product, the transport, the forced body's
+predicted twist, wrench sum and kicks, the prediction and the update's
+own lines, all on locals, so a step whose first update meets the
+tolerance makes no Python call apart from the wrench sum. The loop
+records each state's floats in a flat list that ``simulate`` copies into
+its columns a block at a time. A step whose update refuses, must be
+halved or misses the tolerance is handed back with the update's result,
+and the Newton loop and the branch guard finish it without repeating the
+update. All are compiled on first use and cached; ``step_kernels(M).source``,
+``step_kernels(M).update(order).source`` and
+``step_kernels(M).loop(order, forced).source`` are their code.
 
 Conventions: twists are [omega; v] body frame, wrenches [torque; force],
 M is the 6x6 generalized inertia about the body reference point.
@@ -110,6 +117,11 @@ def _phi_norm2(f) -> float:
 _KERNEL_CACHE_SIZE = 16
 _UPDATE_CACHE_SIZE = 32
 _STEP_VARIABLES = ("p0", "p1", "p2", "s0", "s1", "s2")
+# floats the stepping loop records per state: pose, step variables, stored
+# momentum and residual norm
+_ROW = 8 + 6 + 6 + 1
+# states simulate lets the loop record before it copies them into its columns
+_BLOCK = 512
 _TERMS = "g, c, u0, u1, u2, w0, w1, w2"
 # largest |multiplier| an update accepts: threshold pivoting with u = 1/10
 # keeps element growth bounded (Higham, Accuracy and Stability of Numerical
@@ -126,6 +138,17 @@ _MOMENTUM = (
     "g * u1 + (p2 * u0 - p0 * u2)",
     "g * u2 + (p0 * u1 - p1 * u0)",
 )
+# The previous step momentum carried into the next frame: the terms of
+# [A; B] with the cross-product signs flipped, since the frame change
+# conjugates by the step, which reverses its vector parts.
+_TRANSPORT = (
+    "g * w0 - (p1 * w2 - p2 * w1) - cg * u0 - (s1 * u2 - s2 * u1)",
+    "g * w1 - (p2 * w0 - p0 * w2) - cg * u1 - (s2 * u0 - s0 * u2)",
+    "g * w2 - (p0 * w1 - p1 * w0) - cg * u2 - (s0 * u1 - s1 * u0)",
+    "g * u0 - (p1 * u2 - p2 * u1)",
+    "g * u1 - (p2 * u0 - p0 * u2)",
+    "g * u2 - (p0 * u1 - p1 * u0)",
+)
 
 
 class StepKernels(NamedTuple):
@@ -137,20 +160,25 @@ class StepKernels(NamedTuple):
     ``jacobian(f, terms)`` is d[A; B]/d[Phi; Psi] as six row lists.
     ``inverse(v)`` is M^-1 v as a list.
     ``momentum(f, terms)`` is the step momentum [A; B](f).
-    ``matrix`` is M's bytes, the key of ``update``.
+    ``transport(f, terms)`` is that momentum carried into the frame of the
+    next step.
+    ``matrix`` and ``inverse_matrix`` are the bytes of M and M^-1, the
+    keys of ``update`` and ``loop``.
     """
 
     terms: Callable
     jacobian: Callable
     inverse: Callable
     momentum: Callable
+    transport: Callable
     source: str
     matrix: bytes
+    inverse_matrix: bytes
 
     def update(self, order) -> Callable:
         """The Newton update of this inertia for the pivot order (rows, cols),
         generated on first use and kept in a small LRU cache; its ``source``
-        attribute is its code.
+        attribute is its code and its ``order`` attribute the order.
 
         ``update(f, target)`` does one Newton iteration on
         [A; B](f) = target in one call and returns (f', terms', [A; B](f'),
@@ -164,6 +192,29 @@ class StepKernels(NamedTuple):
         every value has their bits.
         """
         return _compiled_update(self.matrix, order)
+
+    def loop(self, order, forced: bool) -> Callable:
+        """The stepping loop of ``simulate`` for this inertia and pivot
+        order, for a body under force models (``forced``) or free,
+        generated on first use and kept in a small LRU cache; its
+        ``source`` attribute is its code.
+
+        ``loop(k, stop, pose, f, f_prev, tau, out, tol, h, wrench)`` takes
+        the state after step k - 1: the pose p_{k-1}, f_{k-1}, f_{k-2}
+        (read from step 2 on) and the wrench tau_{k-1} (None when free). It
+        runs steps k, k + 1, ... on locals, each with the body of
+        ``update(order)`` inlined, and appends each state's pose, step
+        variables, stored momentum [A; B](f) - (h^2/4) tau and residual
+        norm to the list ``out``, ``_ROW`` floats per state. It returns
+        (k, pose, f, f_prev, tau, handoff): at k == stop with the state
+        after step k - 1 and handoff None, or at the first step k whose
+        update refuses, must be halved or misses tol, with p_k, f_{k-1},
+        None, tau_k and handoff = (start, target, solved): the predicted
+        start (None when the step starts from f_{k-1}), the Newton target
+        and the update's result, for ``_newton`` to take over. ``wrench``
+        is the resolved wrench sum, called once per step.
+        """
+        return _compiled_loop(self.matrix, self.inverse_matrix, order, forced)
 
 
 def _sum_source(terms) -> str:
@@ -284,31 +335,35 @@ def _kernel_source(M, M_inv) -> str:
         lines += ["        ["] + [f"            {_jacobian_entry(M, i, j)}," for j in range(6)] + ["        ],"]
     lines += ["    ]", "", "", "def inverse(v):", f"    {', '.join(v)} = v", "    return ["]
     lines += [f"        {x}," for x in _matvec_source(M_inv, v)] + ["    ]", "", ""]
-    lines += ["def momentum(f, terms):", f"    {p} = f", f"    {_TERMS} = terms", "    cg = c / g", "    return ("]
-    lines += [f"        {e}," for e in _MOMENTUM] + ["    )"]
-    return "\n".join(lines) + "\n"
+    for name, entries in (("momentum", _MOMENTUM), ("transport", _TRANSPORT)):
+        lines += [f"def {name}(f, terms):", f"    {p} = f", f"    {_TERMS} = terms", "    cg = c / g", "    return ("]
+        lines += [f"        {e}," for e in entries] + ["    )", "", ""]
+    return "\n".join(lines).rstrip("\n") + "\n"
 
 
-def _update_source(M, order) -> str:
-    """Source of ``update(f, target)`` for the inertia M (row lists) and the
-    pivot order (rows, cols): the k-th pivot is J[rows[k]][cols[k]].
+def _names(prefix: str, n: int) -> str:
+    return ", ".join(f"{prefix}{i}" for i in range(n))
+
+
+def _update_body(M, order, leave) -> list:
+    """Lines of one Newton iteration on [A; B](f) = t for the inertia M (row
+    lists) and the pivot order (rows, cols), the k-th pivot J[rows[k]][cols[k]],
+    with f in p0..s2 and t in t0..t5.
 
     One operation per line in ``solve_rows``' order: the start's terms and
-    negated residual b = target - [A; B](f), the Jacobian entries straight
-    into the elimination locals a_ij = J[rows[i]][cols[j]], the elimination
-    with its refusals, the back-substitution, f + dx, and the new iterate's
-    terms, [A; B] and residual norm.
+    negated residual b = t - [A; B](f), the Jacobian entries straight into
+    the elimination locals a_ij = J[rows[i]][cols[j]], the elimination with
+    its refusals, the back-substitution, f + dx, and the new iterate's
+    terms, [A; B] in m0..m5 and residual norm rn. ``leave(solved)`` is the
+    statement that ends the iteration early with the update's result:
+    ``None`` on a refusal, ``(None, [dx], None, None)`` for a step to halve.
     """
     rows, cols = order
     n = len(rows)
     idx = range(n)
     a = [[f"a{i}{j}" for j in idx] for i in idx]
-    p = ", ".join(_STEP_VARIABLES)
     ab = [f"m{i}" for i in idx]
     lines = [
-        "def update(f, target):",
-        f"    {p} = f",
-        f"    {', '.join(f't{i}' for i in idx)} = target",
         *_terms_lines(M),
         "    cg = c / g",
         *[f"    b{i} = t{r} - ({_MOMENTUM[r]})" for i, r in enumerate(rows)],
@@ -316,32 +371,147 @@ def _update_source(M, order) -> str:
         *[f"    {a[i][j]} = {_jacobian_entry(M, r, c)}" for i, r in enumerate(rows) for j, c in enumerate(cols)],
     ]
     for k in idx:
-        lines += [f"    if {a[k][k]} == 0.0:", "        return None"]
+        lines += [f"    if {a[k][k]} == 0.0:", f"        {leave('None')}"]
         for i in range(k + 1, n):
             lines += [
                 f"    q = {a[i][k]} / {a[k][k]}",
                 "    if q != 0.0:",  # solve_rows skips these rows too; the sign of a zero would differ
                 f"        if not {-MULTIPLIER_LIMIT!r} <= q <= {MULTIPLIER_LIMIT!r}:",
-                "            return None",
+                f"            {leave('None')}",
             ]
             lines += [f"        {a[i][j]} -= q * {a[k][j]}" for j in range(k + 1, n)] + [f"        b{i} -= q * b{k}"]
     last = a[n - 1][n - 1]
-    lines += [f"    if not abs(a00) / abs({last}) <= {COND_LIMIT!r}:", "        return None"]
+    lines += [f"    if not abs(a00) / abs({last}) <= {COND_LIMIT!r}:", f"        {leave('None')}"]
     for i in reversed(idx):
         s = "".join(f" - {a[i][j]} * z{j}" for j in range(i + 1, n))
         lines.append(f"    z{i} = (b{i}{s}) / {a[i][i]}")
     dx = [f"z{cols.index(j)}" for j in idx]
     lines += [f"    {x} += {d}" for x, d in zip(_STEP_VARIABLES, dx)]
-    lines += [
+    halve = f"(None, [{', '.join(dx)}], None, None)"
+    return lines + [
         "    n = p0 * p0 + p1 * p1 + p2 * p2",
         "    if n >= 1.0:",
-        f"        return None, [{', '.join(dx)}], None, None",
+        f"        {leave(halve)}",
         *_terms_lines(M, "n"),
         "    cg = c / g",
         *[f"    {m} = {e}" for m, e in zip(ab, _MOMENTUM)],
-        f"    {', '.join(f'e{i}' for i in idx)} = {', '.join(f'abs(t{i} - {m})' for i, m in enumerate(ab))}",
+        f"    {_names('e', n)} = {', '.join(f'abs(t{i} - {m})' for i, m in enumerate(ab))}",
         f"    s = {' + '.join(f'e{i}' for i in idx)}",  # NaN only for a NaN entry, as in _max_abs
-        f"    return [{p}], ({_TERMS}), ({', '.join(ab)}), max({', '.join(f'e{i}' for i in idx)}) if s == s else nan",
+        f"    rn = max({_names('e', n)}) if s == s else nan",
+    ]
+
+
+# what update(f, target) returns when the iteration runs to its end
+_SOLVED = f"([{', '.join(_STEP_VARIABLES)}], ({_TERMS}), ({_names('m', 6)}), rn)"
+
+
+def _update_source(M, order) -> str:
+    """Source of ``update(f, target)``: ``_update_body`` as a function."""
+    return "\n".join([
+        "def update(f, target):",
+        f"    {', '.join(_STEP_VARIABLES)} = f",
+        f"    {_names('t', 6)} = target",
+        *_update_body(M, order, lambda solved: f"return {solved}"),
+        f"    return {_SOLVED}",
+    ]) + "\n"
+
+
+class _Traced:
+    """Source text that records +, - and * applied to it, parenthesized
+    where Python would regroup it: a float function called on these
+    returns the source of its operations, in its order."""
+
+    __slots__ = ("text", "level")
+
+    def __init__(self, text: str, level: int = 3):
+        self.text, self.level = text, level
+
+    def _apply(self, op: str, level: int, other: "_Traced") -> "_Traced":
+        left = self.text if self.level >= level else f"({self.text})"
+        right = other.text if other.level > level else f"({other.text})"
+        return _Traced(f"{left} {op} {right}", level)
+
+    def __add__(self, other):
+        return self._apply("+", 1, other)
+
+    def __sub__(self, other):
+        return self._apply("-", 1, other)
+
+    def __mul__(self, other):
+        return self._apply("*", 2, other)
+
+
+def _tuple_lines(names: str, entries, indent: str) -> list:
+    return [f"{indent}{names} = (", *[f"{indent}    {e}," for e in entries], f"{indent})"]
+
+
+def _loop_source(M, M_inv, order, forced: bool) -> str:
+    """Source of the stepping loop (see ``StepKernels.loop``): per step, the
+    pose product, the transport, for a forced body the predicted twist,
+    the wrench and the kicks, the prediction and ``_update_body``, all on
+    locals. Each value has the bits of the separate kernels, ``dq_product``
+    and ``_kicked``."""
+    p = ", ".join(_STEP_VARIABLES)
+    r, o, t = _names("r", 8), _names("o", 6), _names("t", 6)
+    d = _names("d", 6)
+    tau = _names("tau", 6) if forced else None
+    taus = f"[{tau}]" if forced else "tau"
+
+    def leave(solved: str) -> str:
+        return f"return k, ({r}), [{o}], None, {taus}, ([{d}] if predicted else None, [{t}], {solved})"
+
+    step_dq = ("g", "p0", "p1", "p2", "dw", "s0", "s1", "s2")
+    pose = dq_product([_Traced(f"r{i}") for i in range(8)], [_Traced(x) for x in step_dq])
+    lines = [
+        "def loop(k, stop, pose, f, f_prev, tau, out, tol, h, wrench):",
+        f"    {r} = pose",
+        f"    {p} = f",
+        f"    {o} = f_prev",
+        *_terms_lines(M),
+    ]
+    if forced:
+        lines += [
+            f"    {tau} = tau",
+            "    two_over_h = 2.0 / h",
+            "    impulse = 0.5 * h * h",
+            "    quarter = 0.25 * h * h",
+            "    unkick = -quarter",
+        ]
+    lines += [
+        "    while k < stop:",
+        "        # p_k = p_{k-1} x the unit dual quaternion of f_{k-1}",
+        "        dw = -c / g",
+        *_tuple_lines(r, (x.text for x in pose), "        "),
+        "        # T_k, the momentum of f_{k-1} carried into this frame",
+        "        cg = c / g",
+        *_tuple_lines(t, _TRANSPORT, "        "),
+    ]
+    if forced:
+        v = [f"v{i}" for i in range(6)]
+        lines += [
+            "        # the twist predicted from T_k and tau_{k-1}, the wrench there and its impulse",
+            f"        {', '.join(v)} = {', '.join(f't{i} + quarter * tau{i}' for i in range(6))}",
+            *_tuple_lines(_names("i", 6), _matvec_source(M_inv, v), "        "),
+            f"        {tau} = wrench(({r}), [{', '.join(f'two_over_h * i{i}' for i in range(6))}], k * h)",
+            f"        {t} = {', '.join(f't{i} + impulse * tau{i}' for i in range(6))}",
+        ]
+    twice = [f"2.0 * {x} - o{i}" for i, x in enumerate(_STEP_VARIABLES)]
+    lines += [
+        "        # the start 2 f_{k-1} - f_{k-2}; f_{k-1} itself at k = 1 and when that has |Phi| >= 1",
+        f"        {d} = {', '.join(twice)}",
+        f"        {o} = {p}",
+        "        predicted = k > 1 and d0 * d0 + d1 * d1 + d2 * d2 < 1.0",
+        "        if predicted:",
+        f"            {p} = {d}",
+        *["    " + line for line in _update_body(M, order, leave)],
+        "        if not rn <= tol:",
+        f"            {leave(_SOLVED)}",
+    ]
+    momenta = [f"m{i} + unkick * tau{i}" if forced else f"m{i}" for i in range(6)]
+    lines += [
+        f"        out += ({r}, {p}, {', '.join(momenta)}, rn)",
+        "        k += 1",
+        f"    return k, ({r}), [{p}], [{o}], {taus}, None",
     ]
     return "\n".join(lines) + "\n"
 
@@ -352,19 +522,31 @@ def _compile(source: str, names):
     return [namespace[name] for name in names]
 
 
+def _matrices(*matrices: bytes) -> list:
+    return [np.frombuffer(b, dtype=np.float64).reshape(6, 6).tolist() for b in matrices]
+
+
 @functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _compiled_kernels(matrix: bytes, inverse: bytes) -> StepKernels:
-    M, M_inv = (np.frombuffer(b, dtype=np.float64).reshape(6, 6).tolist() for b in (matrix, inverse))
-    source = _kernel_source(M, M_inv)
-    return StepKernels(*_compile(source, ("terms", "jacobian", "inverse", "momentum")), source, matrix)
+    source = _kernel_source(*_matrices(matrix, inverse))
+    kernels = _compile(source, ("terms", "jacobian", "inverse", "momentum", "transport"))
+    return StepKernels(*kernels, source, matrix, inverse)
 
 
 @functools.lru_cache(maxsize=_UPDATE_CACHE_SIZE)
 def _compiled_update(matrix: bytes, order) -> Callable:
-    source = _update_source(np.frombuffer(matrix, dtype=np.float64).reshape(6, 6).tolist(), order)
+    source = _update_source(*_matrices(matrix), order)
     (update,) = _compile(source, ("update",))
-    update.source = source
+    update.source, update.order = source, order
     return update
+
+
+@functools.lru_cache(maxsize=_UPDATE_CACHE_SIZE)
+def _compiled_loop(matrix: bytes, inverse: bytes, order, forced: bool) -> Callable:
+    source = _loop_source(*_matrices(matrix, inverse), order, forced)
+    (loop,) = _compile(source, ("loop",))
+    loop.source = source
+    return loop
 
 
 def step_kernels(M: InertiaMatrix6) -> StepKernels:
@@ -375,25 +557,6 @@ def step_kernels(M: InertiaMatrix6) -> StepKernels:
     )
 
 
-def _transported_ab(f, terms) -> tuple:
-    """Previous step momentum carried into the next frame.
-
-    Same terms as the residual with the cross-product signs flipped: the
-    frame change conjugates by the step, which reverses its vector parts.
-    """
-    p0, p1, p2, s0, s1, s2 = f
-    g, c, u0, u1, u2, w0, w1, w2 = terms
-    cg = c / g
-    return (
-        g * w0 - (p1 * w2 - p2 * w1) - cg * u0 - (s1 * u2 - s2 * u1),
-        g * w1 - (p2 * w0 - p0 * w2) - cg * u1 - (s2 * u0 - s0 * u2),
-        g * w2 - (p0 * w1 - p1 * w0) - cg * u2 - (s0 * u1 - s1 * u0),
-        g * u0 - (p1 * u2 - p2 * u1),
-        g * u1 - (p2 * u0 - p0 * u2),
-        g * u2 - (p0 * u1 - p1 * u0),
-    )
-
-
 def _kicked(momentum, tau, weight: float) -> list:
     """momentum + weight * tau: a step momentum plus a share of the wrench impulse."""
     a0, a1, a2, a3, a4, a5 = momentum
@@ -401,16 +564,6 @@ def _kicked(momentum, tau, weight: float) -> list:
     return [
         a0 + weight * t0, a1 + weight * t1, a2 + weight * t2, a3 + weight * t3, a4 + weight * t4, a5 + weight * t5
     ]
-
-
-def _predicted(f, f_prev):
-    """The linear prediction 2 f - f_prev, or None when it has |Phi| >= 1."""
-    a0, a1, a2, a3, a4, a5 = f
-    b0, b1, b2, b3, b4, b5 = f_prev
-    p0, p1, p2 = 2.0 * a0 - b0, 2.0 * a1 - b1, 2.0 * a2 - b2
-    if p0 * p0 + p1 * p1 + p2 * p2 < 1.0:
-        return [p0, p1, p2, 2.0 * a3 - b3, 2.0 * a4 - b4, 2.0 * a5 - b5]
-    return None
 
 
 def _jacobian_positive(f, terms, K: StepKernels) -> bool:
@@ -434,9 +587,10 @@ def _newton(f, target, K: StepKernels, tol: float, max_iterations: int, update, 
     Returns (f, terms, [A; B](f), iterations, residual_norm, status, update).
     ``update`` is the generated update of the pivot order of the last
     searched solve (None: there is none yet), which does a whole iteration
-    in one call, and ``solved`` is the caller's ``update(f, target)`` (None
-    without an update): the first iteration takes it over instead of
-    calling the update again. When the update is missing or refuses, the
+    in one call, and ``solved`` is the result of ``update(f, target)`` the
+    caller already has, from its own call or from the loop that inlines the
+    update (None without one): the first iteration takes it over instead
+    of calling the update again. When the update is missing or refuses, the
     iteration solves with full pivoting and takes the update of the new
     order; only that searched solve can abort the step as singular. A step
     dx that would reach |Phi| >= 1 is backtracked (halving) until the
@@ -481,13 +635,6 @@ def _newton(f, target, K: StepKernels, tol: float, max_iterations: int, update, 
         solved = update(f, target)
 
 
-def _step_dq(f, gamma: float, c: float) -> tuple:
-    """Unit dual quaternion of the step variables, given their
-    gamma = sqrt(1 - Phi.Phi) and c = Psi.Phi."""
-    p0, p1, p2, s0, s1, s2 = f
-    return gamma, p0, p1, p2, -c / gamma, s0, s1, s2
-
-
 def _as_step(step) -> Array:
     f = finite_vector6(step, "step variables")
     n2 = _phi_norm2(f.tolist())
@@ -517,9 +664,9 @@ def step_to_dual_quaternion(step) -> Array:
     Unit norm and orthogonality hold as algebraic identities of this
     parametrization, not approximately.
     """
-    f = _as_step(step).tolist()
-    p0, p1, p2, s0, s1, s2 = f
-    return np.array(_step_dq(f, math.sqrt(1.0 - _phi_norm2(f)), s0 * p0 + s1 * p1 + s2 * p2))
+    p0, p1, p2, s0, s1, s2 = f = _as_step(step).tolist()
+    g = math.sqrt(1.0 - _phi_norm2(f))
+    return np.array([g, p0, p1, p2, -(s0 * p0 + s1 * p1 + s2 * p2) / g, s0, s1, s2])
 
 
 def residual(step, M: InertiaMatrix6) -> tuple[Array, Array]:
@@ -535,7 +682,8 @@ def rhs(prev_step, M: InertiaMatrix6, wrench, h: float) -> tuple[Array, Array]:
     wrench impulse (h^2/2) [torque; force], body frame."""
     f = _as_step(prev_step).tolist()
     tau = _wrench_body_vector(wrench).tolist()
-    out = np.array(_kicked(_transported_ab(f, step_kernels(M).terms(f)), tau, 0.5 * h * h))
+    K = step_kernels(M)
+    out = np.array(_kicked(K.transport(f, K.terms(f)), tau, 0.5 * h * h))
     return out[:3], out[3:]
 
 
@@ -572,7 +720,7 @@ def solve_step(prev_step, M: InertiaMatrix6, wrench, settings: SolverSettings):
     f_prev = _as_step(prev_step).tolist()
     tau = _wrench_body_vector(wrench).tolist()
     K = step_kernels(M)
-    target = _kicked(_transported_ab(f_prev, K.terms(f_prev)), tau, 0.5 * settings.h * settings.h)
+    target = _kicked(K.transport(f_prev, K.terms(f_prev)), tau, 0.5 * settings.h * settings.h)
     f, _, _, it, rn, status, _ = _newton(  # no update yet: a single step always searches
         f_prev, target, K, settings.tolerance, settings.max_iterations, None, None
     )
@@ -623,6 +771,16 @@ def retrieve_twist(step, M: InertiaMatrix6, h: float) -> Array:
     return np.array([s * x for x in matvec(M.inverse.tolist(), K.momentum(f, K.terms(f)))])
 
 
+def _store(out: list, rows: slice, poses, steps, momenta, resnorms, iters) -> None:
+    """Copy the states the loop recorded in ``out`` into ``rows`` of the
+    columns, one iteration each, and empty ``out``; no copy outlives the call."""
+    block = np.array(out).reshape(-1, _ROW)
+    out.clear()
+    poses[rows], steps[rows], momenta[rows] = block[:, :8], block[:, 8:14], block[:, 14:20]
+    resnorms[rows] = block[:, 20]
+    iters[rows] = 1
+
+
 def simulate(
     pose0,
     twist0,
@@ -647,11 +805,19 @@ def simulate(
     the fold of [A; B] from f_{k-1} (det J changes sign), is solved again
     from f_{k-1}, and ``iterations`` counts that solve. A single update that
     meets tol is not checked: its residual is its own second-order term, so
-    it moved O(sqrt(tol)), too little to cross a fold. Such a step is one
-    call of the generated update; the Newton loop takes over from that
-    call's result only after a refusal, a step that must be halved, or a
-    residual above tol. The final state's step variables are solved too,
-    which is what retrieves its twist; they are never applied to the pose.
+    it moved O(sqrt(tol)), too little to cross a fold. The final state's
+    step variables are solved too, which is what retrieves its twist; they
+    are never applied to the pose.
+
+    Step 0 is solved here, by the searched Newton loop; steps from 1 on run
+    in the generated loop ``step_kernels(M).loop(order, forced)`` of the
+    pivot order of the last search. It appends each state whose first
+    update meets tol to a flat list of floats, which is copied into the
+    preallocated columns every ``_BLOCK`` states, so a run holds its
+    columns and at most one block of Python floats. A step whose update
+    refuses, must be halved or misses tol is handed back with the update's
+    result; ``_newton`` and the branch guard finish it, and the loop
+    resumes after it, of the new pivot order when that step searched.
 
     Each state stores the node-synchronized twist
     (2/h) M^-1 ([A; B](f_k) - (h^2/4) tau_k), the average of the step
@@ -676,64 +842,52 @@ def simulate(
     iters = np.zeros(n, dtype=np.int64)
     resnorms = np.zeros(n)
     pose = p0.tolist()
-    poses[0] = pose
-    terms = None  # of f, known once f is solved
     target = [0.5 * h * x for x in matvec(M.matrix.tolist(), chi0.tolist())]
-    two_over_h = 2.0 / h
-    impulse = 0.5 * h * h
     quarter_kick = 0.25 * h * h
+    wrench = tau = None
     if force_models:
         wrench = wrench_sum_kernel(force_models)
         tau = wrench(pose, chi0.tolist(), 0.0)
         target = _kicked(target, tau, quarter_kick)
-    update = None  # the update of the last searched pivot order; the first solve searches
-    for k in range(n):
-        start = f
-        if k:
-            pose = dq_product(pose, _step_dq(f, terms[0], terms[1]))
-            poses[k] = pose
-            target = _transported_ab(f, terms)  # T_k
-            if force_models:
-                # the twist predicted from T_k and the previous state's wrench
-                w0, w1, w2, v0, v1, v2 = K.inverse(_kicked(target, tau, quarter_kick))
-                chi = [
-                    two_over_h * w0, two_over_h * w1, two_over_h * w2, two_over_h * v0, two_over_h * v1, two_over_h * v2
-                ]
-                tau = wrench(pose, chi, k * h)
-                target = _kicked(target, tau, impulse)
-            if k > 1:
-                start = _predicted(f, f_prev) or f  # 2 f_{k-1} - f_{k-2}
-        f_prev = f
-        solved = None if update is None else update(start, target)
-        if solved is not None and solved[0] is not None and solved[3] <= tol:
-            # one update met tol: the step is solved, and the branch guard
-            # does not apply to a one-update solve
-            f, terms, ab, rn = solved
-            it = 1
-        else:
-            prev_terms, prev_update = terms, update
-            f, terms, ab, it, rn, status, update = _newton(start, target, K, tol, max_iterations, update, solved)
-            if start is not f_prev and (
-                status or (it > 1 and _jacobian_positive(f, terms, K) != _jacobian_positive(f_prev, prev_terms, K))
+    # step 0 is the first hand-off: no prediction, no update yet, so it searches
+    k, handoff, update, looped, out = 0, (None, target, None), None, None, []
+    while True:
+        if handoff is not None:
+            predicted, target, solved = handoff
+            start = predicted or f
+            prev_update = update
+            f_k, terms, ab, it, rn, status, update = _newton(start, target, K, tol, max_iterations, update, solved)
+            if start is not f and (
+                status or (it > 1 and _jacobian_positive(f_k, terms, K) != _jacobian_positive(f, K.terms(f), K))
             ):
                 # the predicted start failed, or its solve crossed the fold of
                 # [A; B] to the root on the other side from f_{k-1}: solve the
                 # step again as a start from f_{k-1} would
-                solved = None if prev_update is None else prev_update(f_prev, target)
-                f, terms, ab, it, rn, status, update = _newton(
-                    f_prev, target, K, tol, max_iterations, prev_update, solved
+                f_k, terms, ab, it, rn, status, update = _newton(
+                    f, target, K, tol, max_iterations, prev_update, prev_update(f, target)
                 )
             _raise_for_status(status, it, rn, k)
-        iters[k] = it
-        resnorms[k] = rn
-        steps[k] = f
-        momenta[k] = _kicked(ab, tau, -quarter_kick) if force_models else ab
+            poses[k] = pose
+            steps[k] = f_k
+            momenta[k] = _kicked(ab, tau, -quarter_kick) if force_models else ab
+            iters[k] = it
+            resnorms[k] = rn
+            f_prev, f = f, f_k
+            k += 1
+        if k == n:
+            break
+        if update is not looped:
+            loop, looped = K.loop(update.order, bool(force_models)), update
+        first = k
+        k, pose, f, f_prev, tau, handoff = loop(k, min(n, k + _BLOCK), pose, f, f_prev, tau, out, tol, h, wrench)
+        if out:
+            _store(out, slice(first, k), poses, steps, momenta, resnorms, iters)
 
     times = np.arange(n) * h
     return Trajectory.from_raw(
         times=times,
         poses=poses,
-        twists=two_over_h * np.column_stack(matvec(M.inverse.tolist(), momenta.T)),
+        twists=(2.0 / h) * np.column_stack(matvec(M.inverse.tolist(), momenta.T)),
         inertia=M,
         force_models=force_models,
         steps=steps,

@@ -12,6 +12,7 @@ from dqdyn import dq_exp, dq_mul, pure_dual_quaternion
 from dqdyn.dynamics import (
     ForceModel,
     PotentialField,
+    _float_wrench,
     build_inertia,
     build_inertia_raw,
     constant_wrench_model,
@@ -291,6 +292,24 @@ def test_force_model_from_potential(rng):
             wn = numeric.evaluate(p, np.zeros(6), 0.0)
             np.testing.assert_allclose(wa.torque, wn.torque, atol=1e-6)
             np.testing.assert_allclose(wa.force, wn.force, atol=1e-6)
+
+
+def test_potential_model_sums_the_potentials_own_kernel(rng):
+    # the wrench sum resolves a potential's model to the potential's own
+    # float kernel, with no wrapper in between, and both public edges,
+    # body_wrench(pose) and evaluate(pose, chi, t), keep their bits
+    for field in (
+        gravity_potential(1.0, [0, 0, -9.81], com_offset=[0.1, 0.0, 0.0]),
+        spring_potential([0.2, -0.3, 1.0], [0.3, -0.1, 0.2], stiffness=25.0, rest_length=0.4),
+    ):
+        model = force_model_from_potential(field)
+        assert _float_wrench(0, model.evaluate) is field.body_wrench.floats
+        for _ in range(20):
+            p, chi, t = random_pose(rng), random_twist(rng), float(rng.uniform(0.0, 10.0))
+            kernel = field.body_wrench.floats(p.tolist())
+            np.testing.assert_array_equal(field.body_wrench(p).vector6, kernel)
+            np.testing.assert_array_equal(model.evaluate(p, chi, t).vector6, kernel)
+            assert wrench_sum([model], p.tolist(), chi.tolist(), t) == list(kernel)
 
 
 def test_spring_wrench_zero_at_anchor(rng):

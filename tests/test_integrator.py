@@ -2,6 +2,8 @@
 
 import pathlib
 import re
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -222,7 +224,8 @@ def test_step_kernel_source_has_no_zero_products(rng):
     zero_literal = r"-?0\.0(?![0-9e])"
     for M in mixed_inertias(rng):
         K = integrator.step_kernels(M)
-        for source in (K.source, K.update(_searched_order(K, random_step(rng).tolist())).source):
+        order = _searched_order(K, random_step(rng).tolist())
+        for source in (K.source, K.update(order).source, K.loop(order, False).source, K.loop(order, True).source):
             assert not re.search(r"\* " + zero_literal, source)
             assert not re.search(r"(?<![\w.])" + zero_literal + r" \*", source)
     # a diagonal inertia leaves one product for each entry of M f that is not 1.0
@@ -231,19 +234,22 @@ def test_step_kernel_source_has_no_zero_products(rng):
 
 
 def test_step_kernels_compile_once_per_inertia(rng):
-    compiled, updates = integrator._compiled_kernels, integrator._compiled_update
+    compiled, updates, loops = integrator._compiled_kernels, integrator._compiled_update, integrator._compiled_loop
     compiled.cache_clear()
     updates.cache_clear()
+    loops.cache_clear()
     M = build_inertia(1.0, np.diag(rng.uniform(1.0, 4.0, size=3)))
     settings = SolverSettings(h=1e-3)
     twist = [1.0, 0.1, 0.0, 0.0, 0.0, 0.0]
     rk4_simulate(pose_identity(), twist, M, (), settings, 3)
     assert compiled.cache_info().misses == 0  # the RK4 oracle never generates
     assert updates.cache_info().misses == 0
+    assert loops.cache_info().misses == 0
     for _ in range(3):
         simulate(pose_identity(), twist, M, (), settings, 3)
     assert compiled.cache_info().misses == 1
     assert updates.cache_info().misses == 1  # one searched order, one update
+    assert loops.cache_info().misses == 1  # and one free loop
     bound = compiled.cache_info().maxsize
     for k in range(bound + 4):
         integrator.step_kernels(build_inertia(1.0 + k, np.diag([1.0, 2.0, 3.0])))
@@ -674,6 +680,38 @@ def _scenario_inputs(name):
     return load_run(SCENARIO_DIR / f"{name}.yaml")[1]
 
 
+def _refusing_update(matrix, order):
+    """A stand-in for the update cache whose updates refuse every iteration."""
+
+    def update(f, target):
+        return None
+
+    update.order = order
+    return update
+
+
+def _handing_over(compiled, handed, solved=True):
+    """A stand-in for the loop cache ``compiled`` whose loops run at tol = -1,
+    which no residual norm meets, so each loop hands its first step over to
+    _newton; ``handed`` collects the steps handed over. With solved=False
+    the hand-off carries no update result."""
+
+    def loops(*key):
+        loop = compiled(*key)
+
+        def every_step(k, stop, pose, f, f_prev, tau, out, tol, h, wrench):
+            k, pose, f, f_prev, tau, handoff = loop(k, stop, pose, f, f_prev, tau, out, -1.0, h, wrench)
+            if handoff is not None:
+                handed.append(k)
+                if not solved:
+                    handoff = (*handoff[:2], None)
+            return k, pose, f, f_prev, tau, handoff
+
+        return every_step
+
+    return loops
+
+
 def _scenario_run(name, n_steps):
     inputs = _scenario_inputs(name)
     return simulate(inputs.pose, inputs.twist, inputs.inertia, inputs.forces, inputs.settings, n_steps)
@@ -706,8 +744,10 @@ def test_reused_pivot_order_changes_no_state(monkeypatch, name, h):
     monkeypatch.setattr(integrator, "solve_rows", counted)
     reused = run()
     reused_searches = len(searches)
-    # every generated update refuses, so every iteration searches
-    monkeypatch.setattr(integrator, "_compiled_update", lambda matrix, order: lambda f, target: None)
+    # every generated update refuses, and the loop hands each step over
+    # without its update's result, so every iteration searches
+    monkeypatch.setattr(integrator, "_compiled_update", _refusing_update)
+    monkeypatch.setattr(integrator, "_compiled_loop", _handing_over(integrator._compiled_loop, [], solved=False))
     searched = run()
     if h == 1e-3:
         # only the first solve of the reused run searched (at h = 0.05 an
@@ -716,6 +756,145 @@ def test_reused_pivot_order_changes_no_state(monkeypatch, name, h):
         assert len(searches) == 1 + int(searched.iterations.sum())
     for column in ("poses", "twists", "steps", "iterations", "residual_norms"):
         np.testing.assert_array_equal(getattr(reused, column), getattr(searched, column))
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-2, 0.05])
+@pytest.mark.parametrize("name", [name for name in SCENARIOS if name != "damped_drop"])
+def test_handing_every_step_to_newton_changes_no_state(monkeypatch, name, h):
+    # a step the loop hands over is finished by _newton and the branch
+    # guard from the loop's own update result: when every step is handed
+    # over, the run must equal the loop's bit for bit, and _newton calls
+    # the update only for the iterations after the first
+    inputs = _scenario_inputs(name)
+    settings = replace(inputs.settings, h=h)
+
+    def run():
+        return simulate(inputs.pose, inputs.twist, inputs.inertia, inputs.forces, settings, 2000)
+
+    looped = run()
+    handed, calls = [], []
+    compiled = integrator._compiled_update
+
+    def counted_updates(matrix, order):
+        update = compiled(matrix, order)
+
+        def counted(f, target):
+            calls.append(1)
+            return update(f, target)
+
+        counted.order = order
+        return counted
+
+    monkeypatch.setattr(integrator, "_compiled_update", counted_updates)
+    monkeypatch.setattr(integrator, "_compiled_loop", _handing_over(integrator._compiled_loop, handed))
+    every = run()
+    assert handed == list(range(1, 2001))
+    assert len(calls) == int((every.iterations - 1).sum())
+    for column in ("poses", "twists", "steps", "iterations", "residual_norms"):
+        np.testing.assert_array_equal(getattr(looped, column), getattr(every, column))
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-2, 0.05])
+@pytest.mark.parametrize("name", ["free_top", "offset_reference", "pure_translation"])
+def test_step_one_starts_from_step_zero(name, h):
+    # step 1 has no two earlier steps to predict from, so the loop starts it
+    # from f_0 itself (2 f_0 - f_0 would turn a -0.0 into +0.0): it is the
+    # single-step solve from f_0, which searches the same pivot order here
+    inputs = _scenario_inputs(name)
+    settings = replace(inputs.settings, h=h)
+    traj = simulate(inputs.pose, inputs.twist, inputs.inertia, (), settings, 2)
+    single, iterations, _ = solve_step(traj.steps[0], inputs.inertia, None, settings)
+    np.testing.assert_array_equal(traj.steps[1], single)
+    assert traj.iterations[1] == iterations
+
+
+def test_loop_hands_over_each_irregular_step_once_and_resumes(monkeypatch):
+    # a torque impulse at state 20 throws the predictions of steps 20 and
+    # 21 off, so their first update misses tol: the loop hands each of them
+    # over once, and takes the run up again at the next step
+    h = 1e-3
+
+    def impulse(pose, chi, t):
+        return body_wrench([1.0e3 if abs(t - 20 * h) < 1e-9 else 0.0, 0.0, 0.0], np.zeros(3))
+
+    compiled = integrator._compiled_loop
+    calls = []
+
+    def loops(*key):
+        loop = compiled(*key)
+
+        def recorded(k, *args):
+            result = loop(k, *args)
+            calls.append((k, result[0], result[5] is not None))
+            return result
+
+        return recorded
+
+    monkeypatch.setattr(integrator, "_compiled_loop", loops)
+    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+    model = ForceModel(evaluate=impulse)
+    traj = simulate(pose_identity(), [1.0, 0.1, 0.0, 0.0, 0.0, 0.0], M, [model], SolverSettings(h=h), 40)
+    assert np.flatnonzero(traj.iterations > 1).tolist() == [20, 21]
+    assert calls == [(1, 20, True), (21, 21, True), (22, 41, False)]
+    assert traj.residual_norms.max() <= SolverSettings(h=h).tolerance
+
+
+def test_block_recording_holds_one_block(monkeypatch):
+    # the loop appends each state's floats to one flat list, which simulate
+    # copies into its preallocated columns every _BLOCK states, so the run
+    # holds its numpy columns and at most one block of Python floats: the
+    # list's pointers, its float objects and their copy as an array. A
+    # list per state kept to the end would add several hundred bytes per
+    # state (it doubled the peak RSS of a 1e5-step run)
+    inputs = _scenario_inputs("free_top")
+    n = 20_000
+    block = integrator._BLOCK * integrator._ROW
+    # a block: the list's pointers with its growth headroom (1/8), its
+    # floats and their array copy; 16 kB cover the run's small objects
+    one_block = block * (8 * 9 // 8 + sys.getsizeof(1.0) + 8) + 16_384
+    columns = (n + 1) * (8 + 6 + 6 + 1 + 1) * 8  # poses, steps, momenta, iterations, residual norms
+    compiled = integrator._compiled_loop
+    held = []
+    peaks = []
+
+    def loops(*key):
+        loop = compiled(*key)
+
+        def recorded(k, stop, pose, f, f_prev, tau, out, *args):
+            assert not out  # the last block was copied out
+            result = loop(k, stop, pose, f, f_prev, tau, out, *args)
+            held.append(len(out))
+            return result
+
+        return recorded
+
+    monkeypatch.setattr(integrator, "_compiled_loop", loops)
+    simulate(inputs.pose, inputs.twist, inputs.inertia, (), inputs.settings, n)
+    assert max(held) == block and sum(held) == n * integrator._ROW
+
+    # tracemalloc costs the real loop ~5 ms a step, so the traced run uses
+    # a loop that records fresh floats like the real one, without the
+    # arithmetic. The traced peak is read as each call starts, after the
+    # previous block's copy; the twist retrieval and from_raw that follow
+    # the loop build the trajectory's own columns
+    def recording(*key):
+        def loop(k, stop, pose, f, f_prev, tau, out, tol, h, wrench):
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            while k < stop:
+                out += tuple(k + 0.5 * i for i in range(integrator._ROW))
+                k += 1
+            return k, pose, f, f_prev, tau, None
+
+        return loop
+
+    monkeypatch.setattr(integrator, "_compiled_loop", recording)
+    tracemalloc.start()
+    try:
+        simulate(inputs.pose, inputs.twist, inputs.inertia, (), inputs.settings, n)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == -(-n // integrator._BLOCK)
+    assert max(peaks) <= columns + one_block
 
 
 @pytest.mark.parametrize("name", ["free_top", "offset_reference"])
