@@ -37,7 +37,6 @@ from .errors import (
 )
 from .integrator import (
     SolverSettings,
-    advance_pose,
     initial_guess,
     jacobian,
     residual,
@@ -72,12 +71,7 @@ from .kinematics import (
     wrench_body_from_world,
     wrench_to_dual_force,
 )
-from .newton_euler import (
-    ContinuousState,
-    rk4_simulate,
-    rk4_step,
-    state_derivative,
-)
+from .newton_euler import rk4_simulate
 from .quat import (
     dq_dual_transpose,
     dq_exp,
@@ -85,12 +79,8 @@ from .quat import (
     dq_mul,
     dq_quat_conjugate,
     pure_dual_quaternion,
-    pure_quaternion,
     quat_conjugate,
-    quat_exp,
-    quat_identity,
     quat_mul,
-    quat_norm,
     quaternion,
     unit_quaternion,
 )

@@ -434,19 +434,15 @@ def wrench_sum_kernel(models: Sequence[ForceModel]) -> Callable:
     return total
 
 
-def wrench_sum(models: Sequence[ForceModel], pose, chi, t: float) -> list:
-    """``total_wrench`` on Python floats: one call of ``wrench_sum_kernel``."""
-    return wrench_sum_kernel(models)(pose, chi, t)
-
-
 def total_wrench(models: Sequence[ForceModel], pose, chi, t: float) -> Array:
     """Sum of all model wrenches as a body-frame 6-vector [torque; force]:
-    the ndarray wrapper of ``wrench_sum``, with its checks.
+    one call of ``wrench_sum_kernel(models)`` on the pose and twist as
+    floats, with its checks.
 
     World-tagged wrenches are rotated through the pose; unknown tags, models
     that return something other than a Wrench, and non-finite wrenches raise.
     """
-    return np.array(wrench_sum(models, as_floats(pose), as_floats(chi), t))
+    return np.array(wrench_sum_kernel(models)(as_floats(pose), as_floats(chi), t))
 
 
 def potential_energy(models: Sequence[ForceModel], pose):

@@ -30,10 +30,11 @@ than at f_{k-1}, is solved again from f_{k-1}. The body twist is retrieved
 from the solved step variables, chi = (2/h) M^-1 [A; B], less the quarter
 kick (h/2) M^-1 tau that puts it at its state's instant.
 
-The kernels that read M, the momentum terms [w; u] = M f, the Jacobian
-and the product with M^-1, are generated for each inertia as straight-line
-Python with M's entries as literals and its zero entries left out, so one
-Jacobian formula serves every body at the cost of its own zero pattern.
+The kernels that read M, the momentum terms [w; u] = M f and the
+Jacobian, are generated for each inertia as straight-line Python with M's
+entries as literals and its zero entries left out, so one Jacobian formula
+serves every body at the cost of its own zero pattern. Of the generated
+code, only the forced loop reads M^-1, inline, for its predicted twist.
 A Newton iteration is one more generated function, for an inertia and the
 pivot order of the last full-pivot solve: the start's residual, each
 Jacobian entry written straight into its elimination variable, the
@@ -72,7 +73,7 @@ from .errors import (
 )
 from .kinematics import FRAME_BODY, Wrench, check_pose
 from .linsolve import COND_LIMIT, matvec, solve_rows
-from .quat import Array, as_count, dq_mul, dq_product, finite_vector6
+from .quat import Array, as_count, dq_product, finite_vector6
 from .trajectory import Trajectory
 
 # Newton statuses returned by the kernel
@@ -158,17 +159,16 @@ class StepKernels(NamedTuple):
     gamma = sqrt(1 - Phi.Phi), c = Psi.Phi and [w; u] = M f, everything the
     step momentum, its transport and the Jacobian share.
     ``jacobian(f, terms)`` is d[A; B]/d[Phi; Psi] as six row lists.
-    ``inverse(v)`` is M^-1 v as a list.
     ``momentum(f, terms)`` is the step momentum [A; B](f).
     ``transport(f, terms)`` is that momentum carried into the frame of the
     next step.
     ``matrix`` and ``inverse_matrix`` are the bytes of M and M^-1, the
-    keys of ``update`` and ``loop``.
+    keys of ``update`` and ``loop``; M^-1 enters only the forced loop, as
+    the product that gives its predicted twist.
     """
 
     terms: Callable
     jacobian: Callable
-    inverse: Callable
     momentum: Callable
     transport: Callable
     source: str
@@ -312,11 +312,10 @@ _JACOBIAN_LOCALS = [
 ]
 
 
-def _kernel_source(M, M_inv) -> str:
-    """Source of the step kernels for the 6x6 inertia M and its inverse, both
-    given as row lists of floats."""
+def _kernel_source(M) -> str:
+    """Source of the step kernels for the 6x6 inertia M given as row lists
+    of floats."""
     p = ", ".join(_STEP_VARIABLES)
-    v = [f"v{i}" for i in range(6)]
     lines = [
         "def terms(f):",
         f"    {p} = f",
@@ -333,8 +332,7 @@ def _kernel_source(M, M_inv) -> str:
     ]
     for i in range(6):
         lines += ["        ["] + [f"            {_jacobian_entry(M, i, j)}," for j in range(6)] + ["        ],"]
-    lines += ["    ]", "", "", "def inverse(v):", f"    {', '.join(v)} = v", "    return ["]
-    lines += [f"        {x}," for x in _matvec_source(M_inv, v)] + ["    ]", "", ""]
+    lines += ["    ]", "", ""]
     for name, entries in (("momentum", _MOMENTUM), ("transport", _TRANSPORT)):
         lines += [f"def {name}(f, terms):", f"    {p} = f", f"    {_TERMS} = terms", "    cg = c / g", "    return ("]
         lines += [f"        {e}," for e in entries] + ["    )", "", ""]
@@ -528,8 +526,8 @@ def _matrices(*matrices: bytes) -> list:
 
 @functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _compiled_kernels(matrix: bytes, inverse: bytes) -> StepKernels:
-    source = _kernel_source(*_matrices(matrix, inverse))
-    kernels = _compile(source, ("terms", "jacobian", "inverse", "momentum", "transport"))
+    source = _kernel_source(*_matrices(matrix))
+    kernels = _compile(source, ("terms", "jacobian", "momentum", "transport"))
     return StepKernels(*kernels, source, matrix, inverse)
 
 
@@ -754,12 +752,6 @@ def _raise_for_status(status: int, iterations: int, residual_norm: float, step_i
         iterations=iterations,
         step_index=step_index,
     )
-
-
-def advance_pose(pose, step) -> Array:
-    """p_{k+1} = p_k x step, staying on the unit group by construction."""
-    p = np.ascontiguousarray(pose, dtype=np.float64)
-    return dq_mul(p, step_to_dual_quaternion(step))
 
 
 def retrieve_twist(step, M: InertiaMatrix6, h: float) -> Array:

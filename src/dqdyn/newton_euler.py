@@ -31,68 +31,26 @@ stick to inertias built from (mass, inertia tensor, center-of-mass offset).
 """
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .dynamics import InertiaMatrix6, wrench_sum_kernel
-from .errors import ValidationError
 from .integrator import SolverSettings
 from .kinematics import _pose_floats, check_pose, pose_to_rotation_translation, vector_sandwich
 from .linsolve import matvec
-from .quat import Array, as_count, finite_vector6
+from .quat import as_count, finite_vector6
 from .trajectory import Trajectory
 
 
-class _Inertia(NamedTuple):
-    """M and M^-1 as the derivative reads them: six rows of Python floats each."""
-
-    rows: list
-    inverse: list
-
-
-def _float_inertia(M: InertiaMatrix6) -> _Inertia:
-    return _Inertia(M.matrix.tolist(), M.inverse.tolist())
-
-
-@dataclass(frozen=True)
-class ContinuousState:
-    """Classical rigid-body state; also used for state rates."""
-
-    orientation: Array  # quaternion (w, x, y, z)
-    translation: Array
-    twist: Array  # [omega; v], body frame
-
-
-def _pack(state: ContinuousState) -> list:
-    q = np.asarray(state.orientation, dtype=np.float64)
-    l = np.asarray(state.translation, dtype=np.float64)
-    chi = np.asarray(state.twist, dtype=np.float64)
-    if q.shape != (4,) or l.shape != (3,) or chi.shape != (6,):
-        raise ValidationError(
-            f"state shapes must be (4,), (3,), (6,); got {q.shape}, {l.shape}, {chi.shape}"
-        )
-    return q.tolist() + l.tolist() + chi.tolist()
-
-
-def _unpack(y) -> ContinuousState:
-    y = np.array(y)
-    return ContinuousState(orientation=y[:4], translation=y[4:7], twist=y[7:])
-
-
-def _wrench(forces):
-    """The wrench sum of the force models, resolved once; None for no models."""
-    models = list(forces)
-    return wrench_sum_kernel(models) if models else None
-
-
 def _deriv(y, K, wrench, t: float) -> list:
-    """[qdot; ldot; chidot] of the 13-float state y = [q; l; chi] under the
-    resolved wrench sum (None: no force models)."""
+    """[qdot; ldot; chidot] of the 13-float state y = [q; l; chi] for
+    K = (M, M^-1) as row lists of floats, under the resolved wrench sum
+    (None: no force models)."""
+    rows, inverse = K
     q0, q1, q2, q3 = y[:4]
     w0, w1, w2, v0, v1, v2 = chi = y[7:]
-    p0, p1, p2, p3, p4, p5 = matvec(K.rows, chi)
+    p0, p1, p2, p3, p4, p5 = matvec(rows, chi)
     pidot = [
         p1 * w2 - p2 * w1 + p4 * v2 - p5 * v1,
         p2 * w0 - p0 * w2 + p5 * v0 - p3 * v2,
@@ -110,13 +68,8 @@ def _deriv(y, K, wrench, t: float) -> list:
         0.5 * (q0 * w1 - q1 * w2 + q3 * w0),
         0.5 * (q0 * w2 + q1 * w1 - q2 * w0),
         *vector_sandwich((q0, q1, q2, q3), (v0, v1, v2)),
-        *matvec(K.inverse, pidot),
+        *matvec(inverse, pidot),
     ]
-
-
-def state_derivative(state: ContinuousState, M: InertiaMatrix6, forces: Sequence = (), t: float = 0.0) -> ContinuousState:
-    """Time derivative of the classical state under the given force models."""
-    return _unpack(_deriv(_pack(state), _float_inertia(M), _wrench(forces), t))
 
 
 def _rk4_step(y, K, wrench, t: float, h: float) -> list:
@@ -131,11 +84,6 @@ def _rk4_step(y, K, wrench, t: float, h: float) -> list:
     n = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
     out[:4] = q0 / n, q1 / n, q2 / n, q3 / n
     return out
-
-
-def rk4_step(state: ContinuousState, M: InertiaMatrix6, forces: Sequence = (), t: float = 0.0, h: float = 1e-3) -> ContinuousState:
-    """One classical RK4 step; the quaternion is renormalized afterwards."""
-    return _unpack(_rk4_step(_pack(state), _float_inertia(M), _wrench(forces), float(t), float(h)))
 
 
 def rk4_simulate(
@@ -159,9 +107,9 @@ def rk4_simulate(
     chi0 = finite_vector6(twist0, "twist")
     n_steps = as_count(n_steps, "n_steps", 0)
     h = settings.h
-    K = _float_inertia(M)
+    K = (M.matrix.tolist(), M.inverse.tolist())
     force_models = list(forces)
-    wrench = _wrench(force_models)
+    wrench = wrench_sum_kernel(force_models) if force_models else None
     poses = np.empty((n_steps + 1, 8))
     twists = np.empty((n_steps + 1, 6))
     y = q0.tolist() + l0.tolist() + chi0.tolist()

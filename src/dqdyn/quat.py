@@ -75,15 +75,6 @@ def finite_vector6(v, what: str) -> Array:
     return v
 
 
-def pure_quaternion(v) -> Array:
-    """Quaternion with zero scalar part and vector part v."""
-    return np.array([0.0, *as_vector3(v)])
-
-
-def quat_identity() -> Array:
-    return np.array([1.0, 0.0, 0.0, 0.0])
-
-
 def unit_quaternion(q) -> Array:
     """Validate and return q as a float64 unit quaternion (no renormalizing)."""
     q = np.asarray(q, dtype=np.float64)
@@ -136,10 +127,6 @@ def quat_conjugate(q: Array) -> Array:
     return out
 
 
-def quat_norm(q: Array) -> float:
-    return math.sqrt(q[0] * q[0] + q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-
-
 def _sinc(theta: float) -> float:
     # sin(theta)/theta, Taylor branch below SMALL_ANGLE
     if theta < SMALL_ANGLE:
@@ -153,19 +140,6 @@ def _dsinc_over_theta(theta: float) -> float:
     if theta < SMALL_ANGLE:
         return -1.0 / 3.0 + theta * theta / 30.0
     return (theta * math.cos(theta) - math.sin(theta)) / (theta * theta * theta)
-
-
-def quat_exp(q: Array) -> Array:
-    """Quaternion exponential exp(w) * [cos|v|, sinc(|v|) v]."""
-    theta = math.sqrt(q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    s = _sinc(theta)
-    ew = math.exp(q[0])
-    out = np.empty(4)
-    out[0] = ew * math.cos(theta)
-    out[1] = ew * s * q[1]
-    out[2] = ew * s * q[2]
-    out[3] = ew * s * q[3]
-    return out
 
 
 # ---------------------------------------------------------------------------

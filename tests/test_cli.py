@@ -9,7 +9,7 @@ import pytest
 import dqdyn
 from dqdyn.cli import main
 from test_scenario import NOT_NUMBERS
-from test_trajectory import MISSPLIT_ROWS, write_missplit
+from test_trajectory import BAD_HEADERS, MISSPLIT_ROWS, ROW, write_table
 
 # a child process imports the same dqdyn as this one, installed or not
 CHILD_PYTHONPATH = os.pathsep.join(
@@ -363,21 +363,34 @@ def test_compare_repeated_time_is_exit_2(free_config, tmp_path, capsys):
     bad = tmp_path / "repeated.tsv"
     assert main(["run", "--config", str(free_config), "--output", str(good), "--steps", "5"]) == 0
     header, *rows = good.read_text().splitlines()
-    # the last row again with different values at the same time
+    # the last row again with different values at the same time; the
+    # iteration count stays an integer so that the time check is reached
     t, *rest = rows[-1].split("\t")
-    rows.append("\t".join([t] + ["0.5"] * len(rest)))
+    cells = ["0.5"] * len(rest)
+    cells[header.split("\t").index("newton_iterations") - 1] = "1"
+    rows.append("\t".join([t] + cells))
     bad.write_text("".join(line + "\n" for line in [header] + rows))
     capsys.readouterr()
     assert main(["compare", str(good), str(bad)]) == 2
-    assert "repeated.tsv" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "repeated.tsv" in err
+    assert "strictly increasing" in err
 
 
 def test_compare_missplit_row_is_exit_2(tmp_path, capsys):
     for name, cells in MISSPLIT_ROWS.items():
         bad = tmp_path / f"{name}.tsv"
-        write_missplit(bad, cells)
+        write_table(bad, cells)
         assert main(["compare", str(bad), str(bad)]) == 2
         assert f"{name}.tsv" in capsys.readouterr().err
+
+
+def test_compare_bad_header_is_exit_2(tmp_path, capsys):
+    for name, (header, message) in BAD_HEADERS.items():
+        bad = tmp_path / f"{name}.tsv"
+        write_table(bad, ROW, header)
+        assert main(["compare", str(bad), str(bad)]) == 2
+        assert f"{name}.tsv: {message}" in capsys.readouterr().err
 
 
 def test_compare_missing_file(tmp_path, capsys):

@@ -27,9 +27,10 @@ from dqdyn.dynamics import (
     spring_potential,
     total_wrench,
     world_momentum,
-    wrench_sum,
+    wrench_sum_kernel,
 )
 from dqdyn.errors import SingularMatrixError, ValidationError
+from dqdyn.integrator import SolverSettings, simulate
 from dqdyn.kinematics import (
     body_wrench,
     pose_from_rotation_translation,
@@ -309,7 +310,27 @@ def test_potential_model_sums_the_potentials_own_kernel(rng):
             kernel = field.body_wrench.floats(p.tolist())
             np.testing.assert_array_equal(field.body_wrench(p).vector6, kernel)
             np.testing.assert_array_equal(model.evaluate(p, chi, t).vector6, kernel)
-            assert wrench_sum([model], p.tolist(), chi.tolist(), t) == list(kernel)
+            assert wrench_sum_kernel([model])(p.tolist(), chi.tolist(), t) == list(kernel)
+
+
+def test_user_potential_with_a_gradient_runs_like_the_builtin():
+    # a user's PotentialField with a plain-callable body_wrench goes through
+    # the model's gradient wrapper and the sum's adapter, and its energy
+    # through the per-pose call; wrapping the built-in gravity potential
+    # must give the built-in run's bits
+    r = np.array([0.2, -0.1, 0.15])
+    M = build_inertia(1.3, np.diag([1.0, 2.0, 3.0]) - 1.3 * skew(r) @ skew(r), r)
+    builtin = gravity_potential(1.3, [0.0, 0.0, -9.81], com_offset=r)
+    user = PotentialField(
+        evaluate=lambda pose: builtin.evaluate(pose), body_wrench=lambda pose: builtin.body_wrench(pose)
+    )
+    chi0 = [0.8, -0.3, 0.5, 0.1, 0.2, 0.3]
+    a, b = (
+        simulate(pose_identity(), chi0, M, [force_model_from_potential(field)], SolverSettings(h=1e-3), 300)
+        for field in (builtin, user)
+    )
+    for name in ("poses", "twists", "steps", "kinetic", "potential"):
+        np.testing.assert_array_equal(getattr(b, name), getattr(a, name))
 
 
 def test_spring_wrench_zero_at_anchor(rng):
@@ -441,7 +462,7 @@ def test_wrench_sum_adds_in_model_order(rng):
         for model in models:
             w = total_wrench([model], pose, chi, t).tolist()
             expected = [a + b for a, b in zip(expected, w)]
-        assert np.array(wrench_sum(models, pose, chi, t)).tobytes() == np.array(expected).tobytes()
+        assert np.array(wrench_sum_kernel(models)(pose, chi, t)).tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("name", list(_library_models()))
@@ -464,7 +485,7 @@ def test_float_kernel_is_bitwise_the_wrench_edge(rng, name):
         kernel = model.evaluate.floats(pose.tolist(), chi.tolist(), t)
         if name == "spring_at_anchor":
             assert kernel == (0.0,) * 6  # the dist < 1e-12 branch
-        np.testing.assert_array_equal(wrench_sum([model], pose.tolist(), chi.tolist(), t), kernel)
+        np.testing.assert_array_equal(wrench_sum_kernel([model])(pose.tolist(), chi.tolist(), t), kernel)
         np.testing.assert_array_equal(total_wrench([model], pose, chi, t), kernel)
         np.testing.assert_array_equal(total_wrench([edge], pose, chi, t), kernel)
         energy = potential_energy([model], pose[np.newaxis])[0]

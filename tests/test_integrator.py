@@ -12,6 +12,7 @@ from _oracles import step_jacobian_oracle
 from conftest import random_pose
 
 from dqdyn import integrator
+from dqdyn.cli import main
 from dqdyn.dynamics import (
     FloatKernel,
     ForceModel,
@@ -24,7 +25,6 @@ from dqdyn.dynamics import (
 from dqdyn.errors import SingularMatrixError, SolverDivergenceError, StepTooLargeError, ValidationError
 from dqdyn.integrator import (
     SolverSettings,
-    advance_pose,
     initial_guess,
     jacobian,
     residual,
@@ -37,6 +37,7 @@ from dqdyn.integrator import (
 from dqdyn.kinematics import Wrench, body_wrench, pose_constraint_errors, pose_identity
 from dqdyn.linsolve import matvec, solve_rows
 from dqdyn.newton_euler import rk4_simulate
+from dqdyn.quat import dq_mul
 from dqdyn.scenario import load_run
 from dqdyn.trajectory import Trajectory
 
@@ -212,7 +213,6 @@ def test_step_kernel_terms_equal_matvec(rng):
             assert [w0, w1, w2, u0, u1, u2] == matvec(rows, f)
             assert g == np.sqrt(1.0 - (f[0] * f[0] + f[1] * f[1] + f[2] * f[2]))
             assert c == f[3] * f[0] + f[4] * f[1] + f[5] * f[2]
-            assert K.inverse(f) == matvec(M.inverse.tolist(), f)
 
 
 def _searched_order(K, f):
@@ -377,17 +377,18 @@ def test_solver_settings_reject_infinite_tolerance():
         SolverSettings(h=1e-3, tolerance=np.inf)
 
 
-def test_advance_pose(rng):
+def test_step_products_stay_on_group(rng):
+    # p_{k+1} = p_k x f_k, the pose update of the stepping loop
     p = random_pose(rng)
-    np.testing.assert_array_equal(advance_pose(p, np.zeros(6)), p)
+    np.testing.assert_array_equal(dq_mul(p, step_to_dual_quaternion(np.zeros(6))), p)
     f = random_step(rng)
     np.testing.assert_array_equal(
-        advance_pose(pose_identity(), f), step_to_dual_quaternion(f)
+        dq_mul(pose_identity(), step_to_dual_quaternion(f)), step_to_dual_quaternion(f)
     )
     # long free product of random steps stays on the group without projection
     p = pose_identity()
     for _ in range(1000):
-        p = advance_pose(p, random_step(rng, phi_scale=0.3))
+        p = dq_mul(p, step_to_dual_quaternion(random_step(rng, phi_scale=0.3)))
     unit_err, orth_err = pose_constraint_errors(p)
     assert unit_err < 1e-12
     assert orth_err < 1e-12
@@ -563,6 +564,25 @@ def test_simulate_spin_up_fails_at_the_half_turn_step():
     with pytest.raises(SolverDivergenceError) as info:
         simulate(pose_identity(), [5.0, 0.0, 0.0, 0.0, 0.0, 0.0], M, [torque], SolverSettings(h=0.05), 40)
     assert info.value.step_index == 15
+
+
+def test_update_that_no_halving_keeps_inside_the_half_turn_is_a_divergence(monkeypatch, tmp_path, capsys):
+    # a searched update whose dx carries 1e30 in Phi_x: 60 halvings leave it
+    # near 1e12, so the step cannot keep |Phi| < 1 and the run stops at once
+    def far(J, y):
+        dx, cond, ok, order = solve_rows(J, y)
+        return [1e30, *dx[1:]], cond, ok, order
+
+    monkeypatch.setattr(integrator, "solve_rows", far)
+    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(SolverDivergenceError, match=r"could not keep \|Phi\| < 1 at step 0") as info:
+        simulate(pose_identity(), [1.0, 0.1, 0.0, 0.0, 0.0, 0.0], M, (), SolverSettings(h=1e-3), 10)
+    assert info.value.step_index == 0
+    assert info.value.iterations == 1
+    config = tmp_path / "free.yaml"
+    config.write_text("body: {mass: 1.0, inertia: [1, 2, 3]}\ninitial: {body_twist: [1.0, 0.1, 0, 0, 0, 0]}\n")
+    assert main(["run", "--config", str(config), "--steps", "10"]) == 3
+    assert "could not keep |Phi| < 1" in capsys.readouterr().err
 
 
 def test_simulate_falls_back_when_the_prediction_leaves_the_chart():

@@ -9,45 +9,34 @@ from dqdyn.dynamics import (
     force_model_from_potential,
     gravity_potential,
     skew,
+    wrench_sum_kernel,
 )
 from dqdyn.errors import ValidationError
 from dqdyn.integrator import SolverSettings, simulate
 from dqdyn.kinematics import body_wrench, pose_identity
-from dqdyn.newton_euler import (
-    ContinuousState,
-    rk4_simulate,
-    rk4_step,
-    state_derivative,
-)
+from dqdyn.newton_euler import _deriv, _rk4_step, rk4_simulate
 from dqdyn.trajectory import compare_trajectories
 
+# the 13-float state [q; l; chi] of a body at rest at the identity pose
+REST = [1.0, 0.0, 0.0, 0.0] + [0.0] * 9
 
-def rest_state():
-    return ContinuousState(
-        orientation=np.array([1.0, 0.0, 0.0, 0.0]),
-        translation=np.zeros(3),
-        twist=np.zeros(6),
-    )
+
+def float_inertia(M):
+    """M and M^-1 as the RK4 derivative reads them: row lists of floats."""
+    return M.matrix.tolist(), M.inverse.tolist()
 
 
 def test_zero_state_zero_rates():
     M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
-    d = state_derivative(rest_state(), M)
-    np.testing.assert_array_equal(d.orientation, np.zeros(4))
-    np.testing.assert_array_equal(d.translation, np.zeros(3))
-    np.testing.assert_array_equal(d.twist, np.zeros(6))
+    assert _deriv(REST, float_inertia(M), None, 0.0) == [0.0] * 13
 
 
 def test_principal_axis_spin_is_steady():
     M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
-    s = ContinuousState(
-        orientation=np.array([1.0, 0.0, 0.0, 0.0]),
-        translation=np.zeros(3),
-        twist=np.array([0.0, 0.0, 2.0, 0.0, 0.0, 0.0]),
-    )
-    d = state_derivative(s, M)
-    np.testing.assert_allclose(d.twist, np.zeros(6), atol=1e-15)
-    np.testing.assert_allclose(d.orientation, [0.0, 0.0, 0.0, 1.0], atol=1e-15)
+    y = [1.0, 0.0, 0.0, 0.0] + [0.0] * 3 + [0.0, 0.0, 2.0, 0.0, 0.0, 0.0]
+    d = _deriv(y, float_inertia(M), None, 0.0)
+    np.testing.assert_allclose(d[7:], np.zeros(6), atol=1e-15)
+    np.testing.assert_allclose(d[:4], [0.0, 0.0, 0.0, 1.0], atol=1e-15)
 
 
 def test_derivative_matches_textbook_euler_equations(rng):
@@ -61,22 +50,19 @@ def test_derivative_matches_textbook_euler_equations(rng):
         q /= np.linalg.norm(q)
         chi = rng.normal(size=6)
         torque, force = rng.normal(size=(2, 3))
-        model = constant_wrench_model(body_wrench(torque, force))
-        s = ContinuousState(orientation=q, translation=rng.normal(size=3), twist=chi)
-        d = state_derivative(s, M, [model])
+        wrench = wrench_sum_kernel([constant_wrench_model(body_wrench(torque, force))])
+        y = q.tolist() + rng.normal(size=3).tolist() + chi.tolist()
+        d = _deriv(y, float_inertia(M), wrench, 0.0)
         omega, v = chi[:3], chi[3:]
         expected_omega_dot = np.linalg.solve(J, np.cross(J @ omega, omega) + torque)
         expected_v_dot = np.cross(v, omega) + force / m
-        np.testing.assert_allclose(d.twist[:3], expected_omega_dot, atol=1e-12)
-        np.testing.assert_allclose(d.twist[3:], expected_v_dot, atol=1e-12)
+        np.testing.assert_allclose(d[7:10], expected_omega_dot, atol=1e-12)
+        np.testing.assert_allclose(d[10:], expected_v_dot, atol=1e-12)
 
 
 def test_rk4_step_rest_is_fixed_point():
     M = build_inertia(1.0, np.eye(3))
-    out = rk4_step(rest_state(), M, h=0.01)
-    np.testing.assert_array_equal(out.orientation, [1.0, 0.0, 0.0, 0.0])
-    np.testing.assert_array_equal(out.translation, np.zeros(3))
-    np.testing.assert_array_equal(out.twist, np.zeros(6))
+    assert _rk4_step(REST, float_inertia(M), None, 0.0, 0.01) == REST
 
 
 def test_free_translation_exact():

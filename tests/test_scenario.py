@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from dqdyn.cli import main
 from dqdyn.dynamics import gravity_potential, total_wrench
 from dqdyn.errors import ConfigError
 from dqdyn.integrator import simulate
@@ -325,6 +326,26 @@ initial:
             "forces: [{type: constant_wrench, frame: inertial}]",
             "frame",
         ),
+        (
+            "body: {mass: 1.0, inertia: [1, 2, 3]}\ninitial: {translation: [.inf, 0, 0]}",
+            "initial.translation: values must be finite",
+        ),
+        ("body: {mass: 1.0, inertia: [[1, 0, 0], [0, 2, 0]]}", "body.inertia: expected a 3x3 matrix"),
+        ("body: {mass: 1.0, inertia: [1, .nan, 3]}", "body.inertia: entries must be finite"),
+        ("body: {mass: heavy, inertia: [1, 2, 3]}", "body.mass: expected a number"),
+        ("body: {mass: 1.0, inertia: [1, 2, 3]}\nrun: {steps: 2.5}", "run.steps: expected an integer"),
+        (
+            "body: {mass: 1.0, inertia: [1, 2, 3]}\ninitial: {screw: {axis: [1, 1, 0], angle: 0.1}}",
+            "initial.screw: screw axis must be a unit vector",
+        ),
+        ("body: {mass: 1.0, inertia: [1, 2, 3]}\noutput: {path: ''}", "output.path: expected a non-empty string"),
+        ("body: {mass: 1.0, inertia: [1, 2, 3]}\noutput: {fields: []}", "output.fields: expected a non-empty list"),
+        ("body: [1, 2", "not valid YAML"),
+        ("run: {h: 0.001}", "required section 'body' is missing"),
+        (
+            "body: {mass: 1.0, inertia: [1, 2, 3]}\nforces: {type: gravity, acceleration: [0, 0, -9.81]}",
+            "forces: expected a list",
+        ),
         ("[1, 2, 3]", "mapping"),
         ("", "empty"),
         ("body: {mass: 1.0, inertia: [1, 2, 3]}\ninitial: {body_twist: [1, 2]}", "6"),
@@ -349,10 +370,15 @@ initial:
         ("body: {mass: 1.0, inertia: [1, 2, 3]}\n1: 2\nfoo: 3", "foo"),
     ],
 )
-def test_rejections_are_actionable(text, fragment):
+def test_rejections_are_actionable(tmp_path, capsys, text, fragment):
     with pytest.raises(ConfigError) as excinfo:
         parse_config(text)
     assert fragment in str(excinfo.value)
+    # the same message reaches the command line, with the config exit code
+    path = tmp_path / "c.yaml"
+    path.write_text(text + "\n")
+    assert main(["run", "--config", str(path)]) == 2
+    assert fragment in capsys.readouterr().err
 
 
 # entries numpy would convert to floats but that are not YAML numbers, with

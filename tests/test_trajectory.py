@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -249,15 +250,32 @@ MISSPLIT_ROWS = {
 POSE_TWIST_HEADER = "t p_rw p_rx p_ry p_rz p_dw p_dx p_dy p_dz omega_x omega_y omega_z v_x v_y v_z".split()
 
 
-def write_missplit(path, cells):
-    path.write_text("\t".join(POSE_TWIST_HEADER) + "\n" + "\t".join(cells) + "\n")
+# headers that do not fit a well-formed row under them, with the message each
+# file must get
+BAD_HEADERS = {
+    "extra-column": (POSE_TWIST_HEADER + ["spare"], "header names 16 columns, rows have 15"),
+    "no-time-column": (["time"] + POSE_TWIST_HEADER[1:], "missing time column 't'"),
+}
+ROW = ["0.001", "1"] + ["0"] * 12 + ["0.5"]
+
+
+def write_table(path, cells, header=POSE_TWIST_HEADER):
+    path.write_text("\t".join(header) + "\n" + "\t".join(cells) + "\n")
 
 
 @pytest.mark.parametrize("cells", MISSPLIT_ROWS.values(), ids=MISSPLIT_ROWS.keys())
 def test_read_splits_rows_on_tabs(tmp_path, cells):
     path = tmp_path / "shifted.tsv"
-    write_missplit(path, cells)
+    write_table(path, cells)
     with pytest.raises(ValidationError, match="shifted.tsv"):
+        read_trajectory(path)
+
+
+@pytest.mark.parametrize("header, message", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
+def test_read_rejects_header_that_does_not_fit_the_rows(tmp_path, header, message):
+    path = tmp_path / "header.tsv"
+    write_table(path, ROW, header)
+    with pytest.raises(ValidationError, match="header.tsv: " + re.escape(message)):
         read_trajectory(path)
 
 
