@@ -13,7 +13,9 @@ T = 0.5 [omega; v] . M [omega; v]. The off-diagonal blocks vanish when the
 reference point is the center of mass.
 """
 
+import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -34,7 +36,7 @@ from .kinematics import (
     world_wrench_in_body,
 )
 from .linsolve import COND_LIMIT, matvec
-from .quat import Array, as_floats, as_vector3
+from .quat import Array, Traced, as_floats, as_vector3, traced_lines
 
 
 def skew(v) -> Array:
@@ -152,20 +154,44 @@ class FloatKernel:
     pose as eight equal-shape arrays, the pose columns of a stack, and
     returns the energy of each pose. It uses only + - * / and ``np.sqrt``,
     which round correctly, so every element has the bits of the float call.
-    ``wrench_sum_kernel`` and ``potential_energy`` call the kernel directly.
-    Calling the object is the ndarray edge that the public ``ForceModel``
-    and ``PotentialField`` fields promise: every argument goes through
-    ``as_floats`` and the kernel's result through ``edge``.
+    ``potential_energy`` calls the kernel directly. Calling the object is
+    the ndarray edge that the public ``ForceModel`` and ``PotentialField``
+    fields promise: every argument goes through ``as_floats`` and the
+    kernel's result through ``edge``.
+
+    ``source`` is a library wrench kernel's own source, for the generated
+    wrench sum: (lines, wrench), the statements it needs and its six
+    entries, each the source of an expression or a float (a folded zero is
+    0.0), in the pose r0..r7, the twist chi0..chi5 and ``time``. The
+    library builds it once per model by calling the kernel, or the helpers
+    it is made of, on ``quat.Traced`` symbols, so the formulas keep one
+    definition. A kernel without source (None, as for a hand-built
+    ``FloatKernel``) is called from the sum.
     """
 
-    __slots__ = ("floats", "edge")
+    __slots__ = ("floats", "edge", "source")
 
-    def __init__(self, floats, edge):
+    def __init__(self, floats, edge, source=None):
         self.floats = floats
         self.edge = edge
+        self.source = source
 
     def __call__(self, *args):
         return self.edge(self.floats(*map(as_floats, args)))
+
+
+# The inputs of the wrench sum's source: the pose, the body twist and the time.
+_POSE = tuple(Traced(f"r{i}") for i in range(8))
+_CHI = tuple(Traced(f"chi{i}") for i in range(6))
+_TIME = Traced("time")
+
+
+def _traced(kernel) -> tuple:
+    """The ``FloatKernel.source`` of a wrench kernel that applies only
+    + - * and unary minus to its inputs: the kernel called on the sum's
+    traced inputs, each shared operation bound once to a ``_c`` local."""
+    lines, wrench = traced_lines(kernel(_POSE, _CHI, _TIME), "_c")
+    return tuple(lines), tuple(wrench)
 
 
 def _body_wrench6(w) -> Wrench:
@@ -220,7 +246,9 @@ def gravity_potential(mass: float, g_world, com_offset=(0.0, 0.0, 0.0)) -> Poten
         f_body = vector_sandwich(rotation_conjugate(pose), weight)
         return (*_cross(r, f_body), *f_body)
 
-    return PotentialField(evaluate=FloatKernel(energy, float), body_wrench=FloatKernel(wrench, _body_wrench6))
+    return PotentialField(
+        evaluate=FloatKernel(energy, float), body_wrench=FloatKernel(wrench, _body_wrench6, _traced(wrench))
+    )
 
 
 def spring_potential(
@@ -253,10 +281,27 @@ def spring_potential(
         else:
             s = -k * (dist - rest)
             f_world = (s * (d0 / dist), s * (d1 / dist), s * (d2 / dist))
+        return torque_force(pose, f_world)
+
+    def torque_force(pose, f_world) -> tuple:
         f_body = vector_sandwich(rotation_conjugate(pose), f_world)
         return (*_cross(attach, f_body), *f_body)
 
-    return PotentialField(evaluate=FloatKernel(energy, float), body_wrench=FloatKernel(wrench, _body_wrench6))
+    # the source of wrench: offset and torque_force traced, the guarded
+    # scale between them written out
+    lines, d = traced_lines(offset(_POSE), "_o")
+    lines += [
+        *(f"_d{i} = {x}" for i, x in enumerate(d)),
+        "_dist = sqrt(_d0 * _d0 + _d1 * _d1 + _d2 * _d2)",
+        "if _dist < 1e-12:",
+        "    _f0 = _f1 = _f2 = 0.0",
+        "else:",
+        f"    _s = {Traced.of(-k * (Traced('_dist') - rest)).text}",
+        "    _f0, _f1, _f2 = _s * (_d0 / _dist), _s * (_d1 / _dist), _s * (_d2 / _dist)",
+    ]
+    tail, entries = traced_lines(torque_force(_POSE, [Traced(f"_f{i}") for i in range(3)]), "_c")
+    source = (*lines, *tail), tuple(entries)
+    return PotentialField(evaluate=FloatKernel(energy, float), body_wrench=FloatKernel(wrench, _body_wrench6, source))
 
 
 def numeric_conservative_wrench(field, pose) -> Wrench:
@@ -294,12 +339,13 @@ class ForceModel:
     by ``rk4_simulate`` at each stage's state.
 
     ``evaluate(pose, chi, t)`` takes ndarray pose and twist and returns a
-    ``Wrench``. The library's models make it a ``FloatKernel``, whose float
-    kernel the wrench sum calls without building arrays or a ``Wrench``;
-    any other callable, including one set with ``dataclasses.replace``, goes
-    through the sum's checked adapter; the sum resolves the route once per
-    run. ``energy`` is the scalar potential for conservative models (used
-    by the energy diagnostics); non-conservative models leave it None.
+    ``Wrench``. The library's models make it a ``FloatKernel`` that carries
+    its kernel's source, which the generated wrench sum writes out, with no
+    call, no arrays and no ``Wrench``; any other callable, including one
+    set with ``dataclasses.replace``, is called from the sum through its
+    checked adapter (see ``wrench_sum_kernel``). ``energy`` is the scalar
+    potential for conservative models (used by the energy diagnostics);
+    non-conservative models leave it None.
     """
 
     evaluate: Callable[[Array, Array, float], Wrench]
@@ -346,7 +392,7 @@ def constant_wrench_model(wrench: Wrench) -> ForceModel:
 
         def kernel(pose, chi, t):
             return body
-    return ForceModel(evaluate=FloatKernel(kernel, lambda _: wrench))
+    return ForceModel(evaluate=FloatKernel(kernel, lambda _: wrench, _traced(kernel)))
 
 
 def _damping_coefficients(value, what: str) -> Array:
@@ -374,7 +420,7 @@ def damping_model(angular, linear) -> ForceModel:
         w0, w1, w2, v0, v1, v2 = chi
         return a0 * w0, a1 * w1, a2 * w2, l0 * v0, l1 * v1, l2 * v2
 
-    return ForceModel(evaluate=FloatKernel(kernel, _body_wrench6))
+    return ForceModel(evaluate=FloatKernel(kernel, _body_wrench6, _traced(kernel)))
 
 
 def _adapted_wrench(index: int, w, pose) -> tuple:
@@ -402,35 +448,116 @@ def _float_wrench(index: int, evaluate) -> Callable:
     return adapted
 
 
+def _nonfinite(index: int, w) -> None:
+    raise ValidationError(f"force model {index} returned a non-finite wrench {list(w)}")
+
+
+# What the wrench sum's source reads besides its inputs: the names both its
+# compiled function and the integrator's loop are compiled with.
+SUM_NAMES = {"sqrt": math.sqrt, "inf": math.inf, "nan": math.nan, "_nonfinite": _nonfinite}
+
+_SUM_CACHE_SIZE = 16
+
+
+def _names(symbols) -> str:
+    return ", ".join(x.text for x in symbols)
+
+
+def reads(source: str, name: str) -> bool:
+    """Whether the wrench sum's ``source`` reads the input ``name``: ``r``
+    (the pose), ``chi`` (the twist) or ``time``."""
+    return re.search(rf"\b{name}\d*\b", source) is not None
+
+
+def _sum_parts(models: Sequence[ForceModel]) -> tuple:
+    """(source, calls) of the wrench sum of ``models``: statements that
+    bind tau0..tau5 from the pose r0..r7, the twist chi0..chi5 and
+    ``time``, and the kernels they call as ``_calls[i]``.
+
+    Model j's wrench is bound to _wj_0.. _wj_5: from its
+    ``FloatKernel.source``, or from a call of its resolved kernel (its
+    ``floats``, or the adapter of its ndarray edge). Entries that are not
+    finite literals are checked, so a non-finite wrench raises naming j.
+    Each component is summed in model order, with the zero terms folded.
+    """
+    lines, calls, total = [], [], [0.0] * 6
+    for j, model in enumerate(models):
+        evaluate = model.evaluate
+        source = evaluate.source if isinstance(evaluate, FloatKernel) else None
+        names = [f"_w{j}_{i}" for i in range(6)]
+        if source is None:
+            lines.append(f"{', '.join(names)} = _calls[{len(calls)}](({_names(_POSE)}), [{_names(_CHI)}], time)")
+            calls.append(_float_wrench(j, evaluate))
+            wrench = names
+        else:
+            body, entries = source
+            lines += body
+            lines += [f"{name} = {x}" for name, x in zip(names, entries) if isinstance(x, str)]
+            wrench = [name if isinstance(x, str) else x for name, x in zip(names, entries)]
+        checked = [x for x in wrench if isinstance(x, str) or not math.isfinite(x)]
+        if checked:
+            # x - x is 0.0 for a finite x and NaN for inf or NaN
+            lines += [
+                f"if {' + '.join(f'({x} - {x})' for x in checked)} != 0.0:",
+                f"    _nonfinite({j}, [{', '.join(map(str, wrench))}])",
+            ]
+        total = [a + (Traced(x) if isinstance(x, str) else x) for a, x in zip(total, wrench)]
+    lines += [f"tau{i} = {Traced.of(x).text}" for i, x in enumerate(total)]
+    return "\n".join(lines) + "\n", tuple(calls)
+
+
+@functools.lru_cache(maxsize=_SUM_CACHE_SIZE)
+def _compiled_sum(source: str) -> Callable:
+    """``make(calls)``, which returns the sum of ``source`` as
+    ``total(pose, chi, time)`` calling ``calls``."""
+    lines = source.splitlines()
+    if reads(source, "chi"):
+        lines.insert(0, f"{_names(_CHI)} = chi")
+    if reads(source, "r"):
+        lines.insert(0, f"{_names(_POSE)} = pose")
+    text = "\n".join([
+        "def make(_calls):",
+        "    def total(pose, chi, time):",
+        *(f"        {line}" for line in lines),
+        f"        return [{', '.join(f'tau{i}' for i in range(6))}]",
+        "    return total",
+    ]) + "\n"
+    namespace = dict(SUM_NAMES)
+    exec(compile(text, "<dqdyn.dynamics.wrench_sum>", "exec"), namespace)
+    return namespace["make"]
+
+
 def wrench_sum_kernel(models: Sequence[ForceModel]) -> Callable:
     """The wrench sum of ``models`` as ``total(pose, chi, t)`` on Python
-    floats (8 and 6 of them; the sum is a list of six), with each model's
-    route resolved once: both integrators take it once per run.
+    floats (8 and 6 of them; the sum is a list of six): both integrators
+    take it once per run, and ``total_wrench`` once per call.
 
-    A ``FloatKernel`` model's kernel is called on the floats; any other
-    model goes through its ndarray edge and the adapter, which rejects a
-    result that is not a Wrench or has an unknown frame tag and rotates a
-    world wrench through the pose. Each component is summed from 0.0 in
-    model order. A non-finite wrench from any model raises, naming the
-    model's index.
+    It is generated: each library model's ``FloatKernel.source`` written
+    out in model order, with its zero terms folded, and any other model a
+    call of its resolved kernel. A hand-built ``FloatKernel``'s kernel is
+    called on the floats; any other model goes through its ndarray edge
+    and the adapter, which rejects a result that is not a Wrench or has an
+    unknown frame tag and rotates a world wrench through the pose. Each
+    component is summed in model order, and a non-finite wrench from any
+    model raises, naming the model's index. The sum is generated once per
+    distinct tuple of models and compiled once per distinct source (two
+    small LRU caches), so a repeated call returns the same function;
+    ``total.source`` is its source, which ``simulate``'s generated loop
+    inlines, and ``total.calls`` the kernels it calls.
     """
-    kernels = [_float_wrench(index, model.evaluate) for index, model in enumerate(models)]
+    models = tuple(models)
+    try:
+        hash(models)
+    except TypeError:  # a model with a field that cannot be hashed is generated afresh
+        return _sum_kernel.__wrapped__(models)
+    return _sum_kernel(models)
 
-    def total(pose, chi, t) -> list:
-        a0 = a1 = a2 = a3 = a4 = a5 = 0.0
-        for index, kernel in enumerate(kernels):
-            w0, w1, w2, w3, w4, w5 = w = kernel(pose, chi, t)
-            # x * 0.0 is a zero for a finite x and NaN for inf or NaN
-            if w0 * 0.0 + w1 * 0.0 + w2 * 0.0 + w3 * 0.0 + w4 * 0.0 + w5 * 0.0 != 0.0:
-                raise ValidationError(f"force model {index} returned a non-finite wrench {list(w)}")
-            a0 += w0
-            a1 += w1
-            a2 += w2
-            a3 += w3
-            a4 += w4
-            a5 += w5
-        return [a0, a1, a2, a3, a4, a5]
 
+@functools.lru_cache(maxsize=_SUM_CACHE_SIZE)
+def _sum_kernel(models: tuple) -> Callable:
+    source, calls = _sum_parts(models)
+    total = _compiled_sum(source)(calls)
+    total.source, total.calls = source, calls
     return total
 
 

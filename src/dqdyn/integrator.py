@@ -34,24 +34,28 @@ The kernels that read M, the momentum terms [w; u] = M f and the
 Jacobian, are generated for each inertia as straight-line Python with M's
 entries as literals and its zero entries left out, so one Jacobian formula
 serves every body at the cost of its own zero pattern. Of the generated
-code, only the forced loop reads M^-1, inline, for its predicted twist.
+code, only a forced loop whose force models read the twist reads M^-1,
+inline, for its predicted twist.
 A Newton iteration is one more generated function, for an inertia and the
 pivot order of the last full-pivot solve: the start's residual, each
 Jacobian entry written straight into its elimination variable, the
 elimination without a search, the update and the new iterate's residual
 norm, in one call. ``simulate``'s steps run in a third generated
-function, a loop for an inertia, a pivot order and whether the body is
-forced: per step, the pose product, the transport, the forced body's
-predicted twist, wrench sum and kicks, the prediction and the update's
-own lines, all on locals, so a step whose first update meets the
-tolerance makes no Python call apart from the wrench sum. The loop
+function, a loop for an inertia, a pivot order and the source of the
+body's wrench sum (none for a free body): per step, the pose product, the
+transport, for a forced body the wrench sum's own lines (the predicted
+twist only when a model reads it) and the kicks, the prediction and the
+update's own lines, all on locals. The library's force models carry their
+source (``dynamics.wrench_sum_kernel``), so a step whose first update
+meets the tolerance makes no Python call unless a model without source
+is called. The loop
 records each state's floats in a flat list that ``simulate`` copies into
 its columns a block at a time. A step whose update refuses, must be
 halved or misses the tolerance is handed back with the update's result,
 and the Newton loop and the branch guard finish it without repeating the
 update. All are compiled on first use and cached; ``step_kernels(M).source``,
 ``step_kernels(M).update(order).source`` and
-``step_kernels(M).loop(order, forced).source`` are their code.
+``step_kernels(M).loop(order, sum_source).source`` are their code.
 
 Conventions: twists are [omega; v] body frame, wrenches [torque; force],
 M is the 6x6 generalized inertia about the body reference point.
@@ -64,7 +68,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .dynamics import InertiaMatrix6, wrench_sum_kernel
+from .dynamics import SUM_NAMES, InertiaMatrix6, reads, wrench_sum_kernel
 from .errors import (
     SingularMatrixError,
     SolverDivergenceError,
@@ -73,7 +77,7 @@ from .errors import (
 )
 from .kinematics import FRAME_BODY, Wrench, check_pose
 from .linsolve import COND_LIMIT, matvec, solve_rows
-from .quat import Array, as_count, dq_product, finite_vector6
+from .quat import Array, Traced, as_count, dq_product, finite_vector6
 from .trajectory import Trajectory
 
 # Newton statuses returned by the kernel
@@ -163,8 +167,9 @@ class StepKernels(NamedTuple):
     ``transport(f, terms)`` is that momentum carried into the frame of the
     next step.
     ``matrix`` and ``inverse_matrix`` are the bytes of M and M^-1, the
-    keys of ``update`` and ``loop``; M^-1 enters only the forced loop, as
-    the product that gives its predicted twist.
+    keys of ``update`` and ``loop``; M^-1 enters only a forced loop whose
+    wrench sum reads the twist, as the product that gives its predicted
+    twist.
     """
 
     terms: Callable
@@ -193,28 +198,31 @@ class StepKernels(NamedTuple):
         """
         return _compiled_update(self.matrix, order)
 
-    def loop(self, order, forced: bool) -> Callable:
+    def loop(self, order, sum_source: Optional[str]) -> Callable:
         """The stepping loop of ``simulate`` for this inertia and pivot
-        order, for a body under force models (``forced``) or free,
-        generated on first use and kept in a small LRU cache; its
+        order, for a body under force models whose wrench sum has the
+        source ``sum_source`` (``wrench_sum_kernel(models).source``) or
+        free (None), generated on first use and kept in a small LRU cache; its
         ``source`` attribute is its code.
 
         ``loop(k, stop, pose, f, f_prev, tau, out, tol, h, wrench)`` takes
         the state after step k - 1: the pose p_{k-1}, f_{k-1}, f_{k-2}
         (read from step 2 on) and the wrench tau_{k-1} (None when free). It
-        runs steps k, k + 1, ... on locals, each with the body of
-        ``update(order)`` inlined, and appends each state's pose, step
-        variables, stored momentum [A; B](f) - (h^2/4) tau and residual
-        norm to the list ``out``, ``_ROW`` floats per state. It returns
-        (k, pose, f, f_prev, tau, handoff): at k == stop with the state
-        after step k - 1 and handoff None, or at the first step k whose
-        update refuses, must be halved or misses tol, with p_k, f_{k-1},
-        None, tau_k and handoff = (start, target, solved): the predicted
-        start (None when the step starts from f_{k-1}), the Newton target
-        and the update's result, for ``_newton`` to take over. ``wrench``
-        is the resolved wrench sum, called once per step.
+        runs steps k, k + 1, ... on locals, each with the lines of the
+        wrench sum and the body of ``update(order)`` inlined, and appends
+        each state's pose, step variables, stored momentum
+        [A; B](f) - (h^2/4) tau and residual norm to the list ``out``,
+        ``_ROW`` floats per state. It returns (k, pose, f, f_prev, tau,
+        handoff): at k == stop with the state after step k - 1 and handoff
+        None, or at the first step k whose update refuses, must be halved
+        or misses tol, with p_k, f_{k-1}, None, tau_k and handoff =
+        (start, target, solved): the predicted start (None when the step
+        starts from f_{k-1}), the Newton target and the update's result,
+        for ``_newton`` to take over. ``wrench`` is the compiled sum (None
+        when free), whose ``calls`` the inlined lines call for the models
+        that have no source.
         """
-        return _compiled_loop(self.matrix, self.inverse_matrix, order, forced)
+        return _compiled_loop(self.matrix, self.inverse_matrix, order, sum_source)
 
 
 def _sum_source(terms) -> str:
@@ -414,41 +422,19 @@ def _update_source(M, order) -> str:
     ]) + "\n"
 
 
-class _Traced:
-    """Source text that records +, - and * applied to it, parenthesized
-    where Python would regroup it: a float function called on these
-    returns the source of its operations, in its order."""
-
-    __slots__ = ("text", "level")
-
-    def __init__(self, text: str, level: int = 3):
-        self.text, self.level = text, level
-
-    def _apply(self, op: str, level: int, other: "_Traced") -> "_Traced":
-        left = self.text if self.level >= level else f"({self.text})"
-        right = other.text if other.level > level else f"({other.text})"
-        return _Traced(f"{left} {op} {right}", level)
-
-    def __add__(self, other):
-        return self._apply("+", 1, other)
-
-    def __sub__(self, other):
-        return self._apply("-", 1, other)
-
-    def __mul__(self, other):
-        return self._apply("*", 2, other)
-
-
 def _tuple_lines(names: str, entries, indent: str) -> list:
     return [f"{indent}{names} = (", *[f"{indent}    {e}," for e in entries], f"{indent})"]
 
 
-def _loop_source(M, M_inv, order, forced: bool) -> str:
+def _loop_source(M, M_inv, order, sum_source: Optional[str]) -> str:
     """Source of the stepping loop (see ``StepKernels.loop``): per step, the
-    pose product, the transport, for a forced body the predicted twist,
-    the wrench and the kicks, the prediction and ``_update_body``, all on
-    locals. Each value has the bits of the separate kernels, ``dq_product``
-    and ``_kicked``."""
+    pose product, the transport, for a body under force models the lines
+    of the wrench sum's source ``sum_source`` (None: a free body) and the
+    kicks, the prediction and ``_update_body``, all on locals. The
+    predicted twist, the M^-1 product, is written only when the sum reads
+    the twist. Each value has the bits of the separate kernels,
+    ``dq_product``, the compiled sum and ``_kicked``."""
+    forced = sum_source is not None
     p = ", ".join(_STEP_VARIABLES)
     r, o, t = _names("r", 8), _names("o", 6), _names("t", 6)
     d = _names("d", 6)
@@ -459,7 +445,7 @@ def _loop_source(M, M_inv, order, forced: bool) -> str:
         return f"return k, ({r}), [{o}], None, {taus}, ([{d}] if predicted else None, [{t}], {solved})"
 
     step_dq = ("g", "p0", "p1", "p2", "dw", "s0", "s1", "s2")
-    pose = dq_product([_Traced(f"r{i}") for i in range(8)], [_Traced(x) for x in step_dq])
+    pose = dq_product([Traced(f"r{i}") for i in range(8)], [Traced(x) for x in step_dq])
     lines = [
         "def loop(k, stop, pose, f, f_prev, tau, out, tol, h, wrench):",
         f"    {r} = pose",
@@ -468,12 +454,14 @@ def _loop_source(M, M_inv, order, forced: bool) -> str:
         *_terms_lines(M),
     ]
     if forced:
+        twist = reads(sum_source, "chi")
         lines += [
             f"    {tau} = tau",
-            "    two_over_h = 2.0 / h",
+            *(["    two_over_h = 2.0 / h"] if twist else []),
             "    impulse = 0.5 * h * h",
             "    quarter = 0.25 * h * h",
             "    unkick = -quarter",
+            *(["    _calls = wrench.calls"] if "_calls" in sum_source else []),
         ]
     lines += [
         "    while k < stop:",
@@ -485,12 +473,18 @@ def _loop_source(M, M_inv, order, forced: bool) -> str:
         *_tuple_lines(t, _TRANSPORT, "        "),
     ]
     if forced:
-        v = [f"v{i}" for i in range(6)]
+        if twist:
+            v = [f"v{i}" for i in range(6)]
+            lines += [
+                "        # the twist predicted from T_k and tau_{k-1}",
+                f"        {', '.join(v)} = {', '.join(f't{i} + quarter * tau{i}' for i in range(6))}",
+                *_tuple_lines(_names("i", 6), _matvec_source(M_inv, v), "        "),
+                f"        {_names('chi', 6)} = {', '.join(f'two_over_h * i{i}' for i in range(6))}",
+            ]
         lines += [
-            "        # the twist predicted from T_k and tau_{k-1}, the wrench there and its impulse",
-            f"        {', '.join(v)} = {', '.join(f't{i} + quarter * tau{i}' for i in range(6))}",
-            *_tuple_lines(_names("i", 6), _matvec_source(M_inv, v), "        "),
-            f"        {tau} = wrench(({r}), [{', '.join(f'two_over_h * i{i}' for i in range(6))}], k * h)",
+            *(["        time = k * h"] if reads(sum_source, "time") else []),
+            "        # the wrench at p_k (the predicted twist, k h) and its impulse",
+            *(f"        {line}" for line in sum_source.splitlines()),
             f"        {t} = {', '.join(f't{i} + impulse * tau{i}' for i in range(6))}",
         ]
     twice = [f"2.0 * {x} - o{i}" for i, x in enumerate(_STEP_VARIABLES)]
@@ -515,7 +509,7 @@ def _loop_source(M, M_inv, order, forced: bool) -> str:
 
 
 def _compile(source: str, names):
-    namespace = {"sqrt": math.sqrt, "nan": math.nan}
+    namespace = dict(SUM_NAMES)  # sqrt and nan, and what a forced loop's wrench sum reads
     exec(compile(source, "<dqdyn.integrator.step_kernels>", "exec"), namespace)
     return [namespace[name] for name in names]
 
@@ -540,8 +534,8 @@ def _compiled_update(matrix: bytes, order) -> Callable:
 
 
 @functools.lru_cache(maxsize=_UPDATE_CACHE_SIZE)
-def _compiled_loop(matrix: bytes, inverse: bytes, order, forced: bool) -> Callable:
-    source = _loop_source(*_matrices(matrix, inverse), order, forced)
+def _compiled_loop(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]) -> Callable:
+    source = _loop_source(*_matrices(matrix, inverse), order, sum_source)
     (loop,) = _compile(source, ("loop",))
     loop.source = source
     return loop
@@ -802,7 +796,7 @@ def simulate(
     are never applied to the pose.
 
     Step 0 is solved here, by the searched Newton loop; steps from 1 on run
-    in the generated loop ``step_kernels(M).loop(order, forced)`` of the
+    in the generated loop ``step_kernels(M).loop(order, wrench.source)`` of the
     pivot order of the last search. It appends each state whose first
     update meets tol to a flat list of floats, which is copied into the
     preallocated columns every ``_BLOCK`` states, so a run holds its
@@ -836,9 +830,10 @@ def simulate(
     pose = p0.tolist()
     target = [0.5 * h * x for x in matvec(M.matrix.tolist(), chi0.tolist())]
     quarter_kick = 0.25 * h * h
-    wrench = tau = None
+    wrench = source = tau = None
     if force_models:
         wrench = wrench_sum_kernel(force_models)
+        source = wrench.source
         tau = wrench(pose, chi0.tolist(), 0.0)
         target = _kicked(target, tau, quarter_kick)
     # step 0 is the first hand-off: no prediction, no update yet, so it searches
@@ -869,7 +864,7 @@ def simulate(
         if k == n:
             break
         if update is not looped:
-            loop, looped = K.loop(update.order, bool(force_models)), update
+            loop, looped = K.loop(update.order, source), update
         first = k
         k, pose, f, f_prev, tau, handoff = loop(k, min(n, k + _BLOCK), pose, f, f_prev, tau, out, tol, h, wrench)
         if out:

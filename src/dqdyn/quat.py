@@ -13,7 +13,10 @@ something the algebra hides.
 ``dq_product`` is the dual quaternion product on Python floats that the
 integrator's step loop and the force models use; ``dq_mul`` wraps it for
 arrays, with ``as_floats`` as the conversion. ``dq_log_parts`` and
-``dq_log`` are the same pair for the logarithm.
+``dq_log`` are the same pair for the logarithm. ``Traced`` turns such a
+float function into source text: the integrator's generated loop and the
+force models' generated wrench sum are written by calling the float
+kernels on it, so each formula keeps one definition.
 """
 
 import math
@@ -161,6 +164,121 @@ def dq_product(p1, p2) -> tuple:
         (a0 * d2 - a1 * d3 + a2 * d0 + a3 * d1) + (b0 * c2 - b1 * c3 + b2 * c0 + b3 * c1),
         (a0 * d3 + a1 * d2 - a2 * d1 + a3 * d0) + (b0 * c3 + b1 * c2 - b2 * c1 + b3 * c0),
     )
+
+
+def _is_zero(x) -> bool:
+    return not isinstance(x, Traced) and x == 0.0
+
+
+class Traced:
+    """A float expression in source form: a float function called on these
+    records +, -, * and unary minus as operations, in its order, and
+    ``text`` is their source, parenthesized where Python would regroup it.
+
+    A float operand is written as its ``repr`` (``inf`` and ``nan`` by
+    name). Zeros fold: a product with a zero is the float 0.0 and a zero
+    drops out of a sum, and -(-x) is x. For finite operands this keeps the
+    bits of the full expression up to the sign of a zero result
+    (x * 0.0 is +-0.0, and x + +-0.0 == x for x != 0). ``traced_lines``
+    writes an operation that several places read once.
+    """
+
+    __slots__ = ("op", "args", "level")
+
+    # level: 1 a sum, 2 a product, 3 a unary minus (or a negative literal), 4 an atom
+    def __init__(self, text: str, level: int = 4):  # an atom: a name or a literal
+        self.op, self.args, self.level = None, (text,), level
+
+    @staticmethod
+    def _node(op: str, level: int, args: tuple) -> "Traced":
+        node = Traced.__new__(Traced)
+        node.op, node.args, node.level = op, args, level
+        return node
+
+    @staticmethod
+    def of(x) -> "Traced":
+        """x itself, or the float x as a literal."""
+        if isinstance(x, Traced):
+            return x
+        text = repr(float(x))
+        return Traced(text, 3 if text.startswith("-") else 4)
+
+    @property
+    def text(self) -> str:
+        return _render(self, {})[0]
+
+    def _apply(self, op: str, level: int, other, reflected: bool = False) -> "Traced":
+        args = (Traced.of(other), self) if reflected else (self, Traced.of(other))
+        return Traced._node(op, level, args)
+
+    def __add__(self, other):
+        return self if _is_zero(other) else self._apply("+", 1, other)
+
+    def __radd__(self, other):
+        return self if _is_zero(other) else self._apply("+", 1, other, True)
+
+    def __sub__(self, other):
+        return self if _is_zero(other) else self._apply("-", 1, other)
+
+    def __rsub__(self, other):
+        return -self if _is_zero(other) else self._apply("-", 1, other, True)
+
+    def __mul__(self, other):
+        return 0.0 if _is_zero(other) else self._apply("*", 2, other)
+
+    def __rmul__(self, other):
+        return 0.0 if _is_zero(other) else self._apply("*", 2, other, True)
+
+    def __neg__(self):
+        if self.op == "neg":
+            return self.args[0]
+        if self.op is None and self.level == 3:  # a negative literal
+            return Traced(self.args[0][1:])
+        return Traced._node("neg", 3, (self,))
+
+
+def _render(x: Traced, names: dict) -> tuple:
+    """(source, level) of x, with the operations in ``names`` (by id) read
+    from their names."""
+    if id(x) in names:
+        return names[id(x)], 4
+    if x.op is None:
+        return x.args[0], x.level
+    if x.op == "neg":
+        text, level = _render(x.args[0], names)
+        return (f"-{text}" if level > 3 else f"-({text})"), 3
+    left, left_level = _render(x.args[0], names)
+    right, right_level = _render(x.args[1], names)
+    left = left if left_level >= x.level else f"({left})"
+    right = right if right_level > x.level else f"({right})"
+    return f"{left} {x.op} {right}", x.level
+
+
+def traced_lines(values, prefix: str) -> tuple:
+    """(lines, sources) of a sequence of ``Traced`` values and floats: the
+    lines bind, in dependency order, each operation that the values read
+    from more than one place to ``{prefix}{n}``, so it runs once; each
+    value's source reads those names, and a float stays a float."""
+    uses, order = {}, []
+
+    def visit(x):  # an operation, and the operations it reads, in post-order
+        count = uses[id(x)] = uses.get(id(x), 0) + 1
+        if count == 1:
+            for a in x.args:
+                if a.op is not None:
+                    visit(a)
+            order.append(x)
+
+    for x in values:
+        if isinstance(x, Traced) and x.op is not None:
+            visit(x)
+    names, lines = {}, []
+    for x in order:
+        if uses[id(x)] > 1:
+            text = _render(x, names)[0]
+            names[id(x)] = f"{prefix}{len(names)}"
+            lines.append(f"{names[id(x)]} = {text}")
+    return lines, [_render(x, names)[0] if isinstance(x, Traced) else x for x in values]
 
 
 def dq_mul(p1: Array, p2: Array) -> Array:

@@ -44,7 +44,9 @@ unknown-key rejection and ``serialize_config`` all read these tables, and
 parse -> serialize -> parse is the identity on configs. Unknown keys are
 rejected rather than ignored: a typo in a tolerance should fail loudly, not
 silently run with the default. A value that is not what its key needs (a
-ragged matrix, a word for a number) is a ``ConfigError`` naming the key.
+ragged matrix, a word for a number) is a ``ConfigError`` naming the key. Numbers
+are read as YAML 1.2 reads them, so ``1e-3`` is a number; a quoted one is a
+string.
 
 Parsing proves a config can be built by building it: it ends with
 ``build_run`` and the first step's warm start, so the rules of the library
@@ -58,6 +60,7 @@ parsing, so a flag value meets exactly the checks of the key it sets.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Optional
@@ -375,10 +378,23 @@ def config_inertia(config: ScenarioConfig) -> InertiaMatrix6:
         raise ConfigError(f"body: {exc}") from exc
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, which follows YAML 1.1, plus the YAML 1.2 core
+    schema's floats with an exponent: ``1e-3``, ``1e3`` and ``-9.81e0``
+    are numbers, not strings. A quoted value stays a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def _parse(text: str, overrides: Optional[dict]) -> tuple[ScenarioConfig, RunInputs]:
     """The config a document describes and the run that parsing built to prove it."""
     try:
-        doc = yaml.safe_load(text)
+        doc = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"not valid YAML: {exc}") from exc
     if doc is None:

@@ -21,6 +21,10 @@ from .quat import Array, as_count
 
 FIELD_GROUPS = ("pose", "twist", "energy", "momentum", "solver", "constraints")
 
+# rows write_trajectory formats per % call: 256 rows are as fast to write
+# as 512 and hold half the Python floats at once
+_WRITE_BLOCK = 256
+
 _GROUP_COLUMNS = {
     "pose": ("p_rw", "p_rx", "p_ry", "p_rz", "p_dw", "p_dx", "p_dy", "p_dz"),
     "twist": ("omega_x", "omega_y", "omega_z", "v_x", "v_y", "v_z"),
@@ -191,8 +195,11 @@ def write_trajectory(traj: Trajectory, path, stride: int = 1, fields=None) -> No
     table = np.column_stack([traj.times] + [_group_matrix(traj, g) for g in groups])[indices]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\t".join(names) + "\n")
-        # row by row: a whole-table tolist() would hold every cell as a Python float at once
-        fh.writelines(row % tuple(r.tolist()) for r in table)
+        # _WRITE_BLOCK rows per % call: a whole-table tolist() would hold
+        # every cell as a Python float at once
+        for start in range(0, len(table), _WRITE_BLOCK):
+            block = table[start:start + _WRITE_BLOCK]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def read_trajectory(path) -> Trajectory:

@@ -446,6 +446,11 @@ def _library_models() -> dict:
         "damping": damping_model([0.2, 0.3, 0.4], 0.5),
         "constant_body": constant_wrench_model(body_wrench([0.3, -0.2, 0.1], [1.0, 2.0, -3.0])),
         "constant_world": constant_wrench_model(world_wrench([0.3, -0.2, 0.1], [1.0, 2.0, -3.0])),
+        # zero parameters, whose terms the generated sum leaves out
+        "gravity_centred_along_z": force_model_from_potential(gravity_potential(1.3, [0.0, 0.0, -9.81])),
+        "spring_on_an_axis": force_model_from_potential(spring_potential([0.0, 0.0, 1.0], [0.3, 0.0, 0.0], 25.0)),
+        "damping_zero_axes": damping_model([0.2, 0.0, 0.4], 0.0),
+        "constant_world_zeros": constant_wrench_model(world_wrench([0.0, 0.0, 0.1], [1.0, 0.0, 0.0])),
     }
 
 
@@ -541,3 +546,27 @@ def test_potential_energy_rejects_a_pose_without_eight_entries():
     for shape in ((7,), (8, 7), ()):
         with pytest.raises(ValidationError, match="8 entries"):
             potential_energy(models, np.zeros(shape))
+
+
+def test_total_wrench_of_an_overflowing_weight_names_the_model():
+    # 1e308 kg under 10 m/s^2 weighs -inf: the generated sum writes the
+    # literal so that it compiles, and the check names the model
+    models = [force_model_from_potential(gravity_potential(1e308, [0.0, 0.0, -10.0]))]
+    with pytest.raises(ValidationError, match="force model 0 returned a non-finite wrench"):
+        total_wrench(models, pose_identity(), np.zeros(6), 0.0)
+
+
+def test_wrench_sum_of_an_unhashable_model():
+    # a callable that defines __eq__ without __hash__ cannot key the sum's
+    # cache; the sum is then generated for the call
+    class Push:
+        def __eq__(self, other):
+            return isinstance(other, Push)
+
+        def __call__(self, pose, chi, t):
+            return body_wrench([0.0, 0.0, 0.5], [1.0, 0.0, 0.0])
+
+    models = [ForceModel(evaluate=Push()), damping_model(0.5, 0.0)]
+    total = wrench_sum_kernel(models)
+    assert total([1.0] + [0.0] * 7, [0.0, 0.0, 2.0, 0.0, 0.0, 0.0], 0.0) == [0.0, 0.0, -0.5, 1.0, 0.0, 0.0]
+    assert wrench_sum_kernel(models) is not total

@@ -11,7 +11,7 @@ import pytest
 from _oracles import step_jacobian_oracle
 from conftest import random_pose
 
-from dqdyn import integrator
+from dqdyn import dynamics, integrator
 from dqdyn.cli import main
 from dqdyn.dynamics import (
     FloatKernel,
@@ -19,8 +19,14 @@ from dqdyn.dynamics import (
     build_inertia,
     build_inertia_raw,
     constant_wrench_model,
+    damping_model,
+    force_model_from_potential,
+    gravity_potential,
     potential_energy,
     skew,
+    spring_potential,
+    total_wrench,
+    wrench_sum_kernel,
 )
 from dqdyn.errors import SingularMatrixError, SolverDivergenceError, StepTooLargeError, ValidationError
 from dqdyn.integrator import (
@@ -34,7 +40,7 @@ from dqdyn.integrator import (
     solve_step,
     step_to_dual_quaternion,
 )
-from dqdyn.kinematics import Wrench, body_wrench, pose_constraint_errors, pose_identity
+from dqdyn.kinematics import Wrench, body_wrench, pose_constraint_errors, pose_identity, world_wrench
 from dqdyn.linsolve import matvec, solve_rows
 from dqdyn.newton_euler import rk4_simulate
 from dqdyn.quat import dq_mul
@@ -222,10 +228,11 @@ def _searched_order(K, f):
 
 def test_step_kernel_source_has_no_zero_products(rng):
     zero_literal = r"-?0\.0(?![0-9e])"
+    damped = wrench_sum_kernel([damping_model(0.2, 0.5)]).source
     for M in mixed_inertias(rng):
         K = integrator.step_kernels(M)
         order = _searched_order(K, random_step(rng).tolist())
-        for source in (K.source, K.update(order).source, K.loop(order, False).source, K.loop(order, True).source):
+        for source in (K.source, K.update(order).source, K.loop(order, None).source, K.loop(order, damped).source):
             assert not re.search(r"\* " + zero_literal, source)
             assert not re.search(r"(?<![\w.])" + zero_literal + r" \*", source)
     # a diagonal inertia leaves one product for each entry of M f that is not 1.0
@@ -1006,6 +1013,110 @@ def test_user_model_errors_name_the_model(run, bad, message):
     models = [constant_wrench_model(body_wrench(np.zeros(3), [0.0, 0.0, -1.0])), ForceModel(evaluate=bad)]
     M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
     with pytest.raises(ValidationError, match=message):
+        run(pose_identity(), np.zeros(6), M, models, SolverSettings(h=1e-3), 5)
+
+
+FORCED_SCENARIOS = ("damped_drop", "generic_forced", "pure_translation", "spring_pendulum")
+
+
+def _run_bytes(traj) -> bytes:
+    return b"".join(a.tobytes() for a in (traj.poses, traj.twists, traj.steps, traj.iterations, traj.residual_norms))
+
+
+def _mixed_models():
+    """Library models with source, a hand-built FloatKernel and an adapter model."""
+    gravity = force_model_from_potential(gravity_potential(1.3, [0.1, -0.2, -9.81], [0.2, -0.1, 0.3]))
+    return [
+        gravity,
+        ForceModel(evaluate=FloatKernel(lambda pose, chi, t: (0.1 * t, 0.0, -0.2 * chi[2], 0.3, 0.0, pose[0]), None)),
+        damping_model([0.2, 0.0, 0.4], 0.5),
+        replace(gravity, evaluate=lambda pose, chi, t, e=gravity.evaluate: e(pose, chi, t)),
+        force_model_from_potential(spring_potential([0.2, -0.3, 1.0], [0.3, 0.0, 0.2], 25.0, 0.4)),
+        constant_wrench_model(world_wrench([0.3, -0.2, 0.1], [1.0, 0.0, -3.0])),
+    ]
+
+
+@pytest.mark.parametrize("h", [1e-3, 1e-2, 0.05])
+@pytest.mark.parametrize("name", [*FORCED_SCENARIOS, "mixed"])
+def test_inlined_wrench_sum_runs_like_the_compiled_sum(name, h):
+    # the loop inlines the sum's lines; behind a FloatKernel without source
+    # the loop calls the compiled sum instead, and every bit must agree
+    if name == "mixed":
+        inputs = _scenario_inputs("generic_forced")
+        models = _mixed_models()
+    else:
+        inputs = _scenario_inputs(name)
+        models = list(inputs.forces)
+    through = [ForceModel(evaluate=FloatKernel(wrench_sum_kernel(models), None))]
+    assert "_calls" not in wrench_sum_kernel(inputs.forces).source  # the library's models are all inlined
+    settings = replace(inputs.settings, h=h)
+    inlined = simulate(inputs.pose, inputs.twist, inputs.inertia, models, settings, 300)
+    called = simulate(inputs.pose, inputs.twist, inputs.inertia, through, settings, 300)
+    assert _run_bytes(inlined) == _run_bytes(called)
+
+
+def test_gravity_and_spring_loop_has_no_twist_product_and_no_zero_product():
+    inputs = _scenario_inputs("generic_forced")
+    K = integrator.step_kernels(inputs.inertia)
+    order = _searched_order(K, [0.01, 0.02, -0.01, 0.1, 0.0, 0.2])
+    source = K.loop(order, wrench_sum_kernel(inputs.forces).source).source
+    zero_literal = r"-?0\.0(?![0-9e])"
+    assert not re.search(r"\* " + zero_literal, source)
+    assert not re.search(r"(?<![\w.])" + zero_literal + r" \*", source)
+    # neither model reads the twist or the time: no predicted twist, no M^-1
+    for name in ("two_over_h", "chi0", "i0", "time", "_calls"):
+        assert not re.search(rf"\b{name}\b", source)
+    # damping reads the twist, so its loop predicts it
+    damped = K.loop(order, wrench_sum_kernel([damping_model(0.2, 0.5)]).source).source
+    assert re.search(r"\bi0, i1, i2, i3, i4, i5 = \(", damped) and "two_over_h * i5" in damped
+
+
+def test_wrench_sum_compiles_once_per_model_list():
+    compiled, generated = dynamics._compiled_sum, dynamics._sum_kernel
+    compiled.cache_clear()
+    generated.cache_clear()
+    inputs = _scenario_inputs("generic_forced")
+    total = wrench_sum_kernel(inputs.forces)
+    assert wrench_sum_kernel(list(inputs.forces)) is total  # generated once per tuple of models
+    for _ in range(3):
+        simulate(inputs.pose, inputs.twist, inputs.inertia, inputs.forces, inputs.settings, 3)
+        rk4_simulate(inputs.pose, inputs.twist, inputs.inertia, inputs.forces, inputs.settings, 3)
+        total_wrench(inputs.forces, inputs.pose, inputs.twist, 0.0)
+    assert generated.cache_info().misses == 1
+    assert compiled.cache_info().misses == 1
+    # the same scenario built again has new models with the same source
+    wrench_sum_kernel(_scenario_inputs("generic_forced").forces)
+    assert (generated.cache_info().misses, compiled.cache_info().misses) == (2, 1)
+    wrench_sum_kernel(inputs.forces[::-1])
+    assert compiled.cache_info().misses == 2
+
+
+@pytest.mark.parametrize("run", [simulate, rk4_simulate], ids=["dqvi", "rk4"])
+def test_model_going_non_finite_in_the_loop_names_the_model(run):
+    # two opposite world torques cancel; rotated into body axes past about
+    # 26 degrees about z, each overflows, model 0 first
+    big = 1.5e308
+    models = [
+        constant_wrench_model(world_wrench([big, big, 0.0], np.zeros(3))),
+        constant_wrench_model(world_wrench([-big, -big, 0.0], np.zeros(3))),
+    ]
+    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(ValidationError, match=r"force model 0 returned a non-finite wrench \[inf") as excinfo:
+        run(pose_identity(), [0.0, 0.0, 1.0, 0.0, 0.0, 0.0], M, models, SolverSettings(h=1e-2), 100)
+    if run is simulate:
+        assert any(entry.frame.code.name == "loop" for entry in excinfo.traceback)
+    # a model without source, called from the loop
+    late = ForceModel(evaluate=lambda pose, chi, t: body_wrench([0.0, np.nan if t > 0.025 else 0.0, 0.0], np.zeros(3)))
+    with pytest.raises(ValidationError, match="force model 1 returned a non-finite wrench"):
+        run(pose_identity(), [0.0, 0.0, 1.0, 0.0, 0.0, 0.0], M, [damping_model(0.1, 0.1), late], SolverSettings(h=1e-2), 10)
+
+
+@pytest.mark.parametrize("run", [simulate, rk4_simulate], ids=["dqvi", "rk4"])
+def test_overflowing_gravity_weight_names_the_model(run):
+    # a weight of -inf is written as a literal the compiled sum can read
+    models = [force_model_from_potential(gravity_potential(1e308, [0.0, 0.0, -10.0]))]
+    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(ValidationError, match="force model 0 returned a non-finite wrench"):
         run(pose_identity(), np.zeros(6), M, models, SolverSettings(h=1e-3), 5)
 
 

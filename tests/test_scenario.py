@@ -401,6 +401,40 @@ def test_list_entries_follow_the_number_rule(tmp_path, text, key):
         load_config(path)
 
 
+# YAML 1.2 numbers that PyYAML's YAML 1.1 resolver leaves as strings: no
+# dot, or an exponent without a sign
+EXPONENT_FORMS = """
+body: {mass: 2e0, inertia: [1e0, 2E0, .3e1]}
+initial: {body_twist: [1e-1, 0, 0, 0, 0, 0]}
+forces:
+  - {type: gravity, acceleration: [0, 0, -9.81e0]}
+  - {type: spring, stiffness: 1e3, anchor_world: [0, 0, 1], attachment_body: [3e-1, 0, 0]}
+run: {h: 1e-3, tolerance: 1e-12}
+"""
+
+
+def test_numbers_without_a_dot_or_a_signed_exponent_parse():
+    config = parse_config(EXPONENT_FORMS)
+    assert config.mass == 2.0 and config.inertia == ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))
+    assert config.body_twist == (0.1, 0.0, 0.0, 0.0, 0.0, 0.0)
+    assert config.forces[0].get("acceleration") == (0.0, 0.0, -9.81)
+    assert config.forces[1].get("stiffness") == 1000.0
+    assert config.forces[1].get("attachment_body") == (0.3, 0.0, 0.0)
+    assert (config.h, config.tolerance) == (1e-3, 1e-12)
+    assert parse_config(serialize_config(config)) == config
+    # quoted, it is a string, and a string is no number
+    with pytest.raises(ConfigError, match=r"forces\[1\]\.stiffness: expected a number, got '1e3'"):
+        parse_config(EXPONENT_FORMS.replace("stiffness: 1e3", 'stiffness: "1e3"'))
+
+
+def test_run_accepts_an_exponent_without_a_dot(tmp_path):
+    path = tmp_path / "c.yaml"
+    path.write_text(MINIMAL + "run: {h: 1e-3, steps: 5}\n")
+    out = tmp_path / "out.tsv"
+    assert main(["run", "--config", str(path), "--output", str(out)]) == 0
+    assert out.exists()
+
+
 def test_first_step_half_turn_bound_names_the_constraint():
     text = """
 body: {mass: 1.0, inertia: [1, 2, 3]}

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dqdyn import trajectory
 from dqdyn.dynamics import build_inertia, kinetic_energy, world_momentum
 from dqdyn.errors import ValidationError
 from dqdyn.integrator import SolverSettings, simulate
@@ -197,6 +198,22 @@ def test_write_golden_bytes_all_fields_stride_3(edge_values, tmp_path):
         "  0.30000000000000004 0.10000000000000001 0.20000000000000001  0 -0 1  12 nan"
         "  2.2204460492503131e-16 0",
     )
+
+
+def test_write_blocks_join_like_rows(tmp_path):
+    # more rows than two write blocks, with a partial last block: the file
+    # is the row-by-row format of every state, %d for the iteration count
+    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+    n = 2 * trajectory._WRITE_BLOCK + 7
+    traj = simulate(pose_identity(), [0.9, -0.3, 0.4, 0.2, 0.0, -0.1], M, (), SolverSettings(h=1e-3), n - 1)
+    path = tmp_path / "blocks.tsv"
+    write_trajectory(traj, path, fields=("pose", "solver"))
+    lines = path.read_text().splitlines()
+    assert len(lines) == n + 1
+    for k in (0, trajectory._WRITE_BLOCK - 1, trajectory._WRITE_BLOCK, n - 1):
+        cells = [f"{x:.17g}" for x in (traj.times[k], *traj.poses[k].tolist())]
+        cells += [str(int(traj.iterations[k])), f"{traj.residual_norms[k]:.17g}"]
+        assert lines[k + 1] == "\t".join(cells)
 
 
 def test_write_golden_bytes_twist_and_pose(edge_values, tmp_path):
