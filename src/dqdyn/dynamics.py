@@ -149,32 +149,42 @@ class FloatKernel:
     """A built-in model function carrying its float kernel.
 
     ``floats`` is the kernel: it reads the pose (and twist) as sequences of
-    Python floats and returns Python floats; a wrench comes back as six
-    body-frame floats [torque; force]. A potential's kernel also reads the
-    pose as eight equal-shape arrays, the pose columns of a stack, and
-    returns the energy of each pose. It uses only + - * / and ``np.sqrt``,
-    which round correctly, so every element has the bits of the float call.
-    ``potential_energy`` calls the kernel directly. Calling the object is
-    the ndarray edge that the public ``ForceModel`` and ``PotentialField``
+    Python floats and returns Python floats. Calling the object is the
+    ndarray edge that the public ``ForceModel`` and ``PotentialField``
     fields promise: every argument goes through ``as_floats`` and the
     kernel's result through ``edge``.
 
-    ``source`` is a library wrench kernel's own source, for the generated
-    wrench sum: (lines, wrench), the statements it needs and its six
-    entries, each the source of an expression or a float (a folded zero is
-    0.0), in the pose r0..r7, the twist chi0..chi5 and ``time``. The
-    library builds it once per model by calling the kernel, or the helpers
-    it is made of, on ``quat.Traced`` symbols, so the formulas keep one
-    definition. A kernel without source (None, as for a hand-built
-    ``FloatKernel``) is called from the sum.
+    A potential's energy kernel is given as a function. It also reads the
+    pose as eight equal-shape arrays, the pose columns of a stack, and
+    returns the energy of each pose. It uses only + - * / and ``np.sqrt``,
+    which round correctly, so every element has the bits of the float call;
+    ``potential_energy`` calls it directly.
+
+    A library wrench is given as its ``source``: (lines, wrench), the
+    statements it needs and its six body-frame entries [torque; force],
+    each the source of an expression or a float (a folded zero is 0.0), in
+    the pose r0..r7, the twist chi0..chi5 and ``time``. The library builds
+    it once per model by calling the formula's helpers on ``quat.Traced``
+    symbols. The generated wrench sum writes it out, and ``floats`` is the
+    same lines compiled on first use as ``kernel(pose, chi=None, time=None)``,
+    which returns the six floats as a list and checks nothing, so every
+    route runs one definition.
     """
 
-    __slots__ = ("floats", "edge", "source")
+    __slots__ = ("_floats", "edge", "source")
 
     def __init__(self, floats, edge, source=None):
-        self.floats = floats
+        self._floats = floats
         self.edge = edge
         self.source = source
+
+    @property
+    def floats(self) -> Callable:
+        if self._floats is None:
+            lines, entries = self.source
+            taus = [f"tau{i} = {x if isinstance(x, str) else Traced.of(x).text}" for i, x in enumerate(entries)]
+            self._floats = _compiled_sum("\n".join([*lines, *taus]) + "\n")(())
+        return self._floats
 
     def __call__(self, *args):
         return self.edge(self.floats(*map(as_floats, args)))
@@ -186,16 +196,16 @@ _CHI = tuple(Traced(f"chi{i}") for i in range(6))
 _TIME = Traced("time")
 
 
-def _traced(kernel) -> tuple:
-    """The ``FloatKernel.source`` of a wrench kernel that applies only
-    + - * and unary minus to its inputs: the kernel called on the sum's
-    traced inputs, each shared operation bound once to a ``_c`` local."""
-    lines, wrench = traced_lines(kernel(_POSE, _CHI, _TIME), "_c")
-    return tuple(lines), tuple(wrench)
-
-
 def _body_wrench6(w) -> Wrench:
     return body_wrench(w[:3], w[3:])
+
+
+def _traced(formula, edge=_body_wrench6) -> FloatKernel:
+    """The wrench kernel of a formula that applies only + - * and unary
+    minus to its inputs: ``formula`` called on the sum's traced inputs,
+    each shared operation bound once to a ``_c`` local."""
+    lines, wrench = traced_lines(formula(_POSE, _CHI, _TIME), "_c")
+    return FloatKernel(None, edge, (tuple(lines), tuple(wrench)))
 
 
 def _finite(value, what: str):
@@ -246,9 +256,7 @@ def gravity_potential(mass: float, g_world, com_offset=(0.0, 0.0, 0.0)) -> Poten
         f_body = vector_sandwich(rotation_conjugate(pose), weight)
         return (*_cross(r, f_body), *f_body)
 
-    return PotentialField(
-        evaluate=FloatKernel(energy, float), body_wrench=FloatKernel(wrench, _body_wrench6, _traced(wrench))
-    )
+    return PotentialField(evaluate=FloatKernel(energy, float), body_wrench=_traced(wrench))
 
 
 def spring_potential(
@@ -271,24 +279,13 @@ def spring_potential(
         e = np.sqrt(d0 * d0 + d1 * d1 + d2 * d2) - rest
         return 0.5 * k * (e * e)
 
-    def wrench(pose, chi=None, t=None) -> tuple:
-        d0, d1, d2 = offset(pose)
-        dist = math.sqrt(d0 * d0 + d1 * d1 + d2 * d2)
-        if dist < 1e-12:
-            # force magnitude k*rest with undefined direction; zero is the
-            # symmetric choice (matches the subgradient of the potential)
-            f_world = (0.0, 0.0, 0.0)
-        else:
-            s = -k * (dist - rest)
-            f_world = (s * (d0 / dist), s * (d1 / dist), s * (d2 / dist))
-        return torque_force(pose, f_world)
-
     def torque_force(pose, f_world) -> tuple:
         f_body = vector_sandwich(rotation_conjugate(pose), f_world)
         return (*_cross(attach, f_body), *f_body)
 
-    # the source of wrench: offset and torque_force traced, the guarded
-    # scale between them written out
+    # the wrench: offset and torque_force traced, the guarded scale between
+    # them written out. At the anchor the force has magnitude k*rest and no
+    # direction; zero is the symmetric choice (the potential's subgradient).
     lines, d = traced_lines(offset(_POSE), "_o")
     lines += [
         *(f"_d{i} = {x}" for i, x in enumerate(d)),
@@ -300,8 +297,8 @@ def spring_potential(
         "    _f0, _f1, _f2 = _s * (_d0 / _dist), _s * (_d1 / _dist), _s * (_d2 / _dist)",
     ]
     tail, entries = traced_lines(torque_force(_POSE, [Traced(f"_f{i}") for i in range(3)]), "_c")
-    source = (*lines, *tail), tuple(entries)
-    return PotentialField(evaluate=FloatKernel(energy, float), body_wrench=FloatKernel(wrench, _body_wrench6, source))
+    wrench = FloatKernel(None, _body_wrench6, ((*lines, *tail), tuple(entries)))
+    return PotentialField(evaluate=FloatKernel(energy, float), body_wrench=wrench)
 
 
 def numeric_conservative_wrench(field, pose) -> Wrench:
@@ -392,7 +389,7 @@ def constant_wrench_model(wrench: Wrench) -> ForceModel:
 
         def kernel(pose, chi, t):
             return body
-    return ForceModel(evaluate=FloatKernel(kernel, lambda _: wrench, _traced(kernel)))
+    return ForceModel(evaluate=_traced(kernel, lambda _: wrench))
 
 
 def _damping_coefficients(value, what: str) -> Array:
@@ -420,30 +417,23 @@ def damping_model(angular, linear) -> ForceModel:
         w0, w1, w2, v0, v1, v2 = chi
         return a0 * w0, a1 * w1, a2 * w2, l0 * v0, l1 * v1, l2 * v2
 
-    return ForceModel(evaluate=FloatKernel(kernel, _body_wrench6, _traced(kernel)))
+    return ForceModel(evaluate=_traced(kernel))
 
 
-def _adapted_wrench(index: int, w, pose) -> tuple:
-    """Body-frame six floats of the Wrench a model's ndarray edge returned."""
-    if not isinstance(w, Wrench):
-        raise ValidationError(f"force model {index} returned {type(w).__name__}, expected Wrench")
-    torque, force = w.torque.tolist(), w.force.tolist()
-    if w.frame == FRAME_WORLD:
-        return world_wrench_in_body(pose, torque, force)
-    if w.frame != FRAME_BODY:
-        raise ValidationError(f"unknown wrench frame {w.frame!r}")
-    return (*torque, *force)
-
-
-def _float_wrench(index: int, evaluate) -> Callable:
+def _adapter(index: int, evaluate) -> Callable:
     """Model ``index``'s wrench on Python floats, (pose, chi, t) -> six
-    body-frame floats: a ``FloatKernel``'s kernel, or the ndarray edge
-    through the adapter."""
-    if isinstance(evaluate, FloatKernel):
-        return evaluate.floats
+    body-frame floats, through its ndarray edge ``evaluate``."""
 
     def adapted(pose, chi, t):
-        return _adapted_wrench(index, evaluate(np.array(pose), np.array(chi), t), pose)
+        w = evaluate(np.array(pose), np.array(chi), t)
+        if not isinstance(w, Wrench):
+            raise ValidationError(f"force model {index} returned {type(w).__name__}, expected Wrench")
+        torque, force = w.torque.tolist(), w.force.tolist()
+        if w.frame == FRAME_WORLD:
+            return world_wrench_in_body(pose, torque, force)
+        if w.frame != FRAME_BODY:
+            raise ValidationError(f"unknown wrench frame {w.frame!r}")
+        return (*torque, *force)
 
     return adapted
 
@@ -475,10 +465,10 @@ def _sum_parts(models: Sequence[ForceModel]) -> tuple:
     ``time``, and the kernels they call as ``_calls[i]``.
 
     Model j's wrench is bound to _wj_0.. _wj_5: from its
-    ``FloatKernel.source``, or from a call of its resolved kernel (its
-    ``floats``, or the adapter of its ndarray edge). Entries that are not
-    finite literals are checked, so a non-finite wrench raises naming j.
-    Each component is summed in model order, with the zero terms folded.
+    ``FloatKernel.source``, or from a call of the adapter of its ndarray
+    edge. Entries that are not finite literals are checked, so a
+    non-finite wrench raises naming j. Each component is summed in model
+    order, with the zero terms folded.
     """
     lines, calls, total = [], [], [0.0] * 6
     for j, model in enumerate(models):
@@ -487,7 +477,7 @@ def _sum_parts(models: Sequence[ForceModel]) -> tuple:
         names = [f"_w{j}_{i}" for i in range(6)]
         if source is None:
             lines.append(f"{', '.join(names)} = _calls[{len(calls)}](({_names(_POSE)}), [{_names(_CHI)}], time)")
-            calls.append(_float_wrench(j, evaluate))
+            calls.append(_adapter(j, evaluate))
             wrench = names
         else:
             body, entries = source
@@ -509,7 +499,8 @@ def _sum_parts(models: Sequence[ForceModel]) -> tuple:
 @functools.lru_cache(maxsize=_SUM_CACHE_SIZE)
 def _compiled_sum(source: str) -> Callable:
     """``make(calls)``, which returns the sum of ``source`` as
-    ``total(pose, chi, time)`` calling ``calls``."""
+    ``total(pose, chi=None, time=None)`` calling ``calls``; a library
+    wrench's own kernel is compiled here too."""
     lines = source.splitlines()
     if reads(source, "chi"):
         lines.insert(0, f"{_names(_CHI)} = chi")
@@ -517,7 +508,7 @@ def _compiled_sum(source: str) -> Callable:
         lines.insert(0, f"{_names(_POSE)} = pose")
     text = "\n".join([
         "def make(_calls):",
-        "    def total(pose, chi, time):",
+        "    def total(pose, chi=None, time=None):",
         *(f"        {line}" for line in lines),
         f"        return [{', '.join(f'tau{i}' for i in range(6))}]",
         "    return total",
@@ -533,13 +524,11 @@ def wrench_sum_kernel(models: Sequence[ForceModel]) -> Callable:
     take it once per run, and ``total_wrench`` once per call.
 
     It is generated: each library model's ``FloatKernel.source`` written
-    out in model order, with its zero terms folded, and any other model a
-    call of its resolved kernel. A hand-built ``FloatKernel``'s kernel is
-    called on the floats; any other model goes through its ndarray edge
-    and the adapter, which rejects a result that is not a Wrench or has an
-    unknown frame tag and rotates a world wrench through the pose. Each
-    component is summed in model order, and a non-finite wrench from any
-    model raises, naming the model's index. The sum is generated once per
+    out in model order, with its zero terms folded. Any other model is a
+    call of its ndarray edge through the adapter, which rejects a result
+    that is not a Wrench or has an unknown frame tag and rotates a world
+    wrench through the pose. Each component is summed in model order, and
+    a non-finite wrench from any model raises, naming the model's index. The sum is generated once per
     distinct tuple of models and compiled once per distinct source (two
     small LRU caches), so a repeated call returns the same function;
     ``total.source`` is its source, which ``simulate``'s generated loop

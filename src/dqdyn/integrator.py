@@ -441,9 +441,6 @@ def _loop_source(M, M_inv, order, sum_source: Optional[str]) -> str:
     tau = _names("tau", 6) if forced else None
     taus = f"[{tau}]" if forced else "tau"
 
-    def leave(solved: str) -> str:
-        return f"return k, ({r}), [{o}], None, {taus}, ([{d}] if predicted else None, [{t}], {solved})"
-
     step_dq = ("g", "p0", "p1", "p2", "dw", "s0", "s1", "s2")
     pose = dq_product([Traced(f"r{i}") for i in range(8)], [Traced(x) for x in step_dq])
     lines = [
@@ -495,15 +492,18 @@ def _loop_source(M, M_inv, order, sum_source: Optional[str]) -> str:
         "        predicted = k > 1 and d0 * d0 + d1 * d1 + d2 * d2 < 1.0",
         "        if predicted:",
         f"            {p} = {d}",
-        *["    " + line for line in _update_body(M, order, leave)],
+        *["    " + line for line in _update_body(M, order, lambda solved: f"solved = {solved}; break")],
         "        if not rn <= tol:",
-        f"            {leave(_SOLVED)}",
+        f"            solved = {_SOLVED}; break",
     ]
     momenta = [f"m{i} + unkick * tau{i}" if forced else f"m{i}" for i in range(6)]
     lines += [
         f"        out += ({r}, {p}, {', '.join(momenta)}, rn)",
         "        k += 1",
-        f"    return k, ({r}), [{p}], [{o}], {taus}, None",
+        "    else:",
+        f"        return k, ({r}), [{p}], [{o}], {taus}, None",
+        "    # the step whose update refused, must be halved or missed tol",
+        f"    return k, ({r}), [{o}], None, {taus}, ([{d}] if predicted else None, [{t}], solved)",
     ]
     return "\n".join(lines) + "\n"
 

@@ -378,17 +378,21 @@ def config_inertia(config: ScenarioConfig) -> InertiaMatrix6:
         raise ConfigError(f"body: {exc}") from exc
 
 
-class _Loader(yaml.SafeLoader):
-    """PyYAML's safe loader, which follows YAML 1.1, plus the YAML 1.2 core
-    schema's floats with an exponent: ``1e-3``, ``1e3`` and ``-9.81e0``
-    are numbers, not strings. A quoted value stays a string."""
+def _yaml12_loader(base) -> type:
+    """PyYAML's safe loader ``base``, which follows YAML 1.1, plus the YAML
+    1.2 core schema's floats with an exponent: ``1e-3``, ``1e3`` and
+    ``-9.81e0`` are numbers, not strings. A quoted value stays a string."""
+    loader = type("_Loader", (base,), {})
+    loader.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"),
+    )
+    return loader
 
 
-_Loader.add_implicit_resolver(
-    "tag:yaml.org,2002:float",
-    re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$"),
-    list("-+.0123456789"),
-)
+# libyaml's parser where PyYAML was built with it; the resolver is the same
+_Loader = _yaml12_loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader))
 
 
 def _parse(text: str, overrides: Optional[dict]) -> tuple[ScenarioConfig, RunInputs]:

@@ -12,7 +12,6 @@ from dqdyn import dq_exp, dq_mul, pure_dual_quaternion
 from dqdyn.dynamics import (
     ForceModel,
     PotentialField,
-    _float_wrench,
     build_inertia,
     build_inertia_raw,
     constant_wrench_model,
@@ -296,21 +295,22 @@ def test_force_model_from_potential(rng):
 
 
 def test_potential_model_sums_the_potentials_own_kernel(rng):
-    # the wrench sum resolves a potential's model to the potential's own
-    # float kernel, with no wrapper in between, and both public edges,
-    # body_wrench(pose) and evaluate(pose, chi, t), keep their bits
+    # a potential's model is the potential's own wrench kernel, whose
+    # source the sum writes out with no call, and both public edges,
+    # body_wrench(pose) and evaluate(pose, chi, t), keep its bits
     for field in (
         gravity_potential(1.0, [0, 0, -9.81], com_offset=[0.1, 0.0, 0.0]),
         spring_potential([0.2, -0.3, 1.0], [0.3, -0.1, 0.2], stiffness=25.0, rest_length=0.4),
     ):
         model = force_model_from_potential(field)
-        assert _float_wrench(0, model.evaluate) is field.body_wrench.floats
+        assert model.evaluate is field.body_wrench
+        assert "_calls" not in wrench_sum_kernel([model]).source
         for _ in range(20):
             p, chi, t = random_pose(rng), random_twist(rng), float(rng.uniform(0.0, 10.0))
             kernel = field.body_wrench.floats(p.tolist())
             np.testing.assert_array_equal(field.body_wrench(p).vector6, kernel)
             np.testing.assert_array_equal(model.evaluate(p, chi, t).vector6, kernel)
-            assert wrench_sum_kernel([model])(p.tolist(), chi.tolist(), t) == list(kernel)
+            assert wrench_sum_kernel([model])(p.tolist(), chi.tolist(), t) == kernel
 
 
 def test_user_potential_with_a_gradient_runs_like_the_builtin():
@@ -472,15 +472,17 @@ def test_wrench_sum_adds_in_model_order(rng):
 
 @pytest.mark.parametrize("name", list(_library_models()))
 def test_float_kernel_is_bitwise_the_wrench_edge(rng, name):
-    # the float kernel the loops call, total_wrench, and the model's
-    # ndarray/Wrench edge behind a plain callable (the adapter route) agree
-    # bit for bit; so do the potentials
+    # the kernel compiled from the model's source, the sum that writes the
+    # source out (total_wrench), and the model's ndarray/Wrench edge behind
+    # a plain callable (the adapter route) agree bit for bit; so do the
+    # potentials
     model = _library_models()[name]
     edge = replace(
         model,
         evaluate=lambda p, c, t, e=model.evaluate: e(p, c, t),
         energy=None if model.energy is None else (lambda p, e=model.energy: e(p)),
     )
+    assert model.evaluate.floats is model.evaluate.floats  # compiled once, on first use
     for _ in range(50):
         pose, chi, t = random_pose(rng), random_twist(rng), float(rng.uniform(0.0, 10.0))
         if name == "spring_at_anchor":
@@ -489,7 +491,7 @@ def test_float_kernel_is_bitwise_the_wrench_edge(rng, name):
             pose = pose_from_rotation_translation(q, SPRING_ANCHOR - R @ SPRING_ATTACHMENT)
         kernel = model.evaluate.floats(pose.tolist(), chi.tolist(), t)
         if name == "spring_at_anchor":
-            assert kernel == (0.0,) * 6  # the dist < 1e-12 branch
+            assert kernel == [0.0] * 6  # the dist < 1e-12 branch
         np.testing.assert_array_equal(wrench_sum_kernel([model])(pose.tolist(), chi.tolist(), t), kernel)
         np.testing.assert_array_equal(total_wrench([model], pose, chi, t), kernel)
         np.testing.assert_array_equal(total_wrench([edge], pose, chi, t), kernel)

@@ -14,7 +14,6 @@ from conftest import random_pose
 from dqdyn import dynamics, integrator
 from dqdyn.cli import main
 from dqdyn.dynamics import (
-    FloatKernel,
     ForceModel,
     build_inertia,
     build_inertia_raw,
@@ -207,6 +206,19 @@ def test_jacobian_matches_closed_form(rng):
             expected = step_jacobian_oracle(f, M.matrix)
             J = jacobian(f, M)
             assert np.max(np.abs(J - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_translation_folds_the_step_map_where_m_psi_squared_reaches_j():
+    # at Phi = 0 the Jacobian's rotational block is J - m Psi Psi^T for a
+    # body referenced at its centre of mass, so det J changes sign where
+    # m |Psi|^2 crosses the principal moment along Psi (damped_drop's body)
+    M = _scenario_inputs("damped_drop").inertia
+    m = M.matrix[3, 3]
+    for axis in (2, 0):  # J_zz = 1.6, J_xx = 0.8
+        for ratio, sign in ((0.99, 1.0), (1.01, -1.0)):
+            f = np.zeros(6)
+            f[3 + axis] = np.sqrt(ratio * M.matrix[axis, axis] / m)
+            assert sign * np.linalg.det(jacobian(f, M)) > 0.0
 
 
 def test_step_kernel_terms_equal_matvec(rng):
@@ -1003,11 +1015,11 @@ def test_replaced_evaluate_is_called_once_per_state():
     [
         (lambda pose, chi, t: np.zeros(6), "force model 1 returned ndarray, expected Wrench"),
         (lambda pose, chi, t: body_wrench([0.0, np.nan, 0.0], np.zeros(3)), "force model 1 returned a non-finite wrench"),
-        # float kernels skip the adapter, and the sum still checks each one
-        (FloatKernel(lambda pose, chi, t: (0.0, 0.0, 0.0, 0.0, np.nan, 0.0), None), "force model 1 returned a non-finite wrench"),
-        (FloatKernel(lambda pose, chi, t: (0.0, 0.0, -np.inf, 0.0, 0.0, 0.0), None), "force model 1 returned a non-finite wrench"),
+        # a world wrench is rotated through the pose before the sum checks it
+        (lambda pose, chi, t: world_wrench(np.zeros(3), [0.0, np.nan, 0.0]), "force model 1 returned a non-finite wrench"),
+        (lambda pose, chi, t: body_wrench([0.0, 0.0, -np.inf], np.zeros(3)), "force model 1 returned a non-finite wrench"),
     ],
-    ids=["ndarray", "nan_torque", "kernel_nan", "kernel_inf"],
+    ids=["ndarray", "nan_torque", "nan_world_force", "inf_torque"],
 )
 def test_user_model_errors_name_the_model(run, bad, message):
     models = [constant_wrench_model(body_wrench(np.zeros(3), [0.0, 0.0, -1.0])), ForceModel(evaluate=bad)]
@@ -1024,11 +1036,11 @@ def _run_bytes(traj) -> bytes:
 
 
 def _mixed_models():
-    """Library models with source, a hand-built FloatKernel and an adapter model."""
+    """Library models with source and models behind the adapter."""
     gravity = force_model_from_potential(gravity_potential(1.3, [0.1, -0.2, -9.81], [0.2, -0.1, 0.3]))
     return [
         gravity,
-        ForceModel(evaluate=FloatKernel(lambda pose, chi, t: (0.1 * t, 0.0, -0.2 * chi[2], 0.3, 0.0, pose[0]), None)),
+        ForceModel(evaluate=lambda pose, chi, t: body_wrench([0.1 * t, 0.0, -0.2 * chi[2]], [0.3, 0.0, pose[0]])),
         damping_model([0.2, 0.0, 0.4], 0.5),
         replace(gravity, evaluate=lambda pose, chi, t, e=gravity.evaluate: e(pose, chi, t)),
         force_model_from_potential(spring_potential([0.2, -0.3, 1.0], [0.3, 0.0, 0.2], 25.0, 0.4)),
@@ -1039,15 +1051,22 @@ def _mixed_models():
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 0.05])
 @pytest.mark.parametrize("name", [*FORCED_SCENARIOS, "mixed"])
 def test_inlined_wrench_sum_runs_like_the_compiled_sum(name, h):
-    # the loop inlines the sum's lines; behind a FloatKernel without source
-    # the loop calls the compiled sum instead, and every bit must agree
+    # the loop inlines the sum's lines; behind a plain callable the loop
+    # calls the compiled sum through the adapter instead, and every bit
+    # must agree
     if name == "mixed":
         inputs = _scenario_inputs("generic_forced")
         models = _mixed_models()
     else:
         inputs = _scenario_inputs(name)
         models = list(inputs.forces)
-    through = [ForceModel(evaluate=FloatKernel(wrench_sum_kernel(models), None))]
+    total = wrench_sum_kernel(models)
+
+    def summed(pose, chi, t):
+        w = total(pose.tolist(), chi.tolist(), t)
+        return body_wrench(w[:3], w[3:])
+
+    through = [ForceModel(evaluate=summed)]
     assert "_calls" not in wrench_sum_kernel(inputs.forces).source  # the library's models are all inlined
     settings = replace(inputs.settings, h=h)
     inlined = simulate(inputs.pose, inputs.twist, inputs.inertia, models, settings, 300)
@@ -1069,6 +1088,22 @@ def test_gravity_and_spring_loop_has_no_twist_product_and_no_zero_product():
     # damping reads the twist, so its loop predicts it
     damped = K.loop(order, wrench_sum_kernel([damping_model(0.2, 0.5)]).source).source
     assert re.search(r"\bi0, i1, i2, i3, i4, i5 = \(", damped) and "two_over_h * i5" in damped
+
+
+def test_each_loop_hands_a_step_back_from_one_place():
+    # every refusal, halving and miss of the inlined update breaks out of
+    # the loop; the normal end is the while's else
+    inputs = _scenario_inputs("generic_forced")
+    K = integrator.step_kernels(inputs.inertia)
+    order = _searched_order(K, [0.01, 0.02, -0.01, 0.1, 0.0, 0.2])
+    for models in ((), inputs.forces, [damping_model(0.2, 0.5)]):
+        source = K.loop(order, wrench_sum_kernel(models).source if models else None).source
+        returns = re.findall(r"^( *)return .*?(\S+)$", source, re.M)
+        assert returns == [("        ", "None"), ("    ", "solved)")]
+        assert "\n    else:\n        return " in source
+        # the update's refusals, its halving and its end; the loop's
+        # refusals, its halving and its miss
+        assert source.count("; break\n") == K.update(order).source.count("return ")
 
 
 def test_wrench_sum_compiles_once_per_model_list():

@@ -6,7 +6,9 @@ import re
 
 import numpy as np
 import pytest
+import yaml
 
+from dqdyn import scenario
 from dqdyn.cli import main
 from dqdyn.dynamics import gravity_potential, total_wrench
 from dqdyn.errors import ConfigError
@@ -393,8 +395,23 @@ NOT_NUMBERS = {
 }
 
 
+@pytest.fixture(
+    params=[
+        yaml.SafeLoader,
+        pytest.param(
+            getattr(yaml, "CSafeLoader", None),
+            marks=pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml"),
+        ),
+    ],
+    ids=["python", "libyaml"],
+)
+def yaml_base(request, monkeypatch):
+    """Parse configs with the YAML 1.2 loader built on each PyYAML safe loader."""
+    monkeypatch.setattr(scenario, "_Loader", scenario._yaml12_loader(request.param))
+
+
 @pytest.mark.parametrize("text, key", NOT_NUMBERS.values(), ids=NOT_NUMBERS.keys())
-def test_list_entries_follow_the_number_rule(tmp_path, text, key):
+def test_list_entries_follow_the_number_rule(tmp_path, yaml_base, text, key):
     path = tmp_path / "c.yaml"
     path.write_text(text + "\n")
     with pytest.raises(ConfigError, match=re.escape(key) + ": expected"):
@@ -413,7 +430,7 @@ run: {h: 1e-3, tolerance: 1e-12}
 """
 
 
-def test_numbers_without_a_dot_or_a_signed_exponent_parse():
+def test_numbers_without_a_dot_or_a_signed_exponent_parse(yaml_base):
     config = parse_config(EXPONENT_FORMS)
     assert config.mass == 2.0 and config.inertia == ((1.0, 0.0, 0.0), (0.0, 2.0, 0.0), (0.0, 0.0, 3.0))
     assert config.body_twist == (0.1, 0.0, 0.0, 0.0, 0.0, 0.0)
