@@ -35,7 +35,7 @@ from .kinematics import (
     vector_sandwich,
     world_wrench_in_body,
 )
-from .linsolve import COND_LIMIT, matvec
+from .linsolve import COND_LIMIT, matvec_stack
 from .quat import Array, Traced, as_floats, as_vector3, traced_lines
 
 
@@ -115,10 +115,9 @@ def kinetic_energy(M: InertiaMatrix6, chi):
 
 def momentum(M: InertiaMatrix6, chi) -> Array:
     """Body-frame generalized momentum [angular; linear] = M chi, of one twist
-    or of each twist of a stack (leading axes). ``matvec`` sums each row left
-    to right over the twist's columns, so a stack's rows get the bits of single calls."""
-    columns = np.moveaxis(np.asarray(chi, dtype=np.float64), -1, 0)
-    return np.stack(matvec(M.matrix.tolist(), columns), axis=-1)
+    or of each twist of a stack (leading axes). ``matvec_stack`` sums each
+    entry left to right, so a stack's twists get the bits of single calls."""
+    return np.moveaxis(matvec_stack(M.matrix, chi), 0, -1)
 
 
 def world_momentum(p, M: InertiaMatrix6, chi) -> tuple[Array, Array]:
@@ -128,16 +127,18 @@ def world_momentum(p, M: InertiaMatrix6, chi) -> tuple[Array, Array]:
     reference point sits. ``p`` and ``chi`` are one pose and twist, or stacks
     of them (leading axes); a single pose must lie on the unit group, a
     stack is taken as it is, so a trajectory's drifted rows still report.
-    Stacks run column-wise on the float kernels the potentials use.
+    Stacks run column-wise on the float kernels the potentials use; one
+    ``vector_sandwich`` call rotates both momentum parts, the pair of each
+    entry broadcast against the pose's rotation columns.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.ndim == 1:
         check_pose(p)
     pose = np.moveaxis(p, -1, 0)
-    pi = np.moveaxis(momentum(M, chi), -1, 0)
-    q = pose[:4]
-    P = vector_sandwich(q, pi[3:])
-    L = [a + b for a, b in zip(vector_sandwich(q, pi[:3]), _cross(translation(pose), P))]
+    pi = matvec_stack(M.matrix, chi)
+    world = vector_sandwich(pose[:4], pi.reshape(2, 3, *pi.shape[1:]).swapaxes(0, 1))  # entry j: (angular, linear)
+    P = [x[1] for x in world]
+    L = [x[0] + b for x, b in zip(world, _cross(translation(pose), P))]
     return np.stack(L, axis=-1), np.stack(P, axis=-1)
 
 
@@ -200,12 +201,12 @@ def _body_wrench6(w) -> Wrench:
     return body_wrench(w[:3], w[3:])
 
 
-def _traced(formula, edge=_body_wrench6) -> FloatKernel:
+def _traced(formula) -> FloatKernel:
     """The wrench kernel of a formula that applies only + - * and unary
     minus to its inputs: ``formula`` called on the sum's traced inputs,
     each shared operation bound once to a ``_c`` local."""
     lines, wrench = traced_lines(formula(_POSE, _CHI, _TIME), "_c")
-    return FloatKernel(None, edge, (tuple(lines), tuple(wrench)))
+    return FloatKernel(None, _body_wrench6, (tuple(lines), tuple(wrench)))
 
 
 def _finite(value, what: str):
@@ -374,6 +375,16 @@ def force_model_from_potential(field: PotentialField) -> ForceModel:
     return ForceModel(evaluate=evaluate, energy=field.evaluate)
 
 
+class _ConstantKernel(FloatKernel):
+    """A constant wrench's kernel: its ndarray edge returns its ``edge``,
+    the model's ``Wrench``, without running or compiling the kernel."""
+
+    __slots__ = ()
+
+    def __call__(self, *args):
+        return self.edge
+
+
 def constant_wrench_model(wrench: Wrench) -> ForceModel:
     """Constant torque and force in the tagged frame; NaN and inf entries are
     rejected. Called with arrays, the model returns ``wrench`` itself."""
@@ -389,7 +400,7 @@ def constant_wrench_model(wrench: Wrench) -> ForceModel:
 
         def kernel(pose, chi, t):
             return body
-    return ForceModel(evaluate=_traced(kernel, lambda _: wrench))
+    return ForceModel(evaluate=_ConstantKernel(None, wrench, _traced(kernel).source))
 
 
 def _damping_coefficients(value, what: str) -> Array:

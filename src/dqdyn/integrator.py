@@ -40,20 +40,23 @@ A Newton iteration is one more generated function, for an inertia and the
 pivot order of the last full-pivot solve: the start's residual, each
 Jacobian entry written straight into its elimination variable, the
 elimination without a search, the update and the new iterate's residual
-norm, in one call. ``simulate``'s steps run in a third generated
-function, a loop for an inertia, a pivot order and the source of the
-body's wrench sum (none for a free body): per step, the pose product, the
-transport, for a forced body the wrench sum's own lines (the predicted
-twist only when a model reads it) and the kicks, the prediction and the
-update's own lines, all on locals. The library's force models carry their
+norm, in one call; it binds the products that the new iterate's momentum
+shares with the transport (``_PRODUCTS``) once. ``simulate``'s steps run
+in a third generated function, a loop for an inertia, a pivot order and
+the source of the body's wrench sum (none for a free body): per step, the
+pose product, the transport (12 subtractions of the products the last
+update bound), for a forced body the wrench sum's own lines (the
+predicted twist only when a model reads it) and the kicks, the prediction
+and the update's own lines, all on locals, with every float operation in
+the order of the separate kernels. The library's force models carry their
 source (``dynamics.wrench_sum_kernel``), so a step whose first update
 meets the tolerance makes no Python call unless a model without source
-is called. The loop
-records each state's floats in a flat list that ``simulate`` copies into
-its columns a block at a time. A step whose update refuses, must be
-halved or misses the tolerance is handed back with the update's result,
-and the Newton loop and the branch guard finish it without repeating the
-update. All are compiled on first use and cached; ``step_kernels(M).source``,
+is called. The loop records each state's floats in a flat list that
+``simulate`` copies into its columns a block at a time, with
+``np.fromiter``. A step whose update refuses, must be halved or misses
+the tolerance is handed back with the update's result, and the Newton
+loop and the branch guard finish it without repeating the update. All
+are compiled on first use and cached; ``step_kernels(M).source``,
 ``step_kernels(M).update(order).source`` and
 ``step_kernels(M).loop(order, sum_source).source`` are their code.
 
@@ -63,6 +66,7 @@ M is the 6x6 generalized inertia about the body reference point.
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -76,7 +80,7 @@ from .errors import (
     ValidationError,
 )
 from .kinematics import FRAME_BODY, Wrench, check_pose
-from .linsolve import COND_LIMIT, matvec, solve_rows
+from .linsolve import COND_LIMIT, matvec, matvec_stack, solve_rows
 from .quat import Array, Traced, as_count, dq_product, finite_vector6
 from .trajectory import Trajectory
 
@@ -130,30 +134,48 @@ _BLOCK = 512
 _TERMS = "g, c, u0, u1, u2, w0, w1, w2"
 # largest |multiplier| an update accepts: threshold pivoting with u = 1/10
 # keeps element growth bounded (Higham, Accuracy and Stability of Numerical
-# Algorithms, ch. 9)
+# Algorithms, ch. 9). The update tests q * q <= MULTIPLIER_LIMIT**2: 10**2
+# is exact and squaring is monotone, so it refuses the same floats as
+# -10 <= q <= 10 does, NaN and the infinities included.
 MULTIPLIER_LIMIT = 10.0
 
-# Step momentum [A; B] of f = [Phi; Psi] from its terms and cg = c/gamma:
+
+# The products that the step momentum [A; B] of f = [Phi; Psi] and its
+# transport share, from the terms and cg = c/gamma: gamma w, Phi x w,
+# (c/gamma) u, Psi x u, gamma u and Phi x u.
+_PRODUCTS = {
+    f"{name}{i}": source.format(i=i, j=(i + 1) % 3, k=(i + 2) % 3)
+    for i in range(3)
+    for name, source in (
+        ("gw", "g * w{i}"), ("pw", "(p{j} * w{k} - p{k} * w{j})"), ("cu", "cg * u{i}"),
+        ("su", "(s{j} * u{k} - s{k} * u{j})"), ("gu", "g * u{i}"), ("pu", "(p{j} * u{k} - p{k} * u{j})"),
+    )
+}
 # A = -(c/gamma) u + Psi x u + gamma w + Phi x w and B = gamma u + Phi x u.
 _MOMENTUM = (
-    "-cg * u0 + (s1 * u2 - s2 * u1) + g * w0 + (p1 * w2 - p2 * w1)",
-    "-cg * u1 + (s2 * u0 - s0 * u2) + g * w1 + (p2 * w0 - p0 * w2)",
-    "-cg * u2 + (s0 * u1 - s1 * u0) + g * w2 + (p0 * w1 - p1 * w0)",
-    "g * u0 + (p1 * u2 - p2 * u1)",
-    "g * u1 + (p2 * u0 - p0 * u2)",
-    "g * u2 + (p0 * u1 - p1 * u0)",
+    *(f"-cu{i} + su{i} + gw{i} + pw{i}" for i in range(3)),
+    *(f"gu{i} + pu{i}" for i in range(3)),
 )
 # The previous step momentum carried into the next frame: the terms of
 # [A; B] with the cross-product signs flipped, since the frame change
 # conjugates by the step, which reverses its vector parts.
 _TRANSPORT = (
-    "g * w0 - (p1 * w2 - p2 * w1) - cg * u0 - (s1 * u2 - s2 * u1)",
-    "g * w1 - (p2 * w0 - p0 * w2) - cg * u1 - (s2 * u0 - s0 * u2)",
-    "g * w2 - (p0 * w1 - p1 * w0) - cg * u2 - (s0 * u1 - s1 * u0)",
-    "g * u0 - (p1 * u2 - p2 * u1)",
-    "g * u1 - (p2 * u0 - p0 * u2)",
-    "g * u2 - (p0 * u1 - p1 * u0)",
+    *(f"gw{i} - pw{i} - cu{i} - su{i}" for i in range(3)),
+    *(f"gu{i} - pu{i}" for i in range(3)),
 )
+
+
+def _inline(expression: str) -> str:
+    """``expression`` with each product written out, for code that uses each
+    product once (the kernels' ``momentum`` and ``transport``, the update's
+    start): the same operations in the same order; -cg * u0 is (-cg) * u0,
+    which has the bits of -(cg * u0)."""
+    return re.sub(r"\b[gpcs][wu]\d\b", lambda m: _PRODUCTS[m.group()], expression)
+
+
+def _products_lines(indent: str = "    ") -> list:
+    """Lines binding each product of ``_PRODUCTS`` once."""
+    return [f"{indent}{name} = {source}" for name, source in _PRODUCTS.items()]
 
 
 class StepKernels(NamedTuple):
@@ -194,7 +216,8 @@ class StepKernels(NamedTuple):
         |Phi| >= 1 it returns (None, dx, None, None) for the caller to
         halve. Otherwise it does the float operations of the separate
         kernels and of ``solve_rows`` for this order, in their order, so
-        every value has their bits.
+        every value has their bits (products bound once, the multiplier
+        bound as q * q, the builtin max as its comparisons).
         """
         return _compiled_update(self.matrix, order)
 
@@ -309,8 +332,9 @@ _JACOBIAN_LOCALS = [
     "    # J = [[R, S(Psi) - (c/gamma) I], [0, R]] M - C, R = gamma I + S(Phi),",
     "    # C = [[u x^T + w y^T + S(w), u y^T + S(u)], [u y^T + S(u), 0]],",
     "    # y = Phi / gamma, x = (gamma^2 Psi + c Phi) / gamma^3",
-    "    g3 = g * g * g",
-    "    x0, x1, x2 = (g * g * s0 + c * p0) / g3, (g * g * s1 + c * p1) / g3, (g * g * s2 + c * p2) / g3",
+    "    gg = g * g",
+    "    g3 = gg * g",
+    "    x0, x1, x2 = (gg * s0 + c * p0) / g3, (gg * s1 + c * p1) / g3, (gg * s2 + c * p2) / g3",
     "    y0, y1, y2 = p0 / g, p1 / g, p2 / g",
     *[
         f"    {', '.join(f'k{i}{j}' for j in range(3))} = "
@@ -343,7 +367,7 @@ def _kernel_source(M) -> str:
     lines += ["    ]", "", ""]
     for name, entries in (("momentum", _MOMENTUM), ("transport", _TRANSPORT)):
         lines += [f"def {name}(f, terms):", f"    {p} = f", f"    {_TERMS} = terms", "    cg = c / g", "    return ("]
-        lines += [f"        {e}," for e in entries] + ["    )", "", ""]
+        lines += [f"        {_inline(e)}," for e in entries] + ["    )", "", ""]
     return "\n".join(lines).rstrip("\n") + "\n"
 
 
@@ -351,7 +375,7 @@ def _names(prefix: str, n: int) -> str:
     return ", ".join(f"{prefix}{i}" for i in range(n))
 
 
-def _update_body(M, order, leave) -> list:
+def _update_body(M, order, leave, phi2: str = "(p0 * p0 + p1 * p1 + p2 * p2)") -> list:
     """Lines of one Newton iteration on [A; B](f) = t for the inertia M (row
     lists) and the pivot order (rows, cols), the k-th pivot J[rows[k]][cols[k]],
     with f in p0..s2 and t in t0..t5.
@@ -363,6 +387,9 @@ def _update_body(M, order, leave) -> list:
     terms, [A; B] in m0..m5 and residual norm rn. ``leave(solved)`` is the
     statement that ends the iteration early with the update's result:
     ``None`` on a refusal, ``(None, [dx], None, None)`` for a step to halve.
+    ``phi2`` is the source of the start's Phi.Phi. The new iterate's
+    momentum binds the products of ``_PRODUCTS`` once, which the next
+    step's transport reads.
     """
     rows, cols = order
     n = len(rows)
@@ -370,9 +397,9 @@ def _update_body(M, order, leave) -> list:
     a = [[f"a{i}{j}" for j in idx] for i in idx]
     ab = [f"m{i}" for i in idx]
     lines = [
-        *_terms_lines(M),
+        *_terms_lines(M, phi2),
         "    cg = c / g",
-        *[f"    b{i} = t{r} - ({_MOMENTUM[r]})" for i, r in enumerate(rows)],
+        *[f"    b{i} = t{r} - ({_inline(_MOMENTUM[r])})" for i, r in enumerate(rows)],
         *_JACOBIAN_LOCALS,
         *[f"    {a[i][j]} = {_jacobian_entry(M, r, c)}" for i, r in enumerate(rows) for j, c in enumerate(cols)],
     ]
@@ -382,7 +409,7 @@ def _update_body(M, order, leave) -> list:
             lines += [
                 f"    q = {a[i][k]} / {a[k][k]}",
                 "    if q != 0.0:",  # solve_rows skips these rows too; the sign of a zero would differ
-                f"        if not {-MULTIPLIER_LIMIT!r} <= q <= {MULTIPLIER_LIMIT!r}:",
+                f"        if not q * q <= {MULTIPLIER_LIMIT**2!r}:",
                 f"            {leave('None')}",
             ]
             lines += [f"        {a[i][j]} -= q * {a[k][j]}" for j in range(k + 1, n)] + [f"        b{i} -= q * b{k}"]
@@ -400,10 +427,15 @@ def _update_body(M, order, leave) -> list:
         f"        {leave(halve)}",
         *_terms_lines(M, "n"),
         "    cg = c / g",
+        *_products_lines(),
         *[f"    {m} = {e}" for m, e in zip(ab, _MOMENTUM)],
-        f"    {_names('e', n)} = {', '.join(f'abs(t{i} - {m})' for i, m in enumerate(ab))}",
+        *_assign_lines("e", (f"abs(t{i} - {m})" for i, m in enumerate(ab)), "    "),
         f"    s = {' + '.join(f'e{i}' for i in idx)}",  # NaN only for a NaN entry, as in _max_abs
-        f"    rn = max({_names('e', n)}) if s == s else nan",
+        # max(e0, ..., e5) without a call: the builtin's comparisons, in its order
+        "    rn = e0",
+        *(line for i in range(1, n) for line in (f"    if e{i} > rn:", f"        rn = e{i}")),
+        "    if s != s:",
+        "        rn = nan",
     ]
 
 
@@ -422,15 +454,19 @@ def _update_source(M, order) -> str:
     ]) + "\n"
 
 
-def _tuple_lines(names: str, entries, indent: str) -> list:
-    return [f"{indent}{names} = (", *[f"{indent}    {e}," for e in entries], f"{indent})"]
+def _assign_lines(prefix: str, entries, indent: str = "        ") -> list:
+    """One statement per entry, binding prefix0, prefix1, ...: a tuple
+    assignment of more than three names would build and unpack a tuple. No
+    entry may read another entry's name."""
+    return [f"{indent}{prefix}{i} = {e}" for i, e in enumerate(entries)]
 
 
 def _loop_source(M, M_inv, order, sum_source: Optional[str]) -> str:
     """Source of the stepping loop (see ``StepKernels.loop``): per step, the
-    pose product, the transport, for a body under force models the lines
-    of the wrench sum's source ``sum_source`` (None: a free body) and the
-    kicks, the prediction and ``_update_body``, all on locals. The
+    pose product, the transport from the products the last update bound
+    (the prelude binds those of f_{k-1}), for a body under force models
+    the lines of the wrench sum's source ``sum_source`` (None: a free body)
+    and the kicks, the prediction and ``_update_body``, all on locals. The
     predicted twist, the M^-1 product, is written only when the sum reads
     the twist. Each value has the bits of the separate kernels,
     ``dq_product``, the compiled sum and ``_kicked``."""
@@ -449,6 +485,8 @@ def _loop_source(M, M_inv, order, sum_source: Optional[str]) -> str:
         f"    {p} = f",
         f"    {o} = f_prev",
         *_terms_lines(M),
+        "    cg = c / g",
+        *_products_lines(),
     ]
     if forced:
         twist = reads(sum_source, "chi")
@@ -463,36 +501,39 @@ def _loop_source(M, M_inv, order, sum_source: Optional[str]) -> str:
     lines += [
         "    while k < stop:",
         "        # p_k = p_{k-1} x the unit dual quaternion of f_{k-1}",
-        "        dw = -c / g",
-        *_tuple_lines(r, (x.text for x in pose), "        "),
-        "        # T_k, the momentum of f_{k-1} carried into this frame",
-        "        cg = c / g",
-        *_tuple_lines(t, _TRANSPORT, "        "),
+        "        dw = -cg",
+        *_assign_lines("nr", (x.text for x in pose)),  # every entry reads r0..r3 or r0..r7
+        *_assign_lines("r", (f"nr{i}" for i in range(8))),
+        "        # T_k, the momentum of f_{k-1} carried into this frame, from its products",
+        *_assign_lines("t", _TRANSPORT),
     ]
     if forced:
         if twist:
             v = [f"v{i}" for i in range(6)]
             lines += [
                 "        # the twist predicted from T_k and tau_{k-1}",
-                f"        {', '.join(v)} = {', '.join(f't{i} + quarter * tau{i}' for i in range(6))}",
-                *_tuple_lines(_names("i", 6), _matvec_source(M_inv, v), "        "),
-                f"        {_names('chi', 6)} = {', '.join(f'two_over_h * i{i}' for i in range(6))}",
+                *_assign_lines("v", (f"t{i} + quarter * tau{i}" for i in range(6))),
+                *_assign_lines("i", _matvec_source(M_inv, v)),
+                *_assign_lines("chi", (f"two_over_h * i{i}" for i in range(6))),
             ]
         lines += [
             *(["        time = k * h"] if reads(sum_source, "time") else []),
             "        # the wrench at p_k (the predicted twist, k h) and its impulse",
             *(f"        {line}" for line in sum_source.splitlines()),
-            f"        {t} = {', '.join(f't{i} + impulse * tau{i}' for i in range(6))}",
+            *_assign_lines("t", (f"t{i} + impulse * tau{i}" for i in range(6))),
         ]
     twice = [f"2.0 * {x} - o{i}" for i, x in enumerate(_STEP_VARIABLES)]
     lines += [
         "        # the start 2 f_{k-1} - f_{k-2}; f_{k-1} itself at k = 1 and when that has |Phi| >= 1",
-        f"        {d} = {', '.join(twice)}",
-        f"        {o} = {p}",
-        "        predicted = k > 1 and d0 * d0 + d1 * d1 + d2 * d2 < 1.0",
+        *_assign_lines("d", twice),
+        *_assign_lines("o", _STEP_VARIABLES),
+        "        n = d0 * d0 + d1 * d1 + d2 * d2",
+        "        predicted = k > 1 and n < 1.0",
         "        if predicted:",
-        f"            {p} = {d}",
-        *["    " + line for line in _update_body(M, order, lambda solved: f"solved = {solved}; break")],
+        *(f"            {x} = d{i}" for i, x in enumerate(_STEP_VARIABLES)),
+        "        else:",
+        "            n = p0 * p0 + p1 * p1 + p2 * p2",
+        *["    " + line for line in _update_body(M, order, lambda solved: f"solved = {solved}; break", "n")],
         "        if not rn <= tol:",
         f"            solved = {_SOLVED}; break",
     ]
@@ -759,8 +800,10 @@ def retrieve_twist(step, M: InertiaMatrix6, h: float) -> Array:
 
 def _store(out: list, rows: slice, poses, steps, momenta, resnorms, iters) -> None:
     """Copy the states the loop recorded in ``out`` into ``rows`` of the
-    columns, one iteration each, and empty ``out``; no copy outlives the call."""
-    block = np.array(out).reshape(-1, _ROW)
+    columns, one iteration each, and empty ``out``; no copy outlives the
+    call. ``np.fromiter`` reads the flat list's floats straight into an
+    array of its length, without ``np.array``'s search for nested sequences."""
+    block = np.fromiter(out, np.float64, len(out)).reshape(-1, _ROW)
     out.clear()
     poses[rows], steps[rows], momenta[rows] = block[:, :8], block[:, 8:14], block[:, 14:20]
     resnorms[rows] = block[:, 20]
@@ -874,7 +917,7 @@ def simulate(
     return Trajectory.from_raw(
         times=times,
         poses=poses,
-        twists=(2.0 / h) * np.column_stack(matvec(M.inverse.tolist(), momenta.T)),
+        twists=np.multiply(2.0 / h, matvec_stack(M.inverse, momenta).T, order="C"),
         inertia=M,
         force_models=force_models,
         steps=steps,

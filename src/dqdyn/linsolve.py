@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .errors import ValidationError
 from .quat import Array
 
 COND_LIMIT = 1e12
@@ -26,6 +27,21 @@ def matvec(rows, v) -> list:
     """A v for the 6x6 matrix A given by its rows, summed left to right."""
     v0, v1, v2, v3, v4, v5 = v
     return [m0 * v0 + m1 * v1 + m2 * v2 + m3 * v3 + m4 * v4 + m5 * v5 for m0, m1, m2, m3, m4, m5 in rows]
+
+
+def matvec_stack(A, X) -> Array:
+    """A x for each 6-vector x along the last axis of X (any leading axes),
+    entries first (row i holds entry i of every product, so each of the
+    eleven numpy operations loops over the vectors). Each entry is summed
+    left to right like ``matvec``, so each vector gets its bits."""
+    A = np.asarray(A, dtype=np.float64)
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape[-1:] != (6,):
+        raise ValidationError(f"expected 6-vectors along the last axis, got shape {X.shape}")
+    out = np.multiply.outer(A[:, 0], X[..., 0])
+    for j in range(1, 6):
+        out += np.multiply.outer(A[:, j], X[..., j])
+    return out
 
 
 def solve_rows(U: list, y: list):

@@ -8,7 +8,7 @@ import scipy.linalg
 from conftest import random_pose, random_twist
 
 from _oracles import cloud_kinetic_energy, point_cloud, quat_to_matrix_oracle
-from dqdyn import dq_exp, dq_mul, pure_dual_quaternion
+from dqdyn import dq_exp, dq_mul, dynamics, pure_dual_quaternion
 from dqdyn.dynamics import (
     ForceModel,
     PotentialField,
@@ -353,6 +353,28 @@ def test_constant_wrench_model():
     assert not model.conservative
     with pytest.raises(ValidationError):
         constant_wrench_model(np.zeros(6))
+
+
+@pytest.mark.parametrize("make", [body_wrench, world_wrench], ids=["body", "world"])
+def test_constant_wrench_edge_compiles_nothing(monkeypatch, make):
+    # the ndarray edge returns the Wrench it was given, so it neither runs
+    # nor compiles the kernel; the wrench sum still writes out its source
+    w = make([0.3, -0.2, 0.1], [1.0, 2.0, -3.0])
+    model = constant_wrench_model(w)
+    compiled = []
+    real = dynamics._compiled_sum
+
+    def counted(source):
+        compiled.append(source)
+        return real(source)
+
+    monkeypatch.setattr(dynamics, "_compiled_sum", counted)
+    assert model.evaluate(pose_identity(), np.zeros(6), 10.0) is w
+    assert compiled == []
+    source = wrench_sum_kernel([model]).source
+    assert len(compiled) == 1  # the sum itself
+    lines, _ = model.evaluate.source
+    assert "_calls" not in source and all(line in source for line in lines)
 
 
 def test_damping_model():

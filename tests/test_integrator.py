@@ -1,5 +1,7 @@
 """Variational stepper: parametrization, residuals, Jacobian, Newton, runs."""
 
+import collections
+import dis
 import pathlib
 import re
 import sys
@@ -219,6 +221,29 @@ def test_translation_folds_the_step_map_where_m_psi_squared_reaches_j():
             f = np.zeros(6)
             f[3 + axis] = np.sqrt(ratio * M.matrix[axis, axis] / m)
             assert sign * np.linalg.det(jacobian(f, M)) > 0.0
+
+
+@pytest.mark.parametrize("v", [0.0, 5.0, 10.0, 15.0])
+def test_translating_screw_spin_error_follows_m_psi_squared(v):
+    """ROADMAP item 1, as the scheme stands: a free screw (damped_drop's
+    body, spin 0.5 rad/s about z, velocity v along z, h = 0.05, T = 2 s)
+    keeps its spin whatever v is, but the discrete rotation per step is
+    about (h/2) (J - m Psi Psi^T)^-1 J omega, so the spin angle's relative
+    error follows m|Psi|^2 / (J_zz - m|Psi|^2) with Psi = h v / 2. A fix of
+    item 1 changes this test on purpose."""
+    M = _scenario_inputs("damped_drop").inertia
+    m, J_zz = M.matrix[3, 3], M.matrix[2, 2]
+    assert (m, J_zz) == (1.5, 1.6)
+    h, T, spin = 0.05, 2.0, 0.5
+    traj = simulate(pose_identity(), [0.0, 0.0, spin, 0.0, 0.0, v], M, (), SolverSettings(h=h), round(T / h))
+    q = traj.poses[-1]
+    error = abs(2.0 * np.arctan2(q[3], q[0]) - spin * T) / (spin * T)
+    if v == 0.0:
+        assert error < 2e-4  # measured 1.04e-4
+        return
+    psi2 = (0.5 * h * v) ** 2
+    predicted = m * psi2 / (J_zz - m * psi2)
+    assert abs(error / predicted - 1.0) < 0.05  # measured 1.498e-2, 6.239e-2, 0.1521
 
 
 def test_step_kernel_terms_equal_matvec(rng):
@@ -1087,7 +1112,17 @@ def test_gravity_and_spring_loop_has_no_twist_product_and_no_zero_product():
         assert not re.search(rf"\b{name}\b", source)
     # damping reads the twist, so its loop predicts it
     damped = K.loop(order, wrench_sum_kernel([damping_model(0.2, 0.5)]).source).source
-    assert re.search(r"\bi0, i1, i2, i3, i4, i5 = \(", damped) and "two_over_h * i5" in damped
+    assert all(re.search(rf"^ +i{i} = ", damped, re.M) for i in range(6)) and "two_over_h * i5" in damped
+
+
+def _loop_sources():
+    """The loop of a free body, of generic_forced (gravity plus spring) and
+    of a damped one, for one searched order of generic_forced's inertia."""
+    inputs = _scenario_inputs("generic_forced")
+    K = integrator.step_kernels(inputs.inertia)
+    order = _searched_order(K, [0.01, 0.02, -0.01, 0.1, 0.0, 0.2])
+    for models in ((), inputs.forces, [damping_model(0.2, 0.5)]):
+        yield K.loop(order, wrench_sum_kernel(models).source if models else None).source
 
 
 def test_each_loop_hands_a_step_back_from_one_place():
@@ -1096,14 +1131,57 @@ def test_each_loop_hands_a_step_back_from_one_place():
     inputs = _scenario_inputs("generic_forced")
     K = integrator.step_kernels(inputs.inertia)
     order = _searched_order(K, [0.01, 0.02, -0.01, 0.1, 0.0, 0.2])
-    for models in ((), inputs.forces, [damping_model(0.2, 0.5)]):
-        source = K.loop(order, wrench_sum_kernel(models).source if models else None).source
+    for source in _loop_sources():
         returns = re.findall(r"^( *)return .*?(\S+)$", source, re.M)
         assert returns == [("        ", "None"), ("    ", "solved)")]
         assert "\n    else:\n        return " in source
         # the update's refusals, its halving and its end; the loop's
         # refusals, its halving and its miss
         assert source.count("; break\n") == K.update(order).source.count("return ")
+
+
+def test_each_loop_step_binds_the_shared_products_once():
+    # the new iterate's momentum binds gamma w, Phi x w, (c/gamma) u,
+    # Psi x u, gamma u and Phi x u once, and the next step's transport is
+    # read from them; -c / g is not divided again, and gamma^2 is bound once
+    for source in _loop_sources():
+        body = source[source.index("    while k < stop:\n") : source.index("\n    else:\n")]
+        for name in integrator._PRODUCTS:
+            assert len(re.findall(rf"^ +{name} = ", body, re.M)) == 1, name
+        for entry in integrator._TRANSPORT:
+            assert integrator._inline(entry) not in body
+            assert f" = {entry}\n" in body
+        assert "dw = -cg\n" in body and "-c / g" not in body
+        assert len(re.findall(r"\bg \* g\b", body)) == 1
+
+
+def _while_body(loop) -> list:
+    """The instructions of the generated loop's while-body: from the target
+    of its one backward jump to that jump."""
+    instructions = list(dis.get_instructions(loop))
+    (back,) = [i for i in instructions if "JUMP" in i.opname and isinstance(i.argval, int) and i.argval < i.offset]
+    return [i for i in instructions if back.argval <= i.offset <= back.offset]
+
+
+# BINARY_OP and UNARY_NEGATIVE instructions of the generated loop's
+# while-body, the float operations of a step: their counts when this guard
+# was set (before the loop read its transport from the shared products,
+# the while-bodies held 594 and 1030 BINARY_OPs)
+LOOP_OPERATIONS = {"free_top": (568, 28), "generic_forced": (1004, 45)}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="one BINARY_OP instruction per binary operator from Python 3.11")
+@pytest.mark.parametrize("name", sorted(LOOP_OPERATIONS))
+def test_loop_float_operations_do_not_grow(name):
+    # a deterministic guard for the loop's cost, independent of timing: a
+    # change that adds float operations to a step fails here on every machine
+    inputs = _scenario_inputs(name)
+    K = integrator.step_kernels(inputs.inertia)
+    order = _searched_order(K, initial_guess(inputs.twist, inputs.settings.h).tolist())
+    loop = K.loop(order, wrench_sum_kernel(inputs.forces).source if inputs.forces else None)
+    counts = collections.Counter(i.opname for i in _while_body(loop))
+    binary, negative = LOOP_OPERATIONS[name]
+    assert counts["BINARY_OP"] <= binary and counts["UNARY_NEGATIVE"] <= negative, counts
 
 
 def test_wrench_sum_compiles_once_per_model_list():

@@ -10,7 +10,8 @@ from test_integrator import mixed_inertias, random_step
 
 from dqdyn import integrator
 from dqdyn.dynamics import build_inertia, build_inertia_raw
-from dqdyn.linsolve import COND_LIMIT, solve_full_pivot, solve_rows
+from dqdyn.errors import ValidationError
+from dqdyn.linsolve import COND_LIMIT, matvec, matvec_stack, solve_full_pivot, solve_rows
 
 IDENTITY_ORDER = (tuple(range(6)), tuple(range(6)))
 
@@ -177,3 +178,91 @@ def _with(A, i, j, v):
 def test_ordered_solve_refuses(A):
     # J(f = 0) = A, so each matrix is the Jacobian of the first iteration
     assert _update(A, IDENTITY_ORDER)([0.0] * 6, [1.0] * 6) is None
+
+
+@pytest.mark.parametrize("shape", [(6,), (1, 6), (37, 6), (4, 5, 6)])
+def test_matvec_stack_has_the_bits_of_matvec_per_vector(rng, shape):
+    # eleven numpy operations over the whole stack, each entry summed left
+    # to right like matvec; signed zeros, infinities and NaNs included
+    A = rng.normal(size=(6, 6))
+    A[1, 2] = A[4, 0] = 0.0
+    A[3, 3] = -0.0
+    X = rng.normal(size=shape)
+    flat = X.reshape(-1, 6)
+    flat[0, :3] = (-0.0, 0.0, -0.0)
+    if flat.shape[0] > 2:
+        flat[1, 2], flat[2, 5] = np.inf, np.nan
+    with np.errstate(invalid="ignore"):  # inf * 0.0
+        out = matvec_stack(A, X)
+    assert out.shape == (6, *shape[:-1])
+    rows = np.moveaxis(out, 0, -1).reshape(-1, 6)
+    for x, got in zip(flat, rows):
+        assert got.tobytes() == np.array(matvec(A.tolist(), x.tolist())).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (5,), (3, 7)])
+def test_matvec_stack_rejects_other_than_6_vectors(shape):
+    with pytest.raises(ValidationError, match="6-vectors"):
+        matvec_stack(np.eye(6), np.ones(shape))
+
+
+def _multiplier_probes(rng) -> list:
+    """Floats around +-MULTIPLIER_LIMIT, the special values, subnormals and
+    random bit patterns."""
+    limit = integrator.MULTIPLIER_LIMIT
+    probes = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 2.2250738585072014e-308]
+    for edge in (limit, -limit):
+        for direction in (math.inf, -math.inf):
+            q = edge
+            for _ in range(2000):
+                probes.append(q)
+                q = math.nextafter(q, direction)
+    probes += (rng.integers(0, 2**52, size=2000, dtype=np.int64).view(np.float64)).tolist()  # subnormals
+    probes += rng.integers(-(2**63), 2**63 - 1, size=200_000, dtype=np.int64).view(np.float64).tolist()
+    probes += (rng.uniform(-20.0, 20.0, size=20_000)).tolist()
+    return probes
+
+
+def test_multiplier_bound_is_the_chained_comparison(rng):
+    # q * q <= limit**2 refuses exactly the multipliers that
+    # not -limit <= q <= limit refuses: NaN, +-inf and every float beyond
+    # +-10, down to the neighbours of +-10
+    limit = integrator.MULTIPLIER_LIMIT
+    bound = limit**2
+    mismatches = [q for q in _multiplier_probes(rng) if (q * q <= bound) != (-limit <= q <= limit)]
+    assert mismatches == []
+    source = _update(np.eye(6), IDENTITY_ORDER).source
+    assert f"if not q * q <= {bound!r}:" in source and "<= q <=" not in source
+
+
+def _residual_norm_lines(source: str) -> list:
+    """The update's lines from the sum of e0..e5 to the end of rn."""
+    lines = source.splitlines()
+    start = lines.index("    s = e0 + e1 + e2 + e3 + e4 + e5")
+    end = lines.index("        rn = nan", start)
+    return lines[start : end + 1]
+
+
+def test_residual_norm_without_a_call_is_max_or_nan(rng):
+    # the update's rn is max(e0, ..., e5) when no entry is NaN and nan
+    # otherwise, as _max_abs reads the residual: the comparisons of the
+    # builtin max, in its order
+    lines = _residual_norm_lines(_update(np.eye(6), IDENTITY_ORDER).source)
+    namespace = {"nan": math.nan}
+    exec("\n".join(["def rn_of(e0, e1, e2, e3, e4, e5):", *lines, "    return rn"]), namespace)
+    rn_of = namespace["rn_of"]
+    cases = [tuple(abs(x) for x in rng.normal(size=6)) for _ in range(500)]
+    cases += [tuple(float(x) for x in rng.integers(0, 3, size=6)) for _ in range(200)]  # ties and zeros
+    for i in range(6):
+        for special in (math.nan, math.inf, 0.0):
+            e = [0.5] * 6
+            e[i] = special
+            cases.append(tuple(e))
+    cases.append((math.inf, math.nan, 1.0, 1.0, 1.0, 1.0))
+    for e in cases:
+        expected = integrator._max_abs(e)
+        got = rn_of(*e)
+        if math.isnan(expected):
+            assert math.isnan(got)
+        else:
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
