@@ -36,7 +36,7 @@ from .kinematics import (
     world_wrench_in_body,
 )
 from .linsolve import COND_LIMIT, matvec_stack
-from .quat import Array, Traced, as_floats, as_vector3, traced_lines
+from .quat import Array, Traced, as_floats, as_vector3, cross, traced_lines
 
 
 def skew(v) -> Array:
@@ -138,7 +138,7 @@ def world_momentum(p, M: InertiaMatrix6, chi) -> tuple[Array, Array]:
     pi = matvec_stack(M.matrix, chi)
     world = vector_sandwich(pose[:4], pi.reshape(2, 3, *pi.shape[1:]).swapaxes(0, 1))  # entry j: (angular, linear)
     P = [x[1] for x in world]
-    L = [x[0] + b for x, b in zip(world, _cross(translation(pose), P))]
+    L = [x[0] + b for x, b in zip(world, cross(translation(pose), P))]
     return np.stack(L, axis=-1), np.stack(P, axis=-1)
 
 
@@ -237,11 +237,6 @@ class PotentialField:
     body_wrench: Optional[Callable[[Array], Wrench]] = None
 
 
-def _cross(a, b) -> tuple:
-    """a x b on 3-sequences of floats, in np.cross's operation order."""
-    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
-
-
 def gravity_potential(mass: float, g_world, com_offset=(0.0, 0.0, 0.0)) -> PotentialField:
     """Uniform gravity acting at the center of mass: U = -m g . x_cm."""
     mass = _finite(float(mass), "mass")
@@ -255,7 +250,7 @@ def gravity_potential(mass: float, g_world, com_offset=(0.0, 0.0, 0.0)) -> Poten
 
     def wrench(pose, chi=None, t=None) -> tuple:
         f_body = vector_sandwich(rotation_conjugate(pose), weight)
-        return (*_cross(r, f_body), *f_body)
+        return (*cross(r, f_body), *f_body)
 
     return PotentialField(evaluate=FloatKernel(energy, float), body_wrench=_traced(wrench))
 
@@ -282,7 +277,7 @@ def spring_potential(
 
     def torque_force(pose, f_world) -> tuple:
         f_body = vector_sandwich(rotation_conjugate(pose), f_world)
-        return (*_cross(attach, f_body), *f_body)
+        return (*cross(attach, f_body), *f_body)
 
     # the wrench: offset and torque_force traced, the guarded scale between
     # them written out. At the anchor the force has magnitude k*rest and no

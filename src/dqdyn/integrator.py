@@ -30,18 +30,18 @@ than at f_{k-1}, is solved again from f_{k-1}. The body twist is retrieved
 from the solved step variables, chi = (2/h) M^-1 [A; B], less the quarter
 kick (h/2) M^-1 tau that puts it at its state's instant.
 
-The kernels that read M, the momentum terms [w; u] = M f and the
-Jacobian, are generated for each inertia as straight-line Python with M's
-entries as literals and its zero entries left out, so one Jacobian formula
-serves every body at the cost of its own zero pattern. Of the generated
-code, only a forced loop whose force models read the twist reads M^-1,
-inline, for its predicted twist.
+Each formula is one float function: the momentum and its transport
+(``_momenta``), the Jacobian (``_jacobian``), M f and M^-1 v
+(``linsolve.matvec``). The code generated per inertia is them called on
+``quat.Traced`` symbols, M's entries as literals and its zero entries left
+out, with hand-written lines only for the square root and the divisions.
+The kernels that read M, the terms (M f) and the Jacobian, are generated.
 A Newton iteration is one more generated function, for an inertia and the
 pivot order of the last full-pivot solve: the start's residual, each
 Jacobian entry written straight into its elimination variable, the
 elimination without a search, the update and the new iterate's residual
 norm, in one call; it binds the products that the new iterate's momentum
-shares with the transport (``_PRODUCTS``) once. ``simulate``'s steps run
+shares with the transport (``_PRODUCT_LINES``) once. ``simulate``'s steps run
 in a third generated function, a loop for an inertia, a pivot order and
 the source of the body's wrench sum (none for a free body): per step, the
 pose product, the transport (12 subtractions of the products the last
@@ -66,7 +66,6 @@ M is the 6x6 generalized inertia about the body reference point.
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -81,7 +80,7 @@ from .errors import (
 )
 from .kinematics import FRAME_BODY, Wrench, check_pose
 from .linsolve import COND_LIMIT, matvec, matvec_stack, solve_rows
-from .quat import Array, Traced, as_count, dq_product, finite_vector6
+from .quat import Array, Traced, as_count, cross, dq_product, finite_vector6, traced_lines
 from .trajectory import Trajectory
 
 # Newton statuses returned by the kernel
@@ -118,10 +117,9 @@ def _phi_norm2(f) -> float:
     return f[0] * f[0] + f[1] * f[1] + f[2] * f[2]
 
 
-# Step kernels generated per inertia. Leaving out a term whose coefficient is
-# zero, and writing a coefficient of +-1 as the bare symbol, keeps the bits of
-# the full left-to-right sum up to the sign of a zero result (x + +-0.0 == x
-# for x != 0, and x * 1.0 == x).
+# Step kernels generated per inertia from the float formulas below. A term
+# whose entry of M is zero drops out and an entry of +-1 leaves the bare
+# symbol, which keeps the bits of the full sum up to the sign of a zero.
 
 _KERNEL_CACHE_SIZE = 16
 _UPDATE_CACHE_SIZE = 32
@@ -140,54 +138,126 @@ _TERMS = "g, c, u0, u1, u2, w0, w1, w2"
 MULTIPLIER_LIMIT = 10.0
 
 
-# The products that the step momentum [A; B] of f = [Phi; Psi] and its
-# transport share, from the terms and cg = c/gamma: gamma w, Phi x w,
-# (c/gamma) u, Psi x u, gamma u and Phi x u.
-_PRODUCTS = {
-    f"{name}{i}": source.format(i=i, j=(i + 1) % 3, k=(i + 2) % 3)
-    for i in range(3)
-    for name, source in (
-        ("gw", "g * w{i}"), ("pw", "(p{j} * w{k} - p{k} * w{j})"), ("cu", "cg * u{i}"),
-        ("su", "(s{j} * u{k} - s{k} * u{j})"), ("gu", "g * u{i}"), ("pu", "(p{j} * u{k} - p{k} * u{j})"),
-    )
-}
-# A = -(c/gamma) u + Psi x u + gamma w + Phi x w and B = gamma u + Phi x u.
-_MOMENTUM = (
-    *(f"-cu{i} + su{i} + gw{i} + pw{i}" for i in range(3)),
-    *(f"gu{i} + pu{i}" for i in range(3)),
-)
-# The previous step momentum carried into the next frame: the terms of
-# [A; B] with the cross-product signs flipped, since the frame change
-# conjugates by the step, which reverses its vector parts.
-_TRANSPORT = (
-    *(f"gw{i} - pw{i} - cu{i} - su{i}" for i in range(3)),
-    *(f"gu{i} - pu{i}" for i in range(3)),
-)
+def _momenta(f, terms, cg) -> list:
+    """The step momentum [A; B](f) and that momentum carried into the frame
+    of the next step, as 12 entries, from the terms of f = [Phi; Psi] and
+    cg = c/gamma:
+
+        A = -(c/gamma) u + Psi x u + gamma w + Phi x w,  B = gamma u + Phi x u.
+
+    The frame change conjugates by the step, which reverses its vector
+    parts, so the transport is the same products with the signs of the
+    cross products flipped.
+    """
+    g, _, u0, u1, u2, w0, w1, w2 = terms
+    u, w = (u0, u1, u2), (w0, w1, w2)
+    (pw0, pw1, pw2), (su0, su1, su2), (pu0, pu1, pu2) = cross(f[:3], w), cross(f[3:], u), cross(f[:3], u)
+    gw0, gw1, gw2, gu0, gu1, gu2 = g * w0, g * w1, g * w2, g * u0, g * u1, g * u2
+    cu0, cu1, cu2 = cg * u0, cg * u1, cg * u2
+    return [
+        -cu0 + su0 + gw0 + pw0, -cu1 + su1 + gw1 + pw1, -cu2 + su2 + gw2 + pw2,
+        gu0 + pu0, gu1 + pu1, gu2 + pu2,
+        gw0 - pw0 - cu0 - su0, gw1 - pw1 - cu1 - su1, gw2 - pw2 - cu2 - su2,
+        gu0 - pu0, gu1 - pu1, gu2 - pu2,
+    ]
 
 
-def _inline(expression: str) -> str:
-    """``expression`` with each product written out, for code that uses each
-    product once (the kernels' ``momentum`` and ``transport``, the update's
-    start): the same operations in the same order; -cg * u0 is (-cg) * u0,
-    which has the bits of -(cg * u0)."""
-    return re.sub(r"\b[gpcs][wu]\d\b", lambda m: _PRODUCTS[m.group()], expression)
+def momentum(f, terms) -> list:
+    """The step momentum [A; B](f), from the terms of f."""
+    return _momenta(f, terms, terms[1] / terms[0])[:6]
 
 
-def _products_lines(indent: str = "    ") -> list:
-    """Lines binding each product of ``_PRODUCTS`` once."""
-    return [f"{indent}{name} = {source}" for name, source in _PRODUCTS.items()]
+def transport(f, terms) -> list:
+    """The step momentum of f carried into the frame of the next step."""
+    return _momenta(f, terms, terms[1] / terms[0])[6:]
+
+
+def _cross_matrix(v, diagonal) -> list:
+    """S(v) + diagonal I as row lists, S(v) the matrix of v x."""
+    v0, v1, v2 = v
+    return [[diagonal, -v2, v1], [v2, diagonal, -v0], [-v1, v0, diagonal]]
+
+
+def _jacobian(M, f, terms, cg, x, y, zero=0.0) -> list:
+    """d[A; B]/d[Phi; Psi] for the inertia M (row lists), as six row lists:
+
+        J = [[R, S(Psi) - (c/gamma) I], [0, R]] M - C,  R = gamma I + S(Phi),
+        C = [[u x^T + w y^T + S(w), K], [K, 0]],  K = u y^T + S(u),
+
+    from the terms of f, cg = c/gamma, x = (gamma^2 Psi + c Phi)/gamma^3
+    and y = Phi/gamma. ``zero`` is the diagonal of S(w) and S(u); the
+    generated kernels add a 0.0 that does not fold, which turns a -0.0 sum
+    into +0.0.
+    """
+    g, u, w = terms[0], terms[2:5], terms[5:]
+    R = _cross_matrix(f[:3], g)
+    factor = [r + s for r, s in zip(R, _cross_matrix(f[3:], -cg))] + [[0.0] * 3 + r for r in R]
+    K = [[ui * yj + s for yj, s in zip(y, row)] for ui, row in zip(u, _cross_matrix(u, zero))]
+    C = [
+        [ui * xj + wi * yj + s for xj, yj, s in zip(x, y, row)] + k
+        for ui, wi, row, k in zip(u, w, _cross_matrix(w, zero), K)
+    ] + [k + [0.0] * 3 for k in K]
+    columns = list(zip(*M))
+    return [[p - q for p, q in zip(matvec(columns, row), c)] for row, c in zip(factor, C)]
+
+
+# The locals of the generated code that the formulas are traced on.
+_F = [Traced(x) for x in _STEP_VARIABLES]
+_T = [Traced(x) for x in _TERMS.split(", ")]
+_CG = Traced("cg")
+_X, _Y = [Traced(f"x{i}") for i in range(3)], [Traced(f"y{i}") for i in range(3)]
+_MOMENTA = _momenta(_F, _T, _CG)
+# The 18 products the momentum and its transport share (gamma w, Phi x w,
+# (c/gamma) u, Psi x u, gamma u, Phi x u), each bound once to pr0..pr17,
+# and the 12 entries written in them. The update's new iterate binds them,
+# and the loop's next transport reads them.
+_PRODUCT_LINES, _SHARED = traced_lines(_MOMENTA, "pr")
+# b_i = t_i - [A; B]_i, the update's start, which reads each product once
+_RESIDUALS = [(Traced(f"t{i}") - m).text for i, m in enumerate(_MOMENTA[:6])]
+
+
+@functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+def _traces(matrix: bytes) -> tuple:
+    """(the sources of [w; u] = M f, the lines binding what the Jacobian's
+    entries share, the entries' sources as six rows) of M's bytes: traced
+    once per inertia for its kernels, updates and loops."""
+    M = _rows(matrix)
+    mf = tuple(Traced.of(x).text for x in matvec(M, _F))
+    lines, entries = traced_lines([e for row in _jacobian(M, _F, _T, _CG, _X, _Y, Traced("0.0")) for e in row], "j")
+    return mf, tuple(lines), tuple(tuple(entries[i : i + 6]) for i in range(0, 36, 6))
+
+
+def _terms_lines(mf, phi2: str = "(p0 * p0 + p1 * p1 + p2 * p2)") -> list:
+    """Lines binding the terms g, c, w0..w2, u0..u2 of p0..s2 from the
+    sources ``mf`` of M f; ``phi2`` is the source of Phi.Phi."""
+    return [
+        f"    g = sqrt(1.0 - {phi2})",
+        "    c = s0 * p0 + s1 * p1 + s2 * p2",
+        *(f"    {x} = {e}" for x, e in zip(("w0", "w1", "w2", "u0", "u1", "u2"), mf)),
+    ]
+
+
+# The quotients the Jacobian reads besides the terms and cg.
+_JACOBIAN_LOCALS = [
+    "    # y = Phi / gamma, x = (gamma^2 Psi + c Phi) / gamma^3",
+    "    gg = g * g",
+    "    g3 = gg * g",
+    "    x0, x1, x2 = (gg * s0 + c * p0) / g3, (gg * s1 + c * p1) / g3, (gg * s2 + c * p2) / g3",
+    "    y0, y1, y2 = p0 / g, p1 / g, p2 / g",
+]
 
 
 class StepKernels(NamedTuple):
-    """The generated kernels of one inertia, and their source (print it).
+    """The kernels of one inertia, and the source of those generated for it
+    (print it).
 
     ``terms(f)`` is (gamma, c, u0, u1, u2, w0, w1, w2) of f = [Phi; Psi]:
     gamma = sqrt(1 - Phi.Phi), c = Psi.Phi and [w; u] = M f, everything the
     step momentum, its transport and the Jacobian share.
-    ``jacobian(f, terms)`` is d[A; B]/d[Phi; Psi] as six row lists.
-    ``momentum(f, terms)`` is the step momentum [A; B](f).
-    ``transport(f, terms)`` is that momentum carried into the frame of the
-    next step.
+    ``jacobian(f, terms)`` is d[A; B]/d[Phi; Psi] as six row lists
+    (``_jacobian`` with M's entries as literals).
+    These two read M and are generated; ``momentum`` and ``transport``
+    do not, and are the module functions.
     ``matrix`` and ``inverse_matrix`` are the bytes of M and M^-1, the
     keys of ``update`` and ``loop``; M^-1 enters only a forced loop whose
     wrench sum reads the twist, as the product that gives its predicted
@@ -248,110 +318,14 @@ class StepKernels(NamedTuple):
         return _compiled_loop(self.matrix, self.inverse_matrix, order, sum_source)
 
 
-def _sum_source(terms) -> str:
-    """Source of the left-to-right sum of sign * symbol * coefficient over
-    (sign, symbol, coefficient) triples, each sign folded into the operator."""
-    out = []
-    for sign, symbol, coefficient in terms:
-        if coefficient == 0.0:
-            continue
-        negative = (sign < 0) != (coefficient < 0.0)
-        magnitude = abs(coefficient)
-        term = symbol if magnitude == 1.0 else f"{symbol} * {magnitude!r}"
-        if out:
-            out.append(f"{'-' if negative else '+'} {term}")
-        else:
-            out.append(f"-{term}" if negative else term)
-    return " ".join(out) if out else "0.0"
-
-
-def _matvec_source(rows, symbols) -> list:
-    """Source of each entry of A v, summed like ``linsolve.matvec``."""
-    return [_sum_source((1, x, a) for x, a in zip(symbols, row)) for row in rows]
-
-
-def _skew(i: int, j: int) -> tuple:
-    """S(v)[i][j] = sign * v[k] for i != j, as (sign, k)."""
-    return (-1 if (j - i) % 3 == 1 else 1), 3 - i - j
-
-
-def _skew_source(v: str, i: int, j: int) -> str:
-    """S(v)[i][j] as a trailing term; a diagonal entry adds 0.0, which turns
-    a -0.0 sum into +0.0."""
-    if i == j:
-        return " + 0.0"
-    sign, k = _skew(i, j)
-    return f" {'-' if sign < 0 else '+'} {v}{k}"
-
-
-def _factor(i: int, k: int):
-    """(sign, symbol) of entry (i, k) of [[R, S(Psi) - (c/gamma) I], [0, R]]
-    with R = gamma I + S(Phi); None in the zero block."""
-    bi, bk, i, k = i // 3, k // 3, i % 3, k % 3
-    if bi > bk:
-        return None
-    if i == k:
-        return (-1, "cg") if bk > bi else (1, "g")
-    sign, n = _skew(i, k)
-    return sign, f"{'s' if bk > bi else 'p'}{n}"
-
-
-def _correction(i: int, j: int):
-    """Entry (i, j) of C = [[u x^T + w y^T + S(w), K], [K, 0]], K = u y^T + S(u);
-    None in the zero block."""
-    if i < 3 and j < 3:
-        return f"(u{i} * x{j} + w{i} * y{j}{_skew_source('w', i, j)})"
-    if i < 3 or j < 3:
-        return f"k{i % 3}{j % 3}"
-    return None
-
-
-def _jacobian_entry(M, i: int, j: int) -> str:
-    """Entry (i, j) of [[R, S(Psi) - (c/gamma) I], [0, R]] M - C."""
-    factors = [(k, _factor(i, k)) for k in range(6)]
-    product = _sum_source((*t, M[k][j]) for k, t in factors if t is not None)
-    correction = _correction(i, j)
-    if correction is None:
-        return product
-    return f"-{correction}" if product == "0.0" else f"{product} - {correction}"
-
-
-def _terms_lines(M, phi2: str = "(p0 * p0 + p1 * p1 + p2 * p2)") -> list:
-    """Lines binding the terms g, c, u0..u2, w0..w2 of p0..s2; ``phi2`` is
-    the source of Phi.Phi."""
-    w, u = _matvec_source(M[:3], _STEP_VARIABLES), _matvec_source(M[3:], _STEP_VARIABLES)
-    return [
-        f"    g = sqrt(1.0 - {phi2})",
-        "    c = s0 * p0 + s1 * p1 + s2 * p2",
-        *[f"    {x}{i} = {e}" for x, entries in (("u", u), ("w", w)) for i, e in enumerate(entries)],
-    ]
-
-
-# The locals the Jacobian entries read besides the terms and cg.
-_JACOBIAN_LOCALS = [
-    "    # J = [[R, S(Psi) - (c/gamma) I], [0, R]] M - C, R = gamma I + S(Phi),",
-    "    # C = [[u x^T + w y^T + S(w), u y^T + S(u)], [u y^T + S(u), 0]],",
-    "    # y = Phi / gamma, x = (gamma^2 Psi + c Phi) / gamma^3",
-    "    gg = g * g",
-    "    g3 = gg * g",
-    "    x0, x1, x2 = (gg * s0 + c * p0) / g3, (gg * s1 + c * p1) / g3, (gg * s2 + c * p2) / g3",
-    "    y0, y1, y2 = p0 / g, p1 / g, p2 / g",
-    *[
-        f"    {', '.join(f'k{i}{j}' for j in range(3))} = "
-        + ", ".join(f"u{i} * y{j}{_skew_source('u', i, j)}" for j in range(3))
-        for i in range(3)
-    ],
-]
-
-
-def _kernel_source(M) -> str:
-    """Source of the step kernels for the 6x6 inertia M given as row lists
-    of floats."""
+def _kernel_source(matrix: bytes) -> str:
+    """Source of the step kernels ``terms`` and ``jacobian`` for M's bytes."""
+    mf, lines, entries = _traces(matrix)
     p = ", ".join(_STEP_VARIABLES)
-    lines = [
+    return "\n".join([
         "def terms(f):",
         f"    {p} = f",
-        *_terms_lines(M),
+        *_terms_lines(mf),
         f"    return {_TERMS}",
         "",
         "",
@@ -360,25 +334,21 @@ def _kernel_source(M) -> str:
         f"    {_TERMS} = terms",
         "    cg = c / g",
         *_JACOBIAN_LOCALS,
+        *(f"    {line}" for line in lines),
         "    return [",
-    ]
-    for i in range(6):
-        lines += ["        ["] + [f"            {_jacobian_entry(M, i, j)}," for j in range(6)] + ["        ],"]
-    lines += ["    ]", "", ""]
-    for name, entries in (("momentum", _MOMENTUM), ("transport", _TRANSPORT)):
-        lines += [f"def {name}(f, terms):", f"    {p} = f", f"    {_TERMS} = terms", "    cg = c / g", "    return ("]
-        lines += [f"        {_inline(e)}," for e in entries] + ["    )", "", ""]
-    return "\n".join(lines).rstrip("\n") + "\n"
+        *(line for row in entries for line in ("        [", *(f"            {e}," for e in row), "        ],")),
+        "    ]",
+    ]) + "\n"
 
 
 def _names(prefix: str, n: int) -> str:
     return ", ".join(f"{prefix}{i}" for i in range(n))
 
 
-def _update_body(M, order, leave, phi2: str = "(p0 * p0 + p1 * p1 + p2 * p2)") -> list:
-    """Lines of one Newton iteration on [A; B](f) = t for the inertia M (row
-    lists) and the pivot order (rows, cols), the k-th pivot J[rows[k]][cols[k]],
-    with f in p0..s2 and t in t0..t5.
+def _update_body(matrix: bytes, order, leave, phi2: str = "(p0 * p0 + p1 * p1 + p2 * p2)") -> list:
+    """Lines of one Newton iteration on [A; B](f) = t for M's bytes and the
+    pivot order (rows, cols), the k-th pivot J[rows[k]][cols[k]], with f in
+    p0..s2 and t in t0..t5.
 
     One operation per line in ``solve_rows``' order: the start's terms and
     negated residual b = t - [A; B](f), the Jacobian entries straight into
@@ -388,20 +358,22 @@ def _update_body(M, order, leave, phi2: str = "(p0 * p0 + p1 * p1 + p2 * p2)") -
     statement that ends the iteration early with the update's result:
     ``None`` on a refusal, ``(None, [dx], None, None)`` for a step to halve.
     ``phi2`` is the source of the start's Phi.Phi. The new iterate's
-    momentum binds the products of ``_PRODUCTS`` once, which the next
-    step's transport reads.
+    momentum binds the products pr0..pr17 once, which the next step's
+    transport reads.
     """
+    mf, jacobian_lines, entries = _traces(matrix)
     rows, cols = order
     n = len(rows)
     idx = range(n)
     a = [[f"a{i}{j}" for j in idx] for i in idx]
     ab = [f"m{i}" for i in idx]
     lines = [
-        *_terms_lines(M, phi2),
+        *_terms_lines(mf, phi2),
         "    cg = c / g",
-        *[f"    b{i} = t{r} - ({_inline(_MOMENTUM[r])})" for i, r in enumerate(rows)],
+        *[f"    b{i} = {_RESIDUALS[r]}" for i, r in enumerate(rows)],
         *_JACOBIAN_LOCALS,
-        *[f"    {a[i][j]} = {_jacobian_entry(M, r, c)}" for i, r in enumerate(rows) for j, c in enumerate(cols)],
+        *(f"    {line}" for line in jacobian_lines),
+        *[f"    {a[i][j]} = {entries[r][c]}" for i, r in enumerate(rows) for j, c in enumerate(cols)],
     ]
     for k in idx:
         lines += [f"    if {a[k][k]} == 0.0:", f"        {leave('None')}"]
@@ -425,10 +397,10 @@ def _update_body(M, order, leave, phi2: str = "(p0 * p0 + p1 * p1 + p2 * p2)") -
         "    n = p0 * p0 + p1 * p1 + p2 * p2",
         "    if n >= 1.0:",
         f"        {leave(halve)}",
-        *_terms_lines(M, "n"),
+        *_terms_lines(mf, "n"),
         "    cg = c / g",
-        *_products_lines(),
-        *[f"    {m} = {e}" for m, e in zip(ab, _MOMENTUM)],
+        *(f"    {line}" for line in _PRODUCT_LINES),
+        *[f"    {m} = {e}" for m, e in zip(ab, _SHARED[:6])],
         *_assign_lines("e", (f"abs(t{i} - {m})" for i, m in enumerate(ab)), "    "),
         f"    s = {' + '.join(f'e{i}' for i in idx)}",  # NaN only for a NaN entry, as in _max_abs
         # max(e0, ..., e5) without a call: the builtin's comparisons, in its order
@@ -443,13 +415,13 @@ def _update_body(M, order, leave, phi2: str = "(p0 * p0 + p1 * p1 + p2 * p2)") -
 _SOLVED = f"([{', '.join(_STEP_VARIABLES)}], ({_TERMS}), ({_names('m', 6)}), rn)"
 
 
-def _update_source(M, order) -> str:
+def _update_source(matrix: bytes, order) -> str:
     """Source of ``update(f, target)``: ``_update_body`` as a function."""
     return "\n".join([
         "def update(f, target):",
         f"    {', '.join(_STEP_VARIABLES)} = f",
         f"    {_names('t', 6)} = target",
-        *_update_body(M, order, lambda solved: f"return {solved}"),
+        *_update_body(matrix, order, lambda solved: f"return {solved}"),
         f"    return {_SOLVED}",
     ]) + "\n"
 
@@ -461,7 +433,7 @@ def _assign_lines(prefix: str, entries, indent: str = "        ") -> list:
     return [f"{indent}{prefix}{i} = {e}" for i, e in enumerate(entries)]
 
 
-def _loop_source(M, M_inv, order, sum_source: Optional[str]) -> str:
+def _loop_source(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]) -> str:
     """Source of the stepping loop (see ``StepKernels.loop``): per step, the
     pose product, the transport from the products the last update bound
     (the prelude binds those of f_{k-1}), for a body under force models
@@ -484,9 +456,9 @@ def _loop_source(M, M_inv, order, sum_source: Optional[str]) -> str:
         f"    {r} = pose",
         f"    {p} = f",
         f"    {o} = f_prev",
-        *_terms_lines(M),
+        *_terms_lines(_traces(matrix)[0]),
         "    cg = c / g",
-        *_products_lines(),
+        *(f"    {line}" for line in _PRODUCT_LINES),
     ]
     if forced:
         twist = reads(sum_source, "chi")
@@ -505,15 +477,15 @@ def _loop_source(M, M_inv, order, sum_source: Optional[str]) -> str:
         *_assign_lines("nr", (x.text for x in pose)),  # every entry reads r0..r3 or r0..r7
         *_assign_lines("r", (f"nr{i}" for i in range(8))),
         "        # T_k, the momentum of f_{k-1} carried into this frame, from its products",
-        *_assign_lines("t", _TRANSPORT),
+        *_assign_lines("t", _SHARED[6:]),
     ]
     if forced:
         if twist:
-            v = [f"v{i}" for i in range(6)]
+            v = [Traced(f"v{i}") for i in range(6)]
             lines += [
                 "        # the twist predicted from T_k and tau_{k-1}",
                 *_assign_lines("v", (f"t{i} + quarter * tau{i}" for i in range(6))),
-                *_assign_lines("i", _matvec_source(M_inv, v)),
+                *_assign_lines("i", (Traced.of(x).text for x in matvec(_rows(inverse), v))),
                 *_assign_lines("chi", (f"two_over_h * i{i}" for i in range(6))),
             ]
         lines += [
@@ -533,7 +505,7 @@ def _loop_source(M, M_inv, order, sum_source: Optional[str]) -> str:
         *(f"            {x} = d{i}" for i, x in enumerate(_STEP_VARIABLES)),
         "        else:",
         "            n = p0 * p0 + p1 * p1 + p2 * p2",
-        *["    " + line for line in _update_body(M, order, lambda solved: f"solved = {solved}; break", "n")],
+        *["    " + line for line in _update_body(matrix, order, lambda solved: f"solved = {solved}; break", "n")],
         "        if not rn <= tol:",
         f"            solved = {_SOLVED}; break",
     ]
@@ -555,20 +527,21 @@ def _compile(source: str, names):
     return [namespace[name] for name in names]
 
 
-def _matrices(*matrices: bytes) -> list:
-    return [np.frombuffer(b, dtype=np.float64).reshape(6, 6).tolist() for b in matrices]
+def _rows(matrix: bytes) -> list:
+    """The 6x6 matrix of ``matrix``'s bytes as row lists of floats."""
+    return np.frombuffer(matrix, dtype=np.float64).reshape(6, 6).tolist()
 
 
 @functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
 def _compiled_kernels(matrix: bytes, inverse: bytes) -> StepKernels:
-    source = _kernel_source(*_matrices(matrix))
-    kernels = _compile(source, ("terms", "jacobian", "momentum", "transport"))
-    return StepKernels(*kernels, source, matrix, inverse)
+    source = _kernel_source(matrix)
+    generated = _compile(source, ("terms", "jacobian"))
+    return StepKernels(*generated, momentum, transport, source, matrix, inverse)
 
 
 @functools.lru_cache(maxsize=_UPDATE_CACHE_SIZE)
 def _compiled_update(matrix: bytes, order) -> Callable:
-    source = _update_source(*_matrices(matrix), order)
+    source = _update_source(matrix, order)
     (update,) = _compile(source, ("update",))
     update.source, update.order = source, order
     return update
@@ -576,7 +549,7 @@ def _compiled_update(matrix: bytes, order) -> Callable:
 
 @functools.lru_cache(maxsize=_UPDATE_CACHE_SIZE)
 def _compiled_loop(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]) -> Callable:
-    source = _loop_source(*_matrices(matrix, inverse), order, sum_source)
+    source = _loop_source(matrix, inverse, order, sum_source)
     (loop,) = _compile(source, ("loop",))
     loop.source = source
     return loop
@@ -590,9 +563,9 @@ def step_kernels(M: InertiaMatrix6) -> StepKernels:
     )
 
 
-def _kicked(momentum, tau, weight: float) -> list:
-    """momentum + weight * tau: a step momentum plus a share of the wrench impulse."""
-    a0, a1, a2, a3, a4, a5 = momentum
+def _kicked(ab, tau, weight: float) -> list:
+    """ab + weight * tau: a step momentum plus a share of the wrench impulse."""
+    a0, a1, a2, a3, a4, a5 = ab
     t0, t1, t2, t3, t4, t5 = tau
     return [
         a0 + weight * t0, a1 + weight * t1, a2 + weight * t2, a3 + weight * t3, a4 + weight * t4, a5 + weight * t5

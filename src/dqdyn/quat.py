@@ -14,9 +14,11 @@ something the algebra hides.
 integrator's step loop and the force models use; ``dq_mul`` wraps it for
 arrays, with ``as_floats`` as the conversion. ``dq_log_parts`` and
 ``dq_log`` are the same pair for the logarithm. ``Traced`` turns such a
-float function into source text: the integrator's generated loop and the
-force models' generated wrench sum are written by calling the float
-kernels on it, so each formula keeps one definition.
+float function into source text: all generated code, the integrator's
+step kernels, update and loop and the force models' wrench sum, is
+written by calling the float formulas on it (``dq_product``, ``cross``,
+``linsolve.matvec``, the integrator's momentum and Jacobian), so each
+formula keeps one definition.
 """
 
 import math
@@ -111,13 +113,10 @@ def check_pure_dual(eta) -> Array:
 # ---------------------------------------------------------------------------
 
 def quat_mul(q1: Array, q2: Array) -> Array:
-    """Hamilton product q1 ∘ q2 (scalar-first)."""
-    out = np.empty(4)
-    out[0] = q1[0] * q2[0] - q1[1] * q2[1] - q1[2] * q2[2] - q1[3] * q2[3]
-    out[1] = q1[0] * q2[1] + q1[1] * q2[0] + q1[2] * q2[3] - q1[3] * q2[2]
-    out[2] = q1[0] * q2[2] - q1[1] * q2[3] + q1[2] * q2[0] + q1[3] * q2[1]
-    out[3] = q1[0] * q2[3] + q1[1] * q2[2] - q1[2] * q2[1] + q1[3] * q2[0]
-    return out
+    """Hamilton product q1 ∘ q2 (scalar-first): the real part of
+    ``dq_product`` of the two with zero dual parts."""
+    zero = (0.0, 0.0, 0.0, 0.0)
+    return np.array(dq_product((*as_floats(q1), *zero), (*as_floats(q2), *zero))[:4])
 
 
 def quat_conjugate(q: Array) -> Array:
@@ -166,6 +165,12 @@ def dq_product(p1, p2) -> tuple:
     )
 
 
+def cross(a, b) -> tuple:
+    """a x b on 3-sequences of floats (or of float columns, or of ``Traced``
+    values), in np.cross's operation order."""
+    return a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]
+
+
 def _is_zero(x) -> bool:
     return not isinstance(x, Traced) and x == 0.0
 
@@ -177,10 +182,15 @@ class Traced:
 
     A float operand is written as its ``repr`` (``inf`` and ``nan`` by
     name). Zeros fold: a product with a zero is the float 0.0 and a zero
-    drops out of a sum, and -(-x) is x. For finite operands this keeps the
-    bits of the full expression up to the sign of a zero result
-    (x * 0.0 is +-0.0, and x + +-0.0 == x for x != 0). ``traced_lines``
-    writes an operation that several places read once.
+    drops out of a sum, which keeps the bits of the full expression up to
+    the sign of a zero result for finite operands (x * 0.0 is +-0.0, and
+    x + +-0.0 == x for x != 0). An operand that must not fold, such as a
+    0.0 added to turn a -0.0 sum into +0.0, is an atom: ``Traced("0.0")``.
+    The other folds are exact in IEEE 754 up to the sign and payload of a
+    NaN, which the standard leaves open: x * 1.0 is x, x * -1.0 is -x,
+    (-x) * c is x * -c for a float c, a + (-y) is a - y, a - (-y) is
+    a + y and -(-x) is x. ``traced_lines`` writes an operation that
+    several places read once.
     """
 
     __slots__ = ("op", "args", "level")
@@ -207,27 +217,23 @@ class Traced:
     def text(self) -> str:
         return _render(self, {})[0]
 
-    def _apply(self, op: str, level: int, other, reflected: bool = False) -> "Traced":
-        args = (Traced.of(other), self) if reflected else (self, Traced.of(other))
-        return Traced._node(op, level, args)
-
     def __add__(self, other):
-        return self if _is_zero(other) else self._apply("+", 1, other)
+        return self if _is_zero(other) else _sum(self, "+", Traced.of(other))
 
     def __radd__(self, other):
-        return self if _is_zero(other) else self._apply("+", 1, other, True)
+        return self if _is_zero(other) else _sum(Traced.of(other), "+", self)
 
     def __sub__(self, other):
-        return self if _is_zero(other) else self._apply("-", 1, other)
+        return self if _is_zero(other) else _sum(self, "-", Traced.of(other))
 
     def __rsub__(self, other):
-        return -self if _is_zero(other) else self._apply("-", 1, other, True)
+        return -self if _is_zero(other) else _sum(Traced.of(other), "-", self)
 
     def __mul__(self, other):
-        return 0.0 if _is_zero(other) else self._apply("*", 2, other)
+        return _product(self, other, False)
 
     def __rmul__(self, other):
-        return 0.0 if _is_zero(other) else self._apply("*", 2, other, True)
+        return _product(self, other, True)
 
     def __neg__(self):
         if self.op == "neg":
@@ -235,6 +241,28 @@ class Traced:
         if self.op is None and self.level == 3:  # a negative literal
             return Traced(self.args[0][1:])
         return Traced._node("neg", 3, (self,))
+
+
+def _sum(a: Traced, op: str, b: Traced) -> Traced:
+    """a + b or a - b; a + (-y) is a - y and a - (-y) is a + y."""
+    if b.op == "neg":
+        return Traced._node("-" if op == "+" else "+", 1, (a, b.args[0]))
+    return Traced._node(op, 1, (a, b))
+
+
+def _product(x: Traced, c, reflected: bool):
+    """x * c, or c * x when ``reflected``, with the folds of a float c."""
+    if not isinstance(c, Traced):
+        if c == 0.0:
+            return 0.0
+        if c == 1.0:
+            return x
+        if c == -1.0:
+            return -x
+        if x.op == "neg":
+            return _product(x.args[0], -c, reflected)
+    c = Traced.of(c)
+    return Traced._node("*", 2, (c, x) if reflected else (x, c))
 
 
 def _render(x: Traced, names: dict) -> tuple:

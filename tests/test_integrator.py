@@ -258,6 +258,26 @@ def test_step_kernel_terms_equal_matvec(rng):
             assert c == f[3] * f[0] + f[4] * f[1] + f[5] * f[2]
 
 
+def test_generated_kernels_are_their_float_formulas(rng):
+    # jacobian is _jacobian traced with M's entries as literals (terms is
+    # matvec: test_step_kernel_terms_equal_matvec); the formula evaluated on
+    # floats with the full M gives the same values (== ignores the sign of a
+    # zero, which a left-out zero term can change); momentum and transport
+    # read no M and are not generated
+    for M in mixed_inertias(rng):
+        K = integrator.step_kernels(M)
+        assert K.momentum is integrator.momentum and K.transport is integrator.transport
+        rows = M.matrix.tolist()
+        for k in range(20):
+            f = random_step(rng, 0.9).tolist()
+            f[k % 6] = 0.0
+            g, c, *_ = terms = K.terms(f)
+            gg = g * g
+            x = [(gg * s + c * p) / (gg * g) for p, s in zip(f[:3], f[3:])]
+            y = [p / g for p in f[:3]]
+            assert K.jacobian(f, terms) == integrator._jacobian(rows, f, terms, c / g, x, y)
+
+
 def _searched_order(K, f):
     """The pivot order solve_rows picks for the Jacobian of K at f."""
     return solve_rows(K.jacobian(f, K.terms(f)), [1.0] * 6)[3]
@@ -1141,16 +1161,19 @@ def test_each_loop_hands_a_step_back_from_one_place():
 
 
 def test_each_loop_step_binds_the_shared_products_once():
-    # the new iterate's momentum binds gamma w, Phi x w, (c/gamma) u,
-    # Psi x u, gamma u and Phi x u once, and the next step's transport is
-    # read from them; -c / g is not divided again, and gamma^2 is bound once
+    # the new iterate's momentum binds the operations its trace shares with
+    # the transport (gamma w, Phi x w, (c/gamma) u, Psi x u, gamma u and
+    # Phi x u) once, and the next step's transport reads only those names;
+    # -c / g is not divided again, and gamma^2 is bound once
+    bound = [line.split(" = ")[0] for line in integrator._PRODUCT_LINES]
+    assert len(bound) == 18
     for source in _loop_sources():
         body = source[source.index("    while k < stop:\n") : source.index("\n    else:\n")]
-        for name in integrator._PRODUCTS:
+        for name in bound:
             assert len(re.findall(rf"^ +{name} = ", body, re.M)) == 1, name
-        for entry in integrator._TRANSPORT:
-            assert integrator._inline(entry) not in body
-            assert f" = {entry}\n" in body
+        for i, entry in enumerate(integrator._SHARED[6:]):
+            assert f"        t{i} = {entry}\n" in body
+            assert set(re.findall(r"\b[a-z_]\w*", entry)) <= set(bound), entry
         assert "dw = -cg\n" in body and "-c / g" not in body
         assert len(re.findall(r"\bg \* g\b", body)) == 1
 
@@ -1182,6 +1205,27 @@ def test_loop_float_operations_do_not_grow(name):
     counts = collections.Counter(i.opname for i in _while_body(loop))
     binary, negative = LOOP_OPERATIONS[name]
     assert counts["BINARY_OP"] <= binary and counts["UNARY_NEGATIVE"] <= negative, counts
+
+
+# BINARY_OP and UNARY_NEGATIVE instructions of the generated terms, Jacobian
+# and update (of the order searched at the initial guess): their counts when
+# the kernels were still written from string templates
+KERNEL_OPERATIONS = {
+    "free_top": {"terms": (13, 0), "jacobian": (96, 21), "update": (449, 27)},
+    "generic_forced": {"terms": (53, 3), "jacobian": (261, 16), "update": (694, 28)},
+}
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="one BINARY_OP instruction per binary operator from Python 3.11")
+@pytest.mark.parametrize("name", sorted(KERNEL_OPERATIONS))
+def test_kernel_float_operations_do_not_grow(name):
+    inputs = _scenario_inputs(name)
+    K = integrator.step_kernels(inputs.inertia)
+    order = _searched_order(K, initial_guess(inputs.twist, inputs.settings.h).tolist())
+    for kernel, function in (("terms", K.terms), ("jacobian", K.jacobian), ("update", K.update(order))):
+        counts = collections.Counter(i.opname for i in dis.get_instructions(function))
+        binary, negative = KERNEL_OPERATIONS[name][kernel]
+        assert counts["BINARY_OP"] <= binary and counts["UNARY_NEGATIVE"] <= negative, (kernel, counts)
 
 
 def test_wrench_sum_compiles_once_per_model_list():

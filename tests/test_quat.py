@@ -1,5 +1,8 @@
 """Quaternion / dual quaternion algebra against independent matrix oracles."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from conftest import random_pose, random_unit_quaternion
@@ -19,7 +22,7 @@ from dqdyn import (
     quaternion,
     unit_quaternion,
 )
-from dqdyn.quat import SMALL_ANGLE, dq_log_parts
+from dqdyn.quat import SMALL_ANGLE, Traced, dq_log_parts
 
 
 def test_quat_mul_unit_elements():
@@ -240,3 +243,59 @@ def test_dq_log_is_the_float_kernel(rng):
             p = -p
         check(p)
         assert dq_log_parts(p.tolist()) == dq_log_parts((-p).tolist())
+
+
+def _fold_operands(rng) -> list:
+    """Floats at the edges of the format: signed zeros, infinities, NaNs,
+    subnormals, runs of neighbours around 0, 1, the smallest normal and the
+    largest finite float, and random bit patterns (signalling NaNs among
+    them)."""
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 5e-324, -5e-324, 2.5e-310, -1.5e-315]
+    runs = []
+    for start in (0.0, 1.0, -1.0, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1):
+        x = start
+        for _ in range(4):
+            x = math.nextafter(x, math.inf)
+            runs.append(x)
+        x = start
+        for _ in range(4):
+            x = math.nextafter(x, -math.inf)
+            runs.append(x)
+    patterns = [struct.unpack("<d", struct.pack("<Q", int(b)))[0] for b in rng.integers(0, 2**64, 40, dtype=np.uint64)]
+    return special + runs + patterns
+
+
+def _same_float(a: float, b: float) -> bool:
+    """a and b have the same bits, or are both NaN: IEEE 754 leaves the sign
+    and payload of a NaN result open (x * -1.0 keeps a NaN's sign, -x flips
+    it; a product quiets a signalling NaN)."""
+    return struct.pack("<d", a) == struct.pack("<d", b) or (a != a and b != b)
+
+
+@pytest.mark.parametrize(
+    "unfolded, folded",
+    [
+        ("x * 1.0", "x"),
+        ("1.0 * x", "x"),
+        ("x * -1.0", "-x"),
+        ("-1.0 * x", "-x"),
+        ("(-x) * c", "x * {-c}"),
+        ("c * (-x)", "{-c} * x"),
+        ("a + (-x)", "a - x"),
+        ("a - (-x)", "a + x"),
+    ],
+)
+def test_traced_folds_keep_the_bits(rng, unfolded, folded):
+    # each fold: the unfolded expression called on Traced symbols (and a
+    # float c) folds to ``folded``, and both sources, compiled, give the
+    # same bits on every edge operand x, a and c
+    values = _fold_operands(rng)
+    expression = eval(f"lambda x, a, c: {unfolded}")
+    floats = values if "a" in unfolded else [1.5]
+    for c in [v for v in values if v not in (0.0, 1.0, -1.0)] if "c" in unfolded else [2.0]:
+        text = expression(Traced("x"), Traced("a"), c).text
+        assert text == folded.replace("{-c}", Traced.of(-c).text)
+        before = eval(f"lambda x, a: {unfolded}", {"c": c})
+        after = eval(f"lambda x, a: {text}", {"inf": math.inf, "nan": math.nan})
+        mismatches = [(x, a) for x in values for a in floats if not _same_float(before(x, a), after(x, a))]
+        assert not mismatches, (text, c, mismatches)
