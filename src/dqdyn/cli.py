@@ -12,6 +12,7 @@ import sys
 
 from .errors import (
     ConfigError,
+    DqdynError,
     SingularMatrixError,
     SolverDivergenceError,
     StepTooLargeError,
@@ -121,10 +122,19 @@ def _run_one(path: str, overrides: dict) -> str:
 
 
 def _cmd_run(args) -> int:
+    """Run each config in turn and print its block as soon as it finishes,
+    so a batch that fails shows the runs it finished; an error raised while
+    a config runs names that config."""
     if args.output is not None and len(args.config) > 1:
         raise ConfigError("--output applies to a single --config; batch runs take paths from each config")
     overrides = _flag_overrides(args)
-    print("\n\n".join(_run_one(path, overrides) for path in args.config))
+    for i, path in enumerate(args.config):
+        try:
+            block = _run_one(path, overrides)
+        except DqdynError as exc:
+            exc.args = (f"{path}: {exc}",)  # the type, its attributes and its exit code stay
+            raise
+        print(f"\n{block}" if i else block, flush=True)
     return EXIT_OK
 
 

@@ -51,11 +51,13 @@ and the update's own lines, all on locals, with every float operation in
 the order of the separate kernels. The library's force models carry their
 source (``dynamics.wrench_sum_kernel``), so a step whose first update
 meets the tolerance makes no Python call unless a model without source
-is called. The loop records each state's floats in a flat list that
-``simulate`` copies into its columns a block at a time, with
-``np.fromiter``. A step whose update refuses, must be halved or misses
-the tolerance is handed back with the update's result, and the Newton
-loop and the branch guard finish it without repeating the update. All
+is called. ``simulate`` allocates one table per run, a row of ``_ROW``
+floats per state, and every state is written into its row by one packer
+(``_PACK``), from the loop and from the searched steps alike; the
+trajectory's columns are views of the table. A step whose update refuses,
+must be halved or misses the tolerance is handed back with the update's
+result, and the Newton loop and the branch guard finish it without
+repeating the update. All
 are compiled on first use and cached; ``step_kernels(M).source``,
 ``step_kernels(M).update(order).source`` and
 ``step_kernels(M).loop(order, sum_source).source`` are their code.
@@ -66,6 +68,7 @@ M is the 6x6 generalized inertia about the body reference point.
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -124,11 +127,11 @@ def _phi_norm2(f) -> float:
 _KERNEL_CACHE_SIZE = 16
 _UPDATE_CACHE_SIZE = 32
 _STEP_VARIABLES = ("p0", "p1", "p2", "s0", "s1", "s2")
-# floats the stepping loop records per state: pose, step variables, stored
+# floats of a state's row in simulate's table: pose, step variables, stored
 # momentum and residual norm
 _ROW = 8 + 6 + 6 + 1
-# states simulate lets the loop record before it copies them into its columns
-_BLOCK = 512
+# _PACK(table, k * 8 * _ROW, *row) writes state k's row into the table
+_PACK = struct.Struct(f"{_ROW}d").pack_into
 _TERMS = "g, c, u0, u1, u2, w0, w1, w2"
 # largest |multiplier| an update accepts: threshold pivoting with u = 1/10
 # keeps element growth bounded (Higham, Accuracy and Stability of Numerical
@@ -256,8 +259,8 @@ class StepKernels(NamedTuple):
     step momentum, its transport and the Jacobian share.
     ``jacobian(f, terms)`` is d[A; B]/d[Phi; Psi] as six row lists
     (``_jacobian`` with M's entries as literals).
-    These two read M and are generated; ``momentum`` and ``transport``
-    do not, and are the module functions.
+    These two read M and are generated; the momentum and its transport
+    do not, and are the module functions ``momentum`` and ``transport``.
     ``matrix`` and ``inverse_matrix`` are the bytes of M and M^-1, the
     keys of ``update`` and ``loop``; M^-1 enters only a forced loop whose
     wrench sum reads the twist, as the product that gives its predicted
@@ -266,8 +269,6 @@ class StepKernels(NamedTuple):
 
     terms: Callable
     jacobian: Callable
-    momentum: Callable
-    transport: Callable
     source: str
     matrix: bytes
     inverse_matrix: bytes
@@ -298,14 +299,15 @@ class StepKernels(NamedTuple):
         free (None), generated on first use and kept in a small LRU cache; its
         ``source`` attribute is its code.
 
-        ``loop(k, stop, pose, f, f_prev, tau, out, tol, h, wrench)`` takes
+        ``loop(k, stop, pose, f, f_prev, tau, table, tol, h, wrench)`` takes
         the state after step k - 1: the pose p_{k-1}, f_{k-1}, f_{k-2}
         (read from step 2 on) and the wrench tau_{k-1} (None when free). It
         runs steps k, k + 1, ... on locals, each with the lines of the
-        wrench sum and the body of ``update(order)`` inlined, and appends
+        wrench sum and the body of ``update(order)`` inlined, and writes
         each state's pose, step variables, stored momentum
-        [A; B](f) - (h^2/4) tau and residual norm to the list ``out``,
-        ``_ROW`` floats per state. It returns (k, pose, f, f_prev, tau,
+        [A; B](f) - (h^2/4) tau and residual norm into its row k of the
+        float64 array ``table`` (``_ROW`` columns, C order) with one
+        ``_PACK`` call. It returns (k, pose, f, f_prev, tau,
         handoff): at k == stop with the state after step k - 1 and handoff
         None, or at the first step k whose update refuses, must be halved
         or misses tol, with p_k, f_{k-1}, None, tau_k and handoff =
@@ -452,7 +454,7 @@ def _loop_source(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]
     step_dq = ("g", "p0", "p1", "p2", "dw", "s0", "s1", "s2")
     pose = dq_product([Traced(f"r{i}") for i in range(8)], [Traced(x) for x in step_dq])
     lines = [
-        "def loop(k, stop, pose, f, f_prev, tau, out, tol, h, wrench):",
+        "def loop(k, stop, pose, f, f_prev, tau, table, tol, h, wrench):",
         f"    {r} = pose",
         f"    {p} = f",
         f"    {o} = f_prev",
@@ -511,7 +513,7 @@ def _loop_source(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]
     ]
     momenta = [f"m{i} + unkick * tau{i}" if forced else f"m{i}" for i in range(6)]
     lines += [
-        f"        out += ({r}, {p}, {', '.join(momenta)}, rn)",
+        f"        _PACK(table, k * {8 * _ROW}, {r}, {p}, {', '.join(momenta)}, rn)",
         "        k += 1",
         "    else:",
         f"        return k, ({r}), [{p}], [{o}], {taus}, None",
@@ -522,7 +524,8 @@ def _loop_source(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]
 
 
 def _compile(source: str, names):
-    namespace = dict(SUM_NAMES)  # sqrt and nan, and what a forced loop's wrench sum reads
+    # sqrt and nan, what a forced loop's wrench sum reads, and the loop's packer
+    namespace = {**SUM_NAMES, "_PACK": _PACK}
     exec(compile(source, "<dqdyn.integrator.step_kernels>", "exec"), namespace)
     return [namespace[name] for name in names]
 
@@ -536,7 +539,7 @@ def _rows(matrix: bytes) -> list:
 def _compiled_kernels(matrix: bytes, inverse: bytes) -> StepKernels:
     source = _kernel_source(matrix)
     generated = _compile(source, ("terms", "jacobian"))
-    return StepKernels(*generated, momentum, transport, source, matrix, inverse)
+    return StepKernels(*generated, source, matrix, inverse)
 
 
 @functools.lru_cache(maxsize=_UPDATE_CACHE_SIZE)
@@ -609,7 +612,7 @@ def _newton(f, target, K: StepKernels, tol: float, max_iterations: int, update, 
             f, terms, ab, pre = solved
         else:
             terms = K.terms(f)
-            ab = K.momentum(f, terms)
+            ab = momentum(f, terms)
             y = [t - a for a, t in zip(ab, target)]  # the negated residual, Newton's right-hand side
             if solved is None:
                 dx, cond, ok, order = solve_rows(K.jacobian(f, terms), list(y))  # in place: y stays the residual
@@ -631,7 +634,7 @@ def _newton(f, target, K: StepKernels, tol: float, max_iterations: int, update, 
                 return f, terms, ab, it, _max_abs(y), _STATUS_INFEASIBLE, update
             f = trial
             terms = K.terms(f)
-            ab = K.momentum(f, terms)
+            ab = momentum(f, terms)
             pre = _max_abs([t - a for a, t in zip(ab, target)])
         if pre <= tol:
             return f, terms, ab, it, pre, _STATUS_OK, update
@@ -679,7 +682,7 @@ def residual(step, M: InertiaMatrix6) -> tuple[Array, Array]:
     """Step momentum (A, B): rotational and translational components."""
     f = _as_step(step).tolist()
     K = step_kernels(M)
-    out = np.array(K.momentum(f, K.terms(f)))
+    out = np.array(momentum(f, K.terms(f)))
     return out[:3], out[3:]
 
 
@@ -689,7 +692,7 @@ def rhs(prev_step, M: InertiaMatrix6, wrench, h: float) -> tuple[Array, Array]:
     f = _as_step(prev_step).tolist()
     tau = _wrench_body_vector(wrench).tolist()
     K = step_kernels(M)
-    out = np.array(_kicked(K.transport(f, K.terms(f)), tau, 0.5 * h * h))
+    out = np.array(_kicked(transport(f, K.terms(f)), tau, 0.5 * h * h))
     return out[:3], out[3:]
 
 
@@ -726,7 +729,7 @@ def solve_step(prev_step, M: InertiaMatrix6, wrench, settings: SolverSettings):
     f_prev = _as_step(prev_step).tolist()
     tau = _wrench_body_vector(wrench).tolist()
     K = step_kernels(M)
-    target = _kicked(K.transport(f_prev, K.terms(f_prev)), tau, 0.5 * settings.h * settings.h)
+    target = _kicked(transport(f_prev, K.terms(f_prev)), tau, 0.5 * settings.h * settings.h)
     f, _, _, it, rn, status, _ = _newton(  # no update yet: a single step always searches
         f_prev, target, K, settings.tolerance, settings.max_iterations, None, None
     )
@@ -768,19 +771,7 @@ def retrieve_twist(step, M: InertiaMatrix6, h: float) -> Array:
     f = _as_step(step).tolist()
     s = 2.0 / float(h)
     K = step_kernels(M)
-    return np.array([s * x for x in matvec(M.inverse.tolist(), K.momentum(f, K.terms(f)))])
-
-
-def _store(out: list, rows: slice, poses, steps, momenta, resnorms, iters) -> None:
-    """Copy the states the loop recorded in ``out`` into ``rows`` of the
-    columns, one iteration each, and empty ``out``; no copy outlives the
-    call. ``np.fromiter`` reads the flat list's floats straight into an
-    array of its length, without ``np.array``'s search for nested sequences."""
-    block = np.fromiter(out, np.float64, len(out)).reshape(-1, _ROW)
-    out.clear()
-    poses[rows], steps[rows], momenta[rows] = block[:, :8], block[:, 8:14], block[:, 14:20]
-    resnorms[rows] = block[:, 20]
-    iters[rows] = 1
+    return np.array([s * x for x in matvec(M.inverse.tolist(), momentum(f, K.terms(f)))])
 
 
 def simulate(
@@ -813,13 +804,14 @@ def simulate(
 
     Step 0 is solved here, by the searched Newton loop; steps from 1 on run
     in the generated loop ``step_kernels(M).loop(order, wrench.source)`` of the
-    pivot order of the last search. It appends each state whose first
-    update meets tol to a flat list of floats, which is copied into the
-    preallocated columns every ``_BLOCK`` states, so a run holds its
-    columns and at most one block of Python floats. A step whose update
-    refuses, must be halved or misses tol is handed back with the update's
-    result; ``_newton`` and the branch guard finish it, and the loop
-    resumes after it, of the new pivot order when that step searched.
+    pivot order of the last search, to the end of the run. The run holds
+    one table, a row per state, and each state, looped or searched, is
+    packed straight into its row; the trajectory's poses, steps and
+    residual norms are views of its columns, so no state is copied and no
+    Python float outlives its step. A step whose update refuses, must be
+    halved or misses tol is handed back with the update's result;
+    ``_newton`` and the branch guard finish it, and the loop resumes after
+    it, of the new pivot order when that step searched.
 
     Each state stores the node-synchronized twist
     (2/h) M^-1 ([A; B](f_k) - (h^2/4) tau_k), the average of the step
@@ -838,11 +830,9 @@ def simulate(
     force_models = list(forces)
 
     n = n_steps + 1
-    poses = np.empty((n, 8))
-    steps = np.empty((n, 6))
-    momenta = np.empty((n, 6))  # [A; B](f_k) - (h^2/4) tau_k, the stored twists' momenta
-    iters = np.zeros(n, dtype=np.int64)
-    resnorms = np.zeros(n)
+    # row k: p_k, f_k, [A; B](f_k) - (h^2/4) tau_k (the stored twist's momentum), residual norm
+    table = np.empty((n, _ROW))
+    iters = np.ones(n, dtype=np.int64)
     pose = p0.tolist()
     target = [0.5 * h * x for x in matvec(M.matrix.tolist(), chi0.tolist())]
     quarter_kick = 0.25 * h * h
@@ -852,48 +842,43 @@ def simulate(
         source = wrench.source
         tau = wrench(pose, chi0.tolist(), 0.0)
         target = _kicked(target, tau, quarter_kick)
-    # step 0 is the first hand-off: no prediction, no update yet, so it searches
-    k, handoff, update, looped, out = 0, (None, target, None), None, None, []
-    while True:
-        if handoff is not None:
-            predicted, target, solved = handoff
-            start = predicted or f
-            prev_update = update
-            f_k, terms, ab, it, rn, status, update = _newton(start, target, K, tol, max_iterations, update, solved)
-            if start is not f and (
-                status or (it > 1 and _jacobian_positive(f_k, terms, K) != _jacobian_positive(f, K.terms(f), K))
-            ):
-                # the predicted start failed, or its solve crossed the fold of
-                # [A; B] to the root on the other side from f_{k-1}: solve the
-                # step again as a start from f_{k-1} would
-                f_k, terms, ab, it, rn, status, update = _newton(
-                    f, target, K, tol, max_iterations, prev_update, prev_update(f, target)
-                )
-            _raise_for_status(status, it, rn, k)
-            poses[k] = pose
-            steps[k] = f_k
-            momenta[k] = _kicked(ab, tau, -quarter_kick) if force_models else ab
-            iters[k] = it
-            resnorms[k] = rn
-            f_prev, f = f, f_k
-            k += 1
+    # step 0 is the first hand-off: no prediction, no update yet, so it
+    # searches; the loop runs to the end of the run or hands a step back
+    k, handoff, update, looped = 0, (None, target, None), None, None
+    while handoff is not None:
+        predicted, target, solved = handoff
+        start = predicted or f
+        prev_update = update
+        f_k, terms, ab, it, rn, status, update = _newton(start, target, K, tol, max_iterations, update, solved)
+        if start is not f and (
+            status or (it > 1 and _jacobian_positive(f_k, terms, K) != _jacobian_positive(f, K.terms(f), K))
+        ):
+            # the predicted start failed, or its solve crossed the fold of
+            # [A; B] to the root on the other side from f_{k-1}: solve the
+            # step again as a start from f_{k-1} would
+            f_k, terms, ab, it, rn, status, update = _newton(
+                f, target, K, tol, max_iterations, prev_update, prev_update(f, target)
+            )
+        _raise_for_status(status, it, rn, k)
+        stored = _kicked(ab, tau, -quarter_kick) if force_models else ab
+        _PACK(table, k * 8 * _ROW, *pose, *f_k, *stored, rn)
+        iters[k] = it
+        f_prev, f = f, f_k
+        k += 1
         if k == n:
             break
         if update is not looped:
             loop, looped = K.loop(update.order, source), update
-        first = k
-        k, pose, f, f_prev, tau, handoff = loop(k, min(n, k + _BLOCK), pose, f, f_prev, tau, out, tol, h, wrench)
-        if out:
-            _store(out, slice(first, k), poses, steps, momenta, resnorms, iters)
+        k, pose, f, f_prev, tau, handoff = loop(k, n, pose, f, f_prev, tau, table, tol, h, wrench)
 
     times = np.arange(n) * h
     return Trajectory.from_raw(
         times=times,
-        poses=poses,
-        twists=np.multiply(2.0 / h, matvec_stack(M.inverse, momenta).T, order="C"),
+        poses=table[:, :8],
+        twists=np.multiply(2.0 / h, matvec_stack(M.inverse, table[:, 14:20]).T, order="C"),
         inertia=M,
         force_models=force_models,
-        steps=steps,
+        steps=table[:, 8:14],
         iterations=iters,
-        residual_norms=resnorms,
+        residual_norms=table[:, 20],
     )

@@ -8,7 +8,7 @@ import pytest
 
 import dqdyn
 from dqdyn.cli import main
-from test_scenario import NOT_NUMBERS
+from test_scenario import NOT_NUMBERS, SCENARIO_DIR
 from test_trajectory import BAD_HEADERS, MISSPLIT_ROWS, ROW, write_table
 
 # a child process imports the same dqdyn as this one, installed or not
@@ -283,6 +283,18 @@ def test_batch_runs_in_order(free_config, tmp_path, capsys):
     second = printed.index(str(other))
     assert first < second
     assert out.exists()
+
+
+def test_failing_batch_prints_the_runs_it_finished(tmp_path, monkeypatch, capsys):
+    # damped_drop diverges at h = 0.1: free_top's block is printed before
+    # it, and the error names the config that failed
+    monkeypatch.chdir(tmp_path)  # free_top writes free_top.tsv
+    free, drop = (str(SCENARIO_DIR / f"{name}.yaml") for name in ("free_top", "damped_drop"))
+    assert main(["run", "--config", free, "--config", drop, "--steps", "30", "--h", "0.1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"config: {free}\n") and captured.out.endswith("wrote: free_top.tsv\n")
+    assert captured.err.startswith(f"error: {drop}: Newton did not reach tolerance")
+    assert (tmp_path / "free_top.tsv").exists()
 
 
 def test_batch_rejects_shared_output_flag(free_config, tmp_path, capsys):

@@ -262,11 +262,9 @@ def test_generated_kernels_are_their_float_formulas(rng):
     # jacobian is _jacobian traced with M's entries as literals (terms is
     # matvec: test_step_kernel_terms_equal_matvec); the formula evaluated on
     # floats with the full M gives the same values (== ignores the sign of a
-    # zero, which a left-out zero term can change); momentum and transport
-    # read no M and are not generated
+    # zero, which a left-out zero term can change)
     for M in mixed_inertias(rng):
         K = integrator.step_kernels(M)
-        assert K.momentum is integrator.momentum and K.transport is integrator.transport
         rows = M.matrix.tolist()
         for k in range(20):
             f = random_step(rng, 0.9).tolist()
@@ -746,7 +744,7 @@ def test_newton_takes_over_the_first_update():
     K = integrator.step_kernels(M)
     f = [0.0] * 6
     goal = [0.3, -0.2, 0.25, 0.1, 0.2, -0.1]
-    target = list(K.momentum(goal, K.terms(goal)))
+    target = list(integrator.momentum(goal, K.terms(goal)))
     update = K.update(solve_rows(K.jacobian(f, K.terms(f)), [0.0] * 6)[3])
     calls = []
 
@@ -783,8 +781,8 @@ def _handing_over(compiled, handed, solved=True):
     def loops(*key):
         loop = compiled(*key)
 
-        def every_step(k, stop, pose, f, f_prev, tau, out, tol, h, wrench):
-            k, pose, f, f_prev, tau, handoff = loop(k, stop, pose, f, f_prev, tau, out, -1.0, h, wrench)
+        def every_step(k, stop, pose, f, f_prev, tau, table, tol, h, wrench):
+            k, pose, f, f_prev, tau, handoff = loop(k, stop, pose, f, f_prev, tau, table, -1.0, h, wrench)
             if handoff is not None:
                 handed.append(k)
                 if not solved:
@@ -923,62 +921,54 @@ def test_loop_hands_over_each_irregular_step_once_and_resumes(monkeypatch):
     assert traj.residual_norms.max() <= SolverSettings(h=h).tolerance
 
 
-def test_block_recording_holds_one_block(monkeypatch):
-    # the loop appends each state's floats to one flat list, which simulate
-    # copies into its preallocated columns every _BLOCK states, so the run
-    # holds its numpy columns and at most one block of Python floats: the
-    # list's pointers, its float objects and their copy as an array. A
-    # list per state kept to the end would add several hundred bytes per
-    # state (it doubled the peak RSS of a 1e5-step run)
+def test_a_run_holds_its_table_and_no_float_per_state(monkeypatch):
+    # simulate packs each state straight into its row of one float64 table,
+    # and the trajectory's poses, steps and residual norms are views of its
+    # columns: while the loop runs, the run holds the table, the iteration
+    # counts and a small constant. A Python float kept per state would add
+    # 24 bytes and a list pointer per float, 672 bytes a state
     inputs = _scenario_inputs("free_top")
-    n = 20_000
-    block = integrator._BLOCK * integrator._ROW
-    # a block: the list's pointers with its growth headroom (1/8), its
-    # floats and their array copy; 16 kB cover the run's small objects
-    one_block = block * (8 * 9 // 8 + sys.getsizeof(1.0) + 8) + 16_384
-    columns = (n + 1) * (8 + 6 + 6 + 1 + 1) * 8  # poses, steps, momenta, iterations, residual norms
+    n = 1000  # tracemalloc costs the loop about 2 ms a step
+    run = (inputs.pose, inputs.twist, inputs.inertia, (), inputs.settings, n)
+    simulate(*run)  # generating and compiling the kernels and the loop is not the run's
     compiled = integrator._compiled_loop
-    held = []
     peaks = []
 
     def loops(*key):
         loop = compiled(*key)
 
-        def recorded(k, stop, pose, f, f_prev, tau, out, *args):
-            assert not out  # the last block was copied out
-            result = loop(k, stop, pose, f, f_prev, tau, out, *args)
-            held.append(len(out))
+        def traced(*args):
+            result = loop(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
             return result
 
-        return recorded
+        return traced
 
     monkeypatch.setattr(integrator, "_compiled_loop", loops)
-    simulate(inputs.pose, inputs.twist, inputs.inertia, (), inputs.settings, n)
-    assert max(held) == block and sum(held) == n * integrator._ROW
-
-    # tracemalloc costs the real loop ~5 ms a step, so the traced run uses
-    # a loop that records fresh floats like the real one, without the
-    # arithmetic. The traced peak is read as each call starts, after the
-    # previous block's copy; the twist retrieval and from_raw that follow
-    # the loop build the trajectory's own columns
-    def recording(*key):
-        def loop(k, stop, pose, f, f_prev, tau, out, tol, h, wrench):
-            peaks.append(tracemalloc.get_traced_memory()[1])
-            while k < stop:
-                out += tuple(k + 0.5 * i for i in range(integrator._ROW))
-                k += 1
-            return k, pose, f, f_prev, tau, None
-
-        return loop
-
-    monkeypatch.setattr(integrator, "_compiled_loop", recording)
     tracemalloc.start()
     try:
-        simulate(inputs.pose, inputs.twist, inputs.inertia, (), inputs.settings, n)
+        traj = simulate(*run)
     finally:
         tracemalloc.stop()
-    assert len(peaks) == -(-n // integrator._BLOCK)
-    assert max(peaks) <= columns + one_block
+    table = (n + 1) * integrator._ROW * 8
+    assert len(peaks) == 1  # one loop call runs every step after step 0
+    assert peaks[0] <= table + (n + 1) * 8 + 16_384
+    rows = traj.poses.base
+    assert rows.shape == (n + 1, integrator._ROW) and traj.steps.base is rows and traj.residual_norms.base is rows
+
+
+@pytest.mark.parametrize("h", [1e-3, 0.05])
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_every_row_chains(name, h):
+    # each pose is the last one times the unit dual quaternion of the last
+    # step, bit for bit: the rows the loop packs and those of the steps it
+    # hands back (many at h = 0.05) are one sequence, none left unwritten
+    # or shifted
+    inputs = _scenario_inputs(name)
+    traj = simulate(inputs.pose, inputs.twist, inputs.inertia, inputs.forces, replace(inputs.settings, h=h), 1200)
+    for k in range(1, traj.n_states):
+        chained = dq_mul(traj.poses[k - 1], step_to_dual_quaternion(traj.steps[k - 1]))
+        assert chained.tobytes() == traj.poses[k].tobytes(), k
 
 
 @pytest.mark.parametrize("name", ["free_top", "offset_reference"])
@@ -1186,33 +1176,34 @@ def _while_body(loop) -> list:
     return [i for i in instructions if back.argval <= i.offset <= back.offset]
 
 
-# BINARY_OP and UNARY_NEGATIVE instructions of the generated loop's
-# while-body, the float operations of a step: their counts when this guard
-# was set (before the loop read its transport from the shared products,
-# the while-bodies held 594 and 1030 BINARY_OPs)
-LOOP_OPERATIONS = {"free_top": (568, 28), "generic_forced": (1004, 45)}
+# BINARY_OP, UNARY_NEGATIVE and CALL instructions of the generated loop's
+# while-body, the float operations and calls of a step (the square roots,
+# the residual norm's abs, the row's pack and the wrench sum's error
+# calls): their counts
+LOOP_OPERATIONS = {"free_top": (568, 23, 11), "generic_forced": (1004, 22, 14)}
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="one BINARY_OP instruction per binary operator from Python 3.11")
 @pytest.mark.parametrize("name", sorted(LOOP_OPERATIONS))
 def test_loop_float_operations_do_not_grow(name):
     # a deterministic guard for the loop's cost, independent of timing: a
-    # change that adds float operations to a step fails here on every machine
+    # change that adds float operations or a call to a step fails here on
+    # every machine
     inputs = _scenario_inputs(name)
     K = integrator.step_kernels(inputs.inertia)
     order = _searched_order(K, initial_guess(inputs.twist, inputs.settings.h).tolist())
     loop = K.loop(order, wrench_sum_kernel(inputs.forces).source if inputs.forces else None)
     counts = collections.Counter(i.opname for i in _while_body(loop))
-    binary, negative = LOOP_OPERATIONS[name]
+    binary, negative, calls = LOOP_OPERATIONS[name]
     assert counts["BINARY_OP"] <= binary and counts["UNARY_NEGATIVE"] <= negative, counts
+    assert counts["CALL"] <= calls, counts
 
 
 # BINARY_OP and UNARY_NEGATIVE instructions of the generated terms, Jacobian
-# and update (of the order searched at the initial guess): their counts when
-# the kernels were still written from string templates
+# and update (of the order searched at the initial guess): their counts
 KERNEL_OPERATIONS = {
-    "free_top": {"terms": (13, 0), "jacobian": (96, 21), "update": (449, 27)},
-    "generic_forced": {"terms": (53, 3), "jacobian": (261, 16), "update": (694, 28)},
+    "free_top": {"terms": (13, 0), "jacobian": (96, 16), "update": (449, 22)},
+    "generic_forced": {"terms": (53, 0), "jacobian": (261, 0), "update": (694, 6)},
 }
 
 
