@@ -51,7 +51,6 @@ from .kinematics import (
     FRAME_WORLD,
     ScrewParameters,
     Wrench,
-    body_twist_from_pose_rate,
     body_wrench,
     check_pose,
     dual_force_to_body_wrench,
@@ -63,7 +62,6 @@ from .kinematics import (
     pose_to_rotation_translation,
     rotate_vector,
     screw_compose,
-    screw_decompose,
     transform_point,
     twist,
     twist_world_from_body,

@@ -36,30 +36,28 @@ Each formula is one float function: the momentum and its transport
 ``quat.Traced`` symbols, M's entries as literals and its zero entries left
 out, with hand-written lines only for the square root and the divisions.
 The kernels that read M, the terms (M f) and the Jacobian, are generated.
-A Newton iteration is one more generated function, for an inertia and the
-pivot order of the last full-pivot solve: the start's residual, each
-Jacobian entry written straight into its elimination variable, the
-elimination without a search, the update and the new iterate's residual
-norm, in one call; it binds the products that the new iterate's momentum
-shares with the transport (``_PRODUCT_LINES``) once. ``simulate``'s steps run
-in a third generated function, a loop for an inertia, a pivot order and
-the source of the body's wrench sum (none for a free body): per step, the
-pose product, the transport (12 subtractions of the products the last
-update bound), for a forced body the wrench sum's own lines (the
-predicted twist only when a model reads it) and the kicks, the prediction
-and the update's own lines, all on locals, with every float operation in
-the order of the separate kernels. The library's force models carry their
-source (``dynamics.wrench_sum_kernel``), so a step whose first update
-meets the tolerance makes no Python call unless a model without source
-is called. ``simulate`` allocates one table per run, a row of ``_ROW``
-floats per state, and every state is written into its row by one packer
-(``_PACK``), from the loop and from the searched steps alike; the
-trajectory's columns are views of the table. A step whose update refuses,
-must be halved or misses the tolerance is handed back with the update's
-result, and the Newton loop and the branch guard finish it without
-repeating the update. All
-are compiled on first use and cached; ``step_kernels(M).source``,
-``step_kernels(M).update(order).source`` and
+``simulate``'s steps run in one more generated function, a loop for an
+inertia, the pivot order of the last full-pivot solve and the source of
+the body's wrench sum (none for a free body): per step, the pose product,
+the transport (12 subtractions of the products the last update bound), for
+a forced body the wrench sum's own lines (the predicted twist only when a
+model reads it) and the kicks, the prediction, and the Newton iterations,
+each the same inlined update: the start's residual, each Jacobian entry
+written straight into its elimination variable, the elimination without a
+search, the update and the new iterate's residual norm, all on locals,
+with every float operation in the order of the separate kernels. The
+update binds the products that the new iterate's momentum shares with the
+transport (``_PRODUCT_LINES``) once. The loop also applies the branch
+guard, from the sign of det J that the elimination's pivots give. The
+library's force models carry their source (``dynamics.wrench_sum_kernel``),
+so a step makes no Python call unless a model without source is called.
+``simulate`` allocates one table per run, a row of ``_ROW`` floats per
+state, and the loop writes every state into its row with one packer
+(``_PACK``); the trajectory's columns are views of the table. The loop
+hands a step back only when an update refuses or must be halved, for the
+full-pivot solve or the halving of ``_newton``, or when a step misses: a
+predicted start is then solved again from f_{k-1}, and a start from
+f_{k-1} fails. All are compiled on first use and cached; ``step_kernels(M).source`` and
 ``step_kernels(M).loop(order, sum_source).source`` are their code.
 
 Conventions: twists are [omega; v] body frame, wrenches [torque; force],
@@ -93,6 +91,10 @@ _STATUS_SINGULAR = 2
 _STATUS_INFEASIBLE = 3
 
 _MAX_BACKTRACK = 60
+# what the loop hands back besides a step to halve (the update's dx): an
+# update refused, or a step failed (see StepKernels.loop)
+_REFUSED = "refused"
+_MISSED = "missed"
 
 
 @dataclass(frozen=True)
@@ -125,13 +127,14 @@ def _phi_norm2(f) -> float:
 # symbol, which keeps the bits of the full sum up to the sign of a zero.
 
 _KERNEL_CACHE_SIZE = 16
-_UPDATE_CACHE_SIZE = 32
+_LOOP_CACHE_SIZE = 32
 _STEP_VARIABLES = ("p0", "p1", "p2", "s0", "s1", "s2")
 # floats of a state's row in simulate's table: pose, step variables, stored
 # momentum and residual norm
 _ROW = 8 + 6 + 6 + 1
 # _PACK(table, k * 8 * _ROW, *row) writes state k's row into the table
 _PACK = struct.Struct(f"{_ROW}d").pack_into
+_IDENTITY = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
 _TERMS = "g, c, u0, u1, u2, w0, w1, w2"
 # largest |multiplier| an update accepts: threshold pivoting with u = 1/10
 # keeps element growth bounded (Higham, Accuracy and Stability of Numerical
@@ -223,7 +226,7 @@ _RESIDUALS = [(Traced(f"t{i}") - m).text for i, m in enumerate(_MOMENTA[:6])]
 def _traces(matrix: bytes) -> tuple:
     """(the sources of [w; u] = M f, the lines binding what the Jacobian's
     entries share, the entries' sources as six rows) of M's bytes: traced
-    once per inertia for its kernels, updates and loops."""
+    once per inertia for its kernels and loops."""
     M = _rows(matrix)
     mf = tuple(Traced.of(x).text for x in matvec(M, _F))
     lines, entries = traced_lines([e for row in _jacobian(M, _F, _T, _CG, _X, _Y, Traced("0.0")) for e in row], "j")
@@ -262,9 +265,8 @@ class StepKernels(NamedTuple):
     These two read M and are generated; the momentum and its transport
     do not, and are the module functions ``momentum`` and ``transport``.
     ``matrix`` and ``inverse_matrix`` are the bytes of M and M^-1, the
-    keys of ``update`` and ``loop``; M^-1 enters only a forced loop whose
-    wrench sum reads the twist, as the product that gives its predicted
-    twist.
+    keys of ``loop``; M^-1 enters only a forced loop whose wrench sum reads
+    the twist, as the product that gives its predicted twist.
     """
 
     terms: Callable
@@ -273,49 +275,38 @@ class StepKernels(NamedTuple):
     matrix: bytes
     inverse_matrix: bytes
 
-    def update(self, order) -> Callable:
-        """The Newton update of this inertia for the pivot order (rows, cols),
-        generated on first use and kept in a small LRU cache; its ``source``
-        attribute is its code and its ``order`` attribute the order.
-
-        ``update(f, target)`` does one Newton iteration on
-        [A; B](f) = target in one call and returns (f', terms', [A; B](f'),
-        max |target - [A; B](f')|), the norm NaN when an entry is. It
-        refuses (returns None) on an exactly zero pivot, a |multiplier|
-        above ``MULTIPLIER_LIMIT`` or a condition estimate above
-        ``COND_LIMIT``; the caller then searches. When f' = f + dx has
-        |Phi| >= 1 it returns (None, dx, None, None) for the caller to
-        halve. Otherwise it does the float operations of the separate
-        kernels and of ``solve_rows`` for this order, in their order, so
-        every value has their bits (products bound once, the multiplier
-        bound as q * q, the builtin max as its comparisons).
-        """
-        return _compiled_update(self.matrix, order)
-
     def loop(self, order, sum_source: Optional[str]) -> Callable:
-        """The stepping loop of ``simulate`` for this inertia and pivot
-        order, for a body under force models whose wrench sum has the
-        source ``sum_source`` (``wrench_sum_kernel(models).source``) or
-        free (None), generated on first use and kept in a small LRU cache; its
-        ``source`` attribute is its code.
+        """The stepping loop of ``simulate`` for this inertia and the pivot
+        order (rows, cols), for a body under force models whose wrench sum
+        has the source ``sum_source`` (``wrench_sum_kernel(models).source``)
+        or free (None), generated on first use and kept in a small LRU
+        cache; its ``source`` attribute is its code.
 
-        ``loop(k, stop, pose, f, f_prev, tau, table, tol, h, wrench)`` takes
-        the state after step k - 1: the pose p_{k-1}, f_{k-1}, f_{k-2}
-        (read from step 2 on) and the wrench tau_{k-1} (None when free). It
-        runs steps k, k + 1, ... on locals, each with the lines of the
-        wrench sum and the body of ``update(order)`` inlined, and writes
-        each state's pose, step variables, stored momentum
+        ``loop(k, stop, pose, f, f_prev, target, tau, it, rn, positive,
+        side, predicted, table, iters, tol, h, max_iterations, wrench)``
+        takes step k after ``it`` Newton updates: the pose p_k, the iterate
+        f, f_{k-1}, the target, the wrench tau_k (None when free), the
+        iterate's residual norm ``rn``, whether the pivots of the last
+        elimination give det J > 0 (``positive``) and whether those of step
+        k - 1 did (``side``), and ``predicted``: the pivot order the step
+        began in when it starts from the prediction, None when it starts
+        from f_{k-1}. It runs the step's updates, each with the body of
+        ``_update_body`` inlined, to tol or ``max_iterations``, then steps
+        k + 1, k + 2, ... on locals, each with the lines of the wrench sum,
+        and writes each state's pose, step variables, stored momentum
         [A; B](f) - (h^2/4) tau and residual norm into its row k of the
         float64 array ``table`` (``_ROW`` columns, C order) with one
-        ``_PACK`` call. It returns (k, pose, f, f_prev, tau,
-        handoff): at k == stop with the state after step k - 1 and handoff
-        None, or at the first step k whose update refuses, must be halved
-        or misses tol, with p_k, f_{k-1}, None, tau_k and handoff =
-        (start, target, solved): the predicted start (None when the step
-        starts from f_{k-1}), the Newton target and the update's result,
-        for ``_newton`` to take over. ``wrench`` is the compiled sum (None
-        when free), whose ``calls`` the inlined lines call for the models
-        that have no source.
+        ``_PACK`` call, and each iteration count above one into ``iters``.
+        It returns the state in the order of its arguments from k to
+        ``predicted``, and a handoff: None at step stop - 1 solved; at a
+        step whose update refuses or must be halved, the iterate the update
+        started from, with ``_REFUSED`` or the update's dx; ``_MISSED`` at a
+        step that misses tol after ``max_iterations`` updates, or that
+        started from the prediction, took more than one update and ends
+        with the other sign of det J than f_{k-1} (the caller solves a
+        predicted start again from f_{k-1}). ``wrench`` is the compiled sum (None when free), whose
+        ``calls`` the inlined lines call for the models that have no
+        source.
         """
         return _compiled_loop(self.matrix, self.inverse_matrix, order, sum_source)
 
@@ -347,21 +338,28 @@ def _names(prefix: str, n: int) -> str:
     return ", ".join(f"{prefix}{i}" for i in range(n))
 
 
-def _update_body(matrix: bytes, order, leave, phi2: str = "(p0 * p0 + p1 * p1 + p2 * p2)") -> list:
+def _odd(order) -> bool:
+    """Whether the pivot order (rows, cols) permutes J's rows and columns by
+    an odd number of transpositions in all: det J is then minus the product
+    of the elimination's pivots."""
+    return sum(a > b for perm in order for i, a in enumerate(perm) for b in perm[i + 1 :]) % 2 == 1
+
+
+def _update_body(matrix: bytes, order, leave) -> list:
     """Lines of one Newton iteration on [A; B](f) = t for M's bytes and the
     pivot order (rows, cols), the k-th pivot J[rows[k]][cols[k]], with f in
-    p0..s2 and t in t0..t5.
+    p0..s2, its Phi.Phi in n and t in t0..t5.
 
     One operation per line in ``solve_rows``' order: the start's terms and
     negated residual b = t - [A; B](f), the Jacobian entries straight into
     the elimination locals a_ij = J[rows[i]][cols[j]], the elimination with
-    its refusals, the back-substitution, f + dx, and the new iterate's
-    terms, [A; B] in m0..m5 and residual norm rn. ``leave(solved)`` is the
-    statement that ends the iteration early with the update's result:
-    ``None`` on a refusal, ``(None, [dx], None, None)`` for a step to halve.
-    ``phi2`` is the source of the start's Phi.Phi. The new iterate's
-    momentum binds the products pr0..pr17 once, which the next step's
-    transport reads.
+    its refusals, ``positive`` (det J > 0: the sign of the pivots' product,
+    flipped for an odd order), the back-substitution, f + dx, and the new
+    iterate's terms, Phi.Phi in n, [A; B] in m0..m5 and residual norm rn.
+    ``leave(handoff)`` is the statement that ends the iteration early, with
+    p0..s2 still the start: ``_REFUSED`` on a refusal, ``[dx]`` for a step
+    to halve. The new iterate's momentum binds the products pr0..pr17 once,
+    which the next step's transport reads.
     """
     mf, jacobian_lines, entries = _traces(matrix)
     rows, cols = order
@@ -369,8 +367,9 @@ def _update_body(matrix: bytes, order, leave, phi2: str = "(p0 * p0 + p1 * p1 + 
     idx = range(n)
     a = [[f"a{i}{j}" for j in idx] for i in idx]
     ab = [f"m{i}" for i in idx]
+    refuse = leave(repr(_REFUSED))
     lines = [
-        *_terms_lines(mf, phi2),
+        *_terms_lines(mf, "n"),
         "    cg = c / g",
         *[f"    b{i} = {_RESIDUALS[r]}" for i, r in enumerate(rows)],
         *_JACOBIAN_LOCALS,
@@ -378,27 +377,36 @@ def _update_body(matrix: bytes, order, leave, phi2: str = "(p0 * p0 + p1 * p1 + 
         *[f"    {a[i][j]} = {entries[r][c]}" for i, r in enumerate(rows) for j, c in enumerate(cols)],
     ]
     for k in idx:
-        lines += [f"    if {a[k][k]} == 0.0:", f"        {leave('None')}"]
+        lines += [f"    if {a[k][k]} == 0.0:", f"        {refuse}"]
         for i in range(k + 1, n):
             lines += [
                 f"    q = {a[i][k]} / {a[k][k]}",
                 "    if q != 0.0:",  # solve_rows skips these rows too; the sign of a zero would differ
                 f"        if not q * q <= {MULTIPLIER_LIMIT**2!r}:",
-                f"            {leave('None')}",
+                f"            {refuse}",
             ]
             lines += [f"        {a[i][j]} -= q * {a[k][j]}" for j in range(k + 1, n)] + [f"        b{i} -= q * b{k}"]
     last = a[n - 1][n - 1]
-    lines += [f"    if not abs(a00) / abs({last}) <= {COND_LIMIT!r}:", f"        {leave('None')}"]
+    pivots = " * ".join(a[i][i] for i in idx)
+    lines += [
+        f"    if not abs(a00) / abs({last}) <= {COND_LIMIT!r}:",
+        f"        {refuse}",
+        f"    positive = {pivots} {'<' if _odd(order) else '>'} 0.0",
+    ]
     for i in reversed(idx):
         s = "".join(f" - {a[i][j]} * z{j}" for j in range(i + 1, n))
         lines.append(f"    z{i} = (b{i}{s}) / {a[i][i]}")
     dx = [f"z{cols.index(j)}" for j in idx]
-    lines += [f"    {x} += {d}" for x, d in zip(_STEP_VARIABLES, dx)]
-    halve = f"(None, [{', '.join(dx)}], None, None)"
+    phi = _STEP_VARIABLES[:3]
+    halve = leave(f"[{', '.join(dx)}]")
     return lines + [
-        "    n = p0 * p0 + p1 * p1 + p2 * p2",
+        # the new Phi in f0..f2 first, so that a step to halve leaves p0..s2 the start
+        *(f"    f{i} = {x} + {d}" for i, (x, d) in enumerate(zip(phi, dx))),
+        "    n = f0 * f0 + f1 * f1 + f2 * f2",
         "    if n >= 1.0:",
-        f"        {leave(halve)}",
+        f"        {halve}",
+        *(f"    {x} = f{i}" for i, x in enumerate(phi)),
+        *(f"    {x} += {d}" for x, d in zip(_STEP_VARIABLES[3:], dx[3:])),
         *_terms_lines(mf, "n"),
         "    cg = c / g",
         *(f"    {line}" for line in _PRODUCT_LINES),
@@ -413,21 +421,6 @@ def _update_body(matrix: bytes, order, leave, phi2: str = "(p0 * p0 + p1 * p1 + 
     ]
 
 
-# what update(f, target) returns when the iteration runs to its end
-_SOLVED = f"([{', '.join(_STEP_VARIABLES)}], ({_TERMS}), ({_names('m', 6)}), rn)"
-
-
-def _update_source(matrix: bytes, order) -> str:
-    """Source of ``update(f, target)``: ``_update_body`` as a function."""
-    return "\n".join([
-        "def update(f, target):",
-        f"    {', '.join(_STEP_VARIABLES)} = f",
-        f"    {_names('t', 6)} = target",
-        *_update_body(matrix, order, lambda solved: f"return {solved}"),
-        f"    return {_SOLVED}",
-    ]) + "\n"
-
-
 def _assign_lines(prefix: str, entries, indent: str = "        ") -> list:
     """One statement per entry, binding prefix0, prefix1, ...: a tuple
     assignment of more than three names would build and unpack a tuple. No
@@ -436,31 +429,39 @@ def _assign_lines(prefix: str, entries, indent: str = "        ") -> list:
 
 
 def _loop_source(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]) -> str:
-    """Source of the stepping loop (see ``StepKernels.loop``): per step, the
-    pose product, the transport from the products the last update bound
-    (the prelude binds those of f_{k-1}), for a body under force models
+    """Source of the stepping loop (see ``StepKernels.loop``). The prelude
+    binds the terms, the products and [A; B] of the iterate it takes. Each
+    pass of its one while loop first looks at the iterate: solved, on the
+    branch of f_{k-1}, its row and the next step's pose product, transport
+    from the products the last update bound, for a body under force models
     the lines of the wrench sum's source ``sum_source`` (None: a free body)
-    and the kicks, the prediction and ``_update_body``, all on locals. The
-    predicted twist, the M^-1 product, is written only when the sum reads
-    the twist. Each value has the bits of the separate kernels,
-    ``dq_product``, the compiled sum and ``_kicked``."""
+    and the kicks, and prediction; missed, or on the other side of the fold,
+    the hand-back. Then it does one update, ``_update_body``. All runs on locals. The predicted
+    twist, the M^-1 product, is written only when the sum reads the twist.
+    Each value has the bits of the separate kernels, ``dq_product``, the
+    compiled sum and ``_kicked``."""
     forced = sum_source is not None
     p = ", ".join(_STEP_VARIABLES)
     r, o, t = _names("r", 8), _names("o", 6), _names("t", 6)
-    d = _names("d", 6)
     tau = _names("tau", 6) if forced else None
     taus = f"[{tau}]" if forced else "tau"
+    state = f"k, ({r}), [{p}], [{o}], [{t}], {taus}, it, rn, positive, side, predicted"
 
     step_dq = ("g", "p0", "p1", "p2", "dw", "s0", "s1", "s2")
     pose = dq_product([Traced(f"r{i}") for i in range(8)], [Traced(x) for x in step_dq])
     lines = [
-        "def loop(k, stop, pose, f, f_prev, tau, table, tol, h, wrench):",
+        "def loop(k, stop, pose, f, f_prev, target, tau, it, rn, positive, side, predicted,",
+        "         table, iters, tol, h, max_iterations, wrench):",
         f"    {r} = pose",
         f"    {p} = f",
         f"    {o} = f_prev",
-        *_terms_lines(_traces(matrix)[0]),
+        f"    {t} = target",
+        "    n = p0 * p0 + p1 * p1 + p2 * p2",
+        *_terms_lines(_traces(matrix)[0], "n"),
         "    cg = c / g",
         *(f"    {line}" for line in _PRODUCT_LINES),
+        *[f"    m{i} = {e}" for i, e in enumerate(_SHARED[:6])],
+        "    last = stop - 1",
     ]
     if forced:
         twist = reads(sum_source, "chi")
@@ -472,53 +473,63 @@ def _loop_source(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]
             "    unkick = -quarter",
             *(["    _calls = wrench.calls"] if "_calls" in sum_source else []),
         ]
+    momenta = [f"m{i} + unkick * tau{i}" if forced else f"m{i}" for i in range(6)]
     lines += [
-        "    while k < stop:",
-        "        # p_k = p_{k-1} x the unit dual quaternion of f_{k-1}",
-        "        dw = -cg",
-        *_assign_lines("nr", (x.text for x in pose)),  # every entry reads r0..r3 or r0..r7
-        *_assign_lines("r", (f"nr{i}" for i in range(8))),
-        "        # T_k, the momentum of f_{k-1} carried into this frame, from its products",
-        *_assign_lines("t", _SHARED[6:]),
+        "    while True:",
+        "        if it and rn <= tol and not (it > 1 and predicted and positive != side):",
+        "            # step k is solved, on the branch of f_{k-1}: its row, then step k + 1",
+        f"            _PACK(table, k * {8 * _ROW}, {r}, {p}, {', '.join(momenta)}, rn)",
+        "            if it > 1:",
+        "                iters[k] = it",
+        "            if k == last:",
+        "                handoff = None",
+        "                break",
+        "            side = positive",
+        "            k += 1",
+        "            # p_k = p_{k-1} x the unit dual quaternion of f_{k-1}",
+        "            dw = -cg",
+        *_assign_lines("nr", (x.text for x in pose), "            "),  # every entry reads r0..r3 or r0..r7
+        *_assign_lines("r", (f"nr{i}" for i in range(8)), "            "),
+        "            # T_k, the momentum of f_{k-1} carried into this frame, from its products",
+        *_assign_lines("t", _SHARED[6:], "            "),
     ]
     if forced:
         if twist:
             v = [Traced(f"v{i}") for i in range(6)]
             lines += [
-                "        # the twist predicted from T_k and tau_{k-1}",
-                *_assign_lines("v", (f"t{i} + quarter * tau{i}" for i in range(6))),
-                *_assign_lines("i", (Traced.of(x).text for x in matvec(_rows(inverse), v))),
-                *_assign_lines("chi", (f"two_over_h * i{i}" for i in range(6))),
+                "            # the twist predicted from T_k and tau_{k-1}",
+                *_assign_lines("v", (f"t{i} + quarter * tau{i}" for i in range(6)), "            "),
+                *_assign_lines("i", (Traced.of(x).text for x in matvec(_rows(inverse), v)), "            "),
+                *_assign_lines("chi", (f"two_over_h * i{i}" for i in range(6)), "            "),
             ]
         lines += [
-            *(["        time = k * h"] if reads(sum_source, "time") else []),
-            "        # the wrench at p_k (the predicted twist, k h) and its impulse",
-            *(f"        {line}" for line in sum_source.splitlines()),
-            *_assign_lines("t", (f"t{i} + impulse * tau{i}" for i in range(6))),
+            *(["            time = k * h"] if reads(sum_source, "time") else []),
+            "            # the wrench at p_k (the predicted twist, k h) and its impulse",
+            *(f"            {line}" for line in sum_source.splitlines()),
+            *_assign_lines("t", (f"t{i} + impulse * tau{i}" for i in range(6)), "            "),
         ]
     twice = [f"2.0 * {x} - o{i}" for i, x in enumerate(_STEP_VARIABLES)]
     lines += [
-        "        # the start 2 f_{k-1} - f_{k-2}; f_{k-1} itself at k = 1 and when that has |Phi| >= 1",
-        *_assign_lines("d", twice),
-        *_assign_lines("o", _STEP_VARIABLES),
-        "        n = d0 * d0 + d1 * d1 + d2 * d2",
-        "        predicted = k > 1 and n < 1.0",
-        "        if predicted:",
-        *(f"            {x} = d{i}" for i, x in enumerate(_STEP_VARIABLES)),
-        "        else:",
-        "            n = p0 * p0 + p1 * p1 + p2 * p2",
-        *["    " + line for line in _update_body(matrix, order, lambda solved: f"solved = {solved}; break", "n")],
-        "        if not rn <= tol:",
-        f"            solved = {_SOLVED}; break",
-    ]
-    momenta = [f"m{i} + unkick * tau{i}" if forced else f"m{i}" for i in range(6)]
-    lines += [
-        f"        _PACK(table, k * {8 * _ROW}, {r}, {p}, {', '.join(momenta)}, rn)",
-        "        k += 1",
-        "    else:",
-        f"        return k, ({r}), [{p}], [{o}], {taus}, None",
-        "    # the step whose update refused, must be halved or missed tol",
-        f"    return k, ({r}), [{o}], None, {taus}, ([{d}] if predicted else None, [{t}], solved)",
+        "            # the start 2 f_{k-1} - f_{k-2}; f_{k-1} itself at k = 1 and when that has |Phi| >= 1",
+        *_assign_lines("d", twice, "            "),
+        *_assign_lines("o", _STEP_VARIABLES, "            "),
+        "            n = d0 * d0 + d1 * d1 + d2 * d2",
+        "            if k > 1 and n < 1.0:",
+        *(f"                {x} = d{i}" for i, x in enumerate(_STEP_VARIABLES)),
+        f"                predicted = {order!r}",
+        "            else:",
+        "                n = p0 * p0 + p1 * p1 + p2 * p2",
+        "                predicted = None",
+        "            it = 0",
+        "        elif it == max_iterations or it and rn <= tol:",
+        "            # a miss, or a predicted start that crossed the fold of [A; B]",
+        "            # from f_{k-1} to the root on its other side",
+        f"            handoff = {_MISSED!r}",
+        "            break",
+        "        # a Newton update on [A; B](f_k) = t",
+        *["    " + line for line in _update_body(matrix, order, lambda handoff: f"handoff = {handoff}; break")],
+        "        it += 1",
+        f"    return {state}, handoff",
     ]
     return "\n".join(lines) + "\n"
 
@@ -542,15 +553,7 @@ def _compiled_kernels(matrix: bytes, inverse: bytes) -> StepKernels:
     return StepKernels(*generated, source, matrix, inverse)
 
 
-@functools.lru_cache(maxsize=_UPDATE_CACHE_SIZE)
-def _compiled_update(matrix: bytes, order) -> Callable:
-    source = _update_source(matrix, order)
-    (update,) = _compile(source, ("update",))
-    update.source, update.order = source, order
-    return update
-
-
-@functools.lru_cache(maxsize=_UPDATE_CACHE_SIZE)
+@functools.lru_cache(maxsize=_LOOP_CACHE_SIZE)
 def _compiled_loop(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]) -> Callable:
     source = _loop_source(matrix, inverse, order, sum_source)
     (loop,) = _compile(source, ("loop",))
@@ -575,73 +578,83 @@ def _kicked(ab, tau, weight: float) -> list:
     ]
 
 
-def _jacobian_positive(f, terms, K: StepKernels) -> bool:
-    """det d[A; B]/df > 0: the side of the fold of [A; B] that f is on.
-
-    Newton from a start on one side converges to the root on that side;
-    the sign can only change through a singular Jacobian.
-    """
-    return bool(np.linalg.det(K.jacobian(f, terms)) > 0.0)
-
-
 def _max_abs(v) -> float:
     """max |v_i|, NaN when an entry is NaN (the builtin max would skip it)."""
     s = sum(map(abs, v))  # NaN only for a NaN entry: +inf and -inf add up to inf here
     return max(map(abs, v)) if s == s else math.nan
 
 
-def _newton(f, target, K: StepKernels, tol: float, max_iterations: int, update, solved):
-    """Newton iteration on [A; B](f) = target from the warm start f.
+def _newton(f, target, K: StepKernels, dx=None):
+    """The Newton iteration on [A; B](f) = target from f that the loop's
+    ordered update could not do: with ``dx`` None, one that solves with
+    full pivoting (only it can abort a step as singular); otherwise the
+    step dx of an update that would reach |Phi| >= 1. A step that would
+    reach |Phi| >= 1 is backtracked (halving) until the iterate keeps
+    |Phi| < 1.
 
-    Returns (f, terms, [A; B](f), iterations, residual_norm, status, update).
-    ``update`` is the generated update of the pivot order of the last
-    searched solve (None: there is none yet), which does a whole iteration
-    in one call, and ``solved`` is the result of ``update(f, target)`` the
-    caller already has, from its own call or from the loop that inlines the
-    update (None without one): the first iteration takes it over instead
-    of calling the update again. When the update is missing or refuses, the
-    iteration solves with full pivoting and takes the update of the new
-    order; only that searched solve can abort the step as singular. A step
-    dx that would reach |Phi| >= 1 is backtracked (halving) until the
-    iterate keeps |Phi| < 1. Convergence is checked after the update, so
-    even a solved warm start reports one iteration.
+    Returns (f', residual norm, status, searched): ``searched`` is the
+    pivot order of the full-pivot solve and whether its pivots give
+    det J > 0, None when dx was given or the solve failed.
     """
-    it = 1
+    terms = K.terms(f)
+    ab = momentum(f, terms)
+    y = [t - a for a, t in zip(ab, target)]  # the negated residual, Newton's right-hand side
+    searched = None
+    if dx is None:
+        J = K.jacobian(f, terms)
+        dx, cond, ok, order = solve_rows(J, list(y))  # eliminates J in place: its diagonal holds the pivots
+        if (not ok) or cond > COND_LIMIT:
+            return f, _max_abs(y), _STATUS_SINGULAR, None
+        searched = order, (math.prod(J[i][i] for i in range(len(J))) > 0.0) != _odd(order)
+    scale = 1.0
+    trial = [a + b for a, b in zip(f, dx)]
+    nphi = _phi_norm2(trial)
+    hops = 0
+    while nphi >= 1.0 and hops < _MAX_BACKTRACK:
+        scale *= 0.5
+        hops += 1
+        trial = [a + scale * b for a, b in zip(f, dx)]
+        nphi = _phi_norm2(trial)
+    if nphi >= 1.0:
+        return f, _max_abs(y), _STATUS_INFEASIBLE, searched
+    terms = K.terms(trial)
+    return trial, _max_abs([t - a for a, t in zip(momentum(trial, terms), target)]), _STATUS_OK, searched
+
+
+def _solve(K: StepKernels, source, stop: int, pose, f, target, tau, table, iters, settings: SolverSettings, wrench):
+    """Solve steps 0 to stop - 1 of a run into their rows of ``table``: step
+    0 solves [A; B] = target from f at the pose ``pose`` under the wrench
+    ``tau``, and the later steps are the loop's (``StepKernels.loop``, of
+    the body's wrench sum source ``source`` and compiled sum ``wrench``).
+
+    The first iteration solves with full pivoting; the loop of that order
+    takes the step over. When the loop hands a step back, this does the
+    iteration it could not (``_newton``) and resumes the loop of the last
+    searched order. A predicted start that fails here or that the loop
+    hands back as missed is the one restart: it is solved again from
+    f_{k-1}, in the loop of the order it began in. Returns (k, f_k, iterations, residual norm, status) of step
+    stop - 1, or of the step k that failed.
+    """
+    tol, h, max_iterations = settings.tolerance, settings.h, settings.max_iterations
+    k, f_prev, it, side, predicted, handoff = 0, f, 0, None, None, _REFUSED
     while True:
-        if solved is not None and solved[0] is not None:
-            f, terms, ab, pre = solved
+        if handoff == _MISSED:
+            status = _STATUS_NO_CONVERGENCE
         else:
-            terms = K.terms(f)
-            ab = momentum(f, terms)
-            y = [t - a for a, t in zip(ab, target)]  # the negated residual, Newton's right-hand side
-            if solved is None:
-                dx, cond, ok, order = solve_rows(K.jacobian(f, terms), list(y))  # in place: y stays the residual
-                if (not ok) or cond > COND_LIMIT:
-                    return f, terms, ab, it, _max_abs(y), _STATUS_SINGULAR, update
-                update = K.update(order)
-            else:
-                dx = solved[1]
-            scale = 1.0
-            trial = [a + b for a, b in zip(f, dx)]
-            nphi = _phi_norm2(trial)
-            hops = 0
-            while nphi >= 1.0 and hops < _MAX_BACKTRACK:
-                scale *= 0.5
-                hops += 1
-                trial = [a + scale * b for a, b in zip(f, dx)]
-                nphi = _phi_norm2(trial)
-            if nphi >= 1.0:
-                return f, terms, ab, it, _max_abs(y), _STATUS_INFEASIBLE, update
-            f = trial
-            terms = K.terms(f)
-            ab = momentum(f, terms)
-            pre = _max_abs([t - a for a, t in zip(ab, target)])
-        if pre <= tol:
-            return f, terms, ab, it, pre, _STATUS_OK, update
-        if it == max_iterations:
-            return f, terms, ab, it, pre, _STATUS_NO_CONVERGENCE, update
-        it += 1
-        solved = update(f, target)
+            f, rn, status, searched = _newton(f, target, K, None if handoff == _REFUSED else handoff)
+            it += 1
+            if searched is not None:
+                order, positive = searched
+        if status != _STATUS_OK:
+            if predicted is None:
+                return k, f, it, rn, status
+            order, f, it, predicted = predicted, f_prev, 0, None
+        k, pose, f, f_prev, target, tau, it, rn, positive, side, predicted, handoff = K.loop(order, source)(
+            k, stop, pose, f, f_prev, target, tau, it, rn, positive, side, predicted,
+            table, iters, tol, h, max_iterations, wrench,
+        )
+        if handoff is None:
+            return k, f, it, rn, _STATUS_OK
 
 
 def _as_step(step) -> Array:
@@ -724,14 +737,16 @@ def solve_step(prev_step, M: InertiaMatrix6, wrench, settings: SolverSettings):
     """Solve one implicit step from the previous step variables.
 
     Returns (step, iterations, residual_norm). The warm start is the
-    previous step itself.
+    previous step itself, and the step runs through ``simulate``'s solver:
+    a full-pivot solve, then the loop of its pivot order.
     """
     f_prev = _as_step(prev_step).tolist()
     tau = _wrench_body_vector(wrench).tolist()
     K = step_kernels(M)
     target = _kicked(transport(f_prev, K.terms(f_prev)), tau, 0.5 * settings.h * settings.h)
-    f, _, _, it, rn, status, _ = _newton(  # no update yet: a single step always searches
-        f_prev, target, K, settings.tolerance, settings.max_iterations, None, None
+    # a free loop of one step, whose row (the pose is only packed) is thrown away
+    _, f, it, rn, status = _solve(
+        K, None, 1, _IDENTITY, f_prev, target, None, np.empty((1, _ROW)), np.ones(1, dtype=np.int64), settings, None
     )
     _raise_for_status(status, it, rn)
     return np.array(f), it, rn
@@ -798,20 +813,38 @@ def simulate(
     the fold of [A; B] from f_{k-1} (det J changes sign), is solved again
     from f_{k-1}, and ``iterations`` counts that solve. A single update that
     meets tol is not checked: its residual is its own second-order term, so
-    it moved O(sqrt(tol)), too little to cross a fold. The final state's
+    it moved about sqrt(tol), too little to cross a fold. The final state's
     step variables are solved too, which is what retrieves its twist; they
     are never applied to the pose.
 
-    Step 0 is solved here, by the searched Newton loop; steps from 1 on run
-    in the generated loop ``step_kernels(M).loop(order, wrench.source)`` of the
-    pivot order of the last search, to the end of the run. The run holds
-    one table, a row per state, and each state, looped or searched, is
-    packed straight into its row; the trajectory's poses, steps and
-    residual norms are views of its columns, so no state is copied and no
-    Python float outlives its step. A step whose update refuses, must be
-    halved or misses tol is handed back with the update's result;
-    ``_newton`` and the branch guard finish it, and the loop resumes after
-    it, of the new pivot order when that step searched.
+    The sign of det J costs no call: it is the sign of the product of the
+    six pivots of the step's last elimination, flipped when the pivot order
+    (rows, cols) is an odd permutation, which is a literal of the order.
+    That elimination is at the last iterate but one, not at f_k. Newton
+    converges quadratically, so an update that meets tol started from a
+    residual of about sqrt(tol), and the last elimination sits within about
+    sqrt(tol) of the root: its sign is det J's at f_k unless the fold
+    passes that close. The side of f_{k-1} is carried from step to step,
+    since det J changes sign along some runs (pure_translation's, where
+    every step takes one update). The argument is limited by the
+    tolerance: about 1e-6 from the root at tol = 1e-12, but about 1e-2 at
+    tol = 1e-4. A solve that ends closer to the fold than that can be
+    guarded on the wrong sign, so it restarts a correct step or keeps the
+    root on the other side, where the exact determinant would not. Every
+    state of the shipped scenarios at h = 0.05 and 0.1 and tolerances
+    1e-12, 1e-6 and 1e-4 has the exact sign
+    (``test_loop_fold_sign_is_the_sign_of_det_j``).
+
+    Step 0 starts with a full-pivot solve, and the generated loop
+    ``step_kernels(M).loop(order, wrench.source)`` of that pivot order runs
+    every later iteration and step, to the end of the run. The run holds one
+    table, a row per state, and the loop packs each state straight into its
+    row; the trajectory's poses, steps and residual norms are views of its
+    columns, so no state is copied and no Python float outlives its step.
+    Only a step whose update refuses or must be halved is handed back: the
+    full-pivot solve or the halving of ``_newton`` does that iteration, and
+    the loop of the last searched order resumes the step. So is a step that
+    misses or crosses the fold, for the restart from f_{k-1} or the error.
 
     Each state stores the node-synchronized twist
     (2/h) M^-1 ([A; B](f_k) - (h^2/4) tau_k), the average of the step
@@ -823,8 +856,6 @@ def simulate(
     chi0 = finite_vector6(twist0, "twist")
     n_steps = as_count(n_steps, "n_steps", 0)
     h = settings.h
-    tol = settings.tolerance
-    max_iterations = settings.max_iterations
     f = initial_guess(chi0, h).tolist()  # fails fast on a step rotation >= 180 degrees
     K = step_kernels(M)
     force_models = list(forces)
@@ -835,41 +866,14 @@ def simulate(
     iters = np.ones(n, dtype=np.int64)
     pose = p0.tolist()
     target = [0.5 * h * x for x in matvec(M.matrix.tolist(), chi0.tolist())]
-    quarter_kick = 0.25 * h * h
     wrench = source = tau = None
     if force_models:
         wrench = wrench_sum_kernel(force_models)
         source = wrench.source
         tau = wrench(pose, chi0.tolist(), 0.0)
-        target = _kicked(target, tau, quarter_kick)
-    # step 0 is the first hand-off: no prediction, no update yet, so it
-    # searches; the loop runs to the end of the run or hands a step back
-    k, handoff, update, looped = 0, (None, target, None), None, None
-    while handoff is not None:
-        predicted, target, solved = handoff
-        start = predicted or f
-        prev_update = update
-        f_k, terms, ab, it, rn, status, update = _newton(start, target, K, tol, max_iterations, update, solved)
-        if start is not f and (
-            status or (it > 1 and _jacobian_positive(f_k, terms, K) != _jacobian_positive(f, K.terms(f), K))
-        ):
-            # the predicted start failed, or its solve crossed the fold of
-            # [A; B] to the root on the other side from f_{k-1}: solve the
-            # step again as a start from f_{k-1} would
-            f_k, terms, ab, it, rn, status, update = _newton(
-                f, target, K, tol, max_iterations, prev_update, prev_update(f, target)
-            )
-        _raise_for_status(status, it, rn, k)
-        stored = _kicked(ab, tau, -quarter_kick) if force_models else ab
-        _PACK(table, k * 8 * _ROW, *pose, *f_k, *stored, rn)
-        iters[k] = it
-        f_prev, f = f, f_k
-        k += 1
-        if k == n:
-            break
-        if update is not looped:
-            loop, looped = K.loop(update.order, source), update
-        k, pose, f, f_prev, tau, handoff = loop(k, n, pose, f, f_prev, tau, table, tol, h, wrench)
+        target = _kicked(target, tau, 0.25 * h * h)
+    k, _, it, rn, status = _solve(K, source, n, pose, f, target, tau, table, iters, settings, wrench)
+    _raise_for_status(status, it, rn, k)
 
     times = np.arange(n) * h
     return Trajectory.from_raw(

@@ -31,7 +31,6 @@ from .quat import (
     as_floats,
     as_vector3,
     dq_exp,
-    dq_log,
     dq_log_parts,
     dq_mul,
     dq_product,
@@ -43,8 +42,6 @@ from .quat import (
 
 FRAME_BODY = "body"
 FRAME_WORLD = "world"
-
-Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -192,25 +189,6 @@ def pose_rate_from_body_twist(p, chi) -> Array:
     return 0.5 * dq_mul(p, pure_dual_quaternion(chi[:3], chi[3:]))
 
 
-def body_twist_from_pose_rate(p, pdot, scalar_tol: float = 1e-9) -> Array:
-    """Recover the body twist from a pose rate: chi_hat = 2 p_conj * pdot.
-
-    The product must come out pure for a rate that respects the unit
-    constraints; scalar parts above scalar_tol raise (a secant direction from
-    finite differencing carries O(h |omega|^2) scalar parts, so loosen the
-    gate when feeding one in).
-    """
-    p = np.asarray(p, dtype=np.float64)
-    pdot = np.asarray(pdot, dtype=np.float64)
-    res = 2.0 * dq_mul(dq_quat_conjugate(p), pdot)
-    if abs(float(res[0])) > scalar_tol or abs(float(res[4])) > scalar_tol:
-        raise ValidationError(
-            "pose rate is inconsistent with the unit constraints: "
-            f"scalar parts ({res[0]:.3e}, {res[4]:.3e}) exceed {scalar_tol:.1e}"
-        )
-    return np.concatenate([res[1:4], res[5:8]])
-
-
 def twist_world_from_body(p, chi_b) -> Array:
     """World twist [omega_W; l_dot]: both body vectors rotated by the pose.
 
@@ -335,36 +313,6 @@ class ScrewParameters:
         object.__setattr__(self, "moment", moment)
         object.__setattr__(self, "angle", float(self.angle))
         object.__setattr__(self, "slide", float(self.slide))
-
-
-_ZERO_ANGLE = 1e-10
-_ZERO_SLIDE = 1e-12
-
-
-def screw_decompose(p) -> ScrewParameters:
-    """Screw parameters of a pose, canonicalized to angle in [0, pi].
-
-    Pure translations come back with angle 0 and the axis along the
-    translation; the identity maps to the zero screw with axis z_hat.
-    """
-    p = check_pose(p)
-    eta = dq_log(p)
-    a = eta[1:4]
-    b = eta[5:8]
-    half_angle = float(np.linalg.norm(a))
-    angle = 2.0 * half_angle
-    if angle < _ZERO_ANGLE:
-        translation = 2.0 * b
-        d = float(np.linalg.norm(translation))
-        if d < _ZERO_SLIDE:
-            return ScrewParameters(axis=Z_AXIS.copy(), moment=np.zeros(3), angle=0.0, slide=0.0)
-        return ScrewParameters(axis=translation / d, moment=np.zeros(3), angle=0.0, slide=d)
-    axis = a / half_angle
-    slide = 4.0 * float(a @ b) / angle
-    moment = (2.0 * b - slide * axis) / angle
-    # remove roundoff components of the moment along the axis
-    moment = moment - float(moment @ axis) * axis
-    return ScrewParameters(axis=axis, moment=moment, angle=angle, slide=slide)
 
 
 def screw_compose(screw: ScrewParameters) -> Array:

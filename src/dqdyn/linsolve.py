@@ -7,10 +7,10 @@ pivot magnitude. The estimate is crude (a lower bound on the true condition
 number up to modest factors) but is exactly what the step-abort rule needs.
 
 The order it returns, the original row and column of each pivot, is what
-the integrator generates its straight-line Newton update for: the Newton
-Jacobian stays close to M from step to step, so that order keeps working,
-and the generated update repeats this elimination for it without the
-search (``integrator.StepKernels.update``).
+the integrator generates its stepping loop for: the Newton Jacobian stays
+close to M from step to step, so that order keeps working, and each
+Newton update the loop inlines repeats this elimination for it without the
+search (``integrator.StepKernels.loop``).
 """
 
 import math

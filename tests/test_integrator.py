@@ -1,6 +1,7 @@
 """Variational stepper: parametrization, residuals, Jacobian, Newton, runs."""
 
 import collections
+import contextlib
 import dis
 import pathlib
 import re
@@ -287,7 +288,7 @@ def test_step_kernel_source_has_no_zero_products(rng):
     for M in mixed_inertias(rng):
         K = integrator.step_kernels(M)
         order = _searched_order(K, random_step(rng).tolist())
-        for source in (K.source, K.update(order).source, K.loop(order, None).source, K.loop(order, damped).source):
+        for source in (K.source, K.loop(order, None).source, K.loop(order, damped).source):
             assert not re.search(r"\* " + zero_literal, source)
             assert not re.search(r"(?<![\w.])" + zero_literal + r" \*", source)
     # a diagonal inertia leaves one product for each entry of M f that is not 1.0
@@ -296,35 +297,33 @@ def test_step_kernel_source_has_no_zero_products(rng):
 
 
 def test_step_kernels_compile_once_per_inertia(rng):
-    compiled, updates, loops = integrator._compiled_kernels, integrator._compiled_update, integrator._compiled_loop
+    compiled, loops = integrator._compiled_kernels, integrator._compiled_loop
     compiled.cache_clear()
-    updates.cache_clear()
     loops.cache_clear()
     M = build_inertia(1.0, np.diag(rng.uniform(1.0, 4.0, size=3)))
     settings = SolverSettings(h=1e-3)
     twist = [1.0, 0.1, 0.0, 0.0, 0.0, 0.0]
     rk4_simulate(pose_identity(), twist, M, (), settings, 3)
     assert compiled.cache_info().misses == 0  # the RK4 oracle never generates
-    assert updates.cache_info().misses == 0
     assert loops.cache_info().misses == 0
     for _ in range(3):
         simulate(pose_identity(), twist, M, (), settings, 3)
     assert compiled.cache_info().misses == 1
-    assert updates.cache_info().misses == 1  # one searched order, one update
-    assert loops.cache_info().misses == 1  # and one free loop
+    assert loops.cache_info().misses == 1  # one searched order, one free loop
     bound = compiled.cache_info().maxsize
     for k in range(bound + 4):
         integrator.step_kernels(build_inertia(1.0 + k, np.diag([1.0, 2.0, 3.0])))
     assert compiled.cache_info().currsize <= bound
-    # one update per (M, order), in a bounded cache of its own
+    # one loop per (M, order, wrench sum), in a bounded cache of its own
     K = integrator.step_kernels(M)
-    orders = {_searched_order(K, random_step(rng, 0.9).tolist()) for _ in range(400)}
-    bound = updates.cache_info().maxsize
-    assert len(orders) > bound
+    bound = loops.cache_info().maxsize
+    orders = set()
+    while len(orders) <= bound:
+        orders.add(_searched_order(K, random_step(rng, 0.9).tolist()))
     for order in orders:
-        K.update(order)
-        K.update(order)
-    info = updates.cache_info()
+        K.loop(order, None)
+        K.loop(order, None)
+    info = loops.cache_info()
     assert info.misses == 1 + len(orders) and info.hits >= len(orders) and info.currsize <= bound
 
 
@@ -737,61 +736,72 @@ def test_simulate_zero_steps_retrieves_initial_twist():
     np.testing.assert_allclose(traj.twists[0], chi0, rtol=1e-10, atol=1e-12)
 
 
-def test_newton_takes_over_the_first_update():
-    # the caller's update(f, target) is the first iteration: _newton does
-    # not make that call again, so each iteration is one update call
-    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]), (0.1, -0.2, 0.3))
-    K = integrator.step_kernels(M)
-    f = [0.0] * 6
-    goal = [0.3, -0.2, 0.25, 0.1, 0.2, -0.1]
-    target = list(integrator.momentum(goal, K.terms(goal)))
-    update = K.update(solve_rows(K.jacobian(f, K.terms(f)), [0.0] * 6)[3])
-    calls = []
-
-    def counted(f, target):
-        calls.append(1)
-        return update(f, target)
-
-    got, _, _, it, _, status, last = integrator._newton(f, target, K, 1e-12, 20, counted, counted(f, target))
-    assert status == integrator._STATUS_OK and last is counted  # no update refused
-    assert it > 2 and len(calls) == it
-    np.testing.assert_allclose(got, goal, rtol=0.0, atol=1e-12)
-
-
 def _scenario_inputs(name):
     return load_run(SCENARIO_DIR / f"{name}.yaml")[1]
 
 
-def _refusing_update(matrix, order):
-    """A stand-in for the update cache whose updates refuse every iteration."""
+@contextlib.contextmanager
+def _refusing_updates(monkeypatch):
+    """Within the block, every loop is generated with an update that
+    refuses each iteration, so each Newton iteration is a full-pivot solve
+    of ``_newton``; the loop cache is emptied on entry and exit, so no loop
+    of either kind outlives the block."""
+    body = integrator._update_body
 
-    def update(f, target):
-        return None
+    def refusing(matrix, order, leave):
+        return [f"    {leave(repr(integrator._REFUSED))}", *body(matrix, order, leave)]
 
-    update.order = order
-    return update
+    with monkeypatch.context() as patch:
+        integrator._compiled_loop.cache_clear()
+        patch.setattr(integrator, "_update_body", refusing)
+        try:
+            yield
+        finally:
+            integrator._compiled_loop.cache_clear()
 
 
-def _handing_over(compiled, handed, solved=True):
-    """A stand-in for the loop cache ``compiled`` whose loops run at tol = -1,
-    which no residual norm meets, so each loop hands its first step over to
-    _newton; ``handed`` collects the steps handed over. With solved=False
-    the hand-off carries no update result."""
+def _calls_recorded(monkeypatch, calls):
+    """Wrap every generated loop; ``calls`` collects (k in, k out, handoff)
+    of each call."""
+    compiled = integrator._compiled_loop
 
     def loops(*key):
         loop = compiled(*key)
 
-        def every_step(k, stop, pose, f, f_prev, tau, table, tol, h, wrench):
-            k, pose, f, f_prev, tau, handoff = loop(k, stop, pose, f, f_prev, tau, table, -1.0, h, wrench)
-            if handoff is not None:
-                handed.append(k)
-                if not solved:
-                    handoff = (*handoff[:2], None)
-            return k, pose, f, f_prev, tau, handoff
+        def recorded(k, *args):
+            result = loop(k, *args)
+            calls.append((k, result[0], result[-1]))
+            return result
 
-        return every_step
+        return recorded
 
-    return loops
+    monkeypatch.setattr(integrator, "_compiled_loop", loops)
+
+
+def _one_step_per_call(monkeypatch, solved):
+    """A stand-in for the loop cache whose loops solve one step per call of
+    the generated loop: the first call stops after the step it enters, and
+    each next call goes on from the state the last one returned, one step
+    further. ``solved`` collects (f_k, positive) of each solved step, the
+    step variables and whether the loop's last elimination gave det J > 0."""
+    compiled = integrator._compiled_loop
+
+    def loops(*key):
+        loop = compiled(*key)
+
+        def one_step_per_call(k, stop, *args):
+            state, rest = args[:10], args[10:]
+            k, *state, handoff = loop(k, k + 1, *state, *rest)
+            while handoff is None:
+                solved.append((state[1], state[7]))
+                if k == stop - 1:
+                    break
+                k, *state, handoff = loop(k, k + 2, *state, *rest)
+            return (k, *state, handoff)
+
+        return one_step_per_call
+
+    monkeypatch.setattr(integrator, "_compiled_loop", loops)
 
 
 def _scenario_run(name, n_steps):
@@ -803,14 +813,13 @@ def _scenario_run(name, n_steps):
 @pytest.mark.parametrize("name", [name for name in SCENARIOS if name != "damped_drop"])
 def test_reused_pivot_order_changes_no_state(monkeypatch, name, h):
     # Newton reuses the last searched pivot order; with the same order the
-    # generated update returns the bits of solve_rows and the separate
-    # kernels, so the run must equal the one that searches every solve. At
-    # the larger steps the steps take more than one iteration and pass the
-    # branch guard's determinant check, in simulate and in _newton.
-    # damped_drop is left out: its three equal masses tie in the search,
-    # which picks another order at step 1 than at step 0, so a run that
-    # searches every solve eliminates in another order and differs in the
-    # last bits
+    # loop's update has the bits of solve_rows and the separate kernels, so
+    # the run must equal the one that searches every iteration. At the
+    # larger steps the steps take more than one iteration and pass the
+    # branch guard. damped_drop is left out: its three equal masses tie in
+    # the search, which picks another order at step 1 than at step 0, so a
+    # run that searches every solve eliminates in another order and differs
+    # in the last bits
     inputs = _scenario_inputs(name)
     settings = replace(inputs.settings, h=h)
     searches = []
@@ -826,14 +835,12 @@ def test_reused_pivot_order_changes_no_state(monkeypatch, name, h):
     monkeypatch.setattr(integrator, "solve_rows", counted)
     reused = run()
     reused_searches = len(searches)
-    # every generated update refuses, and the loop hands each step over
-    # without its update's result, so every iteration searches
-    monkeypatch.setattr(integrator, "_compiled_update", _refusing_update)
-    monkeypatch.setattr(integrator, "_compiled_loop", _handing_over(integrator._compiled_loop, [], solved=False))
-    searched = run()
+    with _refusing_updates(monkeypatch):
+        searched = run()
     if h == 1e-3:
-        # only the first solve of the reused run searched (at h = 0.05 an
-        # update can refuse: pure_translation searches twice)
+        # only the first iteration of the reused run searched (at h = 0.05
+        # an update can refuse: pure_translation searches at step 0 and at
+        # two refused updates)
         assert reused_searches == 1
         assert len(searches) == 1 + int(searched.iterations.sum())
     for column in ("poses", "twists", "steps", "iterations", "residual_norms"):
@@ -841,12 +848,12 @@ def test_reused_pivot_order_changes_no_state(monkeypatch, name, h):
 
 
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 0.05])
-@pytest.mark.parametrize("name", [name for name in SCENARIOS if name != "damped_drop"])
-def test_handing_every_step_to_newton_changes_no_state(monkeypatch, name, h):
-    # a step the loop hands over is finished by _newton and the branch
-    # guard from the loop's own update result: when every step is handed
-    # over, the run must equal the loop's bit for bit, and _newton calls
-    # the update only for the iterations after the first
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_resuming_the_loop_at_every_step_changes_no_state(monkeypatch, name, h):
+    # what the loop returns is the whole state of its step: when every
+    # call solves one step and the next call goes on from what it returned
+    # (rebinding the momentum and the products from f), the run must equal
+    # the one-call run bit for bit
     inputs = _scenario_inputs(name)
     settings = replace(inputs.settings, h=h)
 
@@ -854,26 +861,12 @@ def test_handing_every_step_to_newton_changes_no_state(monkeypatch, name, h):
         return simulate(inputs.pose, inputs.twist, inputs.inertia, inputs.forces, settings, 2000)
 
     looped = run()
-    handed, calls = [], []
-    compiled = integrator._compiled_update
-
-    def counted_updates(matrix, order):
-        update = compiled(matrix, order)
-
-        def counted(f, target):
-            calls.append(1)
-            return update(f, target)
-
-        counted.order = order
-        return counted
-
-    monkeypatch.setattr(integrator, "_compiled_update", counted_updates)
-    monkeypatch.setattr(integrator, "_compiled_loop", _handing_over(integrator._compiled_loop, handed))
-    every = run()
-    assert handed == list(range(1, 2001))
-    assert len(calls) == int((every.iterations - 1).sum())
+    solved = []
+    _one_step_per_call(monkeypatch, solved)
+    resumed = run()
+    assert len(solved) == 2001
     for column in ("poses", "twists", "steps", "iterations", "residual_norms"):
-        np.testing.assert_array_equal(getattr(looped, column), getattr(every, column))
+        np.testing.assert_array_equal(getattr(looped, column), getattr(resumed, column))
 
 
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 0.05])
@@ -890,35 +883,70 @@ def test_step_one_starts_from_step_zero(name, h):
     assert traj.iterations[1] == iterations
 
 
-def test_loop_hands_over_each_irregular_step_once_and_resumes(monkeypatch):
+def test_loop_runs_irregular_steps_without_a_handback(monkeypatch):
     # a torque impulse at state 20 throws the predictions of steps 20 and
-    # 21 off, so their first update misses tol: the loop hands each of them
-    # over once, and takes the run up again at the next step
+    # 21 off, so their first update misses tol: the loop runs their further
+    # updates itself, and one call takes the run from step 0 to its end
     h = 1e-3
 
     def impulse(pose, chi, t):
         return body_wrench([1.0e3 if abs(t - 20 * h) < 1e-9 else 0.0, 0.0, 0.0], np.zeros(3))
 
-    compiled = integrator._compiled_loop
     calls = []
-
-    def loops(*key):
-        loop = compiled(*key)
-
-        def recorded(k, *args):
-            result = loop(k, *args)
-            calls.append((k, result[0], result[5] is not None))
-            return result
-
-        return recorded
-
-    monkeypatch.setattr(integrator, "_compiled_loop", loops)
+    _calls_recorded(monkeypatch, calls)
     M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
     model = ForceModel(evaluate=impulse)
     traj = simulate(pose_identity(), [1.0, 0.1, 0.0, 0.0, 0.0, 0.0], M, [model], SolverSettings(h=h), 40)
     assert np.flatnonzero(traj.iterations > 1).tolist() == [20, 21]
-    assert calls == [(1, 20, True), (21, 21, True), (22, 41, False)]
+    assert calls == [(0, 40, None)]
     assert traj.residual_norms.max() <= SolverSettings(h=h).tolerance
+
+
+@pytest.mark.parametrize("h", [0.05, 0.1])
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_loop_hands_back_only_refused_updates(monkeypatch, name, h):
+    # at large steps most steps take two or three updates, and the loop
+    # runs them all: no scenario hands a step back, except the two refused
+    # updates of pure_translation. A restart from f_{k-1} (a predicted
+    # start that misses or crosses the fold) is handed back too, so none
+    # happens here. damped_drop fails at step 18 at h = 0.1 (ROADMAP item
+    # 1), so it runs the 17 steps before
+    inputs = _scenario_inputs(name)
+    n_steps = 17 if (name, h) == ("damped_drop", 0.1) else 1200
+    calls = []
+    _calls_recorded(monkeypatch, calls)
+    traj = simulate(inputs.pose, inputs.twist, inputs.inertia, inputs.forces, replace(inputs.settings, h=h), n_steps)
+    handed = [(k, handoff) for _, k, handoff in calls if handoff is not None]
+    if name == "pure_translation":
+        assert [handoff for _, handoff in handed] == [integrator._REFUSED] * 2
+    else:
+        assert handed == [] and traj.iterations.max() > 1
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-4])
+@pytest.mark.parametrize("h", [0.05, 0.1])
+@pytest.mark.parametrize("name", SCENARIOS)
+def test_loop_fold_sign_is_the_sign_of_det_j(monkeypatch, name, h, tol):
+    # the side of the fold the loop carries for f_k, from the pivots of the
+    # step's last elimination (at the iterate before f_k, within about
+    # sqrt(tol) of it), is the sign of det J at f_k on every state, also at
+    # the coarse tolerances where that iterate lies about 1e-2 from f_k; on
+    # pure_translation det J changes sign along the run (between states
+    # 492 and 493 at h = 0.05), with every step one update
+    inputs = _scenario_inputs(name)
+    solved = []
+    _one_step_per_call(monkeypatch, solved)
+    try:
+        simulate(
+            inputs.pose, inputs.twist, inputs.inertia, inputs.forces, replace(inputs.settings, h=h, tolerance=tol), 600
+        )
+    except SolverDivergenceError as error:  # damped_drop at h = 0.1, ROADMAP item 1
+        assert (name, h, error.step_index) == ("damped_drop", 0.1, 18)
+    exact = [np.linalg.det(jacobian(f, inputs.inertia)) > 0.0 for f, _ in solved]
+    assert [positive for _, positive in solved] == exact
+    assert len(solved) == (18 if (name, h) == ("damped_drop", 0.1) else 601)
+    if name == "pure_translation":
+        assert len(set(exact)) == 2
 
 
 def test_a_run_holds_its_table_and_no_float_per_state(monkeypatch):
@@ -951,7 +979,7 @@ def test_a_run_holds_its_table_and_no_float_per_state(monkeypatch):
     finally:
         tracemalloc.stop()
     table = (n + 1) * integrator._ROW * 8
-    assert len(peaks) == 1  # one loop call runs every step after step 0
+    assert len(peaks) == 1  # one loop call runs every step
     assert peaks[0] <= table + (n + 1) * 8 + 16_384
     rows = traj.poses.base
     assert rows.shape == (n + 1, integrator._ROW) and traj.steps.base is rows and traj.residual_norms.base is rows
@@ -1136,18 +1164,17 @@ def _loop_sources():
 
 
 def test_each_loop_hands_a_step_back_from_one_place():
-    # every refusal, halving and miss of the inlined update breaks out of
-    # the loop; the normal end is the while's else
+    # every refusal and halving of the inlined update, a failed step and
+    # the last step break out of the loop, to its one return
     inputs = _scenario_inputs("generic_forced")
     K = integrator.step_kernels(inputs.inertia)
     order = _searched_order(K, [0.01, 0.02, -0.01, 0.1, 0.0, 0.2])
+    leaves = integrator._update_body(K.matrix, order, lambda handoff: f"leave({handoff})")
     for source in _loop_sources():
         returns = re.findall(r"^( *)return .*?(\S+)$", source, re.M)
-        assert returns == [("        ", "None"), ("    ", "solved)")]
-        assert "\n    else:\n        return " in source
-        # the update's refusals, its halving and its end; the loop's
-        # refusals, its halving and its miss
-        assert source.count("; break\n") == K.update(order).source.count("return ")
+        assert returns == [("    ", "handoff")]
+        assert source.count("; break\n") == sum(line.count("leave(") for line in leaves)
+        assert f"handoff = {integrator._MISSED!r}\n" in source and "handoff = None\n" in source
 
 
 def test_each_loop_step_binds_the_shared_products_once():
@@ -1158,7 +1185,7 @@ def test_each_loop_step_binds_the_shared_products_once():
     bound = [line.split(" = ")[0] for line in integrator._PRODUCT_LINES]
     assert len(bound) == 18
     for source in _loop_sources():
-        body = source[source.index("    while k < stop:\n") : source.index("\n    else:\n")]
+        body = source[source.index("    while True:\n") : source.index("\n    return ")]
         for name in bound:
             assert len(re.findall(rf"^ +{name} = ", body, re.M)) == 1, name
         for i, entry in enumerate(integrator._SHARED[6:]):
@@ -1179,8 +1206,9 @@ def _while_body(loop) -> list:
 # BINARY_OP, UNARY_NEGATIVE and CALL instructions of the generated loop's
 # while-body, the float operations and calls of a step (the square roots,
 # the residual norm's abs, the row's pack and the wrench sum's error
-# calls): their counts
-LOOP_OPERATIONS = {"free_top": (568, 23, 11), "generic_forced": (1004, 22, 14)}
+# calls), with the fold sign's pivot product and the iteration count:
+# their counts
+LOOP_OPERATIONS = {"free_top": (574, 23, 11), "generic_forced": (1010, 22, 14)}
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="one BINARY_OP instruction per binary operator from Python 3.11")
@@ -1199,11 +1227,11 @@ def test_loop_float_operations_do_not_grow(name):
     assert counts["CALL"] <= calls, counts
 
 
-# BINARY_OP and UNARY_NEGATIVE instructions of the generated terms, Jacobian
-# and update (of the order searched at the initial guess): their counts
+# BINARY_OP and UNARY_NEGATIVE instructions of the generated terms and
+# Jacobian: their counts
 KERNEL_OPERATIONS = {
-    "free_top": {"terms": (13, 0), "jacobian": (96, 16), "update": (449, 22)},
-    "generic_forced": {"terms": (53, 0), "jacobian": (261, 0), "update": (694, 6)},
+    "free_top": {"terms": (13, 0), "jacobian": (96, 16)},
+    "generic_forced": {"terms": (53, 0), "jacobian": (261, 0)},
 }
 
 
@@ -1212,8 +1240,7 @@ KERNEL_OPERATIONS = {
 def test_kernel_float_operations_do_not_grow(name):
     inputs = _scenario_inputs(name)
     K = integrator.step_kernels(inputs.inertia)
-    order = _searched_order(K, initial_guess(inputs.twist, inputs.settings.h).tolist())
-    for kernel, function in (("terms", K.terms), ("jacobian", K.jacobian), ("update", K.update(order))):
+    for kernel, function in (("terms", K.terms), ("jacobian", K.jacobian)):
         counts = collections.Counter(i.opname for i in dis.get_instructions(function))
         binary, negative = KERNEL_OPERATIONS[name][kernel]
         assert counts["BINARY_OP"] <= binary and counts["UNARY_NEGATIVE"] <= negative, (kernel, counts)

@@ -15,13 +15,11 @@ from dqdyn import (
     dq_exp,
     dq_mul,
     dq_quat_conjugate,
-    pure_dual_quaternion,
     unit_quaternion,
 )
 from dqdyn.kinematics import (
     ScrewParameters,
     Wrench,
-    body_twist_from_pose_rate,
     body_wrench,
     check_pose,
     dual_force_to_body_wrench,
@@ -33,9 +31,7 @@ from dqdyn.kinematics import (
     pose_to_rotation_translation,
     rotate_vector,
     screw_compose,
-    screw_decompose,
     transform_point,
-    twist,
     twist_world_from_body,
     world_wrench,
     wrench_body_from_world,
@@ -175,48 +171,6 @@ def test_point_map_is_the_two_product_sandwich(rng):
         assert np.max(np.abs(got - explicit)) <= 1e-14 * np.max(np.abs(explicit))
 
 
-def test_body_twist_from_pose_rate_round_trip(rng):
-    np.testing.assert_array_equal(
-        body_twist_from_pose_rate(pose_identity(), np.zeros(8)), np.zeros(6)
-    )
-    for _ in range(100):
-        p = random_pose(rng)
-        chi = random_twist(rng)
-        pdot = pose_rate_from_body_twist(p, chi)
-        np.testing.assert_allclose(body_twist_from_pose_rate(p, pdot), chi, atol=1e-13)
-
-
-def test_body_twist_identity_pose():
-    chi = twist([0.1, -0.2, 0.3], [1.0, 0.0, -1.0])
-    pdot = 0.5 * pure_dual_quaternion(chi[:3], chi[3:])
-    np.testing.assert_allclose(body_twist_from_pose_rate(pose_identity(), pdot), chi, atol=1e-15)
-
-
-def test_body_twist_from_secant_direction(rng):
-    # constant-twist flow p(t) = p0 * exp(t/2 chi); a forward secant recovers
-    # chi to O(h). Its scalar parts are O(h |chi|^2), so the gate is loosened.
-    p0 = random_pose(rng)
-    chi = random_twist(rng)
-
-    def flow(t):
-        return dq_mul(p0, dq_exp(pure_dual_quaternion(0.5 * t * chi[:3], 0.5 * t * chi[3:])))
-
-    errs = []
-    for h in (2e-3, 1e-3):
-        secant = (flow(h) - p0) / h
-        got = body_twist_from_pose_rate(p0, secant, scalar_tol=0.1)
-        errs.append(np.linalg.norm(got - chi))
-    assert errs[0] < 1e-3
-    assert errs[1] < 0.5 * errs[0]
-
-
-def test_body_twist_rejects_constraint_violating_rate(rng):
-    p = random_pose(rng)
-    pdot = pose_rate_from_body_twist(p, random_twist(rng))
-    with pytest.raises(ValidationError):
-        body_twist_from_pose_rate(p, pdot + 0.01 * p)
-
-
 def test_twist_world_from_body(rng):
     chi = random_twist(rng)
     np.testing.assert_array_equal(twist_world_from_body(pose_identity(), chi), chi)
@@ -337,58 +291,35 @@ def test_dual_force_round_trip_world(rng):
 
 
 def test_screw_identity():
-    s = screw_decompose(pose_identity())
-    np.testing.assert_array_equal(s.axis, [0, 0, 1])
-    np.testing.assert_array_equal(s.moment, np.zeros(3))
-    assert s.angle == 0.0 and s.slide == 0.0
+    s = ScrewParameters(axis=[0.0, 0.0, 1.0], moment=np.zeros(3), angle=0.0, slide=0.0)
     np.testing.assert_allclose(screw_compose(s), pose_identity(), atol=1e-16)
 
 
 def test_screw_pure_rotation():
-    p = pose_from_rotation_translation(
-        np.array([np.cos(0.15), 0.0, np.sin(0.15), 0.0]), np.zeros(3)
-    )
-    s = screw_decompose(p)
-    np.testing.assert_allclose(s.axis, [0, 1, 0], atol=1e-14)
-    assert abs(s.angle - 0.3) < 1e-14
-    assert abs(s.slide) < 1e-14
-    np.testing.assert_allclose(s.moment, np.zeros(3), atol=1e-14)
+    s = ScrewParameters(axis=[0.0, 1.0, 0.0], moment=np.zeros(3), angle=0.3, slide=0.0)
+    expected = pose_from_rotation_translation(np.array([np.cos(0.15), 0.0, np.sin(0.15), 0.0]), np.zeros(3))
+    np.testing.assert_allclose(screw_compose(s), expected, atol=1e-16)
 
 
 def test_screw_pure_translation():
+    s = ScrewParameters(axis=[0.6, 0.0, -0.8], moment=np.zeros(3), angle=0.0, slide=0.5)
     p = pose_from_rotation_translation([1, 0, 0, 0], [0.3, 0.0, -0.4])
-    s = screw_decompose(p)
-    assert s.angle == 0.0
-    assert abs(s.slide - 0.5) < 1e-14
-    np.testing.assert_allclose(s.axis, [0.6, 0.0, -0.8], atol=1e-14)
     np.testing.assert_allclose(screw_compose(s), p, atol=1e-15)
 
 
-def test_screw_round_trip_poses(rng):
-    for _ in range(200):
-        p = random_pose(rng)
-        if p[0] < 0:
-            p = -p
-        np.testing.assert_allclose(screw_compose(screw_decompose(p)), p, atol=1e-13)
-        # both covers decompose to the same screw
-        s1 = screw_decompose(p)
-        s2 = screw_decompose(-p)
-        np.testing.assert_allclose(s1.axis, s2.axis, atol=1e-13)
-        assert abs(s1.angle - s2.angle) < 1e-13
-
-
-def test_screw_round_trip_parameters(rng):
+def test_screw_compose_turns_about_and_slides_along_its_axis(rng):
+    # the pose rotates by the angle about the axis, and moves the axis'
+    # point nearest the origin, axis x moment, along the axis by the slide
     for _ in range(200):
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         moment = rng.normal(size=3)
         moment -= (moment @ axis) * axis
-        s = ScrewParameters(axis=axis, moment=moment, angle=rng.uniform(0.1, 3.0), slide=rng.normal())
-        back = screw_decompose(screw_compose(s))
-        np.testing.assert_allclose(back.axis, s.axis, atol=1e-12)
-        np.testing.assert_allclose(back.moment, s.moment, atol=1e-11)
-        assert abs(back.angle - s.angle) < 1e-12
-        assert abs(back.slide - s.slide) < 1e-11
+        angle, slide = rng.uniform(0.1, 3.0), rng.normal()
+        p = screw_compose(ScrewParameters(axis=axis, moment=moment, angle=angle, slide=slide))
+        np.testing.assert_allclose(p[:4], [np.cos(0.5 * angle), *(np.sin(0.5 * angle) * axis)], atol=1e-14)
+        point = np.cross(axis, moment)
+        np.testing.assert_allclose(transform_point(p, point), point + slide * axis, atol=1e-12)
 
 
 def test_screw_parameter_validation():

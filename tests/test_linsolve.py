@@ -81,9 +81,26 @@ def _searched(A, b):
 
 
 def _update(M, order):
-    """The generated Newton update of the 6x6 matrix M (any, not only an
-    inertia) for a pivot order. At f = 0 its Jacobian is M."""
-    return integrator._compiled_update(np.asarray(M, dtype=np.float64).tobytes(), order)
+    """The Newton update that the loop inlines, for the 6x6 matrix M (any,
+    not only an inertia) and a pivot order, compiled as a function here;
+    its ``source`` attribute is its code. At f = 0 its Jacobian is M.
+
+    ``update(f, target)`` returns (f', terms', [A; B](f'), max |target -
+    [A; B](f')|, whether the pivots give det J > 0), ``integrator._REFUSED``
+    on a refusal and the list dx for a step that would reach |Phi| >= 1.
+    """
+    p, t = ", ".join(integrator._STEP_VARIABLES), integrator._names("t", 6)
+    source = "\n".join([
+        "def update(f, target):",
+        f"    {p} = f",
+        f"    {t} = target",
+        "    n = p0 * p0 + p1 * p1 + p2 * p2",
+        *integrator._update_body(np.asarray(M, dtype=np.float64).tobytes(), order, lambda handoff: f"return {handoff}"),
+        f"    return [{p}], ({integrator._TERMS}), ({integrator._names('m', 6)}), rn, positive",
+    ]) + "\n"
+    (update,) = integrator._compile(source, ("update",))
+    update.source = source
+    return update
 
 
 def _signed_zeros(rng, v):
@@ -110,6 +127,8 @@ def test_ordered_solve_is_bitwise_the_searched_solve(rng, kind):
     # with exact zeros in f and the target (J(0) = M keeps M's zeros) that
     # includes skipping rows whose multiplier is zero, or the sign of a
     # zero would differ
+    # and the product of the pivots, flipped for an odd order, has the sign
+    # of det J
     for M in _inertias(rng, kind):
         K = integrator.step_kernels(M)
         for _ in range(40):
@@ -118,14 +137,17 @@ def test_ordered_solve_is_bitwise_the_searched_solve(rng, kind):
             ab = integrator.momentum(f, terms)
             target = _signed_zeros(rng, np.array(ab) + 0.05 * rng.normal(size=6)).tolist()
             y = [t - a for a, t in zip(ab, target)]
-            dx, cond, ok, order = _searched(K.jacobian(f, terms), y)
+            J = K.jacobian(f, terms)
+            dx, cond, ok, order = _searched(J, y)
             assert ok and cond <= COND_LIMIT
             # the search's own order keeps every |multiplier| <= 1, so no check refuses it
-            new_f, new_terms, new_ab, norm = K.update(order)(f, target)  # (None, dx, None, None) for |Phi| >= 1
+            result = _update(M.matrix, order)(f, target)
             expected_f = [a + b for a, b in zip(f, dx)]
             if integrator._phi_norm2(expected_f) >= 1.0:  # the caller halves the step
-                assert new_f is None and np.array(new_terms).tobytes() == np.array(dx).tobytes()
+                assert np.array(result).tobytes() == np.array(dx).tobytes()
                 continue
+            new_f, new_terms, new_ab, norm, positive = result
+            assert positive == (np.linalg.det(J) > 0.0)
             expected_terms = K.terms(expected_f)
             expected_ab = integrator.momentum(expected_f, expected_terms)
             expected_norm = integrator._max_abs([t - a for a, t in zip(expected_ab, target)])
@@ -140,7 +162,7 @@ def test_ordered_solve_leaves_inputs_unchanged(rng):
     target = rng.normal(size=6).tolist()
     f0, target0 = f[:], target[:]
     order = _searched(K.jacobian(f, K.terms(f)), [1.0] * 6)[3]
-    assert K.update(order)(f, target) is not None
+    assert _update(M.matrix, order)(f, target) != integrator._REFUSED
     assert f == f0 and target == target0
 
 
@@ -153,8 +175,7 @@ def test_searched_order_is_in_original_indices():
     assert ok and rows == (0, 1, 2, 3, 4, 5) and cols == (5, 4, 3, 2, 1, 0)
     # the update for that order solves J(0) = A; its step from f = 0 has
     # |Phi| >= 1, so it returns the step for the caller to halve
-    new_f, dx, _, _ = _update(A, (rows, cols))([0.0] * 6, [1.0] * 6)
-    assert new_f is None
+    dx = _update(A, (rows, cols))([0.0] * 6, [1.0] * 6)
     np.testing.assert_array_equal(dx, 1.0 / d)
 
 
@@ -177,7 +198,7 @@ def _with(A, i, j, v):
 )
 def test_ordered_solve_refuses(A):
     # J(f = 0) = A, so each matrix is the Jacobian of the first iteration
-    assert _update(A, IDENTITY_ORDER)([0.0] * 6, [1.0] * 6) is None
+    assert _update(A, IDENTITY_ORDER)([0.0] * 6, [1.0] * 6) == integrator._REFUSED
 
 
 @pytest.mark.parametrize("shape", [(6,), (1, 6), (37, 6), (4, 5, 6)])
