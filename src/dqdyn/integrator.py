@@ -57,7 +57,8 @@ state, and the loop writes every state into its row with one packer
 hands a step back only when an update refuses or must be halved, for the
 full-pivot solve or the halving of ``_newton``, or when a step misses: a
 predicted start is then solved again from f_{k-1}, and a start from
-f_{k-1} fails. All are compiled on first use and cached; ``step_kernels(M).source`` and
+f_{k-1} fails. All are compiled on first use and cached;
+``step_kernels(M).source`` and
 ``step_kernels(M).loop(order, sum_source).source`` are their code.
 
 Conventions: twists are [omega; v] body frame, wrenches [torque; force],
@@ -304,9 +305,9 @@ class StepKernels(NamedTuple):
         step that misses tol after ``max_iterations`` updates, or that
         started from the prediction, took more than one update and ends
         with the other sign of det J than f_{k-1} (the caller solves a
-        predicted start again from f_{k-1}). ``wrench`` is the compiled sum (None when free), whose
-        ``calls`` the inlined lines call for the models that have no
-        source.
+        predicted start again from f_{k-1}). ``wrench`` is the compiled
+        sum (None when free), whose ``calls`` the inlined lines call for the
+        models that have no source.
         """
         return _compiled_loop(self.matrix, self.inverse_matrix, order, sum_source)
 
@@ -338,6 +339,7 @@ def _names(prefix: str, n: int) -> str:
     return ", ".join(f"{prefix}{i}" for i in range(n))
 
 
+@functools.lru_cache(maxsize=_LOOP_CACHE_SIZE)
 def _odd(order) -> bool:
     """Whether the pivot order (rows, cols) permutes J's rows and columns by
     an odd number of transpositions in all: det J is then minus the product
@@ -435,11 +437,11 @@ def _loop_source(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]
     branch of f_{k-1}, its row and the next step's pose product, transport
     from the products the last update bound, for a body under force models
     the lines of the wrench sum's source ``sum_source`` (None: a free body)
-    and the kicks, and prediction; missed, or on the other side of the fold,
-    the hand-back. Then it does one update, ``_update_body``. All runs on locals. The predicted
-    twist, the M^-1 product, is written only when the sum reads the twist.
-    Each value has the bits of the separate kernels, ``dq_product``, the
-    compiled sum and ``_kicked``."""
+    and the kicks, and prediction; missed, or on the other side of the
+    fold, the hand-back. Then it does one update, ``_update_body``. All
+    runs on locals. The predicted twist, the M^-1 product, is written only
+    when the sum reads the twist. Each value has the bits of the separate
+    kernels, ``dq_product``, the compiled sum and ``_kicked``."""
     forced = sum_source is not None
     p = ", ".join(_STEP_VARIABLES)
     r, o, t = _names("r", 8), _names("o", 6), _names("t", 6)
@@ -632,8 +634,9 @@ def _solve(K: StepKernels, source, stop: int, pose, f, target, tau, table, iters
     iteration it could not (``_newton``) and resumes the loop of the last
     searched order. A predicted start that fails here or that the loop
     hands back as missed is the one restart: it is solved again from
-    f_{k-1}, in the loop of the order it began in. Returns (k, f_k, iterations, residual norm, status) of step
-    stop - 1, or of the step k that failed.
+    f_{k-1}, in the loop of the order it began in. Returns (k, f_k,
+    iterations, residual norm, status) of step stop - 1, or of the step k
+    that failed.
     """
     tol, h, max_iterations = settings.tolerance, settings.h, settings.max_iterations
     k, f_prev, it, side, predicted, handoff = 0, f, 0, None, None, _REFUSED
