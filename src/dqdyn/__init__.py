@@ -73,7 +73,6 @@ from .newton_euler import rk4_simulate
 from .quat import (
     dq_dual_transpose,
     dq_exp,
-    dq_log,
     dq_mul,
     dq_quat_conjugate,
     pure_dual_quaternion,

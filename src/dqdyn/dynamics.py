@@ -54,8 +54,10 @@ def skew(v) -> Array:
 class InertiaMatrix6:
     """Generalized 6x6 inertia M and its inverse.
 
-    Its blocks are slices of ``matrix``. The integrator reads M only through
-    the step kernels it generates from M's entries, leaving out every zero.
+    Its blocks are slices of ``matrix``. The integrator's stepping loop
+    reads M through lines generated from M's entries, leaving out every
+    zero; its pivot search and its one-step functions read ``matrix`` as
+    floats.
     """
 
     matrix: Array

@@ -32,34 +32,36 @@ kick (h/2) M^-1 tau that puts it at its state's instant.
 
 Each formula is one float function: the momentum and its transport
 (``_momenta``), the Jacobian (``_jacobian``), M f and M^-1 v
-(``linsolve.matvec``). The code generated per inertia is them called on
-``quat.Traced`` symbols, M's entries as literals and its zero entries left
-out, with hand-written lines only for the square root and the divisions.
-The kernels that read M, the terms (M f) and the Jacobian, are generated.
-``simulate``'s steps run in one more generated function, a loop for an
-inertia, the pivot order of the last full-pivot solve and the source of
-the body's wrench sum (none for a free body): per step, the pose product,
-the transport (12 subtractions of the products the last update bound), for
-a forced body the wrench sum's own lines (the predicted twist only when a
-model reads it) and the kicks, the prediction, and the Newton iterations,
-each the same inlined update: the start's residual, each Jacobian entry
-written straight into its elimination variable, the elimination without a
-search, the update and the new iterate's residual norm, all on locals,
-with every float operation in the order of the separate kernels. The
-update binds the products that the new iterate's momentum shares with the
-transport (``_PRODUCT_LINES``) once. The loop also applies the branch
-guard, from the sign of det J that the elimination's pivots give. The
-library's force models carry their source (``dynamics.wrench_sum_kernel``),
-so a step makes no Python call unless a model without source is called.
+(``linsolve.matvec``). ``simulate``'s steps run in one generated function,
+a loop for an inertia, a pivot order and the source of the body's wrench
+sum (none for a free body): those formulas called on ``quat.Traced``
+symbols, M's entries as literals and its zero entries left out, with
+hand-written lines only for the square root and the divisions. Per step it
+runs the pose product, the transport (12 subtractions of the products the
+last update bound), for a forced body the wrench sum's own lines (the
+predicted twist only when a model reads it) and the kicks, the
+prediction, and the Newton iterations, each the same inlined update: the
+start's residual, each Jacobian entry written straight into its
+elimination variable, the elimination without a search, the update and
+the new iterate's residual norm, all on locals. The update binds the
+products that the new iterate's momentum shares with the transport
+(``_PRODUCT_LINES``) once. The loop also applies the branch guard, from
+the sign of det J that the elimination's pivots give. The library's force
+models carry their source (``dynamics.wrench_sum_kernel``), so a step
+makes no Python call unless a model without source is called.
 ``simulate`` allocates one table per run, a row of ``_ROW`` floats per
 state, and the loop writes every state into its row with one packer
-(``_PACK``); the trajectory's columns are views of the table. The loop
-hands a step back only when an update refuses or must be halved, for the
-full-pivot solve or the halving of ``_newton``, or when a step misses: a
-predicted start is then solved again from f_{k-1}, and a start from
-f_{k-1} fails. All are compiled on first use and cached;
-``step_kernels(M).source`` and
-``step_kernels(M).loop(order, sum_source).source`` are their code.
+(``_PACK``); the trajectory's columns are views of the table.
+
+Full pivoting only picks the pivot order the loop eliminates in
+(``_pivot_order``, ``linsolve.solve_rows`` on the float Jacobian): at
+step 0 and when an update refuses. The loop hands a step back only when
+an update refuses, for that search, when an update must be halved
+(``_halve``), or when a step misses: a predicted start is then solved
+again from f_{k-1}, and a start from f_{k-1} fails. Loops are compiled on first use and cached;
+``stepping_loop(M, order, sum_source).source`` is their code. The public
+``residual``, ``rhs``, ``jacobian`` and ``retrieve_twist`` evaluate the
+float functions.
 
 Conventions: twists are [omega; v] body frame, wrenches [torque; force],
 M is the 6x6 generalized inertia about the body reference point.
@@ -69,7 +71,7 @@ import functools
 import math
 import struct
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -85,7 +87,7 @@ from .linsolve import COND_LIMIT, matvec, matvec_stack, solve_rows
 from .quat import Array, Traced, as_count, cross, dq_product, finite_vector6, traced_lines
 from .trajectory import Trajectory
 
-# Newton statuses returned by the kernel
+# statuses of a step's Newton solve
 _STATUS_OK = 0
 _STATUS_NO_CONVERGENCE = 1
 _STATUS_SINGULAR = 2
@@ -93,7 +95,7 @@ _STATUS_INFEASIBLE = 3
 
 _MAX_BACKTRACK = 60
 # what the loop hands back besides a step to halve (the update's dx): an
-# update refused, or a step failed (see StepKernels.loop)
+# update refused, or a step failed (see stepping_loop)
 _REFUSED = "refused"
 _MISSED = "missed"
 
@@ -119,15 +121,15 @@ class SolverSettings:
 
 
 def _phi_norm2(f) -> float:
-    """Phi . Phi, summed in the order the kernels use."""
+    """Phi . Phi, summed in the order the loop uses."""
     return f[0] * f[0] + f[1] * f[1] + f[2] * f[2]
 
 
-# Step kernels generated per inertia from the float formulas below. A term
+# The loop is generated per inertia from the float formulas below. A term
 # whose entry of M is zero drops out and an entry of +-1 leaves the bare
 # symbol, which keeps the bits of the full sum up to the sign of a zero.
 
-_KERNEL_CACHE_SIZE = 16
+_TRACE_CACHE_SIZE = 16
 _LOOP_CACHE_SIZE = 32
 _STEP_VARIABLES = ("p0", "p1", "p2", "s0", "s1", "s2")
 # floats of a state's row in simulate's table: pose, step variables, stored
@@ -193,7 +195,7 @@ def _jacobian(M, f, terms, cg, x, y, zero=0.0) -> list:
 
     from the terms of f, cg = c/gamma, x = (gamma^2 Psi + c Phi)/gamma^3
     and y = Phi/gamma. ``zero`` is the diagonal of S(w) and S(u); the
-    generated kernels add a 0.0 that does not fold, which turns a -0.0 sum
+    generated loop adds a 0.0 that does not fold, which turns a -0.0 sum
     into +0.0.
     """
     g, u, w = terms[0], terms[2:5], terms[5:]
@@ -206,6 +208,26 @@ def _jacobian(M, f, terms, cg, x, y, zero=0.0) -> list:
     ] + [k + [0.0] * 3 for k in K]
     columns = list(zip(*M))
     return [[p - q for p, q in zip(matvec(columns, row), c)] for row, c in zip(factor, C)]
+
+
+def _terms(M, f) -> tuple:
+    """(gamma, c, u0, u1, u2, w0, w1, w2) of f = [Phi; Psi] for the inertia
+    M (row lists): gamma = sqrt(1 - Phi.Phi), c = Psi.Phi and [w; u] = M f,
+    everything the step momentum, its transport and the Jacobian share."""
+    w0, w1, w2, u0, u1, u2 = matvec(M, f)
+    return math.sqrt(1.0 - _phi_norm2(f)), f[3] * f[0] + f[4] * f[1] + f[5] * f[2], u0, u1, u2, w0, w1, w2
+
+
+def _float_jacobian(M, f) -> list:
+    """d[A; B]/d[Phi; Psi] at f for the inertia M (row lists), evaluated on
+    floats: the generated loop's entries up to the sign of a zero."""
+    terms = _terms(M, f)
+    g, c = terms[0], terms[1]
+    gg = g * g
+    g3 = gg * g
+    x = [(gg * s + c * p) / g3 for p, s in zip(f[:3], f[3:])]
+    y = [p / g for p in f[:3]]
+    return _jacobian(M, f, terms, c / g, x, y)
 
 
 # The locals of the generated code that the formulas are traced on.
@@ -223,22 +245,22 @@ _PRODUCT_LINES, _SHARED = traced_lines(_MOMENTA, "pr")
 _RESIDUALS = [(Traced(f"t{i}") - m).text for i, m in enumerate(_MOMENTA[:6])]
 
 
-@functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
+@functools.lru_cache(maxsize=_TRACE_CACHE_SIZE)
 def _traces(matrix: bytes) -> tuple:
     """(the sources of [w; u] = M f, the lines binding what the Jacobian's
     entries share, the entries' sources as six rows) of M's bytes: traced
-    once per inertia for its kernels and loops."""
+    once per inertia for its loops."""
     M = _rows(matrix)
     mf = tuple(Traced.of(x).text for x in matvec(M, _F))
     lines, entries = traced_lines([e for row in _jacobian(M, _F, _T, _CG, _X, _Y, Traced("0.0")) for e in row], "j")
     return mf, tuple(lines), tuple(tuple(entries[i : i + 6]) for i in range(0, 36, 6))
 
 
-def _terms_lines(mf, phi2: str = "(p0 * p0 + p1 * p1 + p2 * p2)") -> list:
-    """Lines binding the terms g, c, w0..w2, u0..u2 of p0..s2 from the
-    sources ``mf`` of M f; ``phi2`` is the source of Phi.Phi."""
+def _terms_lines(mf) -> list:
+    """Lines binding the terms g, c, w0..w2, u0..u2 of p0..s2, whose Phi.Phi
+    is in n, from the sources ``mf`` of M f."""
     return [
-        f"    g = sqrt(1.0 - {phi2})",
+        "    g = sqrt(1.0 - n)",
         "    c = s0 * p0 + s1 * p1 + s2 * p2",
         *(f"    {x} = {e}" for x, e in zip(("w0", "w1", "w2", "u0", "u1", "u2"), mf)),
     ]
@@ -252,87 +274,6 @@ _JACOBIAN_LOCALS = [
     "    x0, x1, x2 = (gg * s0 + c * p0) / g3, (gg * s1 + c * p1) / g3, (gg * s2 + c * p2) / g3",
     "    y0, y1, y2 = p0 / g, p1 / g, p2 / g",
 ]
-
-
-class StepKernels(NamedTuple):
-    """The kernels of one inertia, and the source of those generated for it
-    (print it).
-
-    ``terms(f)`` is (gamma, c, u0, u1, u2, w0, w1, w2) of f = [Phi; Psi]:
-    gamma = sqrt(1 - Phi.Phi), c = Psi.Phi and [w; u] = M f, everything the
-    step momentum, its transport and the Jacobian share.
-    ``jacobian(f, terms)`` is d[A; B]/d[Phi; Psi] as six row lists
-    (``_jacobian`` with M's entries as literals).
-    These two read M and are generated; the momentum and its transport
-    do not, and are the module functions ``momentum`` and ``transport``.
-    ``matrix`` and ``inverse_matrix`` are the bytes of M and M^-1, the
-    keys of ``loop``; M^-1 enters only a forced loop whose wrench sum reads
-    the twist, as the product that gives its predicted twist.
-    """
-
-    terms: Callable
-    jacobian: Callable
-    source: str
-    matrix: bytes
-    inverse_matrix: bytes
-
-    def loop(self, order, sum_source: Optional[str]) -> Callable:
-        """The stepping loop of ``simulate`` for this inertia and the pivot
-        order (rows, cols), for a body under force models whose wrench sum
-        has the source ``sum_source`` (``wrench_sum_kernel(models).source``)
-        or free (None), generated on first use and kept in a small LRU
-        cache; its ``source`` attribute is its code.
-
-        ``loop(k, stop, pose, f, f_prev, target, tau, it, rn, positive,
-        side, predicted, table, iters, tol, h, max_iterations, wrench)``
-        takes step k after ``it`` Newton updates: the pose p_k, the iterate
-        f, f_{k-1}, the target, the wrench tau_k (None when free), the
-        iterate's residual norm ``rn``, whether the pivots of the last
-        elimination give det J > 0 (``positive``) and whether those of step
-        k - 1 did (``side``), and ``predicted``: the pivot order the step
-        began in when it starts from the prediction, None when it starts
-        from f_{k-1}. It runs the step's updates, each with the body of
-        ``_update_body`` inlined, to tol or ``max_iterations``, then steps
-        k + 1, k + 2, ... on locals, each with the lines of the wrench sum,
-        and writes each state's pose, step variables, stored momentum
-        [A; B](f) - (h^2/4) tau and residual norm into its row k of the
-        float64 array ``table`` (``_ROW`` columns, C order) with one
-        ``_PACK`` call, and each iteration count above one into ``iters``.
-        It returns the state in the order of its arguments from k to
-        ``predicted``, and a handoff: None at step stop - 1 solved; at a
-        step whose update refuses or must be halved, the iterate the update
-        started from, with ``_REFUSED`` or the update's dx; ``_MISSED`` at a
-        step that misses tol after ``max_iterations`` updates, or that
-        started from the prediction, took more than one update and ends
-        with the other sign of det J than f_{k-1} (the caller solves a
-        predicted start again from f_{k-1}). ``wrench`` is the compiled
-        sum (None when free), whose ``calls`` the inlined lines call for the
-        models that have no source.
-        """
-        return _compiled_loop(self.matrix, self.inverse_matrix, order, sum_source)
-
-
-def _kernel_source(matrix: bytes) -> str:
-    """Source of the step kernels ``terms`` and ``jacobian`` for M's bytes."""
-    mf, lines, entries = _traces(matrix)
-    p = ", ".join(_STEP_VARIABLES)
-    return "\n".join([
-        "def terms(f):",
-        f"    {p} = f",
-        *_terms_lines(mf),
-        f"    return {_TERMS}",
-        "",
-        "",
-        "def jacobian(f, terms):",
-        f"    {p} = f",
-        f"    {_TERMS} = terms",
-        "    cg = c / g",
-        *_JACOBIAN_LOCALS,
-        *(f"    {line}" for line in lines),
-        "    return [",
-        *(line for row in entries for line in ("        [", *(f"            {e}," for e in row), "        ],")),
-        "    ]",
-    ]) + "\n"
 
 
 def _names(prefix: str, n: int) -> str:
@@ -371,7 +312,7 @@ def _update_body(matrix: bytes, order, leave) -> list:
     ab = [f"m{i}" for i in idx]
     refuse = leave(repr(_REFUSED))
     lines = [
-        *_terms_lines(mf, "n"),
+        *_terms_lines(mf),
         "    cg = c / g",
         *[f"    b{i} = {_RESIDUALS[r]}" for i, r in enumerate(rows)],
         *_JACOBIAN_LOCALS,
@@ -409,7 +350,7 @@ def _update_body(matrix: bytes, order, leave) -> list:
         f"        {halve}",
         *(f"    {x} = f{i}" for i, x in enumerate(phi)),
         *(f"    {x} += {d}" for x, d in zip(_STEP_VARIABLES[3:], dx[3:])),
-        *_terms_lines(mf, "n"),
+        *_terms_lines(mf),
         "    cg = c / g",
         *(f"    {line}" for line in _PRODUCT_LINES),
         *[f"    {m} = {e}" for m, e in zip(ab, _SHARED[:6])],
@@ -431,7 +372,7 @@ def _assign_lines(prefix: str, entries, indent: str = "        ") -> list:
 
 
 def _loop_source(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]) -> str:
-    """Source of the stepping loop (see ``StepKernels.loop``). The prelude
+    """Source of the stepping loop (see ``stepping_loop``). The prelude
     binds the terms, the products and [A; B] of the iterate it takes. Each
     pass of its one while loop first looks at the iterate: solved, on the
     branch of f_{k-1}, its row and the next step's pose product, transport
@@ -440,8 +381,9 @@ def _loop_source(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]
     and the kicks, and prediction; missed, or on the other side of the
     fold, the hand-back. Then it does one update, ``_update_body``. All
     runs on locals. The predicted twist, the M^-1 product, is written only
-    when the sum reads the twist. Each value has the bits of the separate
-    kernels, ``dq_product``, the compiled sum and ``_kicked``."""
+    when the sum reads the twist. Each value has the bits of the float
+    functions up to the sign of a zero, and those of ``dq_product``, the
+    compiled sum and ``_kicked``."""
     forced = sum_source is not None
     p = ", ".join(_STEP_VARIABLES)
     r, o, t = _names("r", 8), _names("o", 6), _names("t", 6)
@@ -459,7 +401,7 @@ def _loop_source(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]
         f"    {o} = f_prev",
         f"    {t} = target",
         "    n = p0 * p0 + p1 * p1 + p2 * p2",
-        *_terms_lines(_traces(matrix)[0], "n"),
+        *_terms_lines(_traces(matrix)[0]),
         "    cg = c / g",
         *(f"    {line}" for line in _PRODUCT_LINES),
         *[f"    m{i} = {e}" for i, e in enumerate(_SHARED[:6])],
@@ -536,11 +478,12 @@ def _loop_source(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]
     return "\n".join(lines) + "\n"
 
 
-def _compile(source: str, names):
-    # sqrt and nan, what a forced loop's wrench sum reads, and the loop's packer
+def _compile(source: str, name: str) -> Callable:
+    """The function ``name`` of the generated ``source``, compiled with
+    sqrt and nan, what a forced loop's wrench sum reads, and the packer."""
     namespace = {**SUM_NAMES, "_PACK": _PACK}
-    exec(compile(source, "<dqdyn.integrator.step_kernels>", "exec"), namespace)
-    return [namespace[name] for name in names]
+    exec(compile(source, "<dqdyn.integrator.stepping_loop>", "exec"), namespace)
+    return namespace[name]
 
 
 def _rows(matrix: bytes) -> list:
@@ -548,27 +491,53 @@ def _rows(matrix: bytes) -> list:
     return np.frombuffer(matrix, dtype=np.float64).reshape(6, 6).tolist()
 
 
-@functools.lru_cache(maxsize=_KERNEL_CACHE_SIZE)
-def _compiled_kernels(matrix: bytes, inverse: bytes) -> StepKernels:
-    source = _kernel_source(matrix)
-    generated = _compile(source, ("terms", "jacobian"))
-    return StepKernels(*generated, source, matrix, inverse)
+def _matrices(M: InertiaMatrix6) -> tuple:
+    """The bytes of M and M^-1, the keys of the loop cache."""
+    return np.asarray(M.matrix, dtype=np.float64).tobytes(), np.asarray(M.inverse, dtype=np.float64).tobytes()
 
 
 @functools.lru_cache(maxsize=_LOOP_CACHE_SIZE)
 def _compiled_loop(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]) -> Callable:
     source = _loop_source(matrix, inverse, order, sum_source)
-    (loop,) = _compile(source, ("loop",))
+    loop = _compile(source, "loop")
     loop.source = source
     return loop
 
 
-def step_kernels(M: InertiaMatrix6) -> StepKernels:
-    """The step kernels of M, generated and compiled on first use and kept
-    in a small LRU cache keyed by M's bytes."""
-    return _compiled_kernels(
-        np.asarray(M.matrix, dtype=np.float64).tobytes(), np.asarray(M.inverse, dtype=np.float64).tobytes()
-    )
+def stepping_loop(M: InertiaMatrix6, order, sum_source: Optional[str]) -> Callable:
+    """The stepping loop of ``simulate`` for the inertia M and the pivot
+    order (rows, cols), for a body under force models whose wrench sum has
+    the source ``sum_source`` (``wrench_sum_kernel(models).source``) or
+    free (None), generated on first use and kept in a small LRU cache keyed
+    by the bytes of M and M^-1; its ``source`` attribute is its code. M^-1
+    enters only a forced loop whose wrench sum reads the twist, as the
+    product that gives its predicted twist.
+
+    ``loop(k, stop, pose, f, f_prev, target, tau, it, rn, positive, side,
+    predicted, table, iters, tol, h, max_iterations, wrench)`` takes step k
+    after ``it`` Newton updates: the pose p_k, the iterate f, f_{k-1}, the
+    target, the wrench tau_k (None when free), the iterate's residual norm
+    ``rn``, whether the pivots of the last elimination give det J > 0
+    (``positive``) and whether those of step k - 1 did (``side``), and
+    ``predicted``: the pivot order the step began in when it starts from
+    the prediction, None when it starts from f_{k-1}. It runs the step's
+    updates, each with the body of ``_update_body`` inlined, to tol or
+    ``max_iterations``, then steps k + 1, k + 2, ... on locals, each with
+    the lines of the wrench sum, and writes each state's pose, step
+    variables, stored momentum [A; B](f) - (h^2/4) tau and residual norm
+    into its row k of the float64 array ``table`` (``_ROW`` columns, C
+    order) with one ``_PACK`` call, and each iteration count above one into
+    ``iters``. It returns the state in the order of its arguments from k to
+    ``predicted``, and a handoff: None at step stop - 1 solved; at a step
+    whose update refuses or must be halved, the iterate the update started
+    from, with ``_REFUSED`` or the update's dx; ``_MISSED`` at a step that
+    misses tol after ``max_iterations`` updates, or that started from the
+    prediction, took more than one update and ends with the other sign of
+    det J than f_{k-1} (the caller solves a predicted start again from
+    f_{k-1}). ``wrench`` is the compiled sum (None when free), whose
+    ``calls`` the inlined lines call for the models that have no source.
+    """
+    return _compiled_loop(*_matrices(M), order, sum_source)
 
 
 def _kicked(ab, tau, weight: float) -> list:
@@ -586,73 +555,75 @@ def _max_abs(v) -> float:
     return max(map(abs, v)) if s == s else math.nan
 
 
-def _newton(f, target, K: StepKernels, dx=None):
-    """The Newton iteration on [A; B](f) = target from f that the loop's
-    ordered update could not do: with ``dx`` None, one that solves with
-    full pivoting (only it can abort a step as singular); otherwise the
-    step dx of an update that would reach |Phi| >= 1. A step that would
-    reach |Phi| >= 1 is backtracked (halving) until the iterate keeps
-    |Phi| < 1.
+def _residual_norm(M, f, target) -> float:
+    """max |target - [A; B](f)| for the inertia M (row lists)."""
+    return _max_abs([t - a for a, t in zip(momentum(f, _terms(M, f)), target)])
 
-    Returns (f', residual norm, status, searched): ``searched`` is the
-    pivot order of the full-pivot solve and whether its pivots give
-    det J > 0, None when dx was given or the solve failed.
-    """
-    terms = K.terms(f)
-    ab = momentum(f, terms)
-    y = [t - a for a, t in zip(ab, target)]  # the negated residual, Newton's right-hand side
-    searched = None
-    if dx is None:
-        J = K.jacobian(f, terms)
-        dx, cond, ok, order = solve_rows(J, list(y))  # eliminates J in place: its diagonal holds the pivots
-        if (not ok) or cond > COND_LIMIT:
-            return f, _max_abs(y), _STATUS_SINGULAR, None
-        searched = order, (math.prod(J[i][i] for i in range(len(J))) > 0.0) != _odd(order)
+
+def _pivot_order(M, f):
+    """The pivot order (rows, cols) that full pivoting picks for the
+    Jacobian at f, for the inertia M (row lists); None when the Jacobian is
+    singular or its condition estimate exceeds ``COND_LIMIT``. The search
+    reads only the entries' magnitudes, so the float formula picks the
+    order, the flag and the estimate of the loop's entries."""
+    _, cond, ok, order = solve_rows(_float_jacobian(M, f), [0.0] * 6)
+    return None if not ok or cond > COND_LIMIT else order
+
+
+def _halve(M, f, dx, target):
+    """The Newton update f + dx, which would reach |Phi| >= 1, backtracked
+    (halving) until the iterate keeps |Phi| < 1. Returns (f', residual
+    norm, status): f itself and its residual norm when no halving does."""
     scale = 1.0
-    trial = [a + b for a, b in zip(f, dx)]
-    nphi = _phi_norm2(trial)
-    hops = 0
-    while nphi >= 1.0 and hops < _MAX_BACKTRACK:
+    for _ in range(_MAX_BACKTRACK):
         scale *= 0.5
-        hops += 1
         trial = [a + scale * b for a, b in zip(f, dx)]
-        nphi = _phi_norm2(trial)
-    if nphi >= 1.0:
-        return f, _max_abs(y), _STATUS_INFEASIBLE, searched
-    terms = K.terms(trial)
-    return trial, _max_abs([t - a for a, t in zip(momentum(trial, terms), target)]), _STATUS_OK, searched
+        if not _phi_norm2(trial) >= 1.0:
+            return trial, _residual_norm(M, trial, target), _STATUS_OK
+    return f, _residual_norm(M, f, target), _STATUS_INFEASIBLE
 
 
-def _solve(K: StepKernels, source, stop: int, pose, f, target, tau, table, iters, settings: SolverSettings, wrench):
+def _solve(M: InertiaMatrix6, source, stop: int, pose, f, target, tau, table, iters, settings: SolverSettings, wrench):
     """Solve steps 0 to stop - 1 of a run into their rows of ``table``: step
     0 solves [A; B] = target from f at the pose ``pose`` under the wrench
-    ``tau``, and the later steps are the loop's (``StepKernels.loop``, of
-    the body's wrench sum source ``source`` and compiled sum ``wrench``).
+    ``tau``, and the later steps are the loop's (``stepping_loop``, of the
+    body's wrench sum source ``source`` and compiled sum ``wrench``).
 
-    The first iteration solves with full pivoting; the loop of that order
-    takes the step over. When the loop hands a step back, this does the
-    iteration it could not (``_newton``) and resumes the loop of the last
-    searched order. A predicted start that fails here or that the loop
-    hands back as missed is the one restart: it is solved again from
-    f_{k-1}, in the loop of the order it began in. Returns (k, f_k,
-    iterations, residual norm, status) of step stop - 1, or of the step k
-    that failed.
+    Every Newton iteration is an update of the loop. Full pivoting picks
+    the loop's pivot order at step 0 and when an update refuses; a search
+    that fails, or that returns the order whose update has just refused
+    (it would refuse again), is a singular iteration. An update that must
+    be halved is halved here (``_halve``), and the loop resumes. A
+    predicted start that fails here or that the loop hands back as missed
+    is the one restart: it is solved again from f_{k-1}, in the loop of
+    the order it began in. Returns (k, f_k, iterations, residual norm,
+    status) of step stop - 1, or of the step k that failed.
     """
+    matrix, inverse = _matrices(M)
+    rows = _rows(matrix)
     tol, h, max_iterations = settings.tolerance, settings.h, settings.max_iterations
-    k, f_prev, it, side, predicted, handoff = 0, f, 0, None, None, _REFUSED
+    k, f_prev, it, rn, positive, side, predicted = 0, f, 0, None, None, None, None
+    order, handoff = None, _REFUSED  # step 0 begins with the search
     while True:
+        status = _STATUS_OK
         if handoff == _MISSED:
             status = _STATUS_NO_CONVERGENCE
+        elif handoff == _REFUSED:
+            searched = _pivot_order(rows, f)
+            if searched is None or searched == order:
+                it += 1
+                status = _STATUS_SINGULAR
+            order = searched
         else:
-            f, rn, status, searched = _newton(f, target, K, None if handoff == _REFUSED else handoff)
+            f, rn, status = _halve(rows, f, handoff, target)
             it += 1
-            if searched is not None:
-                order, positive = searched
         if status != _STATUS_OK:
             if predicted is None:
                 return k, f, it, rn, status
             order, f, it, predicted = predicted, f_prev, 0, None
-        k, pose, f, f_prev, target, tau, it, rn, positive, side, predicted, handoff = K.loop(order, source)(
+        k, pose, f, f_prev, target, tau, it, rn, positive, side, predicted, handoff = _compiled_loop(
+            matrix, inverse, order, source
+        )(
             k, stop, pose, f, f_prev, target, tau, it, rn, positive, side, predicted,
             table, iters, tol, h, max_iterations, wrench,
         )
@@ -697,8 +668,7 @@ def step_to_dual_quaternion(step) -> Array:
 def residual(step, M: InertiaMatrix6) -> tuple[Array, Array]:
     """Step momentum (A, B): rotational and translational components."""
     f = _as_step(step).tolist()
-    K = step_kernels(M)
-    out = np.array(momentum(f, K.terms(f)))
+    out = np.array(momentum(f, _terms(M.matrix.tolist(), f)))
     return out[:3], out[3:]
 
 
@@ -707,16 +677,14 @@ def rhs(prev_step, M: InertiaMatrix6, wrench, h: float) -> tuple[Array, Array]:
     wrench impulse (h^2/2) [torque; force], body frame."""
     f = _as_step(prev_step).tolist()
     tau = _wrench_body_vector(wrench).tolist()
-    K = step_kernels(M)
-    out = np.array(_kicked(transport(f, K.terms(f)), tau, 0.5 * h * h))
+    out = np.array(_kicked(transport(f, _terms(M.matrix.tolist(), f)), tau, 0.5 * h * h))
     return out[:3], out[3:]
 
 
 def jacobian(step, M: InertiaMatrix6) -> Array:
-    """Analytic d[A; B]/d[Phi; Psi], from the kernel generated for M."""
-    f = _as_step(step).tolist()
-    K = step_kernels(M)
-    return np.array(K.jacobian(f, K.terms(f)))
+    """Analytic d[A; B]/d[Phi; Psi]: the float formula of the entries that
+    the stepping loop writes for M."""
+    return np.array(_float_jacobian(M.matrix.tolist(), _as_step(step).tolist()))
 
 
 def initial_guess(chi, h: float) -> Array:
@@ -741,15 +709,14 @@ def solve_step(prev_step, M: InertiaMatrix6, wrench, settings: SolverSettings):
 
     Returns (step, iterations, residual_norm). The warm start is the
     previous step itself, and the step runs through ``simulate``'s solver:
-    a full-pivot solve, then the loop of its pivot order.
+    a full-pivot search for the pivot order, then the loop of that order.
     """
     f_prev = _as_step(prev_step).tolist()
     tau = _wrench_body_vector(wrench).tolist()
-    K = step_kernels(M)
-    target = _kicked(transport(f_prev, K.terms(f_prev)), tau, 0.5 * settings.h * settings.h)
+    target = _kicked(transport(f_prev, _terms(M.matrix.tolist(), f_prev)), tau, 0.5 * settings.h * settings.h)
     # a free loop of one step, whose row (the pose is only packed) is thrown away
     _, f, it, rn, status = _solve(
-        K, None, 1, _IDENTITY, f_prev, target, None, np.empty((1, _ROW)), np.ones(1, dtype=np.int64), settings, None
+        M, None, 1, _IDENTITY, f_prev, target, None, np.empty((1, _ROW)), np.ones(1, dtype=np.int64), settings, None
     )
     _raise_for_status(status, it, rn)
     return np.array(f), it, rn
@@ -788,8 +755,7 @@ def retrieve_twist(step, M: InertiaMatrix6, h: float) -> Array:
     stores for a force-free state (under a wrench tau, this less (h/2) M^-1 tau)."""
     f = _as_step(step).tolist()
     s = 2.0 / float(h)
-    K = step_kernels(M)
-    return np.array([s * x for x in matvec(M.inverse.tolist(), momentum(f, K.terms(f)))])
+    return np.array([s * x for x in matvec(M.inverse.tolist(), momentum(f, _terms(M.matrix.tolist(), f)))])
 
 
 def simulate(
@@ -838,15 +804,15 @@ def simulate(
     1e-12, 1e-6 and 1e-4 has the exact sign
     (``test_loop_fold_sign_is_the_sign_of_det_j``).
 
-    Step 0 starts with a full-pivot solve, and the generated loop
-    ``step_kernels(M).loop(order, wrench.source)`` of that pivot order runs
-    every later iteration and step, to the end of the run. The run holds one
-    table, a row per state, and the loop packs each state straight into its
-    row; the trajectory's poses, steps and residual norms are views of its
-    columns, so no state is copied and no Python float outlives its step.
-    Only a step whose update refuses or must be halved is handed back: the
-    full-pivot solve or the halving of ``_newton`` does that iteration, and
-    the loop of the last searched order resumes the step. So is a step that
+    Step 0 starts with a full-pivot search for the pivot order, and the
+    generated loop ``stepping_loop(M, order, wrench.source)`` of that order
+    runs every Newton iteration and step, to the end of the run. The run
+    holds one table, a row per state, and the loop packs each state
+    straight into its row; the trajectory's poses, steps and residual norms
+    are views of its columns, so no state is copied and no Python float
+    outlives its step. Only a step whose update refuses or must be halved
+    is handed back: a refusal searches a new pivot order, a halving
+    backtracks the update, and the loop resumes the step. So is a step that
     misses or crosses the fold, for the restart from f_{k-1} or the error.
 
     Each state stores the node-synchronized twist
@@ -860,7 +826,6 @@ def simulate(
     n_steps = as_count(n_steps, "n_steps", 0)
     h = settings.h
     f = initial_guess(chi0, h).tolist()  # fails fast on a step rotation >= 180 degrees
-    K = step_kernels(M)
     force_models = list(forces)
 
     n = n_steps + 1
@@ -875,7 +840,7 @@ def simulate(
         source = wrench.source
         tau = wrench(pose, chi0.tolist(), 0.0)
         target = _kicked(target, tau, 0.25 * h * h)
-    k, _, it, rn, status = _solve(K, source, n, pose, f, target, tau, table, iters, settings, wrench)
+    k, _, it, rn, status = _solve(M, source, n, pose, f, target, tau, table, iters, settings, wrench)
     _raise_for_status(status, it, rn, k)
 
     times = np.arange(n) * h

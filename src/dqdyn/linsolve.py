@@ -6,11 +6,12 @@ free growth-based condition estimate, the ratio of the first to the last
 pivot magnitude. The estimate is crude (a lower bound on the true condition
 number up to modest factors) but is exactly what the step-abort rule needs.
 
-The order it returns, the original row and column of each pivot, is what
-the integrator generates its stepping loop for: the Newton Jacobian stays
-close to M from step to step, so that order keeps working, and each
-Newton update the loop inlines repeats this elimination for it without the
-search (``integrator.StepKernels.loop``).
+The order it returns, the original row and column of each pivot, is all
+the integrator takes from it: the integrator generates its stepping loop
+for that order (``integrator.stepping_loop``), and each Newton update the
+loop inlines repeats this elimination for it without the search. The
+Newton Jacobian stays close to M from step to step, so that order keeps
+working; the integrator searches again only when an update refuses it.
 """
 
 import math

@@ -12,10 +12,10 @@ something the algebra hides.
 
 ``dq_product`` is the dual quaternion product on Python floats that the
 integrator's step loop and the force models use; ``dq_mul`` wraps it for
-arrays, with ``as_floats`` as the conversion. ``dq_log_parts`` and
-``dq_log`` are the same pair for the logarithm. ``Traced`` turns such a
-float function into source text: all generated code, the integrator's
-step kernels, update and loop and the force models' wrench sum, is
+arrays, with ``as_floats`` as the conversion. ``dq_log_parts`` is the
+logarithm on Python floats, which ``kinematics.pose_distance`` reads.
+``Traced`` turns such a float function into source text: all generated
+code, the integrator's stepping loop and the force models' wrench sum, is
 written by calling the float formulas on it (``dq_product``, ``cross``,
 ``linsolve.matvec``, the integrator's momentum and Jacobian), so each
 formula keeps one definition.
@@ -361,10 +361,12 @@ def dq_exp(eta) -> Array:
 
 
 def dq_log_parts(p) -> tuple:
-    """(a0, a1, a2, b0, b1, b2) of log p = [0, a, 0, b] for a unit dual
-    quaternion given as an 8-sequence of Python floats: the kernel of dq_log.
+    """(a0, a1, a2, b0, b1, b2) of the principal logarithm log p = [0, a,
+    0, b] of a unit dual quaternion given as an 8-sequence of Python floats.
 
-    The sign is canonicalised toward p[0] >= 0 first, as dq_log documents.
+    The sign ambiguity of the double cover is resolved toward a non-negative
+    real scalar first, so exp(log p) reproduces p (or -p when p[0] < 0) and
+    the rotation half-angle |a| stays in [0, pi/2].
     """
     p0, p1, p2, p3, p4, p5, p6, p7 = p
     if p0 < 0.0:
@@ -375,17 +377,3 @@ def dq_log_parts(p) -> tuple:
     a0, a1, a2 = p1 / s, p2 / s, p3 / s
     abg = -p4 / s * g
     return a0, a1, a2, (p5 - abg * a0) / s, (p6 - abg * a1) / s, (p7 - abg * a2) / s
-
-
-def dq_log(p) -> Array:
-    """Principal logarithm of a unit dual quaternion, as a pure dual quaternion.
-
-    The sign ambiguity of the double cover is resolved toward a non-negative
-    real scalar, so dq_exp(dq_log(p)) reproduces p (or -p when p[0] < 0) and
-    the rotation half-angle |log real part| stays in [0, pi/2].
-    """
-    p = np.asarray(p, dtype=np.float64)
-    if p.shape != (8,):
-        raise ValidationError(f"dual quaternion must have shape (8,), got {p.shape}")
-    a0, a1, a2, b0, b1, b2 = dq_log_parts(p.tolist())
-    return np.array([0.0, a0, a1, a2, 0.0, b0, b1, b2])

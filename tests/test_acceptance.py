@@ -17,6 +17,7 @@ The scenarios and tolerances here are frozen; loosening a bar or trimming a
 scenario to make a test pass defeats the point of the gate.
 """
 
+import math
 import time
 
 import numpy as np
@@ -26,8 +27,10 @@ from conftest import random_pose, random_unit_quaternion
 
 from dqdyn._compat import NUMBA_AVAILABLE
 from dqdyn.dynamics import (
+    ForceModel,
     build_inertia,
     build_inertia_raw,
+    constant_wrench_model,
     damping_model,
     force_model_from_potential,
     gravity_potential,
@@ -37,6 +40,7 @@ from dqdyn.dynamics import (
 from dqdyn.integrator import SolverSettings, jacobian, residual, simulate
 from dqdyn.kinematics import (
     pose_from_rotation_translation,
+    body_wrench,
     pose_identity,
     pose_rate_from_body_twist,
     pose_to_rotation_translation,
@@ -101,6 +105,29 @@ def damped_drop():
     M = build_inertia(1.5, np.diag([0.8, 1.1, 1.6]))
     gravity = force_model_from_potential(gravity_potential(1.5, [0.0, 0.0, -9.81]))
     return M, [gravity, damping_model(0.2, 0.5)], np.array([2.0, -1.0, 0.5, 0.3, 0.0, 0.0])
+
+
+def constant_body_wrench():
+    # generic_forced's body under a torque and force fixed in body axes
+    M, _, chi0 = generic_forced()
+    return M, [constant_wrench_model(body_wrench([0.3, -0.2, 0.1], [1.0, 0.0, -3.0]))], chi0
+
+
+def constant_world_wrench():
+    # the same wrench fixed in world axes: rotated into the body every step
+    M, _, chi0 = generic_forced()
+    return M, [constant_wrench_model(world_wrench([0.3, -0.2, 0.1], [1.0, 0.0, -3.0]))], chi0
+
+
+def time_dependent_callable():
+    # a user callable that carries no source, so the loop calls it through
+    # its adapter, and that reads the time
+    M, _, chi0 = generic_forced()
+
+    def evaluate(pose, chi, t):
+        return body_wrench([0.5 * math.sin(3.0 * t), 0.2, -0.3 * t], [math.cos(2.0 * t), 0.0, -2.0])
+
+    return M, [ForceModel(evaluate=evaluate)], chi0
 
 
 @pytest.fixture(scope="module")
@@ -246,12 +273,24 @@ def test_convergence_order_against_rk4_reference():
     _check_order_against_rk4(build_inertia(1.0, TOP_INERTIA), (), TOP_TWIST, 1e-5)
 
 
-@pytest.mark.parametrize("scenario", [spring_pendulum, generic_forced, damped_drop], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        spring_pendulum,
+        generic_forced,
+        damped_drop,
+        constant_body_wrench,
+        constant_world_wrench,
+        time_dependent_callable,
+    ],
+    ids=lambda f: f.__name__,
+)
 def test_forced_convergence_order_against_rk4_reference(scenario):
     # second order needs the seed step's start-up half-kick (without it the
     # position-dependent runs fit order 1.0) and forces read at, and twists
     # stored as, the node-synchronized twist (without it damping and every
-    # stored twist fit order 1.0)
+    # stored twist fit order 1.0); every force type the package ships is
+    # here, and a user callable that reads the time
     _check_order_against_rk4(*scenario(), 1e-4)
 
 

@@ -43,7 +43,6 @@ from dqdyn.integrator import (
     step_to_dual_quaternion,
 )
 from dqdyn.kinematics import Wrench, body_wrench, pose_constraint_errors, pose_identity, world_wrench
-from dqdyn.linsolve import matvec, solve_rows
 from dqdyn.newton_euler import rk4_simulate
 from dqdyn.quat import dq_mul
 from dqdyn.scenario import load_run
@@ -61,7 +60,7 @@ def random_step(rng, phi_scale=0.5):
 
 
 def mixed_inertias(rng):
-    """Inertias whose zero patterns the generated step kernels must all handle."""
+    """Inertias whose zero patterns the generated stepping loop must all handle."""
     A = rng.normal(size=(6, 6))
     B = rng.normal(size=(3, 3))
     yield build_inertia(1.0, np.eye(3))
@@ -247,82 +246,80 @@ def test_translating_screw_spin_error_follows_m_psi_squared(v):
     assert abs(error / predicted - 1.0) < 0.05  # measured 1.498e-2, 6.239e-2, 0.1521
 
 
-def test_step_kernel_terms_equal_matvec(rng):
-    for M in mixed_inertias(rng):
-        K = integrator.step_kernels(M)
-        rows = M.matrix.tolist()
-        for _ in range(20):
-            f = random_step(rng).tolist()
-            g, c, u0, u1, u2, w0, w1, w2 = K.terms(f)
-            assert [w0, w1, w2, u0, u1, u2] == matvec(rows, f)
-            assert g == np.sqrt(1.0 - (f[0] * f[0] + f[1] * f[1] + f[2] * f[2]))
-            assert c == f[3] * f[0] + f[4] * f[1] + f[5] * f[2]
+def loop_entries(M):
+    """The terms and Jacobian entries that the stepping loop writes for M,
+    compiled here from its traces: ``entries(f)`` is (terms, J as six row
+    lists) at f."""
+    mf, lines, rows = integrator._traces(np.asarray(M, dtype=np.float64).tobytes())
+    source = "\n".join([
+        "def entries(f):",
+        f"    {', '.join(integrator._STEP_VARIABLES)} = f",
+        "    n = p0 * p0 + p1 * p1 + p2 * p2",
+        *integrator._terms_lines(mf),
+        "    cg = c / g",
+        *integrator._JACOBIAN_LOCALS,
+        *(f"    {line}" for line in lines),
+        f"    return ({integrator._TERMS}), [{', '.join('[' + ', '.join(row) + ']' for row in rows)}]",
+    ]) + "\n"
+    return integrator._compile(source, "entries")
 
 
 def test_generated_kernels_are_their_float_formulas(rng):
-    # jacobian is _jacobian traced with M's entries as literals (terms is
-    # matvec: test_step_kernel_terms_equal_matvec); the formula evaluated on
-    # floats with the full M gives the same values (== ignores the sign of a
-    # zero, which a left-out zero term can change)
+    # the loop's terms and Jacobian entries are matvec and _jacobian traced
+    # with M's entries as literals; the formulas evaluated on floats with
+    # the full M give the same values (== ignores the sign of a zero, which
+    # a left-out zero term can change), so the search on the float Jacobian
+    # reads the magnitudes of the entries the loop eliminates
     for M in mixed_inertias(rng):
-        K = integrator.step_kernels(M)
+        entries = loop_entries(M.matrix)
         rows = M.matrix.tolist()
         for k in range(20):
             f = random_step(rng, 0.9).tolist()
             f[k % 6] = 0.0
-            g, c, *_ = terms = K.terms(f)
-            gg = g * g
-            x = [(gg * s + c * p) / (gg * g) for p, s in zip(f[:3], f[3:])]
-            y = [p / g for p in f[:3]]
-            assert K.jacobian(f, terms) == integrator._jacobian(rows, f, terms, c / g, x, y)
+            terms, J = entries(f)
+            assert list(terms) == list(integrator._terms(rows, f))
+            assert J == integrator._float_jacobian(rows, f) == jacobian(f, M).tolist()
 
 
-def _searched_order(K, f):
-    """The pivot order solve_rows picks for the Jacobian of K at f."""
-    return solve_rows(K.jacobian(f, K.terms(f)), [1.0] * 6)[3]
+def _searched_order(M, f):
+    """The pivot order the search picks for M's Jacobian at f."""
+    return integrator._pivot_order(M.matrix.tolist(), f)
 
 
-def test_step_kernel_source_has_no_zero_products(rng):
+def test_stepping_loop_source_has_no_zero_products(rng):
     zero_literal = r"-?0\.0(?![0-9e])"
     damped = wrench_sum_kernel([damping_model(0.2, 0.5)]).source
     for M in mixed_inertias(rng):
-        K = integrator.step_kernels(M)
-        order = _searched_order(K, random_step(rng).tolist())
-        for source in (K.source, K.loop(order, None).source, K.loop(order, damped).source):
+        order = _searched_order(M, random_step(rng).tolist())
+        for sum_source in (None, damped):
+            source = integrator.stepping_loop(M, order, sum_source).source
             assert not re.search(r"\* " + zero_literal, source)
             assert not re.search(r"(?<![\w.])" + zero_literal + r" \*", source)
     # a diagonal inertia leaves one product for each entry of M f that is not 1.0
-    source = integrator.step_kernels(build_inertia(2.0, np.diag([1.0, 3.0, 4.0]))).source
-    assert source.split("def jacobian")[0].count(" * ") == 3 + 3 + 5  # gamma, c, M f
+    M = build_inertia(2.0, np.diag([1.0, 3.0, 4.0]))
+    terms = integrator._terms_lines(integrator._traces(M.matrix.tobytes())[0])
+    assert "\n".join(terms).count(" * ") == 3 + 5  # c, M f
 
 
-def test_step_kernels_compile_once_per_inertia(rng):
-    compiled, loops = integrator._compiled_kernels, integrator._compiled_loop
-    compiled.cache_clear()
+def test_stepping_loops_compile_once_per_inertia_and_order(rng):
+    loops = integrator._compiled_loop
     loops.cache_clear()
     M = build_inertia(1.0, np.diag(rng.uniform(1.0, 4.0, size=3)))
     settings = SolverSettings(h=1e-3)
     twist = [1.0, 0.1, 0.0, 0.0, 0.0, 0.0]
     rk4_simulate(pose_identity(), twist, M, (), settings, 3)
-    assert compiled.cache_info().misses == 0  # the RK4 oracle never generates
-    assert loops.cache_info().misses == 0
+    assert loops.cache_info().misses == 0  # the RK4 oracle never generates
     for _ in range(3):
         simulate(pose_identity(), twist, M, (), settings, 3)
-    assert compiled.cache_info().misses == 1
     assert loops.cache_info().misses == 1  # one searched order, one free loop
-    bound = compiled.cache_info().maxsize
-    for k in range(bound + 4):
-        integrator.step_kernels(build_inertia(1.0 + k, np.diag([1.0, 2.0, 3.0])))
-    assert compiled.cache_info().currsize <= bound
-    # one loop per (M, order, wrench sum), in a bounded cache of its own
-    K = integrator.step_kernels(M)
+    # one loop per (M, order, wrench sum), in a bounded cache
     bound = loops.cache_info().maxsize
     orders = set()
     while len(orders) <= bound:
-        orders.add(_searched_order(K, random_step(rng, 0.9).tolist()))
+        orders.add(_searched_order(M, random_step(rng, 0.9).tolist()))
     for order in orders:
-        K.loop(order, None)
-        K.loop(order, None)
+        integrator.stepping_loop(M, order, None)
+        integrator.stepping_loop(M, order, None)
     info = loops.cache_info()
     assert info.misses == 1 + len(orders) and info.hits >= len(orders) and info.currsize <= bound
 
@@ -628,21 +625,24 @@ def test_simulate_spin_up_fails_at_the_half_turn_step():
 
 
 def test_update_that_no_halving_keeps_inside_the_half_turn_is_a_divergence(monkeypatch, tmp_path, capsys):
-    # a searched update whose dx carries 1e30 in Phi_x: 60 halvings leave it
-    # near 1e12, so the step cannot keep |Phi| < 1 and the run stops at once
-    def far(J, y):
-        dx, cond, ok, order = solve_rows(J, y)
-        return [1e30, *dx[1:]], cond, ok, order
+    # every update hands its dx back to be halved, with 1e30 in Phi_x: 60
+    # halvings leave it near 1e12, so the step cannot keep |Phi| < 1 and
+    # the run stops at once
+    def far(body, matrix, order, leave):
+        def halve_far(handoff):
+            return leave(f"[1e30, {handoff.split(', ', 1)[1]}" if handoff.startswith("[") else handoff)
 
-    monkeypatch.setattr(integrator, "solve_rows", far)
-    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
-    with pytest.raises(SolverDivergenceError, match=r"could not keep \|Phi\| < 1 at step 0") as info:
-        simulate(pose_identity(), [1.0, 0.1, 0.0, 0.0, 0.0, 0.0], M, (), SolverSettings(h=1e-3), 10)
-    assert info.value.step_index == 0
-    assert info.value.iterations == 1
-    config = tmp_path / "free.yaml"
-    config.write_text("body: {mass: 1.0, inertia: [1, 2, 3]}\ninitial: {body_twist: [1.0, 0.1, 0, 0, 0, 0]}\n")
-    assert main(["run", "--config", str(config), "--steps", "10"]) == 3
+        return ["    if True:" if line == "    if n >= 1.0:" else line for line in body(matrix, order, halve_far)]
+
+    with _patched_updates(monkeypatch, far):
+        M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+        with pytest.raises(SolverDivergenceError, match=r"could not keep \|Phi\| < 1 at step 0") as info:
+            simulate(pose_identity(), [1.0, 0.1, 0.0, 0.0, 0.0, 0.0], M, (), SolverSettings(h=1e-3), 10)
+        assert info.value.step_index == 0
+        assert info.value.iterations == 1
+        config = tmp_path / "free.yaml"
+        config.write_text("body: {mass: 1.0, inertia: [1, 2, 3]}\ninitial: {body_twist: [1.0, 0.1, 0, 0, 0, 0]}\n")
+        assert main(["run", "--config", str(config), "--steps", "10"]) == 3
     assert "could not keep |Phi| < 1" in capsys.readouterr().err
 
 
@@ -741,23 +741,43 @@ def _scenario_inputs(name):
 
 
 @contextlib.contextmanager
-def _refusing_updates(monkeypatch):
-    """Within the block, every loop is generated with an update that
-    refuses each iteration, so each Newton iteration is a full-pivot solve
-    of ``_newton``; the loop cache is emptied on entry and exit, so no loop
-    of either kind outlives the block."""
+def _patched_updates(monkeypatch, patched):
+    """Within the block, every loop is generated with the update lines
+    ``patched(_update_body, matrix, order, leave)``; the loop cache is
+    emptied on entry and exit, so no loop of either kind outlives the
+    block."""
     body = integrator._update_body
-
-    def refusing(matrix, order, leave):
-        return [f"    {leave(repr(integrator._REFUSED))}", *body(matrix, order, leave)]
-
     with monkeypatch.context() as patch:
         integrator._compiled_loop.cache_clear()
-        patch.setattr(integrator, "_update_body", refusing)
+        patch.setattr(integrator, "_update_body", lambda *args: patched(body, *args))
         try:
             yield
         finally:
             integrator._compiled_loop.cache_clear()
+
+
+def _refusing_updates(monkeypatch):
+    """Within the block, every loop is generated with an update that
+    refuses each iteration."""
+    def refusing(body, matrix, order, leave):
+        return [f"    {leave(repr(integrator._REFUSED))}", *body(matrix, order, leave)]
+
+    return _patched_updates(monkeypatch, refusing)
+
+
+def test_a_search_that_returns_the_refused_order_is_singular(monkeypatch):
+    # every update refuses, so the search picks the order whose update has
+    # just refused: the same update would refuse again, and the step is
+    # singular at its first iteration instead of searching forever
+    M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+    settings = SolverSettings(h=1e-3)
+    with _refusing_updates(monkeypatch):
+        with pytest.raises(SingularMatrixError, match="at step 0") as info:
+            simulate(pose_identity(), [1.0, 0.1, 0.0, 0.0, 0.0, 0.0], M, (), settings, 5)
+        assert (info.value.step_index, info.value.iterations) == (0, 1)
+        with pytest.raises(SingularMatrixError) as info:
+            solve_step(initial_guess([1.0, 0.1, 0.0, 0.0, 0.0, 0.0], settings.h), M, None, settings)
+        assert (info.value.step_index, info.value.iterations) == (None, 1)
 
 
 def _calls_recorded(monkeypatch, calls):
@@ -782,8 +802,9 @@ def _one_step_per_call(monkeypatch, solved):
     """A stand-in for the loop cache whose loops solve one step per call of
     the generated loop: the first call stops after the step it enters, and
     each next call goes on from the state the last one returned, one step
-    further. ``solved`` collects (f_k, positive) of each solved step, the
-    step variables and whether the loop's last elimination gave det J > 0."""
+    further. ``solved`` collects (f_k, positive, order) of each solved step:
+    the step variables, whether the loop's last elimination gave det J > 0
+    and the pivot order of the loop that solved it."""
     compiled = integrator._compiled_loop
 
     def loops(*key):
@@ -793,7 +814,7 @@ def _one_step_per_call(monkeypatch, solved):
             state, rest = args[:10], args[10:]
             k, *state, handoff = loop(k, k + 1, *state, *rest)
             while handoff is None:
-                solved.append((state[1], state[7]))
+                solved.append((state[1], state[7], key[2]))
                 if k == stop - 1:
                     break
                 k, *state, handoff = loop(k, k + 2, *state, *rest)
@@ -812,37 +833,42 @@ def _scenario_run(name, n_steps):
 @pytest.mark.parametrize("h", [1e-3, 1e-2, 0.05])
 @pytest.mark.parametrize("name", [name for name in SCENARIOS if name != "damped_drop"])
 def test_reused_pivot_order_changes_no_state(monkeypatch, name, h):
-    # Newton reuses the last searched pivot order; with the same order the
-    # loop's update has the bits of solve_rows and the separate kernels, so
-    # the run must equal the one that searches every iteration. At the
-    # larger steps the steps take more than one iteration and pass the
+    # Newton reuses the pivot order of the last search; the run must equal
+    # one whose every update eliminates in the order the search picks at
+    # its start: there each loop's update refuses when the search picks
+    # another order, so the solver searches again and goes on in the loop
+    # of that order. The orders may differ where J's blocks decouple (the
+    # free top's), but then the elimination does the same operations. At
+    # the larger steps the steps take more than one update and pass the
     # branch guard. damped_drop is left out: its three equal masses tie in
-    # the search, which picks another order at step 1 than at step 0, so a
-    # run that searches every solve eliminates in another order and differs
-    # in the last bits
+    # the search, which picks another order at step 1 than at step 0, so
+    # the searching run eliminates in another order and differs in the last
+    # bits
     inputs = _scenario_inputs(name)
-    settings = replace(inputs.settings, h=h)
+    rows = inputs.inertia.matrix.tolist()
+    search = integrator._pivot_order
     searches = []
-    search = integrator.solve_rows
 
-    def counted(U, y):
-        searches.append(1)
-        return search(U, y)
+    def counted(M, f):
+        searches.append(f)
+        return search(M, f)
+
+    def searching(body, matrix, order, leave):
+        p = ", ".join(integrator._STEP_VARIABLES)
+        refuse = leave(repr(integrator._REFUSED))
+        return [f"    if _search([{p}]) != {order!r}:", f"        {refuse}", *body(matrix, order, leave)]
 
     def run():
-        return simulate(inputs.pose, inputs.twist, inputs.inertia, inputs.forces, settings, 2000)
+        return simulate(inputs.pose, inputs.twist, inputs.inertia, inputs.forces, replace(inputs.settings, h=h), 2000)
 
-    monkeypatch.setattr(integrator, "solve_rows", counted)
+    monkeypatch.setattr(integrator, "_pivot_order", counted)
     reused = run()
-    reused_searches = len(searches)
-    with _refusing_updates(monkeypatch):
+    # only step 0 searched (at h = 0.05 pure_translation also searches at
+    # its two refused updates)
+    assert len(searches) == (3 if (name, h) == ("pure_translation", 0.05) else 1)
+    monkeypatch.setattr(integrator, "SUM_NAMES", {**integrator.SUM_NAMES, "_search": lambda f: search(rows, f)})
+    with _patched_updates(monkeypatch, searching):
         searched = run()
-    if h == 1e-3:
-        # only the first iteration of the reused run searched (at h = 0.05
-        # an update can refuse: pure_translation searches at step 0 and at
-        # two refused updates)
-        assert reused_searches == 1
-        assert len(searches) == 1 + int(searched.iterations.sum())
     for column in ("poses", "twists", "steps", "iterations", "residual_norms"):
         np.testing.assert_array_equal(getattr(reused, column), getattr(searched, column))
 
@@ -942,8 +968,8 @@ def test_loop_fold_sign_is_the_sign_of_det_j(monkeypatch, name, h, tol):
         )
     except SolverDivergenceError as error:  # damped_drop at h = 0.1, ROADMAP item 1
         assert (name, h, error.step_index) == ("damped_drop", 0.1, 18)
-    exact = [np.linalg.det(jacobian(f, inputs.inertia)) > 0.0 for f, _ in solved]
-    assert [positive for _, positive in solved] == exact
+    exact = [np.linalg.det(jacobian(f, inputs.inertia)) > 0.0 for f, _, _ in solved]
+    assert [positive for _, positive, _ in solved] == exact
     assert len(solved) == (18 if (name, h) == ("damped_drop", 0.1) else 601)
     if name == "pure_translation":
         assert len(set(exact)) == 2
@@ -958,7 +984,7 @@ def test_a_run_holds_its_table_and_no_float_per_state(monkeypatch):
     inputs = _scenario_inputs("free_top")
     n = 1000  # tracemalloc costs the loop about 2 ms a step
     run = (inputs.pose, inputs.twist, inputs.inertia, (), inputs.settings, n)
-    simulate(*run)  # generating and compiling the kernels and the loop is not the run's
+    simulate(*run)  # generating and compiling the loop is not the run's
     compiled = integrator._compiled_loop
     peaks = []
 
@@ -1139,9 +1165,8 @@ def test_inlined_wrench_sum_runs_like_the_compiled_sum(name, h):
 
 def test_gravity_and_spring_loop_has_no_twist_product_and_no_zero_product():
     inputs = _scenario_inputs("generic_forced")
-    K = integrator.step_kernels(inputs.inertia)
-    order = _searched_order(K, [0.01, 0.02, -0.01, 0.1, 0.0, 0.2])
-    source = K.loop(order, wrench_sum_kernel(inputs.forces).source).source
+    order = _searched_order(inputs.inertia, [0.01, 0.02, -0.01, 0.1, 0.0, 0.2])
+    source = integrator.stepping_loop(inputs.inertia, order, wrench_sum_kernel(inputs.forces).source).source
     zero_literal = r"-?0\.0(?![0-9e])"
     assert not re.search(r"\* " + zero_literal, source)
     assert not re.search(r"(?<![\w.])" + zero_literal + r" \*", source)
@@ -1149,7 +1174,7 @@ def test_gravity_and_spring_loop_has_no_twist_product_and_no_zero_product():
     for name in ("two_over_h", "chi0", "i0", "time", "_calls"):
         assert not re.search(rf"\b{name}\b", source)
     # damping reads the twist, so its loop predicts it
-    damped = K.loop(order, wrench_sum_kernel([damping_model(0.2, 0.5)]).source).source
+    damped = integrator.stepping_loop(inputs.inertia, order, wrench_sum_kernel([damping_model(0.2, 0.5)]).source).source
     assert all(re.search(rf"^ +i{i} = ", damped, re.M) for i in range(6)) and "two_over_h * i5" in damped
 
 
@@ -1157,19 +1182,18 @@ def _loop_sources():
     """The loop of a free body, of generic_forced (gravity plus spring) and
     of a damped one, for one searched order of generic_forced's inertia."""
     inputs = _scenario_inputs("generic_forced")
-    K = integrator.step_kernels(inputs.inertia)
-    order = _searched_order(K, [0.01, 0.02, -0.01, 0.1, 0.0, 0.2])
+    order = _searched_order(inputs.inertia, [0.01, 0.02, -0.01, 0.1, 0.0, 0.2])
     for models in ((), inputs.forces, [damping_model(0.2, 0.5)]):
-        yield K.loop(order, wrench_sum_kernel(models).source if models else None).source
+        sum_source = wrench_sum_kernel(models).source if models else None
+        yield integrator.stepping_loop(inputs.inertia, order, sum_source).source
 
 
 def test_each_loop_hands_a_step_back_from_one_place():
     # every refusal and halving of the inlined update, a failed step and
     # the last step break out of the loop, to its one return
     inputs = _scenario_inputs("generic_forced")
-    K = integrator.step_kernels(inputs.inertia)
-    order = _searched_order(K, [0.01, 0.02, -0.01, 0.1, 0.0, 0.2])
-    leaves = integrator._update_body(K.matrix, order, lambda handoff: f"leave({handoff})")
+    order = _searched_order(inputs.inertia, [0.01, 0.02, -0.01, 0.1, 0.0, 0.2])
+    leaves = integrator._update_body(inputs.inertia.matrix.tobytes(), order, lambda handoff: f"leave({handoff})")
     for source in _loop_sources():
         returns = re.findall(r"^( *)return .*?(\S+)$", source, re.M)
         assert returns == [("    ", "handoff")]
@@ -1218,32 +1242,13 @@ def test_loop_float_operations_do_not_grow(name):
     # change that adds float operations or a call to a step fails here on
     # every machine
     inputs = _scenario_inputs(name)
-    K = integrator.step_kernels(inputs.inertia)
-    order = _searched_order(K, initial_guess(inputs.twist, inputs.settings.h).tolist())
-    loop = K.loop(order, wrench_sum_kernel(inputs.forces).source if inputs.forces else None)
+    order = _searched_order(inputs.inertia, initial_guess(inputs.twist, inputs.settings.h).tolist())
+    sum_source = wrench_sum_kernel(inputs.forces).source if inputs.forces else None
+    loop = integrator.stepping_loop(inputs.inertia, order, sum_source)
     counts = collections.Counter(i.opname for i in _while_body(loop))
     binary, negative, calls = LOOP_OPERATIONS[name]
     assert counts["BINARY_OP"] <= binary and counts["UNARY_NEGATIVE"] <= negative, counts
     assert counts["CALL"] <= calls, counts
-
-
-# BINARY_OP and UNARY_NEGATIVE instructions of the generated terms and
-# Jacobian: their counts
-KERNEL_OPERATIONS = {
-    "free_top": {"terms": (13, 0), "jacobian": (96, 16)},
-    "generic_forced": {"terms": (53, 0), "jacobian": (261, 0)},
-}
-
-
-@pytest.mark.skipif(sys.version_info < (3, 11), reason="one BINARY_OP instruction per binary operator from Python 3.11")
-@pytest.mark.parametrize("name", sorted(KERNEL_OPERATIONS))
-def test_kernel_float_operations_do_not_grow(name):
-    inputs = _scenario_inputs(name)
-    K = integrator.step_kernels(inputs.inertia)
-    for kernel, function in (("terms", K.terms), ("jacobian", K.jacobian)):
-        counts = collections.Counter(i.opname for i in dis.get_instructions(function))
-        binary, negative = KERNEL_OPERATIONS[name][kernel]
-        assert counts["BINARY_OP"] <= binary and counts["UNARY_NEGATIVE"] <= negative, (kernel, counts)
 
 
 def test_wrench_sum_compiles_once_per_model_list():

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from test_integrator import mixed_inertias, random_step
+from test_integrator import loop_entries, mixed_inertias, random_step
 
 from dqdyn import integrator
 from dqdyn.dynamics import build_inertia, build_inertia_raw
@@ -98,7 +98,7 @@ def _update(M, order):
         *integrator._update_body(np.asarray(M, dtype=np.float64).tobytes(), order, lambda handoff: f"return {handoff}"),
         f"    return [{p}], ({integrator._TERMS}), ({integrator._names('m', 6)}), rn, positive",
     ]) + "\n"
-    (update,) = integrator._compile(source, ("update",))
+    update = integrator._compile(source, "update")
     update.source = source
     return update
 
@@ -121,34 +121,37 @@ def _inertias(rng, kind):
 
 @pytest.mark.parametrize("kind", ["mixed", "diagonal", "coupled"])
 def test_ordered_solve_is_bitwise_the_searched_solve(rng, kind):
-    # given the order the search picked, the generated update does the
-    # searched iteration's float operations in the same order, so the new
-    # iterate, its terms, [A; B] and residual norm agree to the last bit;
-    # with exact zeros in f and the target (J(0) = M keeps M's zeros) that
-    # includes skipping rows whose multiplier is zero, or the sign of a
-    # zero would differ
-    # and the product of the pivots, flipped for an odd order, has the sign
-    # of det J
+    # given the order the search picked, the generated update does a full
+    # pivot solve's float operations in the same order, on the terms and
+    # Jacobian entries the loop writes, so the new iterate, its terms,
+    # [A; B] and residual norm agree to the last bit; with exact zeros in f
+    # and the target (J(0) = M keeps M's zeros) that includes skipping rows
+    # whose multiplier is zero, or the sign of a zero would differ; and the
+    # product of the pivots, flipped for an odd order, has the sign of
+    # det J. The search on the float Jacobian picks the same order, and its
+    # update refuses nothing
     for M in _inertias(rng, kind):
-        K = integrator.step_kernels(M)
+        entries = loop_entries(M.matrix)
+        rows = M.matrix.tolist()
         for _ in range(40):
             f = _signed_zeros(rng, random_step(rng)).tolist()
-            terms = K.terms(f)
+            terms, J = entries(f)
             ab = integrator.momentum(f, terms)
             target = _signed_zeros(rng, np.array(ab) + 0.05 * rng.normal(size=6)).tolist()
             y = [t - a for a, t in zip(ab, target)]
-            J = K.jacobian(f, terms)
             dx, cond, ok, order = _searched(J, y)
             assert ok and cond <= COND_LIMIT
+            assert integrator._pivot_order(rows, f) == order
             # the search's own order keeps every |multiplier| <= 1, so no check refuses it
             result = _update(M.matrix, order)(f, target)
+            assert not isinstance(result, str)
             expected_f = [a + b for a, b in zip(f, dx)]
             if integrator._phi_norm2(expected_f) >= 1.0:  # the caller halves the step
                 assert np.array(result).tobytes() == np.array(dx).tobytes()
                 continue
             new_f, new_terms, new_ab, norm, positive = result
             assert positive == (np.linalg.det(J) > 0.0)
-            expected_terms = K.terms(expected_f)
+            expected_terms = entries(expected_f)[0]
             expected_ab = integrator.momentum(expected_f, expected_terms)
             expected_norm = integrator._max_abs([t - a for a, t in zip(expected_ab, target)])
             for got, want in ((new_f, expected_f), (new_terms, expected_terms), (new_ab, expected_ab), (norm, expected_norm)):
@@ -157,11 +160,10 @@ def test_ordered_solve_is_bitwise_the_searched_solve(rng, kind):
 
 def test_ordered_solve_leaves_inputs_unchanged(rng):
     M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
-    K = integrator.step_kernels(M)
     f = (0.1 * rng.normal(size=6)).tolist()
     target = rng.normal(size=6).tolist()
     f0, target0 = f[:], target[:]
-    order = _searched(K.jacobian(f, K.terms(f)), [1.0] * 6)[3]
+    order = integrator._pivot_order(M.matrix.tolist(), f)
     assert _update(M.matrix, order)(f, target) != integrator._REFUSED
     assert f == f0 and target == target0
 
