@@ -555,11 +555,6 @@ def _max_abs(v) -> float:
     return max(map(abs, v)) if s == s else math.nan
 
 
-def _residual_norm(M, f, target) -> float:
-    """max |target - [A; B](f)| for the inertia M (row lists)."""
-    return _max_abs([t - a for a, t in zip(momentum(f, _terms(M, f)), target)])
-
-
 def _pivot_order(M, f):
     """The pivot order (rows, cols) that full pivoting picks for the
     Jacobian at f, for the inertia M (row lists); None when the Jacobian is
@@ -572,15 +567,17 @@ def _pivot_order(M, f):
 
 def _halve(M, f, dx, target):
     """The Newton update f + dx, which would reach |Phi| >= 1, backtracked
-    (halving) until the iterate keeps |Phi| < 1. Returns (f', residual
-    norm, status): f itself and its residual norm when no halving does."""
-    scale = 1.0
+    (halving) until the iterate keeps |Phi| < 1, for the inertia M (row
+    lists). Returns (f', max |target - [A; B](f')|, status): f' is f itself
+    when no halving keeps |Phi| < 1."""
+    scale, status = 1.0, _STATUS_INFEASIBLE
     for _ in range(_MAX_BACKTRACK):
         scale *= 0.5
         trial = [a + scale * b for a, b in zip(f, dx)]
         if not _phi_norm2(trial) >= 1.0:
-            return trial, _residual_norm(M, trial, target), _STATUS_OK
-    return f, _residual_norm(M, f, target), _STATUS_INFEASIBLE
+            f, status = trial, _STATUS_OK
+            break
+    return f, _max_abs([t - a for a, t in zip(momentum(f, _terms(M, f)), target)]), status
 
 
 def _solve(M: InertiaMatrix6, source, stop: int, pose, f, target, tau, table, iters, settings: SolverSettings, wrench):
