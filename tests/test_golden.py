@@ -18,18 +18,28 @@ pure_translation's two refused updates at h = 0.05 (steps 538 and 931)
 and at h = 0.1 (steps 135 and 230), and the sign change of its Jacobian
 determinant (state 492 at h = 0.05). At h = 0.1 most steps of the other
 scenarios take two or three updates.
+
+The same five scenarios are also pinned as ``dqdyn run`` writes them: the
+sha256 of the TSV file of a ``python -m dqdyn.cli`` process, with the pose
+and solver columns only (t, pose, Newton iterations, residual norm), each
+written with ``%.17g``.
 """
 
 import hashlib
+import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import yaml
 
 from dqdyn.dynamics import InertiaMatrix6
 from dqdyn.integrator import simulate
 from dqdyn.scenario import load_run
+from test_cli import CHILD_PYTHONPATH
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 N_STEPS = 1000
@@ -64,3 +74,30 @@ def test_states_match_their_golden_hash(name, h):
         for column in COLUMNS:
             digest.update(np.ascontiguousarray(getattr(traj, column)).tobytes())
         assert digest.hexdigest() == GOLDEN[name, h]
+
+
+CLI_STEPS = 250
+GOLDEN_TSV = {
+    "free_top": "bd17fc884717095fb0640a6808b0aaabfe790a5d27f9f91e32d2edbef67e7be8",
+    "generic_forced": "bed0e34b87b7d5d049f45d9c1c2bf730738661be69ec3095ba48cd53011028b3",
+    "offset_reference": "7a20611e2e7738bf8b3573f95607558462e15cefd0df0b177a49036d831a2fb0",
+    "pure_translation": "4bed4411025819f5f6bbf243f870c9c78883f2cb4213eeec4ab21bb00845ec12",
+    "spring_pendulum": "acfd93578727c9d150bdd78bb6cca8e0d6f767b1ada2e92c60327ce2fb3a46e6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TSV))
+def test_cli_trajectory_file_matches_its_golden_hash(name, tmp_path):
+    config = yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text())
+    config["output"] = {"fields": ["pose", "solver"]}
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(config))
+    out = tmp_path / f"{name}.tsv"
+    argv = ["run", "--config", str(path), "--output", str(out), "--steps", str(CLI_STEPS), "--stride", "1"]
+    subprocess.run(
+        [sys.executable, "-m", "dqdyn.cli", *argv],
+        check=True,
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": CHILD_PYTHONPATH},
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_TSV[name]
