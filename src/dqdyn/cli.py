@@ -3,11 +3,19 @@
 Exit codes: 0 success, 2 config or validation error, 3 solver divergence,
 4 I/O error. Runs are deterministic; repeating one writes a byte-identical
 trajectory file.
+
+A command imports only the layers it uses: ``compare`` loads the
+trajectory layer, ``run`` the scenario grammar and then the integrator the
+config names. The ``dqdyn`` script and ``python -m dqdyn.cli`` both end in
+:func:`entry`, which skips the interpreter's final garbage collection;
+:func:`main` is a plain function that can be called in a process that
+goes on.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from .errors import (
@@ -18,10 +26,6 @@ from .errors import (
     StepTooLargeError,
     ValidationError,
 )
-from .integrator import simulate
-from .newton_euler import rk4_simulate
-from .scenario import INTEGRATOR_RK4, INTEGRATOR_VARIATIONAL, load_run
-from .trajectory import compare_trajectories, read_trajectory, summarize, write_trajectory
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -50,11 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--steps", type=int, help="step count override")
     run.add_argument("--tol", type=float, help="Newton tolerance override")
     run.add_argument("--max-iter", type=int, dest="max_iter", help="Newton iteration cap override")
-    run.add_argument(
-        "--integrator",
-        choices=(INTEGRATOR_VARIATIONAL, INTEGRATOR_RK4),
-        help="integrator override",
-    )
+    run.add_argument("--integrator", help="integrator override")
     run.add_argument("--stride", type=int, help="output thinning override")
 
     comparison = sub.add_parser("compare", help="difference statistics of two trajectory files")
@@ -90,8 +90,14 @@ def _format_float(value: float) -> str:
 
 
 def _run_one(path: str, overrides: dict) -> str:
+    from .scenario import INTEGRATOR_VARIATIONAL, load_run
+    from .trajectory import summarize, write_trajectory
+
     config, inputs = load_run(path, overrides)
-    integrate = simulate if inputs.integrator == INTEGRATOR_VARIATIONAL else rk4_simulate
+    if inputs.integrator == INTEGRATOR_VARIATIONAL:
+        from .integrator import simulate as integrate
+    else:
+        from .newton_euler import rk4_simulate as integrate
     traj = integrate(
         inputs.pose,
         inputs.twist,
@@ -139,6 +145,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .trajectory import compare_trajectories, read_trajectory
+
     report = compare_trajectories(read_trajectory(args.file_a), read_trajectory(args.file_b))
     print(f"compared states: {report.n_common}")
     print(f"max pose difference: {_format_float(report.max_pose_error)}")
@@ -165,5 +173,19 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def entry() -> None:
+    """Run :func:`main` as the whole process and exit with its code.
+
+    The heap is frozen first, so the interpreter's last collection skips
+    every object numpy, PyYAML and dqdyn keep alive and the OS reclaims
+    the memory. Nothing written depends on that collection: trajectory
+    files are closed by their ``with`` block, and finalization flushes
+    stdout and stderr.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

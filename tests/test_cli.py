@@ -1,5 +1,6 @@
 """Command line behavior: exit codes, output files, determinism."""
 
+import gc
 import os
 import subprocess
 import sys
@@ -167,6 +168,7 @@ run:
         ("--max-iter", "0", "run.max_iterations"),
         ("--steps", "-1", "run.steps"),
         ("--stride", "0", "output.stride"),
+        ("--integrator", "euler", "run.integrator"),
     ],
 )
 def test_flag_is_checked_as_its_config_key(free_config, capsys, flag, value, key):
@@ -410,25 +412,76 @@ def test_compare_missing_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_console_entry_point(free_config, tmp_path):
-    out = tmp_path / "traj.tsv"
-    result = subprocess.run(
-        [
-            sys.executable,
-            "-m",
-            "dqdyn.cli",
-            "run",
-            "--config",
-            str(free_config),
-            "--output",
-            str(out),
-            "--steps",
-            "5",
-        ],
+def dqdyn_process(argv, cwd):
+    """``python -m dqdyn.cli argv`` in a child process."""
+    return subprocess.run(
+        [sys.executable, "-m", "dqdyn.cli", *argv],
         capture_output=True,
         text=True,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": CHILD_PYTHONPATH},
     )
-    assert result.returncode == 0
-    assert "steps: 5" in result.stdout
-    assert out.exists()
+
+
+def test_console_entry_point(free_config, tmp_path, capsys):
+    # the process entry prints, writes and exits as main() does in-process
+    a, b = tmp_path / "dqvi.tsv", tmp_path / "rk4.tsv"
+    run = ["run", "--config", str(free_config), "--steps", "5", "--output"]
+    commands = [
+        (run + [str(a)], a),
+        (run + [str(b), "--integrator", "rk4"], b),
+        (["compare", str(a), str(b)], None),
+    ]
+    for argv, written in commands:
+        code = main(argv)
+        printed = capsys.readouterr()
+        if written is not None:
+            expected = written.read_bytes()
+            written.unlink()
+        result = dqdyn_process(argv, tmp_path)
+        assert (result.returncode, result.stdout, result.stderr) == (code, printed.out, printed.err)
+        if written is not None:
+            assert written.read_bytes() == expected
+    assert gc.get_freeze_count() == 0  # main() leaves its caller's heap alone
+
+
+def test_console_entry_point_exit_codes(tmp_path):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("body: {mass: 1.0, inertia: [1, 2, 3], junk: 7}\n")
+    assert dqdyn_process(["run", "--config", str(bad)], tmp_path).returncode == 2
+    drop = dqdyn_process(["run", "--config", str(SCENARIO_DIR / "damped_drop.yaml"), "--h", "0.1"], tmp_path)
+    assert drop.returncode == 3 and "at step 18" in drop.stderr
+    assert dqdyn_process(["compare", "a.tsv", "b.tsv"], tmp_path).returncode == 4
+
+
+def test_console_script_is_the_process_entry():
+    assert 'dqdyn = "dqdyn.cli:entry"' in (SCENARIO_DIR.parent / "pyproject.toml").read_text().splitlines()
+
+
+# runs main() in a fresh process, then prints the modules that process loaded
+LOADED_MODULES = "import sys; from dqdyn.cli import main; main(sys.argv[1:]); print(*sorted(sys.modules))"
+
+
+def modules_loaded_by(argv, cwd) -> set:
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *argv],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": CHILD_PYTHONPATH},
+        check=True,
+    )
+    return set(result.stdout.splitlines()[-1].split())
+
+
+def test_each_command_imports_only_its_layers(free_config, tmp_path, capsys):
+    out = tmp_path / "traj.tsv"
+    assert main(["run", "--config", str(free_config), "--output", str(out), "--steps", "5"]) == 0
+    capsys.readouterr()
+    compare = modules_loaded_by(["compare", str(out), str(out)], tmp_path)
+    assert "dqdyn.trajectory" in compare
+    assert not compare & {"dqdyn.scenario", "dqdyn.integrator", "dqdyn.newton_euler", "yaml"}
+    dqvi = modules_loaded_by(["run", "--config", str(free_config), "--steps", "5"], tmp_path)
+    assert "dqdyn.integrator" in dqvi and "dqdyn.newton_euler" not in dqvi
+    rk4 = modules_loaded_by(["run", "--config", str(free_config), "--steps", "5", "--integrator", "rk4"], tmp_path)
+    assert "dqdyn.newton_euler" in rk4
