@@ -412,15 +412,20 @@ def test_compare_missing_file(tmp_path, capsys):
     capsys.readouterr()
 
 
-def dqdyn_process(argv, cwd):
-    """``python -m dqdyn.cli argv`` in a child process."""
+def python_process(args, cwd):
+    """``python args`` in a child process that imports this dqdyn."""
     return subprocess.run(
-        [sys.executable, "-m", "dqdyn.cli", *argv],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         cwd=cwd,
         env={**os.environ, "PYTHONPATH": CHILD_PYTHONPATH},
     )
+
+
+def dqdyn_process(argv, cwd):
+    """``python -m dqdyn.cli argv`` in a child process."""
+    return python_process(["-m", "dqdyn.cli", *argv], cwd)
 
 
 def test_console_entry_point(free_config, tmp_path, capsys):
@@ -454,6 +459,19 @@ def test_console_entry_point_exit_codes(tmp_path):
     assert dqdyn_process(["compare", "a.tsv", "b.tsv"], tmp_path).returncode == 4
 
 
+# runs entry() on the arguments after -c; an exit handler reports whether the heap was frozen
+FROZEN_AT_EXIT = (
+    "import atexit, gc; from dqdyn.cli import entry; "
+    "atexit.register(lambda: print('frozen:', gc.get_freeze_count() > 0)); entry()"
+)
+
+
+def test_entry_freezes_the_heap_before_exit(free_config, tmp_path):
+    result = python_process(["-c", FROZEN_AT_EXIT, "run", "--config", str(free_config), "--steps", "5"], tmp_path)
+    assert result.returncode == 0
+    assert result.stdout.endswith("frozen: True\n")
+
+
 def test_console_script_is_the_process_entry():
     assert 'dqdyn = "dqdyn.cli:entry"' in (SCENARIO_DIR.parent / "pyproject.toml").read_text().splitlines()
 
@@ -463,14 +481,8 @@ LOADED_MODULES = "import sys; from dqdyn.cli import main; main(sys.argv[1:]); pr
 
 
 def modules_loaded_by(argv, cwd) -> set:
-    result = subprocess.run(
-        [sys.executable, "-c", LOADED_MODULES, *argv],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-        env={**os.environ, "PYTHONPATH": CHILD_PYTHONPATH},
-        check=True,
-    )
+    result = python_process(["-c", LOADED_MODULES, *argv], cwd)
+    assert result.returncode == 0, result.stderr
     return set(result.stdout.splitlines()[-1].split())
 
 

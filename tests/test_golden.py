@@ -26,10 +26,7 @@ written with ``%.17g``.
 """
 
 import hashlib
-import os
 import pathlib
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -39,7 +36,7 @@ import yaml
 from dqdyn.dynamics import InertiaMatrix6
 from dqdyn.integrator import simulate
 from dqdyn.scenario import load_run
-from test_cli import CHILD_PYTHONPATH
+from test_cli import dqdyn_process
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 N_STEPS = 1000
@@ -94,10 +91,5 @@ def test_cli_trajectory_file_matches_its_golden_hash(name, tmp_path):
     path.write_text(yaml.safe_dump(config))
     out = tmp_path / f"{name}.tsv"
     argv = ["run", "--config", str(path), "--output", str(out), "--steps", str(CLI_STEPS), "--stride", "1"]
-    subprocess.run(
-        [sys.executable, "-m", "dqdyn.cli", *argv],
-        check=True,
-        capture_output=True,
-        env={**os.environ, "PYTHONPATH": CHILD_PYTHONPATH},
-    )
+    assert dqdyn_process(argv, tmp_path).returncode == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_TSV[name]
