@@ -15,14 +15,6 @@ def test_public_name_is_its_module_object(name):
     assert name in dir(dqdyn)
 
 
-def test_from_import_resolves_public_names():
-    from dqdyn import Trajectory, simulate
-    from dqdyn.integrator import simulate as defined
-    from dqdyn.trajectory import Trajectory as trajectory_class
-
-    assert (simulate, Trajectory) == (defined, trajectory_class)
-
-
 def test_unknown_name_is_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         dqdyn.no_such_name
