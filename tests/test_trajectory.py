@@ -232,6 +232,32 @@ def test_write_golden_bytes_twist_and_pose(edge_values, tmp_path):
     )
 
 
+def test_write_golden_bytes_fills_of_absent_columns(tmp_path):
+    # only times, poses and twists: every other column writes its fill
+    bare = Trajectory(times=[0.0, 0.5], poses=[[1.0] + [0.0] * 7] * 2, twists=[[0.0] * 5 + [1.0]] * 2)
+    path = tmp_path / "bare.tsv"
+    write_trajectory(bare, path)
+    row = "1 0 0 0 0 0 0 0  0 0 0 0 0 1  nan nan 0  nan nan nan  0 nan  nan nan"
+    assert path.read_bytes().decode("utf-8") == _tsv(
+        "t  p_rw p_rx p_ry p_rz p_dw p_dx p_dy p_dz  omega_x omega_y omega_z v_x v_y v_z"
+        "  energy kinetic_energy potential_energy  L_x L_y L_z  newton_iterations residual_norm"
+        "  unit_norm_error orthogonality_error",
+        "0  " + row,
+        "0.5  " + row,
+    )
+
+
+def test_write_golden_bytes_energy_without_potential(tmp_path):
+    # the total is kinetic + the potential's fill 0: -0 + 0 writes 0
+    traj = Trajectory(times=[0.0], poses=[[1.0] + [0.0] * 7], twists=[[0.0] * 6], kinetic=[-0.0])
+    path = tmp_path / "energy.tsv"
+    write_trajectory(traj, path, fields=["energy"])
+    assert path.read_bytes().decode("utf-8") == _tsv(
+        "t  energy kinetic_energy potential_energy",
+        "0  0 -0 0",
+    )
+
+
 def test_read_rejects_missing_required_columns(tmp_path):
     path = tmp_path / "bad.tsv"
     path.write_text("t\tp_rw\n0.0\t1.0\n")
