@@ -280,7 +280,6 @@ def _names(prefix: str, n: int) -> str:
     return ", ".join(f"{prefix}{i}" for i in range(n))
 
 
-@functools.lru_cache(maxsize=_LOOP_CACHE_SIZE)
 def _odd(order) -> bool:
     """Whether the pivot order (rows, cols) permutes J's rows and columns by
     an odd number of transpositions in all: det J is then minus the product

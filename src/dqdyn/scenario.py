@@ -78,7 +78,7 @@ from .dynamics import (
     gravity_potential,
     spring_potential,
 )
-from .errors import ConfigError, DqdynError, StepTooLargeError
+from .errors import ConfigError, DqdynError, StepTooLargeError, ValidationError
 from .integrator import SolverSettings, initial_guess
 from .kinematics import (
     FRAME_BODY,
@@ -88,7 +88,7 @@ from .kinematics import (
     pose_to_rotation_translation,
     screw_compose,
 )
-from .trajectory import FIELD_GROUPS
+from .trajectory import _resolve_groups
 
 INTEGRATOR_VARIATIONAL = "dqvi"
 INTEGRATOR_RK4 = "rk4"
@@ -203,11 +203,10 @@ def _path(value, where: str) -> str:
 def _fields(value, where: str) -> tuple:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"{where}: expected a non-empty list of group names")
-    bad = sorted({repr(name) for name in value if name not in FIELD_GROUPS})
-    if bad:
-        raise ConfigError(
-            f"{where}: unknown group(s) {', '.join(bad)}; allowed: {', '.join(FIELD_GROUPS)}"
-        )
+    try:
+        _resolve_groups(value)
+    except ValidationError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     return tuple(value)
 
 

@@ -5,7 +5,9 @@ format is tab-separated text with a single header row and a fixed column
 order (time, pose, body twist, energies, world angular momentum, solver
 diagnostics, constraint residuals); ``fields`` selects a subset of the
 column groups, ``stride`` thins rows for long runs (the final state is
-always kept so endpoint comparisons survive thinning).
+always kept so endpoint comparisons survive thinning). Each column is
+declared once, in ``_COLUMNS``: the writer, the reader and the check of
+field-group names all work from it.
 """
 
 import warnings
@@ -19,20 +21,32 @@ from .errors import ValidationError
 from .kinematics import pose_constraint_errors, pose_distance
 from .quat import Array, as_count
 
-FIELD_GROUPS = ("pose", "twist", "energy", "momentum", "solver", "constraints")
+# Each group's file columns, in order, by the Trajectory attribute that holds
+# them: (attribute, its column names, one per column of a 2-D attribute, the
+# value written where the attribute is None). Pose and twist are never None.
+# The energy total has no attribute: it is written as kinetic + potential and
+# not read back. An integer fill marks a column of counts: written with %d,
+# read back as int64 once every cell is a non-negative integer.
+_COLUMNS = {
+    "pose": (("poses", ("p_rw", "p_rx", "p_ry", "p_rz", "p_dw", "p_dx", "p_dy", "p_dz"), None),),
+    "twist": (("twists", ("omega_x", "omega_y", "omega_z", "v_x", "v_y", "v_z"), None),),
+    "energy": (
+        (None, ("energy",), None),
+        ("kinetic", ("kinetic_energy",), np.nan),
+        ("potential", ("potential_energy",), 0.0),
+    ),
+    "momentum": (("angular_momentum", ("L_x", "L_y", "L_z"), np.nan),),
+    "solver": (("iterations", ("newton_iterations",), 0), ("residual_norms", ("residual_norm",), np.nan)),
+    "constraints": (
+        ("unit_norm_errors", ("unit_norm_error",), np.nan),
+        ("orthogonality_errors", ("orthogonality_error",), np.nan),
+    ),
+}
+FIELD_GROUPS = tuple(_COLUMNS)
 
 # rows write_trajectory formats per % call: 256 rows are as fast to write
 # as 512 and hold half the Python floats at once
 _WRITE_BLOCK = 256
-
-_GROUP_COLUMNS = {
-    "pose": ("p_rw", "p_rx", "p_ry", "p_rz", "p_dw", "p_dx", "p_dy", "p_dz"),
-    "twist": ("omega_x", "omega_y", "omega_z", "v_x", "v_y", "v_z"),
-    "energy": ("energy", "kinetic_energy", "potential_energy"),
-    "momentum": ("L_x", "L_y", "L_z"),
-    "solver": ("newton_iterations", "residual_norm"),
-    "constraints": ("unit_norm_error", "orthogonality_error"),
-}
 
 
 class Trajectory:
@@ -142,38 +156,30 @@ class Trajectory:
 
 
 def _resolve_groups(fields) -> tuple:
+    """The requested groups in file order; every field-group name is checked here."""
     if fields is None:
         return FIELD_GROUPS
     groups = tuple(fields)
     for g in groups:
-        if g not in _GROUP_COLUMNS:
+        # a tuple's ``in`` compares by ==, so an unhashable name is reported too
+        if g not in FIELD_GROUPS:
             raise ValidationError(f"unknown field group {g!r}; expected one of {FIELD_GROUPS}")
     # keep the canonical column order regardless of request order
     return tuple(g for g in FIELD_GROUPS if g in groups)
 
 
 def _group_matrix(traj: Trajectory, group: str) -> Array:
+    """The group's columns as written: each attribute that is None as its
+    fill, then the energy total in front of its two terms."""
     n = traj.n_states
-    if group == "pose":
-        return traj.poses
-    if group == "twist":
-        return traj.twists
+    parts = [
+        np.full((n, len(names)), fill) if getattr(traj, attr) is None else getattr(traj, attr).reshape(n, -1)
+        for attr, names, fill in _COLUMNS[group]
+        if attr is not None
+    ]
     if group == "energy":
-        kin = traj.kinetic if traj.kinetic is not None else np.full(n, np.nan)
-        pot = traj.potential if traj.potential is not None else np.zeros(n)
-        return np.column_stack([kin + pot, kin, pot])
-    if group == "momentum":
-        L = traj.angular_momentum
-        return L if L is not None else np.full((n, 3), np.nan)
-    if group == "solver":
-        iters = traj.iterations if traj.iterations is not None else np.zeros(n, dtype=np.int64)
-        rn = traj.residual_norms if traj.residual_norms is not None else np.full(n, np.nan)
-        return np.column_stack([np.asarray(iters, dtype=np.float64), rn])
-    if group == "constraints":
-        une = traj.unit_norm_errors if traj.unit_norm_errors is not None else np.full(n, np.nan)
-        oe = traj.orthogonality_errors if traj.orthogonality_errors is not None else np.full(n, np.nan)
-        return np.column_stack([une, oe])
-    raise ValidationError(f"unknown field group {group!r}")
+        parts.insert(0, parts[0] + parts[1])
+    return np.column_stack(parts)
 
 
 def write_trajectory(traj: Trajectory, path, stride: int = 1, fields=None) -> None:
@@ -187,14 +193,12 @@ def write_trajectory(traj: Trajectory, path, stride: int = 1, fields=None) -> No
     indices = list(range(0, traj.n_states, stride))
     if indices[-1] != traj.n_states - 1:
         indices.append(traj.n_states - 1)
-    names = ["t"]
-    for g in groups:
-        names.extend(_GROUP_COLUMNS[g])
+    columns = [(name, fill) for g in groups for _, names, fill in _COLUMNS[g] for name in names]
     # one %-format per row; "%.17g" of a Python float is f"{x:.17g}", nan and -0 included
-    row = "\t".join("%d" if name == "newton_iterations" else "%.17g" for name in names) + "\n"
+    row = "\t".join(["%.17g"] + ["%d" if isinstance(fill, int) else "%.17g" for _, fill in columns]) + "\n"
     table = np.column_stack([traj.times] + [_group_matrix(traj, g) for g in groups])[indices]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(names) + "\n")
+        fh.write("\t".join(["t"] + [name for name, _ in columns]) + "\n")
         # _WRITE_BLOCK rows per % call: a whole-table tolist() would hold
         # every cell as a Python float at once
         for start in range(0, len(table), _WRITE_BLOCK):
@@ -226,39 +230,22 @@ def read_trajectory(path) -> Trajectory:
     if data.shape[1] != len(header):
         raise ValidationError(f"{path}: header names {len(header)} columns, rows have {data.shape[1]}")
     col = {name: data[:, i] for i, name in enumerate(header)}
-
-    def block(group):
-        names = _GROUP_COLUMNS[group]
-        if not all(name in col for name in names):
-            return None
-        return np.column_stack([col[name] for name in names])
-
     if "t" not in col:
         raise ValidationError(f"{path}: missing time column 't'")
-    poses = block("pose")
-    twists = block("twist")
-    if poses is None or twists is None:
+    groups = [g for g, attrs in _COLUMNS.items() if all(name in col for _, names, _ in attrs for name in names)]
+    if "pose" not in groups or "twist" not in groups:
         raise ValidationError(f"{path}: pose and twist columns are required")
-    energy = block("energy")
-    solver = block("solver")
-    constraints = block("constraints")
-    counts = None if solver is None else solver[:, 0]
-    # a NaN, fractional, negative or huge count would not survive the int64 cast
-    if counts is not None and not np.all((counts >= 0.0) & (counts == np.floor(counts)) & (counts < 2.0**63)):
-        raise ValidationError(f"{path}: column newton_iterations must hold non-negative integers")
+    restored = {}
+    for attr, names, fill in (entry for g in groups for entry in _COLUMNS[g] if entry[0] is not None):
+        values = np.column_stack([col[name] for name in names]) if len(names) > 1 else col[names[0]]
+        if isinstance(fill, int):
+            # a NaN, fractional, negative or huge count would not survive the int64 cast
+            if not np.all((values >= 0.0) & (values == np.floor(values)) & (values < 2.0**63)):
+                raise ValidationError(f"{path}: column {names[0]} must hold non-negative integers")
+            values = values.astype(np.int64)
+        restored[attr] = values
     try:
-        return Trajectory(
-            times=col["t"],
-            poses=poses,
-            twists=twists,
-            iterations=None if counts is None else counts.astype(np.int64),
-            residual_norms=None if solver is None else solver[:, 1],
-            kinetic=None if energy is None else energy[:, 1],
-            potential=None if energy is None else energy[:, 2],
-            angular_momentum=block("momentum"),
-            unit_norm_errors=None if constraints is None else constraints[:, 0],
-            orthogonality_errors=None if constraints is None else constraints[:, 1],
-        )
+        return Trajectory(times=col["t"], **restored)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 

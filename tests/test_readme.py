@@ -3,7 +3,9 @@
 import pathlib
 import re
 
-from dqdyn import read_trajectory
+import numpy as np
+
+from dqdyn import Trajectory, read_trajectory, write_trajectory
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +24,12 @@ def test_readme_quick_start_runs(tmp_path, monkeypatch, capsys):
     exec(compile(quick_start_code(), f"{README}:quick start", "exec"), {"__name__": "__main__"})
     assert "mean_newton_iterations" in capsys.readouterr().out
     assert read_trajectory(tmp_path / "top.tsv").n_states == 10_001
+
+
+def test_readme_lists_the_written_columns(tmp_path):
+    section = README.read_text(encoding="utf-8").split("## Trajectory files\n", 1)[1].split("\n## ", 1)[0]
+    listed = section.split("Columns, in order:", 1)[1].split(".\n", 1)[0]
+    names = [name for cell in re.findall(r"`([^`]*)`", listed) for name in cell.split()]
+    path = tmp_path / "all.tsv"
+    write_trajectory(Trajectory(times=[0.0], poses=[np.eye(1, 8)[0]], twists=[np.zeros(6)]), path)
+    assert names == path.read_text(encoding="utf-8").splitlines()[0].split("\t")

@@ -103,6 +103,11 @@ def test_field_subset(spinning_run, tmp_path):
         write_trajectory(spinning_run, path, fields=("pose", "nonsense"))
 
 
+def test_unhashable_field_group_is_named(spinning_run, tmp_path):
+    with pytest.raises(ValidationError, match=re.escape("unknown field group ['pose']")):
+        write_trajectory(spinning_run, tmp_path / "t.tsv", fields=[["pose"]])
+
+
 def test_rk4_file_has_same_schema(tmp_path):
     M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
     chi0 = np.array([0.9, -0.3, 0.4, 0.0, 0.0, 0.0])
