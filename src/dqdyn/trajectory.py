@@ -236,7 +236,9 @@ def read_trajectory(path) -> Trajectory:
     if "pose" not in groups or "twist" not in groups:
         raise ValidationError(f"{path}: pose and twist columns are required")
     restored = {}
-    for attr, names, fill in (entry for g in groups for entry in _COLUMNS[g] if entry[0] is not None):
+    for attr, names, fill in (entry for g in groups for entry in _COLUMNS[g]):
+        if attr is None:  # the energy total
+            continue
         values = np.column_stack([col[name] for name in names]) if len(names) > 1 else col[names[0]]
         if isinstance(fill, int):
             # a NaN, fractional, negative or huge count would not survive the int64 cast

@@ -101,11 +101,9 @@ def test_field_subset(spinning_run, tmp_path):
     assert header.startswith("t\tp_rw")
     with pytest.raises(ValidationError):
         write_trajectory(spinning_run, path, fields=("pose", "nonsense"))
-
-
-def test_unhashable_field_group_is_named(spinning_run, tmp_path):
+    # a group that is no string, unhashable too, is named like any other
     with pytest.raises(ValidationError, match=re.escape("unknown field group ['pose']")):
-        write_trajectory(spinning_run, tmp_path / "t.tsv", fields=[["pose"]])
+        write_trajectory(spinning_run, path, fields=[["pose"]])
 
 
 def test_rk4_file_has_same_schema(tmp_path):
