@@ -5,11 +5,11 @@ Exit codes: 0 success, 2 config or validation error, 3 solver divergence,
 trajectory file.
 
 A command imports only the layers it uses: ``compare`` loads the
-trajectory layer, ``run`` the scenario grammar and then the integrator the
-config names. The ``dqdyn`` script and ``python -m dqdyn.cli`` both end in
-:func:`entry`, which skips the interpreter's final garbage collection;
-:func:`main` is a plain function that can be called in a process that
-goes on.
+trajectory layer, ``run`` the scenario grammar with the variational
+integrator it reads, and ``newton_euler`` for an rk4 config. The
+``dqdyn`` script and ``python -m dqdyn.cli`` both end in :func:`entry`,
+which skips the interpreter's final garbage collection; :func:`main` is
+a plain function that can be called in a process that goes on.
 """
 
 from __future__ import annotations

@@ -50,8 +50,8 @@ the sign of det J that the elimination's pivots give. The library's force
 models carry their source (``dynamics.wrench_sum_kernel``), so a step
 makes no Python call unless a model without source is called.
 ``simulate`` allocates one table per run, a row of ``_ROW`` floats per
-state, and the loop writes every state into its row with one packer
-(``_PACK``); the trajectory's columns are views of the table.
+state, and the loop packs every state, its iteration count too, into its
+row (``_PACK``); the trajectory's columns are views or copies of it.
 
 Full pivoting only picks the pivot order the loop eliminates in
 (``_pivot_order``, ``linsolve.solve_rows`` on the float Jacobian): at
@@ -133,8 +133,8 @@ _TRACE_CACHE_SIZE = 16
 _LOOP_CACHE_SIZE = 32
 _STEP_VARIABLES = ("p0", "p1", "p2", "s0", "s1", "s2")
 # floats of a state's row in simulate's table: pose, step variables, stored
-# momentum and residual norm
-_ROW = 8 + 6 + 6 + 1
+# momentum, residual norm and Newton iteration count
+_ROW = 8 + 6 + 6 + 1 + 1
 # _PACK(table, k * 8 * _ROW, *row) writes state k's row into the table
 _PACK = struct.Struct(f"{_ROW}d").pack_into
 _IDENTITY = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -394,7 +394,7 @@ def _loop_source(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]
     pose = dq_product([Traced(f"r{i}") for i in range(8)], [Traced(x) for x in step_dq])
     lines = [
         "def loop(k, stop, pose, f, f_prev, target, tau, it, rn, positive, side, predicted,",
-        "         table, iters, tol, h, max_iterations, wrench):",
+        "         table, tol, h, max_iterations, wrench):",
         f"    {r} = pose",
         f"    {p} = f",
         f"    {o} = f_prev",
@@ -421,9 +421,7 @@ def _loop_source(matrix: bytes, inverse: bytes, order, sum_source: Optional[str]
         "    while True:",
         "        if it and rn <= tol and not (it > 1 and predicted and positive != side):",
         "            # step k is solved, on the branch of f_{k-1}: its row, then step k + 1",
-        f"            _PACK(table, k * {8 * _ROW}, {r}, {p}, {', '.join(momenta)}, rn)",
-        "            if it > 1:",
-        "                iters[k] = it",
+        f"            _PACK(table, k * {8 * _ROW}, {r}, {p}, {', '.join(momenta)}, rn, it)",
         "            if k == last:",
         "                handoff = None",
         "                break",
@@ -513,7 +511,7 @@ def stepping_loop(M: InertiaMatrix6, order, sum_source: Optional[str]) -> Callab
     product that gives its predicted twist.
 
     ``loop(k, stop, pose, f, f_prev, target, tau, it, rn, positive, side,
-    predicted, table, iters, tol, h, max_iterations, wrench)`` takes step k
+    predicted, table, tol, h, max_iterations, wrench)`` takes step k
     after ``it`` Newton updates: the pose p_k, the iterate f, f_{k-1}, the
     target, the wrench tau_k (None when free), the iterate's residual norm
     ``rn``, whether the pivots of the last elimination give det J > 0
@@ -523,18 +521,18 @@ def stepping_loop(M: InertiaMatrix6, order, sum_source: Optional[str]) -> Callab
     updates, each with the body of ``_update_body`` inlined, to tol or
     ``max_iterations``, then steps k + 1, k + 2, ... on locals, each with
     the lines of the wrench sum, and writes each state's pose, step
-    variables, stored momentum [A; B](f) - (h^2/4) tau and residual norm
-    into its row k of the float64 array ``table`` (``_ROW`` columns, C
-    order) with one ``_PACK`` call, and each iteration count above one into
-    ``iters``. It returns the state in the order of its arguments from k to
-    ``predicted``, and a handoff: None at step stop - 1 solved; at a step
-    whose update refuses or must be halved, the iterate the update started
-    from, with ``_REFUSED`` or the update's dx; ``_MISSED`` at a step that
-    misses tol after ``max_iterations`` updates, or that started from the
-    prediction, took more than one update and ends with the other sign of
-    det J than f_{k-1} (the caller solves a predicted start again from
-    f_{k-1}). ``wrench`` is the compiled sum (None when free), whose
-    ``calls`` the inlined lines call for the models that have no source.
+    variables, stored momentum [A; B](f) - (h^2/4) tau, residual norm and
+    iteration count ``it`` into its row k of the float64 array ``table``
+    (``_ROW`` columns, C order) with one ``_PACK`` call. It returns the
+    state in the order of its arguments from k to ``predicted``, and a
+    handoff: None at step stop - 1 solved; at a step whose update refuses
+    or must be halved, the iterate the update started from, with
+    ``_REFUSED`` or the update's dx; ``_MISSED`` at a step that misses tol
+    after ``max_iterations`` updates, or that started from the prediction,
+    took more than one update and ends with the other sign of det J than
+    f_{k-1} (the caller solves a predicted start again from f_{k-1}).
+    ``wrench`` is the compiled sum (None when free), whose ``calls`` the
+    inlined lines call for the models that have no source.
     """
     return _compiled_loop(*_matrices(M), order, sum_source)
 
@@ -579,7 +577,7 @@ def _halve(M, f, dx, target):
     return f, _max_abs([t - a for a, t in zip(momentum(f, _terms(M, f)), target)]), status
 
 
-def _solve(M: InertiaMatrix6, source, stop: int, pose, f, target, tau, table, iters, settings: SolverSettings, wrench):
+def _solve(M: InertiaMatrix6, source, stop: int, pose, f, target, tau, table, settings: SolverSettings, wrench):
     """Solve steps 0 to stop - 1 of a run into their rows of ``table``: step
     0 solves [A; B] = target from f at the pose ``pose`` under the wrench
     ``tau``, and the later steps are the loop's (``stepping_loop``, of the
@@ -621,7 +619,7 @@ def _solve(M: InertiaMatrix6, source, stop: int, pose, f, target, tau, table, it
             matrix, inverse, order, source
         )(
             k, stop, pose, f, f_prev, target, tau, it, rn, positive, side, predicted,
-            table, iters, tol, h, max_iterations, wrench,
+            table, tol, h, max_iterations, wrench,
         )
         if handoff is None:
             return k, f, it, rn, _STATUS_OK
@@ -711,9 +709,7 @@ def solve_step(prev_step, M: InertiaMatrix6, wrench, settings: SolverSettings):
     tau = _wrench_body_vector(wrench).tolist()
     target = _kicked(transport(f_prev, _terms(M.matrix.tolist(), f_prev)), tau, 0.5 * settings.h * settings.h)
     # a free loop of one step, whose row (the pose is only packed) is thrown away
-    _, f, it, rn, status = _solve(
-        M, None, 1, _IDENTITY, f_prev, target, None, np.empty((1, _ROW)), np.ones(1, dtype=np.int64), settings, None
-    )
+    _, f, it, rn, status = _solve(M, None, 1, _IDENTITY, f_prev, target, None, np.empty((1, _ROW)), settings, None)
     _raise_for_status(status, it, rn)
     return np.array(f), it, rn
 
@@ -804,12 +800,13 @@ def simulate(
     generated loop ``stepping_loop(M, order, wrench.source)`` of that order
     runs every Newton iteration and step, to the end of the run. The run
     holds one table, a row per state, and the loop packs each state
-    straight into its row; the trajectory's poses, steps and residual norms
-    are views of its columns, so no state is copied and no Python float
-    outlives its step. Only a step whose update refuses or must be halved
-    is handed back: a refusal searches a new pivot order, a halving
-    backtracks the update, and the loop resumes the step. So is a step that
-    misses or crosses the fold, for the restart from f_{k-1} or the error.
+    and its iteration count straight into its row; the trajectory's
+    columns are views of the table's (the iterations an int64 copy), so no
+    Python float outlives its step. Only a step whose update refuses or
+    must be halved is handed back: a refusal searches a new pivot order, a
+    halving backtracks the update, and the loop resumes the step. So is a
+    step that misses or crosses the fold, for the restart from f_{k-1} or
+    the error.
 
     Each state stores the node-synchronized twist
     (2/h) M^-1 ([A; B](f_k) - (h^2/4) tau_k), the average of the step
@@ -825,9 +822,8 @@ def simulate(
     force_models = list(forces)
 
     n = n_steps + 1
-    # row k: p_k, f_k, [A; B](f_k) - (h^2/4) tau_k (the stored twist's momentum), residual norm
+    # row k: p_k, f_k, [A; B](f_k) - (h^2/4) tau_k (the stored twist's momentum), residual norm, iterations
     table = np.empty((n, _ROW))
-    iters = np.ones(n, dtype=np.int64)
     pose = p0.tolist()
     target = [0.5 * h * x for x in matvec(M.matrix.tolist(), chi0.tolist())]
     wrench = source = tau = None
@@ -836,7 +832,7 @@ def simulate(
         source = wrench.source
         tau = wrench(pose, chi0.tolist(), 0.0)
         target = _kicked(target, tau, 0.25 * h * h)
-    k, _, it, rn, status = _solve(M, source, n, pose, f, target, tau, table, iters, settings, wrench)
+    k, _, it, rn, status = _solve(M, source, n, pose, f, target, tau, table, settings, wrench)
     _raise_for_status(status, it, rn, k)
 
     times = np.arange(n) * h
@@ -847,6 +843,6 @@ def simulate(
         inertia=M,
         force_models=force_models,
         steps=table[:, 8:14],
-        iterations=iters,
+        iterations=table[:, 21].astype(np.int64),
         residual_norms=table[:, 20],
     )

@@ -37,7 +37,7 @@ import numpy as np
 
 from .dynamics import InertiaMatrix6, wrench_sum_kernel
 from .integrator import SolverSettings
-from .kinematics import _pose_floats, check_pose, pose_to_rotation_translation, vector_sandwich
+from .kinematics import _pose_floats, pose_to_rotation_translation, vector_sandwich
 from .linsolve import matvec
 from .quat import as_count, finite_vector6
 from .trajectory import Trajectory
@@ -102,8 +102,7 @@ def rk4_simulate(
     stages hand to the force models. The stored twists are the continuous
     state's, synchronous with the poses like the variational integrator's.
     """
-    p0 = check_pose(pose0)
-    q0, l0 = pose_to_rotation_translation(p0)
+    q0, l0 = pose_to_rotation_translation(pose0)
     chi0 = finite_vector6(twist0, "twist")
     n_steps = as_count(n_steps, "n_steps", 0)
     h = settings.h

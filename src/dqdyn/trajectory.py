@@ -25,8 +25,8 @@ from .quat import Array, as_count
 # them: (attribute, its column names, one per column of a 2-D attribute, the
 # value written where the attribute is None). Pose and twist are never None.
 # The energy total has no attribute: it is written as kinetic + potential and
-# not read back. An integer fill marks a column of counts: written with %d,
-# read back as int64 once every cell is a non-negative integer.
+# not read back. An integer fill marks a column of counts, written with %d;
+# Trajectory holds the counts as int64.
 _COLUMNS = {
     "pose": (("poses", ("p_rw", "p_rx", "p_ry", "p_rz", "p_dw", "p_dx", "p_dy", "p_dz"), None),),
     "twist": (("twists", ("omega_x", "omega_y", "omega_z", "v_x", "v_y", "v_z"), None),),
@@ -47,6 +47,15 @@ FIELD_GROUPS = tuple(_COLUMNS)
 # rows write_trajectory formats per % call: 256 rows are as fast to write
 # as 512 and hold half the Python floats at once
 _WRITE_BLOCK = 256
+
+
+def _counts(values: Array) -> Array:
+    """The iteration counts ``values`` as int64 (not copied when they are);
+    a ValidationError unless each is a non-negative integer below 2**63."""
+    # a NaN, fractional, negative or huge count would not survive the int64 cast
+    if values.dtype.kind in "iuf" and np.all((values >= 0) & (values == np.floor(values)) & (values < 2**63)):
+        return values.astype(np.int64, copy=False)
+    raise ValidationError("column newton_iterations must hold non-negative integers")
 
 
 class Trajectory:
@@ -92,7 +101,8 @@ class Trajectory:
             return arr
 
         self.steps = opt(steps, (n, 6))
-        self.iterations = opt(iterations, (n,))
+        iterations = opt(iterations, (n,))
+        self.iterations = None if iterations is None else _counts(iterations)
         self.residual_norms = opt(residual_norms, (n,))
         self.kinetic = opt(kinetic, (n,))
         self.potential = opt(potential, (n,))
@@ -236,16 +246,10 @@ def read_trajectory(path) -> Trajectory:
     if "pose" not in groups or "twist" not in groups:
         raise ValidationError(f"{path}: pose and twist columns are required")
     restored = {}
-    for attr, names, fill in (entry for g in groups for entry in _COLUMNS[g]):
+    for attr, names, _ in (entry for g in groups for entry in _COLUMNS[g]):
         if attr is None:  # the energy total
             continue
-        values = np.column_stack([col[name] for name in names]) if len(names) > 1 else col[names[0]]
-        if isinstance(fill, int):
-            # a NaN, fractional, negative or huge count would not survive the int64 cast
-            if not np.all((values >= 0.0) & (values == np.floor(values)) & (values < 2.0**63)):
-                raise ValidationError(f"{path}: column {names[0]} must hold non-negative integers")
-            values = values.astype(np.int64)
-        restored[attr] = values
+        restored[attr] = np.column_stack([col[name] for name in names]) if len(names) > 1 else col[names[0]]
     try:
         return Trajectory(times=col["t"], **restored)
     except ValidationError as exc:

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 
-from dqdyn import Trajectory, read_trajectory, write_trajectory
+from dqdyn import Trajectory, integrator, read_trajectory, write_trajectory
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,3 +33,9 @@ def test_readme_lists_the_written_columns(tmp_path):
     path = tmp_path / "all.tsv"
     write_trajectory(Trajectory(times=[0.0], poses=[np.eye(1, 8)[0]], twists=[np.zeros(6)]), path)
     assert names == path.read_text(encoding="utf-8").splitlines()[0].split("\t")
+
+
+def test_readme_row_size_is_the_loop_row():
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    sizes = re.findall(r"a row of (\d+) floats per state", text) + re.findall(r'struct\.Struct\("(\d+)d"\)', text)
+    assert len(sizes) == 2 and {int(s) for s in sizes} == {integrator._ROW}

@@ -340,6 +340,16 @@ def test_empty_trajectory_is_rejected():
         Trajectory(np.empty(0), np.empty((0, 8)), np.empty((0, 6)))
 
 
+@pytest.mark.parametrize("count", [1.5, np.nan, -1])
+def test_iteration_counts_are_checked_before_any_write(count, tmp_path):
+    # %d would write 1.5 as 1 and -1 as a count, and fail on nan after the header
+    path = tmp_path / "counts.tsv"
+    path.write_text("kept\n")
+    with pytest.raises(ValidationError, match="newton_iterations"):
+        write_trajectory(Trajectory([0.0], [pose_identity()], np.zeros((1, 6)), iterations=[count]), path)
+    assert path.read_text() == "kept\n"
+
+
 def _two_states(times):
     return Trajectory(times, [pose_identity()] * 2, np.zeros((2, 6)))
 
