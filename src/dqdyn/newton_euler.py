@@ -25,9 +25,10 @@ and the vector field is evaluated on its smooth ambient extension.
 The state is 13 Python floats [q; l; chi]: numpy's per-call overhead
 dominates at these sizes. Free and forced bodies share one derivative.
 
-The continuous coupling term for an arbitrary raw 6x6 matrix (added-mass
-models) is model-dependent; cross-validation against this oracle should
-stick to inertias built from (mass, inertia tensor, center-of-mass offset).
+These are Kirchhoff's equations, which hold for any symmetric positive
+definite M, raw 6x6 matrices included: the tier-1 order test fits order
+2.00 against this oracle for a center-of-mass top, an offset reference
+point, a raw SPD matrix and a raw diagonal with anisotropic mass.
 """
 
 import math
@@ -94,8 +95,9 @@ def rk4_simulate(
     settings: SolverSettings = SolverSettings(h=1e-3),
     n_steps: int = 1000,
 ) -> Trajectory:
-    """Integrate with classical RK4; same call shape and trajectory schema
-    as the variational simulate. Only ``settings.h`` is used here.
+    """Integrate with classical RK4; same call shape as the variational
+    simulate, and the same trajectory less the Newton diagnostics (no
+    iterations or residual norms). Only ``settings.h`` is used here.
 
     Each stored pose is built from the state's (q, l) by the kinematics
     kernel behind ``pose_from_rotation_translation``, the same one the RK4

@@ -22,27 +22,20 @@ from .kinematics import pose_constraint_errors, pose_distance
 from .quat import Array, as_count
 
 # Each group's file columns, in order, by the Trajectory attribute that holds
-# them: (attribute, its column names, one per column of a 2-D attribute, the
-# value written where the attribute is None). Pose and twist are never None.
-# The energy total has no attribute: it is written as kinetic + potential and
-# not read back. An integer fill marks a column of counts, written with %d;
-# Trajectory holds the counts as int64.
+# them: (attribute, its column names, one per column of a 2-D attribute). A
+# file holds a group only where the trajectory holds all of its attributes.
+# The energy total is ``energies``, kinetic + potential; it is not read back.
 _COLUMNS = {
-    "pose": (("poses", ("p_rw", "p_rx", "p_ry", "p_rz", "p_dw", "p_dx", "p_dy", "p_dz"), None),),
-    "twist": (("twists", ("omega_x", "omega_y", "omega_z", "v_x", "v_y", "v_z"), None),),
-    "energy": (
-        (None, ("energy",), None),
-        ("kinetic", ("kinetic_energy",), np.nan),
-        ("potential", ("potential_energy",), 0.0),
-    ),
-    "momentum": (("angular_momentum", ("L_x", "L_y", "L_z"), np.nan),),
-    "solver": (("iterations", ("newton_iterations",), 0), ("residual_norms", ("residual_norm",), np.nan)),
-    "constraints": (
-        ("unit_norm_errors", ("unit_norm_error",), np.nan),
-        ("orthogonality_errors", ("orthogonality_error",), np.nan),
-    ),
+    "pose": (("poses", ("p_rw", "p_rx", "p_ry", "p_rz", "p_dw", "p_dx", "p_dy", "p_dz")),),
+    "twist": (("twists", ("omega_x", "omega_y", "omega_z", "v_x", "v_y", "v_z")),),
+    "energy": (("energies", ("energy",)), ("kinetic", ("kinetic_energy",)), ("potential", ("potential_energy",))),
+    "momentum": (("angular_momentum", ("L_x", "L_y", "L_z")),),
+    "solver": (("iterations", ("newton_iterations",)), ("residual_norms", ("residual_norm",))),
+    "constraints": (("unit_norm_errors", ("unit_norm_error",)), ("orthogonality_errors", ("orthogonality_error",))),
 }
 FIELD_GROUPS = tuple(_COLUMNS)
+# the one column of counts: written with %d, held by Trajectory as int64
+_COUNT_COLUMN = "newton_iterations"
 
 # rows write_trajectory formats per % call: 256 rows are as fast to write
 # as 512 and hold half the Python floats at once
@@ -55,7 +48,7 @@ def _counts(values: Array) -> Array:
     # a NaN, fractional, negative or huge count would not survive the int64 cast
     if values.dtype.kind in "iuf" and np.all((values >= 0) & (values == np.floor(values)) & (values < 2**63)):
         return values.astype(np.int64, copy=False)
-    raise ValidationError("column newton_iterations must hold non-negative integers")
+    raise ValidationError(f"column {_COUNT_COLUMN} must hold non-negative integers")
 
 
 class Trajectory:
@@ -158,10 +151,9 @@ class Trajectory:
 
     @property
     def energies(self) -> Optional[Array]:
-        if self.kinetic is None:
+        """Total energy, or None unless both of its terms are held."""
+        if self.kinetic is None or self.potential is None:
             return None
-        if self.potential is None:
-            return self.kinetic
         return self.kinetic + self.potential
 
 
@@ -169,6 +161,8 @@ def _resolve_groups(fields) -> tuple:
     """The requested groups in file order; every field-group name is checked here."""
     if fields is None:
         return FIELD_GROUPS
+    if isinstance(fields, str):
+        raise ValidationError(f"fields {fields!r} is a string; expected a sequence of group names")
     groups = tuple(fields)
     for g in groups:
         # a tuple's ``in`` compares by ==, so an unhashable name is reported too
@@ -178,37 +172,26 @@ def _resolve_groups(fields) -> tuple:
     return tuple(g for g in FIELD_GROUPS if g in groups)
 
 
-def _group_matrix(traj: Trajectory, group: str) -> Array:
-    """The group's columns as written: each attribute that is None as its
-    fill, then the energy total in front of its two terms."""
-    n = traj.n_states
-    parts = [
-        np.full((n, len(names)), fill) if getattr(traj, attr) is None else getattr(traj, attr).reshape(n, -1)
-        for attr, names, fill in _COLUMNS[group]
-        if attr is not None
-    ]
-    if group == "energy":
-        parts.insert(0, parts[0] + parts[1])
-    return np.column_stack(parts)
-
-
 def write_trajectory(traj: Trajectory, path, stride: int = 1, fields=None) -> None:
     """Write the trajectory as tab-separated text with one header row.
 
+    The file holds each requested group (all of them when ``fields`` is
+    None) whose attributes the trajectory holds, and no other column.
     Rows are states 0, stride, 2*stride, ... plus always the final state.
     Floats carry 17 significant digits so a read-back is lossless.
     """
     stride = as_count(stride, "stride", 1)
-    groups = _resolve_groups(fields)
+    groups = [g for g in _resolve_groups(fields) if all(getattr(traj, a) is not None for a, _ in _COLUMNS[g])]
     indices = list(range(0, traj.n_states, stride))
     if indices[-1] != traj.n_states - 1:
         indices.append(traj.n_states - 1)
-    columns = [(name, fill) for g in groups for _, names, fill in _COLUMNS[g] for name in names]
+    attrs = [entry for g in groups for entry in _COLUMNS[g]]
+    names = [name for _, group_names in attrs for name in group_names]
     # one %-format per row; "%.17g" of a Python float is f"{x:.17g}", nan and -0 included
-    row = "\t".join(["%.17g"] + ["%d" if isinstance(fill, int) else "%.17g" for _, fill in columns]) + "\n"
-    table = np.column_stack([traj.times] + [_group_matrix(traj, g) for g in groups])[indices]
+    row = "\t".join(["%.17g"] + ["%d" if name == _COUNT_COLUMN else "%.17g" for name in names]) + "\n"
+    table = np.column_stack([traj.times] + [getattr(traj, attr) for attr, _ in attrs])[indices]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\t".join(["t"] + [name for name, _ in columns]) + "\n")
+        fh.write("\t".join(["t"] + names) + "\n")
         # _WRITE_BLOCK rows per % call: a whole-table tolist() would hold
         # every cell as a Python float at once
         for start in range(0, len(table), _WRITE_BLOCK):
@@ -231,7 +214,8 @@ def read_trajectory(path) -> Trajectory:
             # empty data is reported as a ValidationError just below
             warnings.simplefilter("ignore", UserWarning)
             try:
-                data = np.loadtxt(fh, ndmin=2, delimiter="\t")
+                # comments=None: a "#" in a cell is data, so it is reported, not cut
+                data = np.loadtxt(fh, ndmin=2, delimiter="\t", comments=None)
             except ValueError as exc:
                 # a non-numeric cell or a row of a different width
                 raise ValidationError(f"{path}: {exc}") from None
@@ -242,12 +226,12 @@ def read_trajectory(path) -> Trajectory:
     col = {name: data[:, i] for i, name in enumerate(header)}
     if "t" not in col:
         raise ValidationError(f"{path}: missing time column 't'")
-    groups = [g for g, attrs in _COLUMNS.items() if all(name in col for _, names, _ in attrs for name in names)]
+    groups = [g for g, attrs in _COLUMNS.items() if all(name in col for _, names in attrs for name in names)]
     if "pose" not in groups or "twist" not in groups:
         raise ValidationError(f"{path}: pose and twist columns are required")
     restored = {}
-    for attr, names, _ in (entry for g in groups for entry in _COLUMNS[g]):
-        if attr is None:  # the energy total
+    for attr, names in (entry for g in groups for entry in _COLUMNS[g]):
+        if attr == "energies":  # the total, derived from its terms
             continue
         restored[attr] = np.column_stack([col[name] for name in names]) if len(names) > 1 else col[names[0]]
     try:

@@ -269,8 +269,42 @@ def _check_order_against_rk4(M, forces, chi0, ref_h):
         assert order >= 1.5
 
 
-def test_convergence_order_against_rk4_reference():
-    _check_order_against_rk4(build_inertia(1.0, TOP_INERTIA), (), TOP_TWIST, 1e-5)
+def _mixed_inertias(rng):
+    A = rng.normal(size=(6, 6))
+    return (
+        build_inertia(1.0, np.eye(3)),
+        build_inertia(2.0, np.diag([1.0, 2.0, 3.0])),
+        build_inertia(
+            1.5,
+            np.diag([2.0, 3.0, 4.0]) - 1.5 * skew([0.2, -0.1, 0.3]) @ skew([0.2, -0.1, 0.3]),
+            (0.2, -0.1, 0.3),
+        ),
+        build_inertia_raw(A @ A.T + 6.0 * np.eye(6)),
+        build_inertia_raw(np.diag([1.0, 2.0, 3.0, 2.0, 3.0, 4.0])),
+    )
+
+
+# the offset-reference, raw SPD and raw diagonal entries, drawn as
+# test_jacobian_validity draws them
+_OFFSET, _RAW_SPD, _RAW_DIAGONAL = _mixed_inertias(np.random.default_rng(20240819))[2:]
+# a free body that also translates, so the anisotropic mass does work
+_TRANSLATING_TWIST = np.array([1.0, 0.1, 0.0, 0.2, 0.0, -0.1])
+
+
+@pytest.mark.parametrize(
+    "M, chi0, ref_h",
+    [
+        (build_inertia(1.0, TOP_INERTIA), TOP_TWIST, 1e-5),
+        (_OFFSET, _TRANSLATING_TWIST, 1e-4),
+        (_RAW_SPD, _TRANSLATING_TWIST, 1e-4),
+        (_RAW_DIAGONAL, _TRANSLATING_TWIST, 1e-4),
+    ],
+    ids=["center_of_mass_top", "offset_reference", "raw_spd", "raw_diagonal"],
+)
+def test_convergence_order_against_rk4_reference(M, chi0, ref_h):
+    # the reference point and the 6x6 inertia are free: the oracle's
+    # momentum balance holds for any symmetric M, raw ones included
+    _check_order_against_rk4(M, (), chi0, ref_h)
 
 
 @pytest.mark.parametrize(
@@ -292,21 +326,6 @@ def test_forced_convergence_order_against_rk4_reference(scenario):
     # stored twist fit order 1.0); every force type the package ships is
     # here, and a user callable that reads the time
     _check_order_against_rk4(*scenario(), 1e-4)
-
-
-def _mixed_inertias(rng):
-    A = rng.normal(size=(6, 6))
-    return (
-        build_inertia(1.0, np.eye(3)),
-        build_inertia(2.0, np.diag([1.0, 2.0, 3.0])),
-        build_inertia(
-            1.5,
-            np.diag([2.0, 3.0, 4.0]) - 1.5 * skew([0.2, -0.1, 0.3]) @ skew([0.2, -0.1, 0.3]),
-            (0.2, -0.1, 0.3),
-        ),
-        build_inertia_raw(A @ A.T + 6.0 * np.eye(6)),
-        build_inertia_raw(np.diag([1.0, 2.0, 3.0, 2.0, 3.0, 4.0])),
-    )
 
 
 def _fd_jacobian(f, M, eps=1e-6):

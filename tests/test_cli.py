@@ -59,7 +59,7 @@ def test_run_writes_one_row_per_state(free_config, tmp_path, capsys):
     assert f"wrote: {out}" in printed
 
 
-def test_rk4_produces_same_schema(free_config, tmp_path):
+def test_rk4_file_lacks_only_the_solver_columns(free_config, tmp_path):
     a = tmp_path / "dqvi.tsv"
     b = tmp_path / "rk4.tsv"
     assert main(["run", "--config", str(free_config), "--output", str(a), "--steps", "20"]) == 0
@@ -79,9 +79,10 @@ def test_rk4_produces_same_schema(free_config, tmp_path):
         )
         == 0
     )
-    header_a = a.read_text().splitlines()[0]
-    header_b = b.read_text().splitlines()[0]
-    assert header_a == header_b
+    header_a = a.read_text().splitlines()[0].split("\t")
+    header_b = b.read_text().splitlines()[0].split("\t")
+    # RK4 records no Newton iterations, so it writes no solver columns
+    assert header_b == [name for name in header_a if name not in ("newton_iterations", "residual_norm")]
     assert len(a.read_text().splitlines()) == len(b.read_text().splitlines())
 
 
@@ -390,11 +391,12 @@ def test_compare_repeated_time_is_exit_2(free_config, tmp_path, capsys):
 
 
 def test_compare_missplit_row_is_exit_2(tmp_path, capsys):
-    for name, cells in MISSPLIT_ROWS.items():
+    for name, (cells, cell) in MISSPLIT_ROWS.items():
         bad = tmp_path / f"{name}.tsv"
         write_table(bad, cells)
         assert main(["compare", str(bad), str(bad)]) == 2
-        assert f"{name}.tsv" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{name}.tsv" in err and f"'{cell}'" in err
 
 
 def test_compare_bad_header_is_exit_2(tmp_path, capsys):

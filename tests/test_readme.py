@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 
-from dqdyn import Trajectory, integrator, read_trajectory, write_trajectory
+from dqdyn import SolverSettings, build_inertia, integrator, pose_identity, read_trajectory, simulate, write_trajectory
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,7 +31,9 @@ def test_readme_lists_the_written_columns(tmp_path):
     listed = section.split("Columns, in order:", 1)[1].split(".\n", 1)[0]
     names = [name for cell in re.findall(r"`([^`]*)`", listed) for name in cell.split()]
     path = tmp_path / "all.tsv"
-    write_trajectory(Trajectory(times=[0.0], poses=[np.eye(1, 8)[0]], twists=[np.zeros(6)]), path)
+    # a simulate run holds every group, so its file has every column
+    traj = simulate(pose_identity(), np.ones(6), build_inertia(1.0, np.eye(3)), (), SolverSettings(h=0.01), 1)
+    write_trajectory(traj, path)
     assert names == path.read_text(encoding="utf-8").splitlines()[0].split("\t")
 
 

@@ -104,20 +104,45 @@ def test_field_subset(spinning_run, tmp_path):
     # a group that is no string, unhashable too, is named like any other
     with pytest.raises(ValidationError, match=re.escape("unknown field group ['pose']")):
         write_trajectory(spinning_run, path, fields=[["pose"]])
+    # a bare string is no sequence of names: its letters would be checked one by one
+    with pytest.raises(ValidationError, match="fields 'pose' is a string; expected a sequence of group names"):
+        write_trajectory(spinning_run, path, fields="pose")
 
 
-def test_rk4_file_has_same_schema(tmp_path):
+def test_rk4_file_has_no_solver_columns(spinning_run, tmp_path):
     M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
     chi0 = np.array([0.9, -0.3, 0.4, 0.0, 0.0, 0.0])
     traj = rk4_simulate(pose_identity(), chi0, M, (), SolverSettings(h=1e-3), 20)
     path = tmp_path / "rk4.tsv"
     write_trajectory(traj, path)
+    write_trajectory(spinning_run, tmp_path / "dqvi.tsv")
     lines = path.read_text().splitlines()
     assert len(lines) == 22
+    # RK4 records no Newton iterations, so its file has every column but those two
+    full = (tmp_path / "dqvi.tsv").read_text().splitlines()[0].split("\t")
+    assert lines[0].split("\t") == [name for name in full if name not in ("newton_iterations", "residual_norm")]
     back = read_trajectory(path)
-    # solver columns exist for schema stability; the fills mark "no data"
-    assert np.all(back.iterations == 0)
-    assert np.all(np.isnan(back.residual_norms))
+    assert back.iterations is None and back.residual_norms is None
+
+
+def _bare():
+    """Times, poses and twists only."""
+    return Trajectory(times=[0.0, 0.5], poses=[[1.0] + [0.0] * 7] * 2, twists=[[0.0] * 5 + [1.0]] * 2)
+
+
+@pytest.mark.parametrize("integrate", [None, rk4_simulate, simulate], ids=["bare", "rk4", "dqvi"])
+def test_summary_survives_write_and_read(integrate, tmp_path):
+    # a file holds what the trajectory recorded, so its summary reads back
+    # with the same keys and values: no fill comes back as data
+    if integrate is None:
+        traj = _bare()
+    else:
+        M = build_inertia(1.0, np.diag([1.0, 2.0, 3.0]))
+        traj = integrate(pose_identity(), [0.9, -0.3, 0.4, 0.2, 0.0, -0.1], M, (), SolverSettings(h=1e-3), 20)
+    path = tmp_path / "traj.tsv"
+    write_trajectory(traj, path)
+    # assert_equal compares a dict's keys, and counts NaN equal to NaN
+    np.testing.assert_equal(summarize(read_trajectory(path)), summarize(traj))
 
 
 def _scenario_run(name, integrator):
@@ -151,7 +176,7 @@ def _tsv(*rows):
 
 @pytest.fixture
 def edge_values():
-    """Five hand-built states: -0, nan fills, 1e-300/1e300, a subnormal,
+    """Five hand-built states: -0, nan, 1e-300/1e300, a subnormal,
     integer iteration counts and values that need all 17 digits."""
     nan = float("nan")
     return Trajectory(
@@ -171,7 +196,7 @@ def edge_values():
             [math.pi, -math.e, 1 / 7, 0.0, 5e-324, 1.0],
         ],
         iterations=[0, 1, 2, 3, 12],
-        residual_norms=[nan] * 5,  # the fill an RK4 run writes
+        residual_norms=[nan] * 5,  # written as nan
         kinetic=[0.1] * 5,
         potential=[0.2] * 5,
         angular_momentum=[[0.0, 0.0, 0.0]] * 3 + [[1e300, -1e-300, 1 / 7], [0.0, -0.0, 1.0]],
@@ -235,29 +260,26 @@ def test_write_golden_bytes_twist_and_pose(edge_values, tmp_path):
     )
 
 
-def test_write_golden_bytes_fills_of_absent_columns(tmp_path):
-    # only times, poses and twists: every other column writes its fill
-    bare = Trajectory(times=[0.0, 0.5], poses=[[1.0] + [0.0] * 7] * 2, twists=[[0.0] * 5 + [1.0]] * 2)
+def test_write_golden_bytes_of_a_bare_trajectory(tmp_path):
+    # only times, poses and twists: no other column is written
     path = tmp_path / "bare.tsv"
-    write_trajectory(bare, path)
-    row = "1 0 0 0 0 0 0 0  0 0 0 0 0 1  nan nan 0  nan nan nan  0 nan  nan nan"
+    write_trajectory(_bare(), path)
     assert path.read_bytes().decode("utf-8") == _tsv(
-        "t  p_rw p_rx p_ry p_rz p_dw p_dx p_dy p_dz  omega_x omega_y omega_z v_x v_y v_z"
-        "  energy kinetic_energy potential_energy  L_x L_y L_z  newton_iterations residual_norm"
-        "  unit_norm_error orthogonality_error",
-        "0  " + row,
-        "0.5  " + row,
+        "t  p_rw p_rx p_ry p_rz p_dw p_dx p_dy p_dz  omega_x omega_y omega_z v_x v_y v_z",
+        "0  1 0 0 0 0 0 0 0  0 0 0 0 0 1",
+        "0.5  1 0 0 0 0 0 0 0  0 0 0 0 0 1",
     )
 
 
 def test_write_golden_bytes_energy_without_potential(tmp_path):
-    # the total is kinetic + the potential's fill 0: -0 + 0 writes 0
+    # a total needs both terms: with kinetic alone there is no energy group
     traj = Trajectory(times=[0.0], poses=[[1.0] + [0.0] * 7], twists=[[0.0] * 6], kinetic=[-0.0])
+    assert traj.energies is None
     path = tmp_path / "energy.tsv"
-    write_trajectory(traj, path, fields=["energy"])
+    write_trajectory(traj, path, fields=["pose", "energy"])
     assert path.read_bytes().decode("utf-8") == _tsv(
-        "t  energy kinetic_energy potential_energy",
-        "0  0 -0 0",
+        "t  p_rw p_rx p_ry p_rz p_dw p_dx p_dy p_dz",
+        "0  1 0 0 0 0 0 0 0",
     )
 
 
@@ -286,10 +308,13 @@ def test_read_rejects_ragged_row(tmp_path):
 
 
 # rows under the pose and twist header whose cells a whitespace split would
-# shift into a valid-looking row: pose (1, 0, ...) and v_z = 0.5
+# shift into a valid-looking row (pose (1, 0, ...) and v_z = 0.5), or that a
+# "#" comment would cut short or drop, with the cell the error must name
 MISSPLIT_ROWS = {
-    "empty-cell": ["0.001", "", "1"] + ["0"] * 12 + ["0.5"],
-    "space-in-cell": ["0.001", "1 0"] + ["0"] * 11 + ["0.5"],
+    "empty-cell": (["0.001", "", "1"] + ["0"] * 12 + ["0.5"], ""),
+    "space-in-cell": (["0.001", "1 0"] + ["0"] * 11 + ["0.5"], "1 0"),
+    "hash-first": (["#0.001", "1"] + ["0"] * 12 + ["0.5"], "#0.001"),
+    "hash-in-cell": (["0.001", "1"] + ["0"] * 11 + ["0#x", "0.5"], "0#x"),
 }
 
 
@@ -309,11 +334,11 @@ def write_table(path, cells, header=POSE_TWIST_HEADER):
     path.write_text("\t".join(header) + "\n" + "\t".join(cells) + "\n")
 
 
-@pytest.mark.parametrize("cells", MISSPLIT_ROWS.values(), ids=MISSPLIT_ROWS.keys())
-def test_read_splits_rows_on_tabs(tmp_path, cells):
+@pytest.mark.parametrize("cells, cell", MISSPLIT_ROWS.values(), ids=MISSPLIT_ROWS.keys())
+def test_read_splits_rows_on_tabs(tmp_path, cells, cell):
     path = tmp_path / "shifted.tsv"
     write_table(path, cells)
-    with pytest.raises(ValidationError, match="shifted.tsv"):
+    with pytest.raises(ValidationError, match=f"shifted.tsv: .*'{re.escape(cell)}'"):
         read_trajectory(path)
 
 
