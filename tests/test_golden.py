@@ -1,15 +1,17 @@
-"""Golden state hashes: the sha256 of ``simulate``'s poses, steps and
-iterations, in that order, for the shipped scenarios at a small step and
-two large ones.
+"""Golden state hashes: the sha256 of state columns for the shipped
+scenarios at a small step and large ones.
 
-Only columns that are pure Python float arithmetic on the scenario's
-inputs are hashed. Whatever reads M^-1 is left out, since
-``np.linalg.inv`` may round differently with another LAPACK build or CPU
-kernel: the twists, ``rk4_simulate``, and damped_drop, whose damping reads
-the predicted twist (2/h) M^-1 (...) in the loop. Each run is repeated with
-every entry of M^-1 moved by one ulp, which must give the same hash. The
-``from_raw`` diagnostics are left out too: ``kinetic_energy`` sums with
-``np.einsum``, whose reduction order may differ between numpy builds.
+``GOLDEN`` holds ``simulate``'s poses, steps and iterations, in that order,
+for the five scenarios whose poses never read M^-1, at h = 1e-3, 0.05 and
+0.1. Each of these runs is repeated with every entry of M^-1 moved by one
+ulp, which must give the same hash. What reads M^-1 is pinned at h = 1e-3
+and 0.05 in tables of its own, with no one-ulp-up run: ``simulate``'s
+twists, ``rk4_simulate``'s poses and twists, and damped_drop's poses, steps
+and iterations, since its damping reads the predicted twist
+(2/h) M^-1 (...) in the loop. Only pose, twist, step and solver columns are
+hashed. The ``from_raw`` diagnostics are left out: energies and constraint
+errors reduce with ``np.einsum``, whose summation order is numpy's own and
+may differ between numpy builds.
 
 A change that moves a state by one bit fails here; a change that does so
 on purpose (a new predictor, another discrete Lagrangian) updates the
@@ -19,10 +21,10 @@ and at h = 0.1 (steps 135 and 230), and the sign change of its Jacobian
 determinant (state 492 at h = 0.05). At h = 0.1 most steps of the other
 scenarios take two or three updates.
 
-The same five scenarios are also pinned as ``dqdyn run`` writes them: the
-sha256 of the TSV file of a ``python -m dqdyn.cli`` process, with the pose
-and solver columns only (t, pose, Newton iterations, residual norm), each
-written with ``%.17g``.
+Every scenario is also pinned as ``dqdyn run`` writes it: the sha256 of
+the TSV file of a ``python -m dqdyn.cli`` process, with the pose, twist and
+solver columns only (t, pose, twist, Newton iterations, residual norm),
+each written with ``%.17g``.
 """
 
 import hashlib
@@ -35,6 +37,7 @@ import yaml
 
 from dqdyn.dynamics import InertiaMatrix6
 from dqdyn.integrator import simulate
+from dqdyn.newton_euler import rk4_simulate
 from dqdyn.scenario import load_run
 from test_cli import dqdyn_process
 
@@ -60,33 +63,84 @@ GOLDEN = {
 }
 
 
+# what reads M^-1, by scenario and step size
+GOLDEN_TWISTS = {
+    ("damped_drop", 0.001): "d266aa0993895b3ebff119de5fc6ce34ade1bb4c9fd31138a24ffc8b114058b4",
+    ("damped_drop", 0.05): "c7f39f1c88018d20875f6fadf6cb6ed77516ac3d23f2497479b52e856502fe4a",
+    ("free_top", 0.001): "1351976098b228441168f2b8aa51b03adf7eab7d1ef85b282d07ba2ee4aca987",
+    ("free_top", 0.05): "14fa9ab5e0cb26cecd771470c4710c7799d378b46166c8ee817f4a50a454ed22",
+    ("pure_translation", 0.001): "588701cf085bf25ac0ccaab406a7b80006aad332e4592dd243c61416ceb6d810",
+    ("pure_translation", 0.05): "3b034770f604096f6272f7f7e69f8bfd2a7c09a26312a60b1fbcc531c063849f",
+    ("spring_pendulum", 0.001): "85f2f8310597e1dfa95cae0bfdce6d36dc562ab4abf8b746902c895e9a469c7b",
+    ("spring_pendulum", 0.05): "082d383dcb4c64d92b30430a1fa3c1420e3a99e40d222d391a88fa6f63ff2e24",
+}
+GOLDEN_RK4 = {
+    ("damped_drop", 0.001): "4b65c1dbb82332192d4976c8c38b32517d0f9c907c70e3db16c5e5e7ee606174",
+    ("damped_drop", 0.05): "25e60e15a8a3919ea27e6e2f123d8375e71891c66ee677036348fdfc4526fcbd",
+    ("free_top", 0.001): "eae8fcc698564db3cd6d0aef21b69cea4672c040413cac07b838054cd85b33c9",
+    ("free_top", 0.05): "4ccb580ccdda07768229a73809489289b38850929a43940febdb26367d524523",
+    ("pure_translation", 0.001): "8e1b319f099740990a6e7880c05a78bea9aac9195aeeb53f52abc383b8d39210",
+    ("pure_translation", 0.05): "28ce29f8137482c70408b48f837d322cd24a0120c922a5371524906969568ca6",
+    ("spring_pendulum", 0.001): "25d32a7aee31b66a763947036bee0b586208681d20de3561132f812ba3f8dbdb",
+    ("spring_pendulum", 0.05): "b6e5dac44731a4a88df6255fb4f175d8f406892fe3e910c513f0e8f3fe645037",
+}
+GOLDEN_DAMPED_DROP = {
+    0.001: "1e7dd456ec09116136765f9739405e5c83f46766af5c7a4133299c9c83d206bd",
+    0.05: "55e927d9780f7e39c75db9da43c37c5f239a58a2a86fb1483d1b588d3fef6dc3",
+}
+
+
+def _run(integrate, name, h, inertia=None):
+    inputs = load_run(SCENARIO_DIR / f"{name}.yaml")[1]
+    M = inputs.inertia if inertia is None else inertia
+    return integrate(inputs.pose, inputs.twist, M, inputs.forces, replace(inputs.settings, h=h), N_STEPS)
+
+
+def _sha256(traj, columns) -> str:
+    digest = hashlib.sha256()
+    for column in columns:
+        digest.update(np.ascontiguousarray(getattr(traj, column)).tobytes())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("name, h", sorted(GOLDEN))
 def test_states_match_their_golden_hash(name, h):
-    inputs = load_run(SCENARIO_DIR / f"{name}.yaml")[1]
-    M = inputs.inertia
+    M = load_run(SCENARIO_DIR / f"{name}.yaml")[1].inertia
     shifted = InertiaMatrix6(matrix=M.matrix, inverse=np.nextafter(M.inverse, np.inf))
     for inertia in (M, shifted):
-        traj = simulate(inputs.pose, inputs.twist, inertia, inputs.forces, replace(inputs.settings, h=h), N_STEPS)
-        digest = hashlib.sha256()
-        for column in COLUMNS:
-            digest.update(np.ascontiguousarray(getattr(traj, column)).tobytes())
-        assert digest.hexdigest() == GOLDEN[name, h]
+        assert _sha256(_run(simulate, name, h, inertia), COLUMNS) == GOLDEN[name, h]
+
+
+@pytest.mark.parametrize("name, h", sorted(GOLDEN_TWISTS))
+def test_twists_match_their_golden_hash(name, h):
+    assert _sha256(_run(simulate, name, h), ("twists",)) == GOLDEN_TWISTS[name, h]
+
+
+@pytest.mark.parametrize("name, h", sorted(GOLDEN_RK4))
+def test_rk4_states_match_their_golden_hash(name, h):
+    assert _sha256(_run(rk4_simulate, name, h), ("poses", "twists")) == GOLDEN_RK4[name, h]
+
+
+@pytest.mark.parametrize("h", sorted(GOLDEN_DAMPED_DROP))
+def test_damped_drop_states_match_their_golden_hash(h):
+    assert _sha256(_run(simulate, "damped_drop", h), COLUMNS) == GOLDEN_DAMPED_DROP[h]
 
 
 CLI_STEPS = 250
 GOLDEN_TSV = {
-    "free_top": "bd17fc884717095fb0640a6808b0aaabfe790a5d27f9f91e32d2edbef67e7be8",
-    "generic_forced": "bed0e34b87b7d5d049f45d9c1c2bf730738661be69ec3095ba48cd53011028b3",
-    "offset_reference": "7a20611e2e7738bf8b3573f95607558462e15cefd0df0b177a49036d831a2fb0",
-    "pure_translation": "4bed4411025819f5f6bbf243f870c9c78883f2cb4213eeec4ab21bb00845ec12",
-    "spring_pendulum": "acfd93578727c9d150bdd78bb6cca8e0d6f767b1ada2e92c60327ce2fb3a46e6",
+    "damped_drop": "d84c1a6581e2bae4e63ae6736cd466871a075133a647150374967abf8ea1d6e5",
+    "free_top": "3473a64e807fe4fd1fb2b2fa1d4fa19b1eead215e1f1c6521e5adad664c5d6e7",
+    "generic_forced": "ee65670ac429ea4b249fab9b55081b39f5266264e35d18fa1eedb8c99d7424ae",
+    "offset_reference": "181e9db6318339b244584939089e3b9bb38be0c17416d84aeb178854a25f32e1",
+    "pure_translation": "e8479e1fc44f4f043482371812f8e8875738f087037cc8540d986599993a4048",
+    "spring_pendulum": "45a5f14d9c0827e3fce652f9006528d8acc111991ffaef1ddc1baa8b48616ea9",
 }
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TSV))
 def test_cli_trajectory_file_matches_its_golden_hash(name, tmp_path):
     config = yaml.safe_load((SCENARIO_DIR / f"{name}.yaml").read_text())
-    config["output"] = {"fields": ["pose", "solver"]}
+    config["output"] = {"fields": ["pose", "twist", "solver"]}
     path = tmp_path / f"{name}.yaml"
     path.write_text(yaml.safe_dump(config))
     out = tmp_path / f"{name}.tsv"
