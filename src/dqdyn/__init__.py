@@ -31,7 +31,6 @@ _EXPORTS = {
         "force_model_from_potential",
         "gravity_potential",
         "kinetic_energy",
-        "momentum",
         "numeric_conservative_wrench",
         "potential_energy",
         "skew",

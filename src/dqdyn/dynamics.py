@@ -35,7 +35,7 @@ from .kinematics import (
     vector_sandwich,
     world_wrench_in_body,
 )
-from .linsolve import COND_LIMIT, matvec_stack
+from .linsolve import COND_LIMIT, matvec_stack, solve_rows
 from .quat import Array, Traced, as_floats, as_vector3, cross, traced_lines
 
 
@@ -57,7 +57,10 @@ class InertiaMatrix6:
     Its blocks are slices of ``matrix``. The integrator's stepping loop
     reads M through lines generated from M's entries, leaving out every
     zero; its pivot search and its one-step functions read ``matrix`` as
-    floats.
+    floats. Column k of ``inverse`` is ``linsolve.solve_rows``' solution of
+    M x = e_k: plain float arithmetic, the same bits on every platform. M is
+    rejected unless that elimination's pivot-ratio estimate is within
+    ``COND_LIMIT``, the rule every Newton step applies to its Jacobian.
     """
 
     matrix: Array
@@ -65,12 +68,13 @@ class InertiaMatrix6:
 
 
 def _assemble(matrix: Array) -> InertiaMatrix6:
-    cond = np.linalg.cond(matrix)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    solves = [solve_rows(matrix.tolist(), [float(i == k) for i in range(6)]) for k in range(6)]
+    _, cond, ok, _ = solves[0]  # the pivots, and so the estimate, do not depend on the right-hand side
+    if not (ok and cond <= COND_LIMIT):
         raise SingularMatrixError(
             f"inertia matrix is singular or near singular (condition estimate {cond:.3e})"
         )
-    return InertiaMatrix6(matrix=matrix, inverse=np.linalg.inv(matrix))
+    return InertiaMatrix6(matrix=matrix, inverse=np.array([x for x, *_ in solves]).T.copy())
 
 
 def build_inertia(mass: float, inertia, com_offset=(0.0, 0.0, 0.0)) -> InertiaMatrix6:
@@ -91,12 +95,7 @@ def build_inertia(mass: float, inertia, com_offset=(0.0, 0.0, 0.0)) -> InertiaMa
     if np.any(np.linalg.eigvalsh(J) <= 0.0):
         raise ValidationError("inertia tensor must be positive definite")
     S = skew(as_vector3(com_offset, "com_offset"))
-    matrix = np.zeros((6, 6))
-    matrix[:3, :3] = J
-    matrix[:3, 3:] = mass * S
-    matrix[3:, :3] = -mass * S
-    matrix[3:, 3:] = mass * np.eye(3)
-    return _assemble(matrix)
+    return _assemble(np.block([[J, mass * S], [-mass * S, mass * np.eye(3)]]))
 
 
 def build_inertia_raw(matrix) -> InertiaMatrix6:
@@ -113,13 +112,6 @@ def kinetic_energy(M: InertiaMatrix6, chi):
     """0.5 chi . M chi of one twist, or of each twist of a stack (leading axes)."""
     chi = np.asarray(chi, dtype=np.float64)
     return 0.5 * np.einsum("...i,ij,...j->...", chi, M.matrix, chi)
-
-
-def momentum(M: InertiaMatrix6, chi) -> Array:
-    """Body-frame generalized momentum [angular; linear] = M chi, of one twist
-    or of each twist of a stack (leading axes). ``matvec_stack`` sums each
-    entry left to right, so a stack's twists get the bits of single calls."""
-    return np.moveaxis(matvec_stack(M.matrix, chi), 0, -1)
 
 
 def world_momentum(p, M: InertiaMatrix6, chi) -> tuple[Array, Array]:

@@ -21,8 +21,10 @@ class StepTooLargeError(DqdynError):
 
 
 class SingularMatrixError(DqdynError):
-    """A matrix that must be invertible is singular or numerically
-    indistinguishable from singular (condition estimate above 1e12).
+    """A matrix that must be invertible, the inertia M or a Newton Jacobian,
+    is singular or too ill-conditioned: its elimination in
+    ``linsolve.solve_rows`` meets a zero pivot, or its pivot-ratio estimate
+    exceeds ``linsolve.COND_LIMIT`` (1e12).
 
     Raised by a Newton step, it carries the iteration and, from a simulation
     run, the index of the failing step; both are None otherwise.

@@ -1,4 +1,4 @@
-"""Dense 6x6 linear solves for the Newton steps.
+"""Dense 6x6 linear solves: the Newton steps and the inertia's inverse.
 
 ``solve_rows`` is Gaussian elimination with full pivoting: it searches every
 pivot, is deterministic across platforms, and the pivot sequence gives a

@@ -88,6 +88,7 @@ from .kinematics import (
     pose_to_rotation_translation,
     screw_compose,
 )
+from .linsolve import matvec
 from .trajectory import _resolve_groups
 
 INTEGRATOR_VARIATIONAL = "dqvi"
@@ -422,8 +423,7 @@ def _parse(text: str, overrides: Optional[dict]) -> tuple[ScenarioConfig, RunInp
     if screw is not None:
         config = replace(config, **screw)
     if momentum is not None:
-        pi = np.asarray(momentum)
-        config = replace(config, body_twist=tuple(float(x) for x in config_inertia(config).inverse @ pi))
+        config = replace(config, body_twist=tuple(matvec(config_inertia(config).inverse.tolist(), momentum)))
 
     run = build_run(config)
     try:

@@ -168,6 +168,9 @@ def _resolve_groups(fields) -> tuple:
         # a tuple's ``in`` compares by ==, so an unhashable name is reported too
         if g not in FIELD_GROUPS:
             raise ValidationError(f"unknown field group {g!r}; expected one of {FIELD_GROUPS}")
+    # read_trajectory needs both, so a file without them could not be read back
+    if "pose" not in groups or "twist" not in groups:
+        raise ValidationError(f"fields {list(groups)} must include 'pose' and 'twist'")
     # keep the canonical column order regardless of request order
     return tuple(g for g in FIELD_GROUPS if g in groups)
 

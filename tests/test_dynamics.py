@@ -1,5 +1,6 @@
 """Inertia assembly, potentials, and force models against physical oracles."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.linalg
 from conftest import random_pose, random_twist
 
 from _oracles import cloud_kinetic_energy, point_cloud, quat_to_matrix_oracle
+from test_scenario import SCENARIO_DIR
 from dqdyn import dq_exp, dq_mul, dynamics, pure_dual_quaternion
 from dqdyn.dynamics import (
     ForceModel,
@@ -19,7 +21,6 @@ from dqdyn.dynamics import (
     force_model_from_potential,
     gravity_potential,
     kinetic_energy,
-    momentum,
     numeric_conservative_wrench,
     potential_energy,
     skew,
@@ -30,6 +31,8 @@ from dqdyn.dynamics import (
 )
 from dqdyn.errors import SingularMatrixError, ValidationError
 from dqdyn.integrator import SolverSettings, simulate
+from dqdyn.linsolve import COND_LIMIT, solve_rows
+from dqdyn.scenario import load_run
 from dqdyn.kinematics import (
     body_wrench,
     pose_from_rotation_translation,
@@ -94,8 +97,38 @@ def test_build_inertia_rejects_bad_inputs():
 def test_build_inertia_detects_degenerate_offset():
     # J equal to the point-mass bound m*S(r)^T S(r): the center-of-mass
     # Schur complement is singular even though J itself is positive definite
-    with pytest.raises(SingularMatrixError):
+    with pytest.raises(SingularMatrixError, match="condition estimate inf"):
         build_inertia(1.0, np.eye(3), (0.0, 0.0, 1.0))
+
+
+def test_inverse_is_solve_rows_on_the_unit_vectors(rng):
+    # column k of M^-1 is solve_rows' solution of M x = e_k, bit for bit, so
+    # M^-1 has the pivots of every other solve on M and no LAPACK rounding
+    A = rng.normal(size=(6, 6))
+    inertias = [build_inertia_raw(A @ A.T + 6.0 * np.eye(6))]
+    inertias += [load_run(path)[1].inertia for path in sorted(SCENARIO_DIR.glob("*.yaml"))]
+    assert len(inertias) == 7
+    for M in inertias:
+        columns = [solve_rows(M.matrix.tolist(), [float(i == k) for i in range(6)])[0] for k in range(6)]
+        assert M.inverse.dtype == np.float64 and M.inverse.flags.c_contiguous
+        assert M.inverse.tobytes() == np.array(columns).T.tobytes()
+
+
+def test_inertia_is_judged_on_the_pivot_ratio():
+    # the estimate is |first pivot| / |last pivot| of the full-pivot
+    # elimination, the one every Newton step holds against COND_LIMIT: a
+    # nearly dependent pair of rows reads about 1/eps there and 4/eps as a
+    # 2-norm condition number, so it decides between 1e12 and 4e12
+    for eps, accepted in ((1e-12, True), (5e-13, False)):
+        matrix = np.eye(6)
+        matrix[:2, :2] = [[1.0, 1.0], [1.0, 1.0 + eps]]
+        cond = solve_rows(matrix.tolist(), [0.0] * 6)[1]
+        assert (cond <= COND_LIMIT) == accepted and np.linalg.cond(matrix) > COND_LIMIT
+        if accepted:
+            build_inertia_raw(matrix)
+        else:
+            with pytest.raises(SingularMatrixError, match=re.escape(f"condition estimate {cond:.3e}")):
+                build_inertia_raw(matrix)
 
 
 def test_build_inertia_raw(rng):
@@ -191,12 +224,6 @@ def test_world_momentum_rejects_one_off_group_pose():
     pose[0] = 1.0 + 1e-6
     with pytest.raises(ValidationError):
         world_momentum(pose, M, np.ones(6))
-
-
-def test_momentum_vector():
-    M = build_inertia(2.0, np.diag([1.0, 2.0, 3.0]))
-    chi = np.arange(1.0, 7.0)
-    np.testing.assert_allclose(momentum(M, chi), M.matrix @ chi, atol=1e-15)
 
 
 def test_gravity_potential_values():

@@ -8,7 +8,9 @@ ulp, which must give the same hash. What reads M^-1 is pinned at h = 1e-3
 and 0.05 in tables of its own, with no one-ulp-up run: ``simulate``'s
 twists, ``rk4_simulate``'s poses and twists, and damped_drop's poses, steps
 and iterations, since its damping reads the predicted twist
-(2/h) M^-1 (...) in the loop. Only pose, twist, step and solver columns are
+(2/h) M^-1 (...) in the loop. M^-1 is ``linsolve.solve_rows`` on the unit
+vectors, plain float arithmetic like the loops, so these hashes do not
+depend on a LAPACK build. Only pose, twist, step and solver columns are
 hashed. The ``from_raw`` diagnostics are left out: energies and constraint
 errors reduce with ``np.einsum``, whose summation order is numpy's own and
 may differ between numpy builds.
@@ -69,6 +71,10 @@ GOLDEN_TWISTS = {
     ("damped_drop", 0.05): "c7f39f1c88018d20875f6fadf6cb6ed77516ac3d23f2497479b52e856502fe4a",
     ("free_top", 0.001): "1351976098b228441168f2b8aa51b03adf7eab7d1ef85b282d07ba2ee4aca987",
     ("free_top", 0.05): "14fa9ab5e0cb26cecd771470c4710c7799d378b46166c8ee817f4a50a454ed22",
+    ("generic_forced", 0.001): "91f18100020287aa29b2b5a8fcaa15c33343c73e3884fe908b6c868f2584250f",
+    ("generic_forced", 0.05): "0f7bb89529217dd984ee429931ce25edcf97315acf4fc1ca0d6bb005987ec11e",
+    ("offset_reference", 0.001): "81965942710e19dbafb16c03e4d26bb1aaafb46925150314485bd185acc52ed3",
+    ("offset_reference", 0.05): "dd5116d5667d148312fb9a0da29b34b11ce521a6ee008801265806e57b3825a7",
     ("pure_translation", 0.001): "588701cf085bf25ac0ccaab406a7b80006aad332e4592dd243c61416ceb6d810",
     ("pure_translation", 0.05): "3b034770f604096f6272f7f7e69f8bfd2a7c09a26312a60b1fbcc531c063849f",
     ("spring_pendulum", 0.001): "85f2f8310597e1dfa95cae0bfdce6d36dc562ab4abf8b746902c895e9a469c7b",
@@ -79,6 +85,10 @@ GOLDEN_RK4 = {
     ("damped_drop", 0.05): "25e60e15a8a3919ea27e6e2f123d8375e71891c66ee677036348fdfc4526fcbd",
     ("free_top", 0.001): "eae8fcc698564db3cd6d0aef21b69cea4672c040413cac07b838054cd85b33c9",
     ("free_top", 0.05): "4ccb580ccdda07768229a73809489289b38850929a43940febdb26367d524523",
+    ("generic_forced", 0.001): "1f5fa1af32623750fe98379fda96d5de311d80f0c217018087d717acb6ad2e3a",
+    ("generic_forced", 0.05): "698c3936e77ce673434d8e206ad9edc5575e11e837537fd16c9399481b1c309a",
+    ("offset_reference", 0.001): "e4ceab5d485c0211e8b397d7140f23ea5be797c0e95f50bb8aefedc73084c36c",
+    ("offset_reference", 0.05): "a1cda8ac7a1478daa16b47c0bd34a9574899b835fe1b0e370351b3e30bbb74ad",
     ("pure_translation", 0.001): "8e1b319f099740990a6e7880c05a78bea9aac9195aeeb53f52abc383b8d39210",
     ("pure_translation", 0.05): "28ce29f8137482c70408b48f837d322cd24a0120c922a5371524906969568ca6",
     ("spring_pendulum", 0.001): "25d32a7aee31b66a763947036bee0b586208681d20de3561132f812ba3f8dbdb",
@@ -130,8 +140,8 @@ CLI_STEPS = 250
 GOLDEN_TSV = {
     "damped_drop": "d84c1a6581e2bae4e63ae6736cd466871a075133a647150374967abf8ea1d6e5",
     "free_top": "3473a64e807fe4fd1fb2b2fa1d4fa19b1eead215e1f1c6521e5adad664c5d6e7",
-    "generic_forced": "ee65670ac429ea4b249fab9b55081b39f5266264e35d18fa1eedb8c99d7424ae",
-    "offset_reference": "181e9db6318339b244584939089e3b9bb38be0c17416d84aeb178854a25f32e1",
+    "generic_forced": "10fa6e453ade4d6f8ea105cd6fed28a19a274a51309e8026a9ae5f0ea1f1c01d",
+    "offset_reference": "8388e9112d883869935001de323f88dc3004b12ffc2ec1db6fc5d7f1b9e8509d",
     "pure_translation": "e8479e1fc44f4f043482371812f8e8875738f087037cc8540d986599993a4048",
     "spring_pendulum": "45a5f14d9c0827e3fce652f9006528d8acc111991ffaef1ddc1baa8b48616ea9",
 }

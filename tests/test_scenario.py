@@ -342,6 +342,14 @@ initial:
         ),
         ("body: {mass: 1.0, inertia: [1, 2, 3]}\noutput: {path: ''}", "output.path: expected a non-empty string"),
         ("body: {mass: 1.0, inertia: [1, 2, 3]}\noutput: {fields: []}", "output.fields: expected a non-empty list"),
+        (
+            "body: {mass: 1.0, inertia: [1, 2, 3]}\noutput: {fields: [pose, solver]}",
+            "output.fields: fields ['pose', 'solver'] must include 'pose' and 'twist'",
+        ),
+        (
+            "body: {mass: 1.0, inertia: [1, 2, 3]}\noutput: {fields: [energy]}",
+            "output.fields: fields ['energy'] must include 'pose' and 'twist'",
+        ),
         ("body: [1, 2", "not valid YAML"),
         ("run: {h: 0.001}", "required section 'body' is missing"),
         (

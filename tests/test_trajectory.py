@@ -107,6 +107,12 @@ def test_field_subset(spinning_run, tmp_path):
     # a bare string is no sequence of names: its letters would be checked one by one
     with pytest.raises(ValidationError, match="fields 'pose' is a string; expected a sequence of group names"):
         write_trajectory(spinning_run, path, fields="pose")
+    # the reader needs pose and twist, so a selection without them writes no file
+    path.unlink()
+    for fields in (["pose", "solver"], ["energy"]):
+        with pytest.raises(ValidationError, match=re.escape(f"fields {fields} must include 'pose' and 'twist'")):
+            write_trajectory(spinning_run, path, fields=fields)
+        assert not path.exists()
 
 
 def test_rk4_file_has_no_solver_columns(spinning_run, tmp_path):
@@ -235,11 +241,11 @@ def test_write_blocks_join_like_rows(tmp_path):
     n = 2 * trajectory._WRITE_BLOCK + 7
     traj = simulate(pose_identity(), [0.9, -0.3, 0.4, 0.2, 0.0, -0.1], M, (), SolverSettings(h=1e-3), n - 1)
     path = tmp_path / "blocks.tsv"
-    write_trajectory(traj, path, fields=("pose", "solver"))
+    write_trajectory(traj, path, fields=("pose", "twist", "solver"))
     lines = path.read_text().splitlines()
     assert len(lines) == n + 1
     for k in (0, trajectory._WRITE_BLOCK - 1, trajectory._WRITE_BLOCK, n - 1):
-        cells = [f"{x:.17g}" for x in (traj.times[k], *traj.poses[k].tolist())]
+        cells = [f"{x:.17g}" for x in (traj.times[k], *traj.poses[k].tolist(), *traj.twists[k].tolist())]
         cells += [str(int(traj.iterations[k])), f"{traj.residual_norms[k]:.17g}"]
         assert lines[k + 1] == "\t".join(cells)
 
@@ -276,10 +282,10 @@ def test_write_golden_bytes_energy_without_potential(tmp_path):
     traj = Trajectory(times=[0.0], poses=[[1.0] + [0.0] * 7], twists=[[0.0] * 6], kinetic=[-0.0])
     assert traj.energies is None
     path = tmp_path / "energy.tsv"
-    write_trajectory(traj, path, fields=["pose", "energy"])
+    write_trajectory(traj, path, fields=["pose", "twist", "energy"])
     assert path.read_bytes().decode("utf-8") == _tsv(
-        "t  p_rw p_rx p_ry p_rz p_dw p_dx p_dy p_dz",
-        "0  1 0 0 0 0 0 0 0",
+        "t  p_rw p_rx p_ry p_rz p_dw p_dx p_dy p_dz  omega_x omega_y omega_z v_x v_y v_z",
+        "0  1 0 0 0 0 0 0 0  0 0 0 0 0 0",
     )
 
 
